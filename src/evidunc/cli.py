@@ -16,10 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, parse_config
 from .dirichlet import DirichletPrediction, predict_class, quantify_record
 from .enn import TrainingDivergedError
 from .experiments import run_ablation, run_experiment
@@ -88,20 +87,23 @@ def cmd_quantify(args) -> int:
 
 def _parse_seeds(text: str):
     try:
-        return tuple(int(part) for part in text.split(","))
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise ConfigError(f"--seeds: expected comma-separated integers, got {text!r}")
 
 
 def _load_with_overrides(args):
+    """The config file with the command line overrides applied, validated
+    as one document so an override is checked like a config value."""
     config = load_config(args.config)
+    overrides = {}
     if args.seeds:
-        config = replace(config, seeds=_parse_seeds(args.seeds))
+        overrides["seeds"] = _parse_seeds(args.seeds)
     if args.mode:
-        config = replace(config, mode=args.mode)
+        overrides["mode"] = args.mode
     if args.out:
-        config = replace(config, output_dir=args.out)
-    return config
+        overrides["output_dir"] = args.out
+    return parse_config({**config.to_document(), **overrides})
 
 
 def cmd_run(args) -> int:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .enn import TrainConfig
 from .losses import LossConfig
@@ -44,29 +45,19 @@ class AblationSwitches:
         return "source-only" if not parts else "+".join(parts)
 
 
-_DOMAIN_KEYS = {
-    "num_classes",
-    "feature_dim",
-    "samples_per_domain",
-    "class_scale",
-    "shift_rotation_degrees",
-    "shift_translation",
-    "shift_noise_multiplier",
-}
-_TRAIN_KEYS = {
-    "epochs",
-    "batch_size",
-    "learning_rate",
-    "momentum",
-    "weight_decay",
-    "lr_schedule",
-    "lr_gamma",
-    "lr_beta",
-}
-_LOSS_KEYS = {"lambda_reg", "lambda_a", "lambda_e", "reduction", "pseudo_label_weight"}
-_ABLATION_KEYS = {"ug", "us", "cs", "class_balanced"}
+def _field_names(cls, *excluded) -> set:
+    return {f.name for f in fields(cls)} - set(excluded)
+
+
+# Section keys are the dataclass fields, minus what the runner sets per run
+# (seeds, the quantification mode) and the class means, which configs leave
+# at their default layout.
+_DOMAIN_KEYS = _field_names(DomainSpec, "seed", "class_means")
+_TRAIN_KEYS = _field_names(TrainConfig, "seed")
+_LOSS_KEYS = _field_names(LossConfig, "mode")
+_ABLATION_KEYS = _field_names(AblationSwitches)
 _SAMPLING_KEYS = {"plans", "schedule", "auroc_epoch", "budget_fraction"}
-_PLAN_KEYS = {"round_index", "b_u", "b_c", "kappa"}
+_PLAN_KEYS = _field_names(RoundPlan)
 _TOP_KEYS = {
     "schema_version",
     "mode",
@@ -159,6 +150,28 @@ def _expect_type(value, types, where: str, errors: list) -> bool:
     return True
 
 
+def _section(document: dict, name: str, errors: list) -> dict:
+    value = document.get(name, {})
+    return dict(value) if _expect_type(value, dict, name, errors) else {}
+
+
+def _is_int(value) -> bool:
+    """JSON integers only: bool is an int subclass but not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _expect_finite(value, where: str, errors: list):
+    """Report every NaN or infinite number anywhere in the document."""
+    if isinstance(value, float) and not math.isfinite(value):
+        errors.append(f"{where}: must be a finite number, got {value!r}")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _expect_finite(item, f"{where}.{key}" if where else str(key), errors)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _expect_finite(item, f"{where}[{i}]", errors)
+
+
 def parse_config(document: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig.
 
@@ -168,6 +181,7 @@ def parse_config(document: dict) -> ExperimentConfig:
     if not isinstance(document, dict):
         raise ConfigError("config root must be a JSON object")
     _expect_keys(document, _TOP_KEYS, "config", errors)
+    _expect_finite(document, "", errors)
 
     version = document.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
@@ -181,8 +195,8 @@ def parse_config(document: dict) -> ExperimentConfig:
     if not _expect_type(seeds, list, "seeds", errors) or not seeds:
         errors.append("seeds: need at least one seed")
         seeds = [0]
-    elif not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
-        errors.append("seeds: every entry must be an integer")
+    elif not all(_is_int(s) and s >= 0 for s in seeds):
+        errors.append("seeds: every entry must be a nonnegative integer")
         seeds = [0]
     elif len(set(seeds)) != len(seeds):
         errors.append("seeds: duplicates are not allowed")
@@ -192,24 +206,34 @@ def parse_config(document: dict) -> ExperimentConfig:
 
     hidden = document.get("hidden_layers", [64, 64])
     if _expect_type(hidden, list, "hidden_layers", errors):
-        if not all(isinstance(h, int) and h > 0 for h in hidden):
+        if not all(_is_int(h) and h > 0 for h in hidden):
             errors.append("hidden_layers: entries must be positive integers")
 
-    domain = dict(document.get("domain", {}))
+    domain = _section(document, "domain", errors)
     _expect_keys(domain, _DOMAIN_KEYS, "domain", errors)
     if "shift_translation" in domain:
-        domain["shift_translation"] = tuple(domain["shift_translation"])
+        translation = domain["shift_translation"]
+        if isinstance(translation, (list, tuple)) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in translation
+        ):
+            domain["shift_translation"] = tuple(translation)
+        else:
+            errors.append("domain.shift_translation: must be a list of numbers")
+            del domain["shift_translation"]
 
-    train = dict(document.get("train", {}))
+    train = _section(document, "train", errors)
     _expect_keys(train, _TRAIN_KEYS, "train", errors)
 
-    loss = dict(document.get("loss", {}))
+    loss = _section(document, "loss", errors)
     _expect_keys(loss, _LOSS_KEYS, "loss", errors)
 
-    sampling = dict(document.get("sampling", {}))
+    sampling = _section(document, "sampling", errors)
     _expect_keys(sampling, _SAMPLING_KEYS, "sampling", errors)
     plans = []
-    for i, raw in enumerate(sampling.get("plans", [])):
+    raw_plans = sampling.get("plans", [])
+    if not _expect_type(raw_plans, list, "sampling.plans", errors):
+        raw_plans = []
+    for i, raw in enumerate(raw_plans):
         if not _expect_type(raw, dict, f"sampling.plans[{i}]", errors):
             continue
         _expect_keys(raw, _PLAN_KEYS, f"sampling.plans[{i}]", errors)
@@ -218,7 +242,7 @@ def parse_config(document: dict) -> ExperimentConfig:
         except (DomainError, TypeError) as exc:
             errors.append(f"sampling.plans[{i}]: {exc}")
     schedule = sampling.get("schedule", [])
-    if not isinstance(schedule, list) or not all(isinstance(e, int) for e in schedule):
+    if not isinstance(schedule, list) or not all(_is_int(e) for e in schedule):
         errors.append("sampling.schedule: must be a list of epochs")
         schedule = []
     budget_fraction = sampling.get("budget_fraction", 0.05)
@@ -226,11 +250,11 @@ def parse_config(document: dict) -> ExperimentConfig:
         errors.append("sampling.budget_fraction: must lie in [0, 1]")
         budget_fraction = 0.05
     auroc_epoch = sampling.get("auroc_epoch")
-    if auroc_epoch is not None and not isinstance(auroc_epoch, int):
+    if auroc_epoch is not None and not _is_int(auroc_epoch):
         errors.append("sampling.auroc_epoch: must be an integer epoch or null")
         auroc_epoch = None
 
-    ablation_doc = dict(document.get("ablation", {}))
+    ablation_doc = _section(document, "ablation", errors)
     _expect_keys(ablation_doc, _ABLATION_KEYS, "ablation", errors)
     for key, value in ablation_doc.items():
         if key in _ABLATION_KEYS and not isinstance(value, bool):

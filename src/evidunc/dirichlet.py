@@ -16,8 +16,10 @@ module is a deterministic function of ``alpha``:
 - the classical entropy/mutual-information split (entropy quantification),
   which exists at the sample level only.
 
-All functions are pure; batch variants operate on ``(n, C)`` alpha matrices
-and are safe to parallelize over rows.
+Every formula is implemented once, as a batch kernel over an ``(n, C)``
+alpha matrix (the ``*_batch`` functions); the single-prediction functions
+are one-row views of those kernels. All functions are pure and the kernels
+are safe to parallelize over rows.
 """
 
 from __future__ import annotations
@@ -37,11 +39,12 @@ __all__ = [
     "mean_probabilities",
     "predict_class",
     "covariance_bundle",
-    "class_uncertainties",
     "sample_uncertainty_variance",
     "sample_uncertainty_entropy",
     "variance_uncertainties_batch",
     "entropy_uncertainties_batch",
+    "class_variances_batch",
+    "covariance_batch",
     "predict_class_batch",
     "quantify_record",
     "prediction_from_record",
@@ -134,7 +137,7 @@ def predict_class(pred: DirichletPrediction) -> int:
 
     Ties resolve to the lowest class index so runs are reproducible.
     """
-    return int(np.argmax(pred.alpha)) + 1
+    return int(predict_class_batch(pred.alpha[None, :])[0])
 
 
 def predict_class_batch(alpha: np.ndarray) -> np.ndarray:
@@ -142,102 +145,97 @@ def predict_class_batch(alpha: np.ndarray) -> np.ndarray:
     return np.argmax(alpha, axis=1) + 1
 
 
-def covariance_bundle(pred: DirichletPrediction) -> CovarianceBundle:
-    """Total/aleatoric/epistemic covariance of the one-hot label, plus the
-    correlation matrix.
-
-    The aleatoric and epistemic parts are exact rescalings of the total by
-    ``alpha0/(alpha0+1)`` and ``1/(alpha0+1)``, so total = aleatoric +
-    epistemic holds entrywise and aleatoric/epistemic = alpha0.
-    """
-    mu = mean_probabilities(pred)
-    a0 = pred.strength
-    total = np.diag(mu) - np.outer(mu, mu)
-    aleatoric = (a0 / (a0 + 1.0)) * total
-    epistemic = (1.0 / (a0 + 1.0)) * total
-
-    var = np.diag(total).copy()
-    ok = var >= CORRELATION_VARIANCE_EPS
-    sigma = np.sqrt(np.where(ok, var, 1.0))
-    correlation = total / np.outer(sigma, sigma)
-    guard = np.outer(ok, ok)
-    correlation = np.where(guard, correlation, 0.0)
-    np.fill_diagonal(correlation, 1.0)
-    return CovarianceBundle(total=total, aleatoric=aleatoric, epistemic=epistemic, correlation=correlation)
-
-
-def _variance_bundle(pred: DirichletPrediction) -> UncertaintyBundle:
-    mu = mean_probabilities(pred)
-    a0 = pred.strength
-    class_total = mu * (1.0 - mu)
-    sample_total = 1.0 - float(np.dot(mu, mu))
-    alea_scale = a0 / (a0 + 1.0)
-    epis_scale = 1.0 / (a0 + 1.0)
-    return UncertaintyBundle(
-        mode="variance",
-        sample_total=sample_total,
-        sample_aleatoric=alea_scale * sample_total,
-        sample_epistemic=epis_scale * sample_total,
-        class_total=class_total,
-        class_aleatoric=alea_scale * class_total,
-        class_epistemic=epis_scale * class_total,
-    )
-
-
-def class_uncertainties(pred: DirichletPrediction) -> UncertaintyBundle:
-    """Per-class total/aleatoric/epistemic uncertainties (variance mode).
-
-    Class c carries ``mu_c (1 - mu_c)``, i.e. the covariance diagonal; the
-    sample-level fields are the sums over classes.
-    """
-    return _variance_bundle(pred)
-
-
-def sample_uncertainty_variance(pred: DirichletPrediction) -> UncertaintyBundle:
-    """Sample-level variance-mode uncertainty ``1 - sum(mu_c^2)`` with its
-    aleatoric/epistemic split; class vectors are included."""
-    return _variance_bundle(pred)
-
-
-def sample_uncertainty_entropy(pred: DirichletPrediction) -> UncertaintyBundle:
-    """Sample-level entropy-mode uncertainties.
-
-    Total is the Shannon entropy of the expected probabilities; the
-    aleatoric part is the expected conditional entropy expressed through
-    digamma; epistemic is their difference (the mutual information). This
-    quantification has no class-level decomposition.
-    """
-    mu = mean_probabilities(pred)
-    a0 = pred.strength
-    total = float(-(mu * np.log(mu)).sum())
-    aleatoric = float((mu * (digamma(a0 + 1.0) - digamma(pred.alpha + 1.0))).sum())
-    return UncertaintyBundle(
-        mode="entropy",
-        sample_total=total,
-        sample_aleatoric=aleatoric,
-        sample_epistemic=total - aleatoric,
-    )
+def _strength_and_mean(alpha):
+    alpha = np.asarray(alpha, dtype=np.float64)
+    a0 = alpha.sum(axis=1)
+    return alpha, a0, alpha / a0[:, None]
 
 
 def variance_uncertainties_batch(alpha: np.ndarray):
     """Variance-mode (total, aleatoric, epistemic) sample uncertainties for
     an (n, C) alpha matrix. Returns three length-n arrays."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    a0 = alpha.sum(axis=1)
-    mu = alpha / a0[:, None]
+    _, a0, mu = _strength_and_mean(alpha)
     total = 1.0 - (mu * mu).sum(axis=1)
     return total, (a0 / (a0 + 1.0)) * total, total / (a0 + 1.0)
 
 
 def entropy_uncertainties_batch(alpha: np.ndarray):
     """Entropy-mode (total, aleatoric, epistemic) sample uncertainties for
-    an (n, C) alpha matrix. Returns three length-n arrays."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    a0 = alpha.sum(axis=1)
-    mu = alpha / a0[:, None]
+    an (n, C) alpha matrix. Returns three length-n arrays.
+
+    Total is the Shannon entropy of the expected probabilities; the
+    aleatoric part is the expected conditional entropy expressed through
+    digamma; epistemic is their difference (the mutual information).
+    """
+    alpha, a0, mu = _strength_and_mean(alpha)
     total = -(mu * np.log(mu)).sum(axis=1)
     aleatoric = (mu * (digamma(a0 + 1.0)[:, None] - digamma(alpha + 1.0))).sum(axis=1)
     return total, aleatoric, total - aleatoric
+
+
+def _split(a0, total):
+    """(total, aleatoric, epistemic): the law-of-total-covariance split of a
+    label (co)variance by ``alpha0/(alpha0+1)`` and ``1/(alpha0+1)``; ``a0``
+    comes shaped to broadcast against ``total``."""
+    return total, (a0 / (a0 + 1.0)) * total, (1.0 / (a0 + 1.0)) * total
+
+
+def class_variances_batch(alpha: np.ndarray):
+    """Variance-mode (total, aleatoric, epistemic) per-class uncertainties
+    ``mu_c (1 - mu_c)`` for an (n, C) alpha matrix; three (n, C) arrays."""
+    _, a0, mu = _strength_and_mean(alpha)
+    return _split(a0[:, None], mu * (1.0 - mu))
+
+
+def covariance_batch(alpha: np.ndarray):
+    """(total, aleatoric, epistemic, correlation) label covariance matrices
+    for an (n, C) alpha matrix; four (n, C, C) arrays.
+
+    The diagonal holds the class variances of ``class_variances_batch``. The
+    correlation has a unit diagonal, is 0 off it wherever a class variance
+    is below CORRELATION_VARIANCE_EPS, and is clipped to [-1, 1] because
+    rounding can overshoot -1 by an ulp.
+    """
+    _, a0, mu = _strength_and_mean(alpha)
+    var = class_variances_batch(alpha)[0]
+    diag = np.arange(mu.shape[1])
+    total = -mu[:, :, None] * mu[:, None, :]
+    total[:, diag, diag] = var
+    ok = var >= CORRELATION_VARIANCE_EPS
+    sigma = np.sqrt(np.where(ok, var, 1.0))
+    guard = ok[:, :, None] & ok[:, None, :]
+    correlation = np.where(guard, total / (sigma[:, :, None] * sigma[:, None, :]), 0.0)
+    correlation[:, diag, diag] = 1.0
+    return (*_split(a0[:, None, None], total), np.clip(correlation, -1.0, 1.0))
+
+
+def covariance_bundle(pred: DirichletPrediction) -> CovarianceBundle:
+    """Total/aleatoric/epistemic covariance of the one-hot label, plus the
+    correlation matrix (one row of ``covariance_batch``).
+
+    The aleatoric and epistemic parts are exact rescalings of the total by
+    ``alpha0/(alpha0+1)`` and ``1/(alpha0+1)``, so total = aleatoric +
+    epistemic holds entrywise up to rounding and aleatoric/epistemic = alpha0.
+    """
+    return CovarianceBundle(*(m[0] for m in covariance_batch(pred.alpha[None, :])))
+
+
+def sample_uncertainty_variance(pred: DirichletPrediction) -> UncertaintyBundle:
+    """Variance-mode uncertainty: the sample-level ``1 - sum(mu_c^2)`` and
+    the per-class ``mu_c (1 - mu_c)``, each with its aleatoric/epistemic
+    split (one row of the batch kernels)."""
+    alpha = pred.alpha[None, :]
+    sample = (float(v[0]) for v in variance_uncertainties_batch(alpha))
+    return UncertaintyBundle("variance", *sample, *(v[0] for v in class_variances_batch(alpha)))
+
+
+def sample_uncertainty_entropy(pred: DirichletPrediction) -> UncertaintyBundle:
+    """Sample-level entropy-mode uncertainties (one row of
+    ``entropy_uncertainties_batch``). This quantification has no
+    class-level decomposition, so the class vectors are empty."""
+    return UncertaintyBundle(
+        "entropy", *(float(v[0]) for v in entropy_uncertainties_batch(pred.alpha[None, :]))
+    )
 
 
 def quantify_record(pred: DirichletPrediction) -> dict:

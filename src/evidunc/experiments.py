@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, config_hash
+from .config import ConfigError, ExperimentConfig, config_hash
 from .enn import EvidentialMLP, Trainer, save_checkpoint, write_loss_curve
 from .metrics import AdaRunReport, export_uncertainty_histograms, write_selection_log
 from .sampling import run_ada
@@ -145,7 +145,10 @@ def _worker_count(num_seeds: int) -> int:
     workers = min(num_seeds, os.cpu_count() or 1)
     cap = os.environ.get("EVID_NUM_WORKERS")
     if cap is not None:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError:
+            raise ConfigError(f"EVID_NUM_WORKERS: expected an integer, got {cap!r}") from None
     return workers
 
 
@@ -154,12 +157,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
 
     Returns the aggregate dict, which is also written to aggregate.json.
     """
+    workers = _worker_count(len(config.seeds))
     base = Path(out_dir if out_dir is not None else config.output_dir)
     base = base / config_hash(config)
     base.mkdir(parents=True, exist_ok=True)
     (base / "config.json").write_text(config.to_json() + "\n")
 
-    workers = _worker_count(len(config.seeds))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [

@@ -18,6 +18,8 @@ from itertools import combinations
 import numpy as np
 
 from .dirichlet import (
+    class_variances_batch,
+    covariance_batch,
     entropy_uncertainties_batch,
     predict_class_batch,
     variance_uncertainties_batch,
@@ -124,21 +126,16 @@ def dataset_class_correlation(
     if not (1 <= class_a <= c and 1 <= class_b <= c) or class_a == class_b:
         raise DomainError("class pair must be two distinct 1-based classes")
     membership = _membership_classes(alpha, labels, use_predictions)
+    return _pair_mean(covariance_batch(alpha)[3], membership, class_a, class_b)
+
+
+def _pair_mean(correlation, membership, class_a, class_b) -> float:
     mask = (membership == class_a) | (membership == class_b)
     if not mask.any():
         raise DomainError(
             f"no samples belong to classes {class_a} or {class_b}"
         )
-    rows = alpha[mask]
-    a0 = rows.sum(axis=1)
-    mu = rows / a0[:, None]
-    var_a = mu[:, class_a - 1] * (1.0 - mu[:, class_a - 1])
-    var_b = mu[:, class_b - 1] * (1.0 - mu[:, class_b - 1])
-    cov_ab = -mu[:, class_a - 1] * mu[:, class_b - 1]
-    ok = (var_a >= 1e-12) & (var_b >= 1e-12)
-    corr = np.where(ok, cov_ab / np.sqrt(np.where(ok, var_a * var_b, 1.0)), 0.0)
-    # Rounding can overshoot the exact value by an ulp at the -1 end.
-    return float(np.clip(corr, -1.0, 1.0).mean())
+    return float(correlation[mask, class_a - 1, class_b - 1].mean())
 
 
 def rank_class_pairs(alpha: np.ndarray, labels=None, use_predictions: bool = False):
@@ -152,15 +149,14 @@ def rank_class_pairs(alpha: np.ndarray, labels=None, use_predictions: bool = Fal
     c = alpha.shape[1]
     if c < 2:
         raise DomainError("need at least two classes")
+    correlation = covariance_batch(alpha)[3]
+    membership = _membership_classes(alpha, labels, use_predictions)
     triples = []
     for a, b in combinations(range(1, c + 1), 2):
         try:
-            corr = dataset_class_correlation(
-                alpha, a, b, labels=labels, use_predictions=use_predictions
-            )
+            triples.append((a, b, _pair_mean(correlation, membership, a, b)))
         except DomainError:
             continue
-        triples.append((a, b, corr))
     triples.sort(key=lambda t: (t[2], t[0], t[1]))
     return triples
 
@@ -191,14 +187,9 @@ def class_level_uncertainty_summary(model, features):
     features = np.asarray(features, dtype=np.float64)
     if features.shape[0] == 0:
         raise DomainError("cannot summarize an empty dataset")
-    alpha = model.forward_batch(features)
-    a0 = alpha.sum(axis=1)
-    mu = alpha / a0[:, None]
-    class_total = mu * (1.0 - mu)
-    alea = class_total * (a0 / (a0 + 1.0))[:, None]
-    epis = class_total * (1.0 / (a0 + 1.0))[:, None]
+    total, alea, epis = class_variances_batch(model.forward_batch(features))
     return {
-        "total": class_total.mean(axis=0).tolist(),
+        "total": total.mean(axis=0).tolist(),
         "aleatoric": alea.mean(axis=0).tolist(),
         "epistemic": epis.mean(axis=0).tolist(),
     }

@@ -21,6 +21,9 @@ __all__ = ["PoolError", "BudgetExhaustedError", "SamplePool"]
 PROVENANCE_ORACLE = "oracle"
 PROVENANCE_PSEUDO = "pseudo"
 
+# Per-id target states.
+_UNLABELED, _ORACLE, _PSEUDO = 0, 1, 2
+
 
 class PoolError(ValueError):
     """Structural misuse of a pool: bad indices, bad shapes, bad labels."""
@@ -67,11 +70,13 @@ class SamplePool:
             raise PoolError("budget must be nonnegative")
         self.budget_total = int(budget_total)
         self.budget_spent = 0
-        # Target indices double as stable sample ids for tie-breaking.
-        self._unlabeled = list(range(self._target_features.shape[0]))
-        self._labeled: list[int] = []
-        self._labeled_labels: list[int] = []
-        self._labeled_provenance: list[str] = []
+        # Target indices double as stable sample ids for tie-breaking. Each
+        # id has a state and a training label (0 while unlabeled); _order
+        # lists labeled ids in acquisition order, which fixes the row order
+        # of the labeled views.
+        self._state = np.full(self.num_target, _UNLABELED, dtype=np.int8)
+        self._label = np.zeros(self.num_target, dtype=np.int64)
+        self._order: list[int] = []
 
     # --- sizes ---
 
@@ -85,90 +90,88 @@ class SamplePool:
 
     @property
     def num_unlabeled(self) -> int:
-        return len(self._unlabeled)
+        return self.num_target - len(self._order)
 
     @property
     def num_labeled_target(self) -> int:
-        return len(self._labeled)
+        return len(self._order)
 
     @property
     def oracle_count(self) -> int:
-        return self._labeled_provenance.count(PROVENANCE_ORACLE)
+        return int(np.count_nonzero(self._state == _ORACLE))
 
     @property
     def pseudo_count(self) -> int:
-        return self._labeled_provenance.count(PROVENANCE_PSEUDO)
+        return int(np.count_nonzero(self._state == _PSEUDO))
 
     # --- unlabeled view ---
 
     def unlabeled_ids(self) -> np.ndarray:
         """Ids of the unlabeled target samples in stable ascending order."""
-        return np.array(self._unlabeled, dtype=np.int64)
+        return np.flatnonzero(self._state == _UNLABELED)
 
     def unlabeled_features(self) -> np.ndarray:
-        return self._target_features[self._unlabeled]
+        return self._target_features[self.unlabeled_ids()]
 
     def target_features_by_id(self, ids) -> np.ndarray:
         return self._target_features[np.asarray(ids, dtype=np.int64)]
 
     # --- label acquisition (the only training-time label paths) ---
 
-    def _take(self, ids) -> list[int]:
-        ids = [int(i) for i in np.atleast_1d(np.asarray(ids))]
-        if len(set(ids)) != len(ids):
+    def _unlabeled(self, ids) -> np.ndarray:
+        """ids as an int64 array, checked to be distinct unlabeled ids."""
+        ids = np.atleast_1d(np.asarray(ids))
+        if ids.size and not np.issubdtype(ids.dtype, np.integer):
+            raise PoolError(f"sample ids must be integers, got {ids.tolist()}")
+        ids = ids.astype(np.int64)
+        if np.unique(ids).size != ids.size:
             raise PoolError("duplicate sample ids in acquisition")
-        unlabeled = set(self._unlabeled)
-        missing = [i for i in ids if i not in unlabeled]
-        if missing:
-            raise PoolError(f"samples not in the unlabeled pool: {missing}")
-        for i in ids:
-            self._unlabeled.remove(i)
+        # Check the range before indexing: a negative id would wrap around.
+        outside = (ids < 0) | (ids >= self.num_target)
+        missing = ids[outside] if outside.any() else ids[self._state[ids] != _UNLABELED]
+        if missing.size:
+            raise PoolError(f"samples not in the unlabeled pool: {missing.tolist()}")
         return ids
+
+    def _take(self, ids, labels, state) -> None:
+        self._state[ids] = state
+        self._label[ids] = labels
+        self._order.extend(ids.tolist())
 
     def acquire_with_oracle(self, ids) -> np.ndarray:
         """Move samples to the labeled target set, revealing their true
         labels at a cost of one budget unit each."""
-        ids = [int(i) for i in np.atleast_1d(np.asarray(ids))]
-        if self.budget_spent + len(ids) > self.budget_total:
+        ids = np.atleast_1d(np.asarray(ids))
+        if self.budget_spent + ids.size > self.budget_total:
             raise BudgetExhaustedError(
-                f"acquiring {len(ids)} labels would exceed the budget "
+                f"acquiring {ids.size} labels would exceed the budget "
                 f"({self.budget_spent}/{self.budget_total} spent)"
             )
-        ids = self._take(ids)
+        ids = self._unlabeled(ids)
         labels = self._target_labels[ids]
-        self._labeled.extend(ids)
-        self._labeled_labels.extend(int(v) for v in labels)
-        self._labeled_provenance.extend([PROVENANCE_ORACLE] * len(ids))
-        self.budget_spent += len(ids)
-        return labels.copy()
+        self._take(ids, labels, _ORACLE)
+        self.budget_spent += ids.size
+        return labels
 
     def acquire_with_pseudo_labels(self, ids, labels) -> None:
         """Move samples to the labeled target set under caller-supplied
         pseudo labels; costs nothing."""
         labels = np.atleast_1d(np.asarray(labels))
-        ids_arr = np.atleast_1d(np.asarray(ids))
-        if labels.shape != ids_arr.shape:
+        ids = np.atleast_1d(np.asarray(ids))
+        if labels.shape != ids.shape:
             raise PoolError("one pseudo label per sample id is required")
         if labels.size and (not np.issubdtype(labels.dtype, np.integer) or labels.min() < 1):
             raise PoolError("pseudo labels must be 1-based integers")
-        taken = self._take(ids_arr)
-        self._labeled.extend(taken)
-        self._labeled_labels.extend(int(v) for v in labels)
-        self._labeled_provenance.extend([PROVENANCE_PSEUDO] * len(taken))
+        self._take(self._unlabeled(ids), labels, _PSEUDO)
 
     # --- training views ---
 
     def labeled_target(self):
         """(features, labels, provenance) of the labeled target set."""
-        idx = np.array(self._labeled, dtype=np.int64)
-        features = self._target_features[idx] if idx.size else np.empty(
-            (0, self._target_features.shape[1])
-        )
-        return (
-            features,
-            np.array(self._labeled_labels, dtype=np.int64),
-            list(self._labeled_provenance),
-        )
+        idx = np.array(self._order, dtype=np.int64)
+        provenance = [PROVENANCE_ORACLE if s == _ORACLE else PROVENANCE_PSEUDO
+                      for s in self._state[idx]]
+        return self._target_features[idx], self._label[idx], provenance
 
     def supervised_set(self, pseudo_label_weight: float = 1.0):
         """(features, labels, weights) over source plus labeled target.
@@ -176,15 +179,13 @@ class SamplePool:
         Oracle-labeled rows carry weight 1; pseudo-labeled rows carry the
         given weight.
         """
-        t_feat, t_labels, provenance = self.labeled_target()
-        features = np.vstack([self.source_features, t_feat])
-        labels = np.concatenate([self.source_labels, t_labels])
+        idx = np.array(self._order, dtype=np.int64)
+        features = np.vstack([self.source_features, self._target_features[idx]])
+        labels = np.concatenate([self.source_labels, self._label[idx]])
         weights = np.concatenate(
             [
                 np.ones(self.num_source),
-                np.array(
-                    [1.0 if p == PROVENANCE_ORACLE else pseudo_label_weight for p in provenance]
-                ),
+                np.where(self._state[idx] == _ORACLE, 1.0, pseudo_label_weight),
             ]
         )
         return features, labels, weights
@@ -201,17 +202,12 @@ class SamplePool:
     def check_invariants(self) -> None:
         """Assert the structural pool invariants; cheap enough to call after
         every sampling round."""
-        labeled = set(self._labeled)
-        unlabeled = set(self._unlabeled)
-        if labeled & unlabeled:
-            raise PoolError("labeled and unlabeled target sets overlap")
-        if labeled | unlabeled != set(range(self.num_target)):
+        idx = np.array(self._order, dtype=np.int64)
+        if np.unique(idx).size != idx.size or np.any(self._state[idx] == _UNLABELED):
+            raise PoolError("acquisition order disagrees with the per-id states")
+        if idx.size != np.count_nonzero(self._state != _UNLABELED):
             raise PoolError("target samples lost or duplicated")
         if self.budget_spent > self.budget_total:
             raise PoolError("budget overspent")
         if self.budget_spent != self.oracle_count:
             raise PoolError("budget spent does not match oracle-labeled count")
-        if len(self._labeled) != len(self._labeled_labels) or len(self._labeled) != len(
-            self._labeled_provenance
-        ):
-            raise PoolError("labeled bookkeeping arrays diverged")

@@ -9,13 +9,16 @@ candidates, then rank those by aleatoric uncertainty and query the top
 intrinsically hard.
 
 Certainty sampling is the mirror image: the ``b_c`` samples with the least
-epistemic uncertainty adopt their own predictions as free pseudo labels. It
-shares the epistemic ordering already computed for step one, so a combined
-round sorts by EU exactly once; uncertain picks come from the head of that
-ordering and certain picks from the tail. Within tied EU values the shared
-ordering breaks ties by ascending sample id, which means the tail is read
-largest-id-first; ties are broken by id either way, just read from opposite
-ends.
+epistemic uncertainty adopt their own predictions as free pseudo labels.
+
+Every round, whether run by ``run_ada`` or by the standalone
+``uncertainty_sampling`` and ``certainty_sampling``, goes through one
+function. It scores the unlabeled pool once and sorts it by EU once;
+uncertain picks come from the head of that ordering and certain picks from
+the tail, skipping ids already taken as uncertain. Within tied EU values
+the ordering breaks ties by ascending sample id, which means the tail is
+read largest-id-first; ties are broken by id either way, just read from
+opposite ends. The round then acquires both sets from the pool.
 
 ``run_ada`` interleaves training epochs with sampling rounds and fills an
 AdaRunReport with accuracies, AUROC snapshots, selection logs, and the
@@ -105,42 +108,29 @@ def _eu_order(ids, eu) -> np.ndarray:
 
 
 def _pick_uncertain(order, ids, au, b_u, kappa):
-    if b_u == 0:
-        return np.empty(0, dtype=np.int64)
+    if kappa * b_u > ids.size:
+        raise PoolError(
+            f"two-step selection needs kappa*b_u <= pool size "
+            f"({kappa}*{b_u} > {ids.size})"
+        )
     candidates = order[: kappa * b_u]
     au_order = np.lexsort((ids[candidates], -np.asarray(au)[candidates]))
     return ids[candidates[au_order[:b_u]]]
 
 
 def _pick_certain_tail(order, ids, b_c, exclude=()):
-    picked = []
-    banned = set(int(i) for i in exclude)
-    for pos in range(order.size - 1, -1, -1):
-        if len(picked) == b_c:
-            break
-        sid = int(ids[order[pos]])
-        if sid not in banned:
-            picked.append(sid)
-    return np.array(picked, dtype=np.int64)
+    tail = ids[order[::-1]]
+    return tail[~np.isin(tail, exclude)][:b_c]
 
 
 def _pick_certain_balanced_tail(order, ids, predicted, b_c, num_classes, exclude=()):
-    quota = b_c // num_classes
-    banned = set(int(i) for i in exclude)
-    picked: list[int] = []
-    if quota:
-        per_class = {c: 0 for c in range(1, num_classes + 1)}
-        for pos in range(order.size - 1, -1, -1):
-            sid = int(ids[order[pos]])
-            cls = int(predicted[order[pos]])
-            if sid not in banned and per_class[cls] < quota:
-                per_class[cls] += 1
-                picked.append(sid)
-    remainder = min(b_c, order.size - len(banned)) - len(picked)
-    if remainder > 0:
-        fill = _pick_certain_tail(order, ids, remainder, exclude=banned | set(picked))
-        picked.extend(int(i) for i in fill)
-    return np.array(picked, dtype=np.int64)
+    tail = order[::-1][~np.isin(ids[order[::-1]], exclude)]
+    tail_classes = predicted[tail]
+    in_quota = np.zeros(tail.size, dtype=bool)
+    for c in range(1, num_classes + 1):
+        in_quota[np.flatnonzero(tail_classes == c)[: b_c // num_classes]] = True
+    # Each class's quota first, then the most certain of the rest.
+    return ids[np.concatenate([tail[in_quota], tail[~in_quota]])[: min(b_c, tail.size)]]
 
 
 def select_uncertain(ids, eu, au, b_u: int, kappa: int) -> np.ndarray:
@@ -150,20 +140,13 @@ def select_uncertain(ids, eu, au, b_u: int, kappa: int) -> np.ndarray:
     b_u highest-AU among them. Both sorts break ties by ascending id.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    if kappa * b_u > ids.size:
-        raise PoolError(
-            f"two-step selection needs kappa*b_u <= pool size "
-            f"({kappa}*{b_u} > {ids.size})"
-        )
-    order = _eu_order(ids, eu)
-    return _pick_uncertain(order, ids, au, b_u, kappa)
+    return _pick_uncertain(_eu_order(ids, eu), ids, au, b_u, kappa)
 
 
 def select_certain(ids, eu, b_c: int) -> np.ndarray:
     """The b_c least-EU sample ids (soft: fewer if the pool is smaller)."""
     ids = np.asarray(ids, dtype=np.int64)
-    order = _eu_order(ids, eu)
-    return _pick_certain_tail(order, ids, min(b_c, ids.size))
+    return _pick_certain_tail(_eu_order(ids, eu), ids, b_c)
 
 
 def select_certain_balanced(ids, eu, predicted, b_c: int, num_classes: int) -> np.ndarray:
@@ -176,55 +159,82 @@ def select_certain_balanced(ids, eu, predicted, b_c: int, num_classes: int) -> n
     )
 
 
-def _scored_snapshot(pool: SamplePool, model, mode: str):
+@dataclass(frozen=True)
+class _Round:
+    """The scored unlabeled pool a round chose from, and what it took."""
+
+    ids: np.ndarray
+    au: np.ndarray
+    eu: np.ndarray
+    predicted: np.ndarray
+    uncertain: np.ndarray
+    certain: np.ndarray
+    pseudo: np.ndarray
+
+
+def _selection_round(pool: SamplePool, model, plan: RoundPlan, mode: str,
+                     us: bool, cs: bool, class_balanced: bool = False) -> _Round:
+    """Score the unlabeled pool once, sort it by EU once, take the uncertain
+    picks from the head of that order and the certain picks from its tail,
+    then acquire both: oracle labels for the uncertain, predictions as
+    pseudo labels for the certain."""
     ids = pool.unlabeled_ids()
     alpha = model.forward_batch(pool.unlabeled_features())
     _, au, eu = batch_uncertainties(alpha, mode)
-    return ids, alpha, au, eu
+    predicted = predict_class_batch(alpha)
+    want_us = us and plan.b_u > 0
+    want_cs = cs and plan.b_c > 0
+    if want_us and want_cs and plan.kappa * plan.b_u + plan.b_c > ids.size:
+        raise PoolError(
+            "certainty and uncertainty selections would overlap in the "
+            "EU ordering; shrink b_c or kappa*b_u"
+        )
+    uncertain = certain = pseudo = np.empty(0, dtype=np.int64)
+    if want_us or want_cs:
+        order = _eu_order(ids, eu)
+    if want_us:
+        uncertain = _pick_uncertain(order, ids, au, plan.b_u, plan.kappa)
+        pool.acquire_with_oracle(uncertain)
+    if want_cs:
+        b_c = min(plan.b_c, ids.size - uncertain.size)
+        if class_balanced:
+            certain = _pick_certain_balanced_tail(
+                order, ids, predicted, b_c, alpha.shape[1], exclude=uncertain
+            )
+        else:
+            certain = _pick_certain_tail(order, ids, b_c, exclude=uncertain)
+        pseudo = predicted[np.searchsorted(ids, certain)]
+        pool.acquire_with_pseudo_labels(certain, pseudo)
+    return _Round(ids, au, eu, predicted, uncertain, certain, pseudo)
 
 
 def uncertainty_sampling(pool: SamplePool, model, plan: RoundPlan, mode: str = "variance") -> np.ndarray:
     """Standalone two-step round: select, query the oracle, charge budget."""
-    ids, _, au, eu = _scored_snapshot(pool, model, mode)
-    selected = select_uncertain(ids, eu, au, plan.b_u, plan.kappa)
-    if selected.size:
-        pool.acquire_with_oracle(selected)
-    return selected
+    return _selection_round(pool, model, plan, mode, us=True, cs=False).uncertain
 
 
 def certainty_sampling(pool: SamplePool, model, plan: RoundPlan,
                        class_balanced: bool = False, mode: str = "variance"):
-    """Standalone certainty round: pseudo-label the most certain samples."""
-    ids, alpha, _, eu = _scored_snapshot(pool, model, mode)
-    predicted = predict_class_batch(alpha)
-    if class_balanced:
-        selected = select_certain_balanced(ids, eu, predicted, plan.b_c, alpha.shape[1])
-    else:
-        selected = select_certain(ids, eu, plan.b_c)
-    id_to_row = {int(s): r for r, s in enumerate(ids)}
-    labels = np.array([predicted[id_to_row[int(s)]] for s in selected], dtype=np.int64)
-    if selected.size:
-        pool.acquire_with_pseudo_labels(selected, labels)
-    return selected, labels
+    """Standalone certainty round: pseudo-label the most certain samples.
+    Returns the selected ids and the pseudo labels they received."""
+    rnd = _selection_round(pool, model, plan, mode, us=False, cs=True,
+                           class_balanced=class_balanced)
+    return rnd.certain, rnd.pseudo
 
 
-def _log_rows(round_index, selection_type, sample_ids, ids, au, eu, predicted, true_labels):
-    id_to_row = {int(s): r for r, s in enumerate(ids)}
-    rows = []
-    for sid in sample_ids:
-        r = id_to_row[int(sid)]
-        rows.append(
-            {
-                "round": round_index,
-                "sample_id": int(sid),
-                "selection_type": selection_type,
-                "epistemic": float(eu[r]),
-                "aleatoric": float(au[r]),
-                "predicted_class": int(predicted[r]),
-                "true_class": int(true_labels[int(sid)]),
-            }
-        )
-    return rows
+def _log_rows(round_index, selection_type, sample_ids, rnd: _Round, true_labels):
+    return [
+        {
+            "round": round_index,
+            "sample_id": int(sid),
+            "selection_type": selection_type,
+            "epistemic": float(rnd.eu[r]),
+            "aleatoric": float(rnd.au[r]),
+            "predicted_class": int(rnd.predicted[r]),
+            "true_class": int(true_labels[sid]),
+        }
+        for sid, r in zip(sample_ids, np.searchsorted(rnd.ids, sample_ids))
+    ]
 
 
 def run_ada(
@@ -281,51 +291,17 @@ def run_ada(
         if plan is None:
             continue
 
-        ids, alpha, au, eu = _scored_snapshot(pool, model, mode)
-        predicted = predict_class_batch(alpha)
-        want_us = us_enabled and plan.b_u > 0
-        want_cs = cs_enabled and plan.b_c > 0
-        if want_us and plan.kappa * plan.b_u > ids.size:
-            raise PoolError("unlabeled pool too small for two-step selection")
-        if want_us and want_cs and plan.kappa * plan.b_u + plan.b_c > ids.size:
-            raise PoolError(
-                "certainty and uncertainty selections would overlap in the "
-                "EU ordering; shrink b_c or kappa*b_u"
-            )
-
         sorts_before = eu_sort_count()
-        order = _eu_order(ids, eu) if (want_us or want_cs) else None
-
-        if want_us:
-            chosen_u = _pick_uncertain(order, ids, au, plan.b_u, plan.kappa)
-            pool.acquire_with_oracle(chosen_u)
-            report.selection_log.extend(
-                _log_rows(plan.round_index, "uncertain", chosen_u, ids, au, eu,
-                          predicted, target_labels)
-            )
-        if want_cs:
-            unlabeled_acc.append(
-                float(np.mean(predicted == target_labels[ids]))
-            )
-            exclude = chosen_u if want_us else ()
-            if class_balanced:
-                chosen_c = _pick_certain_balanced_tail(
-                    order, ids, predicted, plan.b_c, alpha.shape[1], exclude=exclude
-                )
-            else:
-                chosen_c = _pick_certain_tail(order, ids, plan.b_c, exclude=exclude)
-            id_to_row = {int(s): r for r, s in enumerate(ids)}
-            pseudo = np.array(
-                [predicted[id_to_row[int(s)]] for s in chosen_c], dtype=np.int64
-            )
-            pool.acquire_with_pseudo_labels(chosen_c, pseudo)
-            pseudo_hits += int((pseudo == target_labels[chosen_c]).sum())
-            pseudo_total += int(pseudo.size)
-            report.selection_log.extend(
-                _log_rows(plan.round_index, "certain", chosen_c, ids, au, eu,
-                          predicted, target_labels)
-            )
+        rnd = _selection_round(pool, model, plan, mode, us_enabled, cs_enabled, class_balanced)
         report.eu_sorts_per_round.append(eu_sort_count() - sorts_before)
+        for kind, chosen in (("uncertain", rnd.uncertain), ("certain", rnd.certain)):
+            report.selection_log.extend(
+                _log_rows(plan.round_index, kind, chosen, rnd, target_labels)
+            )
+        if rnd.certain.size:
+            unlabeled_acc.append(float(np.mean(rnd.predicted == target_labels[rnd.ids])))
+            pseudo_hits += int((rnd.pseudo == target_labels[rnd.certain]).sum())
+            pseudo_total += int(rnd.pseudo.size)
         pool.check_invariants()
         report.round_accuracies.append(evaluate(model, target_features, target_labels))
 

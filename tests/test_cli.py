@@ -127,6 +127,49 @@ class TestRun:
         assert main(["run", "--config", str(config), "--seeds", "1,two"]) == 2
         assert "--seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seeds", [-1]),
+            ("seeds", [True]),
+            ("hidden_layers", [True]),
+            ("domain.shift_translation", 1.5),
+            ("train.learning_rate", float("nan")),
+            ("train.learning_rate", float("inf")),
+            ("sampling.schedule", [3, True]),
+            ("train", 5),
+            ("sampling.plans", 3),
+        ],
+    )
+    def test_bad_value_rejected_before_running(self, tmp_path, capsys, field, value):
+        config = write_config(tmp_path)
+        document = json.loads(config.read_text())
+        *parents, key = field.split(".")
+        section = document
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        config.write_text(json.dumps(document))
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_override_exit_two(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config), "--seeds", "-1"]) == 2
+        assert "seeds:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_worker_cap_exit_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("EVID_NUM_WORKERS", "abc")
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "EVID_NUM_WORKERS" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_failure_exit_three(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EVID_NUM_WORKERS", "1")
         blocker = tmp_path / "blocked"

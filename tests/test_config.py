@@ -100,6 +100,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="schema_version"):
             parse_config(tiny_document(schema_version=99))
 
+    def test_class_means_is_not_a_config_key(self):
+        document = tiny_document()
+        document["domain"]["class_means"] = [[0.0, 0.0], [1.0, 1.0]]
+        with pytest.raises(ConfigError, match=r"domain\.class_means: unknown field"):
+            parse_config(document)
+
     def test_boolean_seeds_rejected(self):
         with pytest.raises(ConfigError, match="seeds"):
             parse_config(tiny_document(seeds=[True, 2]))

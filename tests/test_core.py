@@ -15,7 +15,6 @@ from evidunc.dirichlet import (
     ALPHA_FLOOR,
     CovarianceBundle,
     DirichletPrediction,
-    class_uncertainties,
     covariance_bundle,
     entropy_uncertainties_batch,
     mean_probabilities,
@@ -94,7 +93,7 @@ class TestSpotValues:
         np.testing.assert_allclose(np.diag(cov.correlation), 1.0, atol=1e-15)
 
     def test_class_uncertainties_alpha_3_1(self):
-        unc = class_uncertainties(DirichletPrediction.from_alpha([3.0, 1.0]))
+        unc = sample_uncertainty_variance(DirichletPrediction.from_alpha([3.0, 1.0]))
         assert unc.mode == "variance"
         assert unc.class_total[0] == pytest.approx(0.1875, abs=1e-12)
         assert unc.class_aleatoric[0] == pytest.approx(0.15, abs=1e-12)
@@ -140,7 +139,7 @@ class TestInvariants:
 
     def test_class_sums_match_sample_level(self):
         for alpha in random_alphas(seed=303, count=200):
-            unc = class_uncertainties(DirichletPrediction.from_alpha(alpha))
+            unc = sample_uncertainty_variance(DirichletPrediction.from_alpha(alpha))
             assert unc.class_total.sum() == pytest.approx(unc.sample_total, abs=1e-12)
             assert unc.class_aleatoric.sum() == pytest.approx(unc.sample_aleatoric, abs=1e-12)
             assert unc.class_epistemic.sum() == pytest.approx(unc.sample_epistemic, abs=1e-12)
@@ -174,6 +173,18 @@ class TestInvariants:
         cov = covariance_bundle(DirichletPrediction.from_alpha([1e13, 1.0]))
         assert np.diag(cov.total).min() < 1e-12
         np.testing.assert_array_equal(cov.correlation, np.eye(2))
+
+    def test_class_variance_is_covariance_diagonal_and_correlation_clipped(self):
+        # Over many alphas, rounding in a second copy of the formulas would
+        # show up as a bitwise mismatch or a correlation just below -1.
+        for alpha in random_alphas(seed=707, count=3000, max_classes=10):
+            pred = DirichletPrediction.from_alpha(alpha)
+            cov = covariance_bundle(pred)
+            unc = sample_uncertainty_variance(pred)
+            np.testing.assert_array_equal(unc.class_total, np.diag(cov.total))
+            np.testing.assert_array_equal(unc.class_aleatoric, np.diag(cov.aleatoric))
+            np.testing.assert_array_equal(unc.class_epistemic, np.diag(cov.epistemic))
+            assert np.all(cov.correlation >= -1.0) and np.all(cov.correlation <= 1.0)
 
     def test_batch_matches_scalar_path(self):
         alphas = [a[:4] for a in random_alphas(seed=606, count=50, max_classes=8) if a.size >= 4]

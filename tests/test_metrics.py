@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from evidunc.dirichlet import DirichletPrediction, class_uncertainties
+from evidunc.dirichlet import DirichletPrediction, sample_uncertainty_variance
 from evidunc.enn import EvidentialMLP
 from evidunc.metrics import (
     AdaRunReport,
@@ -182,7 +182,7 @@ class TestClassSummary:
         model = identity_model()
         features = np.log(np.array([[3.0, 1.0]]))
         summary = class_level_uncertainty_summary(model, features)
-        bundle = class_uncertainties(DirichletPrediction.from_alpha([3.0, 1.0]))
+        bundle = sample_uncertainty_variance(DirichletPrediction.from_alpha([3.0, 1.0]))
         np.testing.assert_allclose(summary["total"], bundle.class_total, atol=1e-12)
         np.testing.assert_allclose(summary["aleatoric"], bundle.class_aleatoric, atol=1e-12)
         np.testing.assert_allclose(summary["epistemic"], bundle.class_epistemic, atol=1e-12)

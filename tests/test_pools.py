@@ -72,6 +72,22 @@ class TestOracleAcquisition:
             pool.acquire_with_oracle([1])
 
 
+    def test_out_of_range_ids_rejected_without_mutation(self):
+        pool = make_pool()
+        pool.acquire_with_oracle([2])
+        for acquire in (
+            lambda: pool.acquire_with_oracle([-1]),
+            lambda: pool.acquire_with_pseudo_labels([pool.num_target], [1]),
+            lambda: pool.acquire_with_oracle([1.5]),
+        ):
+            with pytest.raises(PoolError):
+                acquire()
+            assert (pool.num_unlabeled, pool.oracle_count, pool.pseudo_count) == (5, 1, 0)
+            assert pool.budget_spent == 1
+            np.testing.assert_array_equal(pool.unlabeled_ids(), [0, 1, 3, 4, 5])
+            pool.check_invariants()
+
+
 class TestPseudoAcquisition:
     def test_free_and_tagged(self):
         pool = make_pool()
