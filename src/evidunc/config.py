@@ -1,10 +1,18 @@
 """Experiment configuration: one JSON document describing data, model,
 training, sampling, and ablation switches for a multi-seed run.
 
-The document is versioned and strictly validated: unknown keys and bad
-values are collected and reported together, each error naming the offending
-field path. Parsing then serializing then parsing again yields an equal
-config, which keeps run directories content-addressable.
+The dataclasses are the schema: each section is checked against the field
+types of ``DomainSpec``, ``TrainConfig``, ``LossConfig``,
+``AblationSwitches`` or ``RoundPlan``, the top level and ``sampling``
+against ``ExperimentConfig``. An ``int`` is a JSON integer (never a bool or
+``6.0``), a ``float`` any number but a bool, ``X | None`` also takes null
+and ``tuple[T, ...]`` is a list of ``T``. The constructors check value
+ranges and ``sampling.round_problems`` the round layout. Every problem is
+reported at once under its field path, such as ``sampling.plans[0].b_u``.
+
+Values keep the form they were written in (lists become tuples), so
+parsing then serializing then parsing again yields an equal config, which
+keeps run directories content-addressable.
 
 Per-run randomness never enters the config sections; the ``seeds`` list is
 the only entropy source. Each seed expands into independent component seeds
@@ -13,18 +21,24 @@ the only entropy source. Each seed expands into independent component seeds
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 from .enn import TrainConfig
 from .losses import LossConfig
-from .sampling import RoundPlan, default_round_plans, default_schedule
+from .sampling import RoundPlan, default_round_plans, default_schedule, round_problems
 from .special import DomainError
 from .synthetic import DomainSpec
 
 __all__ = ["ConfigError", "AblationSwitches", "ExperimentConfig", "config_hash"]
+
+SCHEMA_VERSION = 1
+_MODES = ("variance", "entropy")
+_SAMPLING = ("plans", "schedule", "budget_fraction", "auroc_epoch")  # grouped in the document
 
 
 class ConfigError(ValueError):
@@ -45,46 +59,17 @@ class AblationSwitches:
         return "source-only" if not parts else "+".join(parts)
 
 
-def _field_names(cls, *excluded) -> set:
-    return {f.name for f in fields(cls)} - set(excluded)
-
-
-# Section keys are the dataclass fields, minus what the runner sets per run
-# (seeds, the quantification mode) and the class means, which configs leave
-# at their default layout.
-_DOMAIN_KEYS = _field_names(DomainSpec, "seed", "class_means")
-_TRAIN_KEYS = _field_names(TrainConfig, "seed")
-_LOSS_KEYS = _field_names(LossConfig, "mode")
-_ABLATION_KEYS = _field_names(AblationSwitches)
-_SAMPLING_KEYS = {"plans", "schedule", "auroc_epoch", "budget_fraction"}
-_PLAN_KEYS = _field_names(RoundPlan)
-_TOP_KEYS = {
-    "schema_version",
-    "mode",
-    "seeds",
-    "output_dir",
-    "hidden_layers",
-    "domain",
-    "train",
-    "loss",
-    "sampling",
-    "ablation",
-}
-
-SCHEMA_VERSION = 1
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str = "variance"
-    seeds: tuple = (0, 1, 2)
+    seeds: tuple[int, ...] = (0, 1, 2)
     output_dir: str = "out"
-    hidden_layers: tuple = (64, 64)
+    hidden_layers: tuple[int, ...] = (64, 64)
     domain: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
     loss: dict = field(default_factory=dict)
-    plans: tuple = ()
-    schedule: tuple = ()
+    plans: tuple[RoundPlan, ...] = ()
+    schedule: tuple[int, ...] = ()
     budget_fraction: float = 0.05
     auroc_epoch: int | None = None
     ablation: AblationSwitches = field(default_factory=AblationSwitches)
@@ -111,23 +96,11 @@ class ExperimentConfig:
         return default_schedule(num_rounds=len(self.resolved_plans()))
 
     def to_document(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "mode": self.mode,
-            "seeds": list(self.seeds),
-            "output_dir": self.output_dir,
-            "hidden_layers": list(self.hidden_layers),
-            "domain": dict(self.domain),
-            "train": dict(self.train),
-            "loss": dict(self.loss),
-            "sampling": {
-                "plans": [asdict(p) for p in self.plans],
-                "schedule": list(self.schedule),
-                "budget_fraction": self.budget_fraction,
-                "auroc_epoch": self.auroc_epoch,
-            },
-            "ablation": asdict(self.ablation),
-        }
+        """This config as a JSON document (tuples become lists), which parses
+        back to an equal config."""
+        document = asdict(self)
+        document["sampling"] = {key: document.pop(key) for key in _SAMPLING}
+        return json.loads(json.dumps({"schema_version": SCHEMA_VERSION, **document}))
 
     def to_json(self) -> str:
         return json.dumps(self.to_document(), indent=2, sort_keys=True)
@@ -136,28 +109,77 @@ class ExperimentConfig:
         return replace(self, ablation=replace(self.ablation, **flags))
 
 
-def _expect_keys(section: dict, allowed: set, where: str, errors: list):
-    for key in section:
-        if key not in allowed:
-            errors.append(f"{where}.{key}: unknown field")
+@functools.cache
+def _schema(cls, *excluded) -> dict:
+    """Field name -> annotated type, for the fields a config may set."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in excluded}
 
 
-def _expect_type(value, types, where: str, errors: list) -> bool:
-    if not isinstance(value, types):
-        names = "/".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
-        errors.append(f"{where}: expected {names}, got {type(value).__name__}")
+# ExperimentConfig with its round settings grouped under "sampling" and its
+# section dicts typed by the dataclasses they build, minus what the runner
+# sets per run (seeds, the quantification mode) and the class means, which
+# configs leave at their default layout.
+_DOCUMENT = {
+    **{key: hint for key, hint in _schema(ExperimentConfig).items() if key not in _SAMPLING},
+    "schema_version": int,
+    "domain": _schema(DomainSpec, "seed", "class_means"),
+    "train": _schema(TrainConfig, "seed"),
+    "loss": _schema(LossConfig, "mode"),
+    "sampling": {key: _schema(ExperimentConfig)[key] for key in _SAMPLING},
+}
+_TYPE_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string", type(None): "null"}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits an annotated type."""
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    if hint in (int, bool, str):
+        return isinstance(value, hint)
+    if hint is type(None):
+        return value is None
+    if get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_fits(item, get_args(hint)[0]) for item in value)
+    return any(_fits(value, arg) for arg in get_args(hint))  # a union
+
+
+def _type_name(hint) -> str:
+    if isinstance(hint, dict) or is_dataclass(hint):
+        return "object"
+    if get_origin(hint) is tuple:
+        return f"list of {_type_name(get_args(hint)[0])}s"
+    return " or ".join(map(_type_name, get_args(hint))) or _TYPE_NAMES[hint]
+
+
+def _fitting(section: dict, schema: dict, path: str, errors: list) -> dict:
+    """The entries of a JSON object that fit the schema; each other entry
+    is reported under its field path."""
+    kept = {}
+    for key, value in section.items():
+        if key not in schema:
+            errors.append(f"{path or 'config'}.{key}: unknown field")
+        elif _check(value, schema[key], f"{path}.{key}" if path else key, errors):
+            kept[key] = value
+    return kept
+
+
+def _check(value, hint, path: str, errors: list) -> bool:
+    """Whether a JSON value fits a type, a schema or a dataclass, reporting
+    each part that does not under its field path."""
+    if is_dataclass(hint):
+        hint = _schema(hint)
+    if isinstance(hint, dict) and isinstance(value, dict):
+        return len(_fitting(value, hint, path, errors)) == len(value)
+    item = get_args(hint)[0] if get_origin(hint) is tuple else None
+    if is_dataclass(item) and isinstance(value, list):
+        return all([_check(v, item, f"{path}[{i}]", errors) for i, v in enumerate(value)])
+    if not _fits(value, hint):
+        errors.append(f"{path}: expected {_type_name(hint)}, got {json.dumps(value)}")
         return False
     return True
-
-
-def _section(document: dict, name: str, errors: list) -> dict:
-    value = document.get(name, {})
-    return dict(value) if _expect_type(value, dict, name, errors) else {}
-
-
-def _is_int(value) -> bool:
-    """JSON integers only: bool is an int subclass but not a count."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _expect_finite(value, where: str, errors: list):
@@ -175,121 +197,78 @@ def _expect_finite(value, where: str, errors: list):
 def parse_config(document: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig.
 
-    Raises ConfigError carrying every problem found, not just the first.
+    Raises ConfigError carrying every problem found, not just the first. A
+    top-level entry of the wrong type is reported and left out, so the
+    value checks see only well-typed values and defaults.
     """
-    errors: list[str] = []
     if not isinstance(document, dict):
         raise ConfigError("config root must be a JSON object")
-    _expect_keys(document, _TOP_KEYS, "config", errors)
+    errors: list[str] = []
     _expect_finite(document, "", errors)
+    doc = _fitting(document, _DOCUMENT, "", errors)
+    sampling = doc.get("sampling", {})
 
-    version = document.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        errors.append(f"schema_version: unsupported version {version!r}")
-
-    mode = document.get("mode", "variance")
-    if mode not in ("variance", "entropy"):
+    if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        errors.append(f"schema_version: unsupported version {doc['schema_version']!r}")
+    mode = doc.get("mode", "variance")
+    if mode not in _MODES:
         errors.append(f"mode: must be 'variance' or 'entropy', got {mode!r}")
-
-    seeds = document.get("seeds", [0, 1, 2])
-    if not _expect_type(seeds, list, "seeds", errors) or not seeds:
+    seeds = doc.get("seeds", [0, 1, 2])
+    if not seeds:
         errors.append("seeds: need at least one seed")
-        seeds = [0]
-    elif not all(_is_int(s) and s >= 0 for s in seeds):
+    elif min(seeds) < 0:
         errors.append("seeds: every entry must be a nonnegative integer")
-        seeds = [0]
     elif len(set(seeds)) != len(seeds):
         errors.append("seeds: duplicates are not allowed")
-
-    output_dir = document.get("output_dir", "out")
-    _expect_type(output_dir, str, "output_dir", errors)
-
-    hidden = document.get("hidden_layers", [64, 64])
-    if _expect_type(hidden, list, "hidden_layers", errors):
-        if not all(_is_int(h) and h > 0 for h in hidden):
-            errors.append("hidden_layers: entries must be positive integers")
-
-    domain = _section(document, "domain", errors)
-    _expect_keys(domain, _DOMAIN_KEYS, "domain", errors)
-    if "shift_translation" in domain:
-        translation = domain["shift_translation"]
-        if isinstance(translation, (list, tuple)) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in translation
-        ):
-            domain["shift_translation"] = tuple(translation)
-        else:
-            errors.append("domain.shift_translation: must be a list of numbers")
-            del domain["shift_translation"]
-
-    train = _section(document, "train", errors)
-    _expect_keys(train, _TRAIN_KEYS, "train", errors)
-
-    loss = _section(document, "loss", errors)
-    _expect_keys(loss, _LOSS_KEYS, "loss", errors)
-
-    sampling = _section(document, "sampling", errors)
-    _expect_keys(sampling, _SAMPLING_KEYS, "sampling", errors)
-    plans = []
-    raw_plans = sampling.get("plans", [])
-    if not _expect_type(raw_plans, list, "sampling.plans", errors):
-        raw_plans = []
-    for i, raw in enumerate(raw_plans):
-        if not _expect_type(raw, dict, f"sampling.plans[{i}]", errors):
-            continue
-        _expect_keys(raw, _PLAN_KEYS, f"sampling.plans[{i}]", errors)
-        try:
-            plans.append(RoundPlan(**raw))
-        except (DomainError, TypeError) as exc:
-            errors.append(f"sampling.plans[{i}]: {exc}")
-    schedule = sampling.get("schedule", [])
-    if not isinstance(schedule, list) or not all(_is_int(e) for e in schedule):
-        errors.append("sampling.schedule: must be a list of epochs")
-        schedule = []
+    hidden = doc.get("hidden_layers", [64, 64])
+    if not all(h > 0 for h in hidden):
+        errors.append("hidden_layers: entries must be positive integers")
     budget_fraction = sampling.get("budget_fraction", 0.05)
-    if not isinstance(budget_fraction, (int, float)) or not 0 <= budget_fraction <= 1:
+    if not 0 <= budget_fraction <= 1:
         errors.append("sampling.budget_fraction: must lie in [0, 1]")
-        budget_fraction = 0.05
-    auroc_epoch = sampling.get("auroc_epoch")
-    if auroc_epoch is not None and not _is_int(auroc_epoch):
-        errors.append("sampling.auroc_epoch: must be an integer epoch or null")
-        auroc_epoch = None
 
-    ablation_doc = _section(document, "ablation", errors)
-    _expect_keys(ablation_doc, _ABLATION_KEYS, "ablation", errors)
-    for key, value in ablation_doc.items():
-        if key in _ABLATION_KEYS and not isinstance(value, bool):
-            errors.append(f"ablation.{key}: must be true or false")
-            ablation_doc[key] = bool(value)
-
-    # Section values are validated by their own constructors; surface those
-    # messages under the section name.
-    for section, build in (
-        ("domain", lambda: DomainSpec(seed=0, **domain)),
-        ("train", lambda: TrainConfig(seed=0, **train)),
-        ("loss", lambda: LossConfig(mode=mode if mode in ("variance", "entropy") else "variance", **loss)),
-    ):
+    # The constructors check value ranges; report them under the section.
+    domain, train, loss = (
+        {key: tuple(v) if isinstance(v, list) else v for key, v in doc.get(name, {}).items()}
+        for name in ("domain", "train", "loss")
+    )
+    raw_plans = sampling.get("plans", [])
+    for where, build, kwargs in [
+        ("domain", DomainSpec, domain),
+        ("train", TrainConfig, train),
+        ("loss", LossConfig, dict(loss, mode=mode if mode in _MODES else "variance")),
+        *((f"sampling.plans[{i}]", RoundPlan, raw) for i, raw in enumerate(raw_plans)),
+    ]:
         try:
-            build()
+            build(**kwargs)
         except (DomainError, TypeError) as exc:
-            errors.append(f"{section}: {exc}")
-
+            errors.append(f"{where}: {exc}")
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         mode=mode,
         seeds=tuple(seeds),
-        output_dir=output_dir,
+        output_dir=doc.get("output_dir", "out"),
         hidden_layers=tuple(hidden),
         domain=domain,
         train=train,
         loss=loss,
-        plans=tuple(plans),
-        schedule=tuple(schedule),
+        plans=tuple(RoundPlan(**raw) for raw in raw_plans),
+        schedule=tuple(sampling.get("schedule", [])),
         budget_fraction=float(budget_fraction),
-        auroc_epoch=auroc_epoch,
-        ablation=AblationSwitches(**ablation_doc),
+        auroc_epoch=sampling.get("auroc_epoch"),
+        ablation=AblationSwitches(**doc.get("ablation", {})),
     )
+    # The rounds are checked against the oracle budget split_pools grants.
+    budget = round(config.budget_fraction * config.domain_spec(0).samples_per_domain)
+    problems = round_problems(config.resolved_plans(), config.resolved_schedule(),
+                              config.train_config(0).epochs, budget, config.ablation.us,
+                              config.auroc_epoch)
+    if problems:
+        raise ConfigError("invalid config:\n  " + "\n  ".join(
+            f"sampling.{key}: {message}" for key, message in problems))
+    return config
 
 
 def load_config(path) -> ExperimentConfig:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, config_hash
+from .config import ConfigError, ExperimentConfig, config_hash, parse_config
 from .enn import EvidentialMLP, Trainer, save_checkpoint, write_loss_curve
 from .metrics import AdaRunReport, export_uncertainty_histograms, write_selection_log
 from .sampling import run_ada
@@ -190,9 +190,14 @@ def run_ablation(config: ExperimentConfig, out_dir=None) -> list:
     and writes ablation.json at the top of the output directory.
     """
     base = Path(out_dir if out_dir is not None else config.output_dir)
+    # Validate every row before any runs: the +US rows switch uncertainty
+    # sampling on, which brings the oracle budget into play.
+    rows = [
+        (name, parse_config(config.with_switches(**flags).to_document()))
+        for name, flags in ABLATION_ROWS
+    ]
     table = []
-    for name, flags in ABLATION_ROWS:
-        row_config = config.with_switches(**flags)
+    for name, row_config in rows:
         summary = run_experiment(row_config, out_dir=base / "ablation" / name)
         table.append(
             {

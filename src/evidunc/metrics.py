@@ -2,10 +2,10 @@
 class correlations, uncertainty exports, and the per-run report record.
 
 The AUROC here is the Mann-Whitney rank statistic with tied scores credited
-half. A brute-force pair-counting implementation is kept alongside it on
-purpose: the two routes are algebraically identical, both numerators are
-exact multiples of one half, and the test suite holds them to bitwise
-equality rather than approximate agreement.
+half. The test suite checks it against a pair-counting oracle kept in
+``tests/oracles.py``: the two routes are algebraically identical, both
+numerators are exact multiples of one half, and the tests hold them to
+bitwise equality rather than approximate agreement.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .special import DomainError
 
 __all__ = [
     "auroc",
-    "brute_force_auroc",
     "dataset_class_correlation",
     "rank_class_pairs",
     "export_uncertainty_histograms",
@@ -68,33 +67,16 @@ def auroc(scores, is_positive) -> float:
     """
     scores, positives, n_pos, n_neg = _validate_binary(scores, is_positive)
     order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    # Each tied block of the sorted scores, 0-based positions start..end-1,
+    # shares the average 1-based rank (start + end + 1) / 2, a multiple of
+    # one half and so exact in binary.
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], scores.size]
     ranks = np.empty(scores.size)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        # Tied block occupying 1-based positions i+1..j+1 shares the average
-        # rank; averages of consecutive integers are exact in binary.
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     rank_sum = ranks[positives].sum()
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def brute_force_auroc(scores, is_positive) -> float:
-    """Pair-counting AUROC, quadratic and only for cross-checking."""
-    scores, positives, n_pos, n_neg = _validate_binary(scores, is_positive)
-    pos = scores[positives]
-    neg = scores[~positives]
-    wins = 0.0
-    for p in pos:
-        for n in neg:
-            if p > n:
-                wins += 1.0
-            elif p == n:
-                wins += 0.5
-    return wins / (n_pos * n_neg)
 
 
 def _membership_classes(alpha, labels, use_predictions):

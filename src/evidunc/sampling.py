@@ -42,6 +42,7 @@ __all__ = [
     "RoundPlan",
     "default_round_plans",
     "default_schedule",
+    "round_problems",
     "select_uncertain",
     "select_certain",
     "select_certain_balanced",
@@ -98,6 +99,28 @@ def default_round_plans(num_target: int, num_rounds: int = 5, budget_fraction: f
 def default_schedule(num_rounds: int = 5, first_epoch: int = 10, stride: int = 2):
     """Sampling epochs mirroring the 20-epoch convention: 10, 12, 14, ..."""
     return [first_epoch + stride * i for i in range(num_rounds)]
+
+
+def round_problems(plans: list, schedule: list, epochs: int, budget: int,
+                   us_enabled: bool = True, auroc_epoch: int | None = None) -> list:
+    """Every reason a round layout cannot run, as (sampling key, message)
+    pairs: one plan per scheduled epoch, strictly increasing epochs within
+    the training run, uncertain picks within the oracle budget when
+    uncertainty sampling is on, and an AUROC epoch within the run."""
+    wanted = sum(p.b_u for p in plans)
+    checks = [
+        ("schedule", len(plans) != len(schedule),
+         f"one round plan per scheduled epoch is required, got {len(plans)} for {schedule}"),
+        ("schedule", any(a >= b for a, b in zip(schedule, schedule[1:])),
+         f"epochs {schedule} must be strictly increasing"),
+        ("schedule", any(not 1 <= e <= epochs for e in schedule),
+         f"epochs {schedule} must fall within the training run, 1..{epochs}"),
+        ("plans", us_enabled and wanted > budget,
+         f"uncertainty sampling takes {wanted} oracle labels, more than the budget of {budget}"),
+        ("auroc_epoch", auroc_epoch is not None and not 1 <= auroc_epoch <= epochs,
+         f"epoch {auroc_epoch} must fall within the training run, 1..{epochs}"),
+    ]
+    return [(key, message) for key, failed, message in checks if failed]
 
 
 def _eu_order(ids, eu) -> np.ndarray:
@@ -260,14 +283,10 @@ def run_ada(
     """
     plans = list(plans)
     schedule = list(schedule)
-    if len(plans) != len(schedule):
-        raise DomainError("one round plan per scheduled epoch is required")
-    if sorted(schedule) != schedule or len(set(schedule)) != len(schedule):
-        raise DomainError("schedule epochs must be strictly increasing")
-    if schedule and (schedule[0] < 1 or schedule[-1] > train_cfg.epochs):
-        raise DomainError("scheduled epochs must fall within the training run")
-    if us_enabled and sum(p.b_u for p in plans) > pool.budget_total:
-        raise DomainError("round plans exceed the oracle budget")
+    problems = round_problems(plans, schedule, train_cfg.epochs, pool.budget_total,
+                              us_enabled, auroc_epoch)
+    if problems:
+        raise DomainError("; ".join(f"{key}: {message}" for key, message in problems))
     if auroc_epoch is None:
         auroc_epoch = schedule[0] if schedule else None
 

@@ -76,7 +76,7 @@ class DomainSpec:
     class_means: np.ndarray | None = None
     class_scale: float = 1.0
     shift_rotation_degrees: float = 0.0
-    shift_translation: tuple = ()
+    shift_translation: tuple[float, ...] = ()
     shift_noise_multiplier: float = 1.0
     seed: int = 0
 

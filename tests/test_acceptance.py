@@ -29,7 +29,7 @@ from evidunc.losses import (
     kl_regularizer,
     ug_batch,
 )
-from evidunc.metrics import auroc, brute_force_auroc, rank_class_pairs
+from evidunc.metrics import auroc, rank_class_pairs
 from evidunc.pools import SamplePool
 from evidunc.sampling import (
     run_ada,
@@ -38,6 +38,7 @@ from evidunc.sampling import (
     select_uncertain,
 )
 from evidunc.synthetic import DomainSpec, default_class_means, generate_domain_pair, split_pools
+from oracles import brute_force_auroc
 
 
 def report(num, ok, detail):

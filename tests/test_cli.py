@@ -139,6 +139,14 @@ class TestRun:
             ("sampling.schedule", [3, True]),
             ("train", 5),
             ("sampling.plans", 3),
+            ("train.batch_size", 2.5),
+            ("train.epochs", 6.0),
+            ("domain.samples_per_domain", 80.0),
+            ("sampling.budget_fraction", True),
+            ("loss.lambda_a", "x"),
+            ("sampling.schedule", [3, 50]),
+            ("sampling.schedule", [5, 3]),
+            ("sampling.auroc_epoch", 99),
         ],
     )
     def test_bad_value_rejected_before_running(self, tmp_path, capsys, field, value):
@@ -147,7 +155,7 @@ class TestRun:
         *parents, key = field.split(".")
         section = document
         for name in parents:
-            section = section[name]
+            section = section.setdefault(name, {})
         section[key] = value
         config.write_text(json.dumps(document))
         assert main(["run", "--config", str(config)]) == 2

@@ -116,6 +116,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"sampling\.plans\[1\]"):
             parse_config(document)
 
+    def test_ill_typed_plan_fields_reported_with_index(self):
+        document = tiny_document()
+        document["sampling"]["plans"][0].update(b_u=1.5, kappa=True)
+        with pytest.raises(ConfigError) as info:
+            parse_config(document)
+        message = str(info.value)
+        assert "sampling.plans[0].b_u: expected integer, got 1.5" in message
+        assert "sampling.plans[0].kappa: expected integer, got true" in message
+        assert "missing" not in message
+
     def test_load_reports_json_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "mode": variance\n}\n')
@@ -130,6 +140,10 @@ class TestParsing:
 
 
 class TestHashing:
+    def test_hashes_pinned(self):
+        assert config_hash(parse_config(tiny_document())) == "1b9765f728b5"
+        assert config_hash(parse_config({})) == "d199f9b56a67"
+
     def test_output_dir_does_not_move_hash(self):
         a = parse_config(tiny_document(output_dir="here"))
         b = parse_config(tiny_document(output_dir="there"))
@@ -278,6 +292,16 @@ class TestAblation:
         for row in table:
             row_dir = tmp_path / "out" / "ablation" / row["row"] / row["config_hash"]
             assert (row_dir / "aggregate.json").is_file()
+
+    def test_rows_checked_before_any_runs(self, tmp_path):
+        # Over budget only once the +US rows switch uncertainty sampling on.
+        document = tiny_document(output_dir=str(tmp_path / "out"), seeds=[0])
+        document["sampling"]["plans"][0]["b_u"] = 40
+        document["ablation"]["us"] = False
+        config = parse_config(document)
+        with pytest.raises(ConfigError, match=r"sampling\.plans: .*budget"):
+            run_ablation(config)
+        assert not (tmp_path / "out").exists()
 
     def test_rows_share_datasets(self, tmp_path):
         config = parse_config(tiny_document(seeds=[0]))

@@ -12,7 +12,6 @@ from evidunc.enn import EvidentialMLP
 from evidunc.metrics import (
     AdaRunReport,
     auroc,
-    brute_force_auroc,
     class_level_uncertainty_summary,
     dataset_class_correlation,
     export_uncertainty_histograms,
@@ -20,6 +19,7 @@ from evidunc.metrics import (
     write_selection_log,
 )
 from evidunc.special import DomainError
+from oracles import brute_force_auroc
 
 
 def identity_model(dim=2):
