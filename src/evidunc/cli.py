@@ -22,6 +22,7 @@ from .config import ConfigError, load_config, parse_config
 from .dirichlet import DirichletPrediction, predict_class, quantify_record
 from .enn import TrainingDivergedError
 from .experiments import run_ablation, run_experiment
+from .losses import QUANTIFICATION_MODES
 from .pools import PoolError
 from .special import DomainError
 
@@ -185,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", help="override the config output directory")
         p.add_argument("--seeds", help="override seeds, comma separated")
-        p.add_argument("--mode", choices=("variance", "entropy"), help="override mode")
+        p.add_argument("--mode", choices=QUANTIFICATION_MODES, help="override mode")
         p.set_defaults(func=func)
 
     p_report = sub.add_parser("report", help="summarize a finished run directory")

@@ -25,11 +25,12 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
 from .enn import TrainConfig
-from .losses import LossConfig
+from .losses import QUANTIFICATION_MODES, LossConfig
+from .pools import oracle_budget
 from .sampling import RoundPlan, default_round_plans, default_schedule, round_problems
 from .special import DomainError
 from .synthetic import DomainSpec
@@ -37,7 +38,6 @@ from .synthetic import DomainSpec
 __all__ = ["ConfigError", "AblationSwitches", "ExperimentConfig", "config_hash"]
 
 SCHEMA_VERSION = 1
-_MODES = ("variance", "entropy")
 _SAMPLING = ("plans", "schedule", "budget_fraction", "auroc_epoch")  # grouped in the document
 
 
@@ -55,8 +55,9 @@ class AblationSwitches:
     class_balanced: bool = False
 
     def row_name(self) -> str:
-        parts = [name.upper() for name in ("ug", "us", "cs") if getattr(self, name)]
-        return "source-only" if not parts else "+".join(parts)
+        """The ablation grid label: source-only, +UG, +US, +UG+US, ..."""
+        parts = [f"+{name.upper()}" for name in ("ug", "us", "cs") if getattr(self, name)]
+        return "".join(parts) or "source-only"
 
 
 @dataclass(frozen=True)
@@ -129,6 +130,7 @@ _DOCUMENT = {
     "sampling": {key: _schema(ExperimentConfig)[key] for key in _SAMPLING},
 }
 _TYPE_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string", type(None): "null"}
+_BAD = object()  # what _check returns for a value that cannot be used
 
 
 def _fits(value, hint) -> bool:
@@ -155,31 +157,39 @@ def _type_name(hint) -> str:
 
 
 def _fitting(section: dict, schema: dict, path: str, errors: list) -> dict:
-    """The entries of a JSON object that fit the schema; each other entry
-    is reported under its field path."""
+    """The entries of a JSON object that fit the schema, each kept as far as
+    it fits; each other entry is reported under its field path."""
     kept = {}
     for key, value in section.items():
+        where = f"{path}.{key}" if path else key
         if key not in schema:
             errors.append(f"{path or 'config'}.{key}: unknown field")
-        elif _check(value, schema[key], f"{path}.{key}" if path else key, errors):
-            kept[key] = value
+        elif (fit := _check(value, schema[key], where, errors)) is not _BAD:
+            kept[key] = fit
     return kept
 
 
-def _check(value, hint, path: str, errors: list) -> bool:
-    """Whether a JSON value fits a type, a schema or a dataclass, reporting
-    each part that does not under its field path."""
-    if is_dataclass(hint):
-        hint = _schema(hint)
-    if isinstance(hint, dict) and isinstance(value, dict):
-        return len(_fitting(value, hint, path, errors)) == len(value)
+def _check(value, hint, path: str, errors: list):
+    """The part of a JSON value that fits a type, a schema or a dataclass,
+    or _BAD; each part that does not is reported under its field path. A
+    section keeps its well-typed entries; a dataclass object must fit whole,
+    with every field that has no default, or it and its list are _BAD."""
+    if isinstance(value, dict) and isinstance(hint, dict):
+        return _fitting(value, hint, path, errors)
+    if isinstance(value, dict) and is_dataclass(hint):
+        kept = _fitting(value, _schema(hint), path, errors)
+        missing = [f.name for f in fields(hint) if f.name not in value
+                   and f.default is MISSING and f.default_factory is MISSING]
+        errors.extend(f"{path}.{name}: missing field" for name in missing)
+        return kept if len(kept) == len(value) and not missing else _BAD
     item = get_args(hint)[0] if get_origin(hint) is tuple else None
     if is_dataclass(item) and isinstance(value, list):
-        return all([_check(v, item, f"{path}[{i}]", errors) for i, v in enumerate(value)])
+        fits = [_check(v, item, f"{path}[{i}]", errors) for i, v in enumerate(value)]
+        return _BAD if _BAD in fits else fits
     if not _fits(value, hint):
         errors.append(f"{path}: expected {_type_name(hint)}, got {json.dumps(value)}")
-        return False
-    return True
+        return _BAD
+    return value
 
 
 def _expect_finite(value, where: str, errors: list):
@@ -197,9 +207,9 @@ def _expect_finite(value, where: str, errors: list):
 def parse_config(document: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig.
 
-    Raises ConfigError carrying every problem found, not just the first. A
-    top-level entry of the wrong type is reported and left out, so the
-    value checks see only well-typed values and defaults.
+    Raises ConfigError carrying every problem found, not just the first. An
+    entry of the wrong type is reported and left out, so the value checks
+    see only well-typed values and defaults.
     """
     if not isinstance(document, dict):
         raise ConfigError("config root must be a JSON object")
@@ -211,8 +221,8 @@ def parse_config(document: dict) -> ExperimentConfig:
     if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         errors.append(f"schema_version: unsupported version {doc['schema_version']!r}")
     mode = doc.get("mode", "variance")
-    if mode not in _MODES:
-        errors.append(f"mode: must be 'variance' or 'entropy', got {mode!r}")
+    if mode not in QUANTIFICATION_MODES:
+        errors.append(f"mode: must be one of {QUANTIFICATION_MODES}, got {mode!r}")
     seeds = doc.get("seeds", [0, 1, 2])
     if not seeds:
         errors.append("seeds: need at least one seed")
@@ -236,12 +246,12 @@ def parse_config(document: dict) -> ExperimentConfig:
     for where, build, kwargs in [
         ("domain", DomainSpec, domain),
         ("train", TrainConfig, train),
-        ("loss", LossConfig, dict(loss, mode=mode if mode in _MODES else "variance")),
+        ("loss", LossConfig, loss),
         *((f"sampling.plans[{i}]", RoundPlan, raw) for i, raw in enumerate(raw_plans)),
     ]:
         try:
             build(**kwargs)
-        except (DomainError, TypeError) as exc:
+        except DomainError as exc:
             errors.append(f"{where}: {exc}")
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
@@ -261,7 +271,7 @@ def parse_config(document: dict) -> ExperimentConfig:
         ablation=AblationSwitches(**doc.get("ablation", {})),
     )
     # The rounds are checked against the oracle budget split_pools grants.
-    budget = round(config.budget_fraction * config.domain_spec(0).samples_per_domain)
+    budget = oracle_budget(config.budget_fraction, config.domain_spec(0).samples_per_domain)
     problems = round_problems(config.resolved_plans(), config.resolved_schedule(),
                               config.train_config(0).epochs, budget, config.ablation.us,
                               config.auroc_epoch)

@@ -86,9 +86,7 @@ class DirichletPrediction:
         or non-finite entries are rejected.
         """
         arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim == 1 and arr.size >= 2 and np.all(np.isfinite(arr)) and np.all(arr > 0.0):
-            arr = np.maximum(arr, ALPHA_FLOOR)
-        return cls(alpha=arr)
+        return cls(alpha=np.where(arr > 0.0, np.maximum(arr, ALPHA_FLOOR), arr))
 
     @property
     def num_classes(self) -> int:
@@ -151,12 +149,18 @@ def _strength_and_mean(alpha):
     return alpha, a0, alpha / a0[:, None]
 
 
+def _split(a0, total):
+    """(total, aleatoric, epistemic): the law-of-total-covariance split of a
+    label (co)variance by ``alpha0/(alpha0+1)`` and ``1/(alpha0+1)``; ``a0``
+    comes shaped to broadcast against ``total``."""
+    return total, (a0 / (a0 + 1.0)) * total, total / (a0 + 1.0)
+
+
 def variance_uncertainties_batch(alpha: np.ndarray):
     """Variance-mode (total, aleatoric, epistemic) sample uncertainties for
     an (n, C) alpha matrix. Returns three length-n arrays."""
     _, a0, mu = _strength_and_mean(alpha)
-    total = 1.0 - (mu * mu).sum(axis=1)
-    return total, (a0 / (a0 + 1.0)) * total, total / (a0 + 1.0)
+    return _split(a0, 1.0 - (mu * mu).sum(axis=1))
 
 
 def entropy_uncertainties_batch(alpha: np.ndarray):
@@ -171,13 +175,6 @@ def entropy_uncertainties_batch(alpha: np.ndarray):
     total = -(mu * np.log(mu)).sum(axis=1)
     aleatoric = (mu * (digamma(a0 + 1.0)[:, None] - digamma(alpha + 1.0))).sum(axis=1)
     return total, aleatoric, total - aleatoric
-
-
-def _split(a0, total):
-    """(total, aleatoric, epistemic): the law-of-total-covariance split of a
-    label (co)variance by ``alpha0/(alpha0+1)`` and ``1/(alpha0+1)``; ``a0``
-    comes shaped to broadcast against ``total``."""
-    return total, (a0 / (a0 + 1.0)) * total, (1.0 / (a0 + 1.0)) * total
 
 
 def class_variances_batch(alpha: np.ndarray):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,10 +118,6 @@ class EvidentialMLP:
     def num_classes(self) -> int:
         return self.weights[-1].shape[1]
 
-    @property
-    def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
     def _forward_cached(self, x: np.ndarray):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
@@ -165,9 +161,6 @@ class EvidentialMLP:
                 delta = (delta @ self.weights[layer].T) * (activations[layer] > 0.0)
         return w_grads, b_grads
 
-    def copy(self) -> "EvidentialMLP":
-        return EvidentialMLP([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
 
 class Trainer:
     """Stateful SGD loop over a sample pool.
@@ -183,16 +176,12 @@ class Trainer:
         cfg: TrainConfig,
         loss_cfg: LossConfig,
         ug_enabled: bool = True,
-        total_epochs: int | None = None,
     ):
         self.model = model
         self.pool = pool
         self.cfg = cfg
         self.loss_cfg = loss_cfg
         self.ug_enabled = ug_enabled
-        # Progress for the lr schedule runs over the full planned horizon,
-        # which may exceed cfg.epochs when epochs are run incrementally.
-        self.total_epochs = total_epochs if total_epochs is not None else cfg.epochs
         self.epochs_done = 0
         streams = np.random.SeedSequence(cfg.seed).spawn(2)
         self._sup_rng = np.random.default_rng(streams[0])
@@ -247,7 +236,7 @@ class Trainer:
 
         sup_losses, ug_losses = [], []
         for step in range(steps):
-            progress = (self.epochs_done + step / steps) / max(self.total_epochs, 1)
+            progress = (self.epochs_done + step / steps) / max(self.cfg.epochs, 1)
             lr = self.cfg.lr_at(progress)
 
             batch_idx = order[step * bs : (step + 1) * bs]

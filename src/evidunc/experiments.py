@@ -26,9 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, config_hash, parse_config
-from .enn import EvidentialMLP, Trainer, save_checkpoint, write_loss_curve
-from .metrics import AdaRunReport, export_uncertainty_histograms, write_selection_log
+from .config import AblationSwitches, ConfigError, ExperimentConfig, config_hash, parse_config
+from .enn import EvidentialMLP, save_checkpoint, write_loss_curve
+from .metrics import export_uncertainty_histograms, write_selection_log
 from .sampling import run_ada
 from .synthetic import generate_domain_pair, split_pools
 
@@ -41,13 +41,13 @@ __all__ = [
 ]
 
 # Ablation grid: each row toggles one more stage on top of the previous.
-ABLATION_ROWS = (
-    ("source-only", {"ug": False, "us": False, "cs": False}),
-    ("+UG", {"ug": True, "us": False, "cs": False}),
-    ("+US", {"ug": False, "us": True, "cs": False}),
-    ("+UG+US", {"ug": True, "us": True, "cs": False}),
-    ("+UG+US+CS", {"ug": True, "us": True, "cs": True}),
-)
+ABLATION_ROWS = tuple((AblationSwitches(**flags).row_name(), flags) for flags in (
+    {"ug": False, "us": False, "cs": False},
+    {"ug": True, "us": False, "cs": False},
+    {"ug": False, "us": True, "cs": False},
+    {"ug": True, "us": True, "cs": False},
+    {"ug": True, "us": True, "cs": True},
+))
 
 
 def _component_seeds(seed: int):
@@ -74,7 +74,6 @@ def run_seed(config: ExperimentConfig, seed: int):
         config.loss_config(),
         config.resolved_plans(),
         config.resolved_schedule(),
-        mode=config.mode,
         ug_enabled=config.ablation.ug,
         us_enabled=config.ablation.us,
         cs_enabled=config.ablation.cs,

@@ -79,35 +79,28 @@ def auroc(scores, is_positive) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _membership_classes(alpha, labels, use_predictions):
-    if labels is not None and not use_predictions:
-        membership = np.asarray(labels)
-        if membership.shape != (alpha.shape[0],):
-            raise DomainError("labels must provide one class per prediction")
-        return membership
-    return predict_class_batch(alpha)
+def _membership_classes(alpha, labels):
+    if labels is None:
+        return predict_class_batch(alpha)
+    membership = np.asarray(labels)
+    if membership.shape != (alpha.shape[0],):
+        raise DomainError("labels must provide one class per prediction")
+    return membership
 
 
-def dataset_class_correlation(
-    alpha: np.ndarray,
-    class_a: int,
-    class_b: int,
-    labels=None,
-    use_predictions: bool = False,
-) -> float:
+def dataset_class_correlation(alpha: np.ndarray, class_a: int, class_b: int, labels=None) -> float:
     """Mean correlation between two classes over the samples belonging to
     either of them.
 
-    Membership comes from ``labels`` when given; otherwise predictions stand
-    in (``use_predictions`` forces the proxy even when labels exist).
-    Samples from other classes carry no information about the pair and are
-    excluded.
+    Membership comes from ``labels`` when they are given, otherwise from
+    the predicted classes. Samples from other classes carry no information
+    about the pair and are excluded.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     c = alpha.shape[1]
     if not (1 <= class_a <= c and 1 <= class_b <= c) or class_a == class_b:
         raise DomainError("class pair must be two distinct 1-based classes")
-    membership = _membership_classes(alpha, labels, use_predictions)
+    membership = _membership_classes(alpha, labels)
     return _pair_mean(covariance_batch(alpha)[3], membership, class_a, class_b)
 
 
@@ -120,19 +113,20 @@ def _pair_mean(correlation, membership, class_a, class_b) -> float:
     return float(correlation[mask, class_a - 1, class_b - 1].mean())
 
 
-def rank_class_pairs(alpha: np.ndarray, labels=None, use_predictions: bool = False):
+def rank_class_pairs(alpha: np.ndarray, labels=None):
     """All class pairs sorted most-negatively-correlated first.
 
     Returns (class_a, class_b, correlation) triples; under this model the
     off-diagonal correlations are nonpositive, so the head of the list is
-    the most confusable pair. Ties order lexicographically.
+    the most confusable pair. Ties order lexicographically. Membership
+    comes from ``labels`` when given, as in ``dataset_class_correlation``.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     c = alpha.shape[1]
     if c < 2:
         raise DomainError("need at least two classes")
     correlation = covariance_batch(alpha)[3]
-    membership = _membership_classes(alpha, labels, use_predictions)
+    membership = _membership_classes(alpha, labels)
     triples = []
     for a, b in combinations(range(1, c + 1), 2):
         try:

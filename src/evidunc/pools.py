@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PoolError", "BudgetExhaustedError", "SamplePool"]
+__all__ = ["PoolError", "BudgetExhaustedError", "SamplePool", "oracle_budget"]
 
 PROVENANCE_ORACLE = "oracle"
 PROVENANCE_PSEUDO = "pseudo"
@@ -31,6 +31,11 @@ class PoolError(ValueError):
 
 class BudgetExhaustedError(RuntimeError):
     """Raised when an oracle acquisition would exceed the labeling budget."""
+
+
+def oracle_budget(budget_fraction: float, num_target: int) -> int:
+    """Oracle labels a pool grants: the budget fraction of |T|, rounded."""
+    return int(round(budget_fraction * num_target))
 
 
 def _check_features_labels(features, labels, what):

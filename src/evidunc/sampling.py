@@ -35,7 +35,7 @@ from .enn import Trainer, evaluate
 from .losses import LossConfig
 from .metrics import AdaRunReport, auroc, batch_uncertainties, class_level_uncertainty_summary, rank_class_pairs
 from .dirichlet import predict_class_batch
-from .pools import PoolError, SamplePool
+from .pools import PoolError, SamplePool, oracle_budget
 from .special import DomainError
 
 __all__ = [
@@ -80,25 +80,18 @@ class RoundPlan:
 
 
 def default_round_plans(num_target: int, num_rounds: int = 5, budget_fraction: float = 0.05,
-                        kappa: int = 10, certain_percent_per_round: int = 1):
-    """Desk-scale round plans: budget 5% of the target split evenly across
-    rounds, with round k pseudo-labeling k% of the target set."""
-    budget = int(round(budget_fraction * num_target))
-    b_u = budget // num_rounds
-    return [
-        RoundPlan(
-            round_index=k,
-            b_u=b_u,
-            b_c=(k * certain_percent_per_round * num_target) // 100,
-            kappa=kappa,
-        )
-        for k in range(1, num_rounds + 1)
-    ]
+                        kappa: int = 10):
+    """Desk-scale round plans: the oracle budget of ``oracle_budget`` split
+    evenly across rounds, with round k pseudo-labeling k% of the target set."""
+    b_u = oracle_budget(budget_fraction, num_target) // num_rounds
+    return [RoundPlan(round_index=k, b_u=b_u, b_c=(k * num_target) // 100, kappa=kappa)
+            for k in range(1, num_rounds + 1)]
 
 
-def default_schedule(num_rounds: int = 5, first_epoch: int = 10, stride: int = 2):
-    """Sampling epochs mirroring the 20-epoch convention: 10, 12, 14, ..."""
-    return [first_epoch + stride * i for i in range(num_rounds)]
+def default_schedule(num_rounds: int = 5):
+    """The epochs of ``num_rounds`` sampling rounds, 10, 12, 14, ...: every
+    second epoch from the middle of a 20-epoch run."""
+    return [10 + 2 * i for i in range(num_rounds)]
 
 
 def round_problems(plans: list, schedule: list, epochs: int, budget: int,
@@ -267,7 +260,6 @@ def run_ada(
     loss_cfg: LossConfig,
     plans,
     schedule,
-    mode: str = "variance",
     ug_enabled: bool = True,
     us_enabled: bool = True,
     cs_enabled: bool = False,
@@ -280,6 +272,9 @@ def run_ada(
     Disabled steps (us/cs) leave their part of the round out; with no rounds
     at all this reduces to plain training. The AUROC snapshot is taken right
     before the round at ``auroc_epoch`` (default: the first scheduled epoch).
+    ``loss_cfg.mode`` is the quantification mode of the whole run: the
+    guidance loss, the selection scores, the AUROC snapshot and
+    ``report.mode``.
     """
     plans = list(plans)
     schedule = list(schedule)
@@ -289,6 +284,7 @@ def run_ada(
         raise DomainError("; ".join(f"{key}: {message}" for key, message in problems))
     if auroc_epoch is None:
         auroc_epoch = schedule[0] if schedule else None
+    mode = loss_cfg.mode
 
     report = AdaRunReport(mode=mode, seed=train_cfg.seed, auroc_epoch=auroc_epoch)
     trainer = Trainer(model, pool, train_cfg, loss_cfg, ug_enabled=ug_enabled)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pools import SamplePool
+from .pools import SamplePool, oracle_budget
 from .special import DomainError
 
 __all__ = [
@@ -159,10 +159,8 @@ def split_pools(
     """
     if not 0.0 <= budget_fraction <= 1.0 or not 0.0 <= initial_labeled_fraction <= 1.0:
         raise DomainError("fractions must lie in [0, 1]")
-    budget = int(round(budget_fraction * target.size))
-    pool = SamplePool(
-        source.features, source.labels, target.features, target.labels, budget
-    )
+    pool = SamplePool(source.features, source.labels, target.features, target.labels,
+                      oracle_budget(budget_fraction, target.size))
     warm = int(initial_labeled_fraction * target.size)
     if warm:
         pool.acquire_with_oracle(np.arange(warm))

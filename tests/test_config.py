@@ -126,6 +126,27 @@ class TestParsing:
         assert "sampling.plans[0].kappa: expected integer, got true" in message
         assert "missing" not in message
 
+    def test_plan_missing_field_reported_with_path(self):
+        document = {"sampling": {"plans": [{"round_index": 1, "b_u": 1}], "schedule": [10]}}
+        with pytest.raises(ConfigError) as info:
+            parse_config(document)
+        message = str(info.value)
+        assert "sampling.plans[0].b_c: missing field" in message
+        assert "__init__" not in message
+
+    @pytest.mark.parametrize("document, needles", [
+        ({"sampling": {"plans": [{"round_index": 1, "b_u": 1.5, "b_c": 0}],
+                       "budget_fraction": 2}},
+         ["sampling.plans[0].b_u: expected integer", "sampling.budget_fraction: must lie"]),
+        ({"train": {"epochs": 6.0, "batch_size": 0}},
+         ["train.epochs: expected integer", "train: batch_size must be positive"]),
+    ])
+    def test_ill_typed_entry_keeps_sibling_checks(self, document, needles):
+        with pytest.raises(ConfigError) as info:
+            parse_config(document)
+        for needle in needles:
+            assert needle in str(info.value)
+
     def test_load_reports_json_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "mode": variance\n}\n')
@@ -292,6 +313,10 @@ class TestAblation:
         for row in table:
             row_dir = tmp_path / "out" / "ablation" / row["row"] / row["config_hash"]
             assert (row_dir / "aggregate.json").is_file()
+
+    def test_row_names_are_the_switch_labels(self):
+        for name, flags in ABLATION_ROWS:
+            assert AblationSwitches(**flags).row_name() == name
 
     def test_rows_checked_before_any_runs(self, tmp_path):
         # Over budget only once the +US rows switch uncertainty sampling on.

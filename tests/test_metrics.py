@@ -112,10 +112,6 @@ class TestClassCorrelation:
         # Labels put only the first row in the pair, so the means differ.
         with_labels = dataset_class_correlation(alpha, 1, 3, labels=np.array([3, 2]))
         assert by_proxy != with_labels
-        forced = dataset_class_correlation(
-            alpha, 1, 3, labels=np.array([3, 2]), use_predictions=True
-        )
-        assert forced == by_proxy
 
     def test_no_qualifying_samples(self):
         alpha = np.array([[2.0, 3.0, 5.0]])

@@ -6,6 +6,7 @@ import pytest
 
 from evidunc.enn import EvidentialMLP, TrainConfig, train
 from evidunc.losses import LossConfig
+from evidunc.metrics import batch_uncertainties
 from evidunc.pools import BudgetExhaustedError, PoolError, SamplePool
 from evidunc.sampling import (
     RoundPlan,
@@ -182,6 +183,20 @@ class TestRunAda:
             assert not (uncertain & certain)
         assert report.pseudo_label_accuracy is not None
         report.validate()
+
+    @pytest.mark.parametrize("mode", ["variance", "entropy"])
+    def test_mode_comes_from_loss_config(self, mode):
+        # The round runs after the last epoch, so the final model scored it.
+        pool, model, cfg = ada_setup(seed=4, epochs=3)
+        loss_cfg = LossConfig(mode=mode)
+        report = run_ada(model, pool, cfg, loss_cfg, [RoundPlan(1, b_u=3, b_c=0, kappa=2)], [3])
+        assert report.mode == loss_cfg.mode
+        ids = np.arange(pool.num_target)
+        _, au, eu = batch_uncertainties(model.forward_batch(pool.target_features_by_id(ids)), mode)
+        logged = [row["sample_id"] for row in report.selection_log]
+        np.testing.assert_array_equal(logged, select_uncertain(ids, eu, au, b_u=3, kappa=2))
+        for row in report.selection_log:
+            assert row["epistemic"] == eu[row["sample_id"]]
 
     def test_single_shared_sort_counter(self):
         pool, model, cfg = ada_setup(seed=1)
