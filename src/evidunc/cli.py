@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config, parse_config
+from .config import ConfigError, load_config, parse_config, read_json, read_text
 from .dirichlet import DirichletPrediction, predict_class, quantify_record
 from .enn import TrainingDivergedError
 from .experiments import run_ablation, run_experiment
@@ -31,7 +31,7 @@ __all__ = ["main"]
 
 def _parse_alpha_csv(path: Path):
     vectors = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -42,15 +42,13 @@ def _parse_alpha_csv(path: Path):
 
 
 def _parse_alpha_json(path: Path):
-    try:
-        document = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    document = read_json(path)
     if not isinstance(document, list):
         raise ConfigError(f"{path}: expected a JSON array of alpha vectors")
     vectors = []
     for i, row in enumerate(document):
-        if not isinstance(row, list) or not all(isinstance(v, (int, float)) for v in row):
+        # Booleans are not numbers here, as in configs.
+        if not isinstance(row, list) or not all(type(v) in (int, float) for v in row):
             raise ConfigError(f"{path}: alphas[{i}] is not a numeric array")
         vectors.append((row, f"{path}: alphas[{i}]"))
     return vectors
@@ -58,18 +56,14 @@ def _parse_alpha_json(path: Path):
 
 def cmd_quantify(args) -> int:
     path = Path(args.alphas)
-    if not path.exists():
-        raise ConfigError(f"{path}: no such file")
-    if path.suffix.lower() == ".json":
-        vectors = _parse_alpha_json(path)
-    else:
-        vectors = _parse_alpha_csv(path)
+    parse = _parse_alpha_json if path.suffix.lower() == ".json" else _parse_alpha_csv
+    vectors = parse(path)
 
     records = []
     for values, where in vectors:
         try:
             pred = DirichletPrediction.from_alpha(values)
-        except DomainError as exc:
+        except (DomainError, OverflowError) as exc:  # OverflowError: a huge JSON integer
             raise ConfigError(f"{where}: {exc}") from None
         record = quantify_record(pred)
         record["predicted_class"] = predict_class(pred)
@@ -123,38 +117,29 @@ def cmd_run(args) -> int:
 def cmd_ablate(args) -> int:
     config = _load_with_overrides(args)
     table = run_ablation(config)
-    _print_ablation(table)
+    print("\n".join(_ablation_lines(table)))
     print(f"table written to {Path(config.output_dir) / 'ablation.json'}")
     return 0
 
 
-def _print_ablation(table):
+def _ablation_lines(table):
     width = max(len(row["row"]) for row in table)
-    for row in table:
-        print(
-            f"{row['row']:<{width}}  "
-            f"{row['final_accuracy_mean']:.4f} +/- {row['final_accuracy_std']:.4f}"
-        )
+    return [
+        f"{row['row']:<{width}}  "
+        f"{row['final_accuracy_mean']:.4f} +/- {row['final_accuracy_std']:.4f}"
+        for row in table
+    ]
 
 
-def cmd_report(args) -> int:
-    base = Path(args.out)
-    ablation = base / "ablation.json"
-    aggregate = base / "aggregate.json"
-    if ablation.exists():
-        _print_ablation(json.loads(ablation.read_text()))
-        return 0
-    if not aggregate.exists():
-        raise ConfigError(f"{base}: no aggregate.json or ablation.json found")
-    summary = json.loads(aggregate.read_text())
-    print(f"mode: {summary['mode']}   ablation: {summary['ablation']}")
-    print(f"seeds: {summary['seeds']}")
-    print(
+def _summary_lines(summary):
+    lines = [
+        f"mode: {summary['mode']}   ablation: {summary['ablation']}",
+        f"seeds: {summary['seeds']}",
         "final target accuracy: "
-        f"{summary['final_accuracy_mean']:.4f} +/- {summary['final_accuracy_std']:.4f}"
-    )
-    rounds = summary["round_accuracy_mean"]
-    print("round accuracy means: " + ", ".join(f"{v:.4f}" for v in rounds))
+        f"{summary['final_accuracy_mean']:.4f} +/- {summary['final_accuracy_std']:.4f}",
+        "round accuracy means: "
+        + ", ".join(f"{v:.4f}" for v in summary["round_accuracy_mean"]),
+    ]
     for key, label in (
         ("auroc_epistemic_mean", "epistemic AUROC"),
         ("auroc_aleatoric_mean", "aleatoric AUROC"),
@@ -162,7 +147,23 @@ def cmd_report(args) -> int:
         ("model_accuracy_on_unlabeled_mean", "model accuracy on unlabeled pool"),
     ):
         if summary.get(key) is not None:
-            print(f"{label}: {summary[key]:.4f}")
+            lines.append(f"{label}: {summary[key]:.4f}")
+    return lines
+
+
+def cmd_report(args) -> int:
+    base = Path(args.out)
+    path, lines_of = base / "ablation.json", _ablation_lines
+    if not path.exists():
+        path, lines_of = base / "aggregate.json", _summary_lines
+    if not path.exists():
+        raise ConfigError(f"{base}: no aggregate.json or ablation.json found")
+    document = read_json(path)
+    try:  # format every line first, so a damaged file prints only its error
+        lines = lines_of(document)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"{path}: incomplete or malformed ({exc!r})") from None
+    print("\n".join(lines))
     return 0
 
 

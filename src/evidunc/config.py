@@ -26,13 +26,13 @@ import hashlib
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .enn import TrainConfig
 from .losses import QUANTIFICATION_MODES, LossConfig
 from .pools import oracle_budget
 from .sampling import RoundPlan, default_round_plans, default_schedule, round_problems
-from .special import DomainError
 from .synthetic import DomainSpec
 
 __all__ = ["ConfigError", "AblationSwitches", "ExperimentConfig", "config_hash"]
@@ -251,7 +251,7 @@ def parse_config(document: dict) -> ExperimentConfig:
     ]:
         try:
             build(**kwargs)
-        except DomainError as exc:
+        except ValueError as exc:  # a DomainError, or numpy refusing an array size
             errors.append(f"{where}: {exc}")
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
@@ -281,13 +281,26 @@ def parse_config(document: dict) -> ExperimentConfig:
     return config
 
 
+def read_text(path) -> str:
+    """A UTF-8 file's text; a missing or undecodable file is a ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"{path}: no such file") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+
+
+def read_json(path):
+    """A UTF-8 file's JSON document; a syntax error names its line."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from None
+
+
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    return parse_config(document)
+    return parse_config(read_json(path))
 
 
 def config_hash(config: ExperimentConfig) -> str:

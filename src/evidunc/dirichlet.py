@@ -76,6 +76,9 @@ class DirichletPrediction:
             raise DomainError("alpha entries must be finite")
         if np.any(arr <= 0.0):
             raise DomainError("alpha entries must be strictly positive")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(arr.sum()):
+                raise DomainError("alpha strength (the sum of the entries) must be finite")
         object.__setattr__(self, "alpha", arr)
 
     @classmethod

@@ -189,14 +189,10 @@ class Trainer:
         self._vel_w = [np.zeros_like(w) for w in model.weights]
         self._vel_b = [np.zeros_like(b) for b in model.biases]
 
-    def _check_finite(self, grads, what: str):
-        for g in grads:
-            if not np.all(np.isfinite(g)):
-                raise TrainingDivergedError(
-                    f"non-finite {what} gradient at epoch {self.epochs_done + 1}"
-                )
-
-    def _checked_forward(self, x, what: str):
+    def _minibatch(self, x, what: str, scale, kernel, *args):
+        """Forward a minibatch, check its evidence and backprop ``scale`` times
+        the alpha-gradient of ``kernel(alpha, *args, loss_cfg)``; returns the
+        per-row losses and the batch-summed (weight_grads, bias_grads)."""
         alpha, acts, active = self.model._forward_cached(x)
         if not np.all(np.isfinite(alpha)):
             bad = int(np.where(~np.isfinite(alpha).all(axis=1))[0][0])
@@ -204,7 +200,9 @@ class Trainer:
                 f"non-finite evidence for {what} sample {bad} at epoch "
                 f"{self.epochs_done + 1}; check inputs and learning rate"
             )
-        return alpha, acts, active
+        losses, dalpha = kernel(alpha, *args, self.loss_cfg)
+        backprop = self.model.alpha_gradient_to_param_gradients
+        return (losses, *backprop(dalpha * scale, alpha, acts, active))
 
     def _apply_step(self, w_grads, b_grads, lr: float):
         wd = self.cfg.weight_decay
@@ -228,55 +226,47 @@ class Trainer:
         order = self._sup_rng.permutation(n_sup)
         steps = (n_sup + bs - 1) // bs
 
+        mean_reduction = self.loss_cfg.reduction != "sum"
         use_ug = self.ug_enabled and self.pool.num_unlabeled > 0
-        unsup_features = self.pool.unlabeled_features() if use_ug else None
         if use_ug:
-            unsup_order = self._unsup_rng.permutation(unsup_features.shape[0])
-            unsup_pos = 0
+            unsup_features = self.pool.unlabeled_features()
+            take = min(bs, unsup_features.shape[0])
+            u_scale = 1.0 / take if mean_reduction else 1.0
+            # Shuffled at the first step and whenever a batch would run past the end.
+            unsup_order, unsup_pos = (), 0
 
         sup_losses, ug_losses = [], []
         for step in range(steps):
-            progress = (self.epochs_done + step / steps) / max(self.cfg.epochs, 1)
-            lr = self.cfg.lr_at(progress)
-
             batch_idx = order[step * bs : (step + 1) * bs]
-            x = features[batch_idx]
-            y = labels[batch_idx]
-            w_rows = weights[batch_idx]
-            alpha, acts, active = self._checked_forward(x, "supervised")
-            row_losses, dalpha = edl_batch(alpha, y, self.loss_cfg)
-            scale = w_rows if self.loss_cfg.reduction == "sum" else w_rows / x.shape[0]
-            w_grads, b_grads = self.model.alpha_gradient_to_param_gradients(
-                dalpha * scale[:, None], alpha, acts, active
+            scale = weights[batch_idx] / batch_idx.size if mean_reduction else weights[batch_idx]
+            row_losses, w_grads, b_grads = self._minibatch(
+                features[batch_idx], "supervised", scale[:, None], edl_batch, labels[batch_idx]
             )
             sup_losses.append(float((row_losses * scale).sum()))
 
             if use_ug:
-                take = min(bs, unsup_features.shape[0])
-                if unsup_pos + take > unsup_order.size:
-                    unsup_order = self._unsup_rng.permutation(unsup_features.shape[0])
-                    unsup_pos = 0
+                if unsup_pos + take > len(unsup_order):
+                    unsup_order, unsup_pos = self._unsup_rng.permutation(len(unsup_features)), 0
                 ub_idx = unsup_order[unsup_pos : unsup_pos + take]
                 unsup_pos += take
-                ux = unsup_features[ub_idx]
-                ualpha, uacts, uactive = self._checked_forward(ux, "unlabeled")
-                u_losses, u_dalpha = ug_batch(ualpha, self.loss_cfg)
-                u_scale = 1.0 if self.loss_cfg.reduction == "sum" else 1.0 / ux.shape[0]
-                uw_grads, ub_grads = self.model.alpha_gradient_to_param_gradients(
-                    u_dalpha * u_scale, ualpha, uacts, uactive
+                u_losses, uw_grads, ub_grads = self._minibatch(
+                    unsup_features[ub_idx], "unlabeled", u_scale, ug_batch
                 )
                 w_grads = [a + b for a, b in zip(w_grads, uw_grads)]
                 b_grads = [a + b for a, b in zip(b_grads, ub_grads)]
                 ug_losses.append(float(u_losses.sum() * u_scale))
 
-            self._check_finite(w_grads, "weight")
-            self._check_finite(b_grads, "bias")
-            self._apply_step(w_grads, b_grads, lr)
+            finite = [bool(np.isfinite(g).all()) for g in w_grads + b_grads]
+            if not all(finite):
+                what = "bias" if all(finite[: len(w_grads)]) else "weight"
+                raise TrainingDivergedError(
+                    f"non-finite {what} gradient at epoch {self.epochs_done + 1}"
+                )
+            progress = (self.epochs_done + step / steps) / max(self.cfg.epochs, 1)
+            self._apply_step(w_grads, b_grads, self.cfg.lr_at(progress))
 
         self.epochs_done += 1
-        mean_sup = float(np.mean(sup_losses))
-        mean_ug = float(np.mean(ug_losses)) if ug_losses else 0.0
-        return mean_sup, mean_ug
+        return float(np.mean(sup_losses)), float(np.mean(ug_losses)) if ug_losses else 0.0
 
 
 def train(

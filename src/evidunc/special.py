@@ -68,64 +68,55 @@ class DomainError(ValueError):
     """Argument outside the (0, inf) domain, or not finite."""
 
 
-def _validate(x, name: str) -> np.ndarray:
+def _shift_and_series(x, name: str, correction, coeffs, finish):
+    """The scheme all three share, for x > 0: validate x, shift it to
+    ``y = x + 16``, sum ``correction(x + i)`` smallest-first (i = 15 down
+    to 0) into ``corr``, sum the series in ``z = 1/y^2`` over ``coeffs`` by
+    Horner's rule, and return ``finish(y, z, series, corr)``, a ``float``
+    for a scalar x."""
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name}: argument must be finite, got {x!r}")
     if np.any(arr <= 0.0):
         raise DomainError(f"{name}: argument must be > 0, got {x!r}")
-    return arr
-
-
-def _as_output(result: np.ndarray, scalar: bool):
-    return float(result) if scalar else result
+    y = arr + _SHIFT
+    corr = np.zeros_like(y)
+    for i in range(_SHIFT - 1, -1, -1):
+        corr += correction(arr + i)
+    z = 1.0 / (y * y)
+    series = np.zeros_like(y)
+    for c in reversed(coeffs):
+        series = series * z + c
+    out = finish(y, z, series, corr)
+    return float(out) if np.isscalar(x) else out
 
 
 def log_gamma(x):
     """Natural log of the Gamma function for x > 0."""
-    arr = _validate(x, "log_gamma")
-    y = arr + _SHIFT
-    # correction terms summed smallest-first: ln(x+15) down to ln(x)
-    corr = np.zeros_like(y)
-    for i in range(_SHIFT - 1, -1, -1):
-        corr += np.log(arr + i)
-    z = 1.0 / (y * y)
-    series = np.zeros_like(y)
-    for c in reversed(_LGAMMA_COEFFS):
-        series = series * z + c
-    series /= y
-    out = (y - 0.5) * np.log(y) - y + _HALF_LN_TWO_PI + series - corr
-    return _as_output(out, np.isscalar(x))
+
+    def finish(y, z, series, corr):
+        return (y - 0.5) * np.log(y) - y + _HALF_LN_TWO_PI + series / y - corr
+
+    return _shift_and_series(x, "log_gamma", np.log, _LGAMMA_COEFFS, finish)
 
 
 def digamma(x):
     """Digamma (psi) function, d/dx lnGamma(x), for x > 0."""
-    arr = _validate(x, "digamma")
-    y = arr + _SHIFT
-    corr = np.zeros_like(y)
-    for i in range(_SHIFT - 1, -1, -1):
-        corr += 1.0 / (arr + i)
-    z = 1.0 / (y * y)
-    series = np.zeros_like(y)
-    for c in reversed(_DIGAMMA_COEFFS):
-        series = series * z + c
-    series *= z
-    out = np.log(y) - 0.5 / y - series - corr
-    return _as_output(out, np.isscalar(x))
+
+    def finish(y, z, series, corr):
+        return np.log(y) - 0.5 / y - series * z - corr
+
+    return _shift_and_series(x, "digamma", np.reciprocal, _DIGAMMA_COEFFS, finish)
 
 
 def trigamma(x):
     """Trigamma function, d/dx digamma(x), for x > 0."""
-    arr = _validate(x, "trigamma")
-    y = arr + _SHIFT
-    corr = np.zeros_like(y)
-    for i in range(_SHIFT - 1, -1, -1):
-        inv = 1.0 / (arr + i)
-        corr += inv * inv
-    z = 1.0 / (y * y)
-    series = np.zeros_like(y)
-    for c in reversed(_TRIGAMMA_COEFFS):
-        series = series * z + c
-    series *= z / y
-    out = 1.0 / y + 0.5 * z + series + corr
-    return _as_output(out, np.isscalar(x))
+
+    def correction(t):
+        inv = 1.0 / t
+        return inv * inv
+
+    def finish(y, z, series, corr):
+        return 1.0 / y + 0.5 * z + series * (z / y) + corr
+
+    return _shift_and_series(x, "trigamma", correction, _TRIGAMMA_COEFFS, finish)

@@ -1,6 +1,11 @@
 """Command line behavior: subcommands, exit codes, output layout."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +94,42 @@ class TestQuantify:
         assert main(["quantify", str(tmp_path / "nope.csv")]) == 2
         assert "no such file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["alphas.csv", "alphas.json"])
+    def test_non_utf8_file_rejected(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_bytes("[[2, 3]]\n".encode("utf-16"))
+        assert main(["quantify", str(path)]) == 2
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_boolean_entries_rejected(self, tmp_path, capsys):
+        path = tmp_path / "alphas.json"
+        path.write_text("[[2, 3], [true, 2]]")
+        assert main(["quantify", str(path)]) == 2
+        assert f"{path}: alphas[1] is not a numeric array" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            ("alphas.csv", "2,3\n1e308,1e308\n", ":2"),
+            ("alphas.json", "[[2, 3], [1e308, 1e308]]", ": alphas[1]"),
+        ],
+    )
+    def test_overflowing_strength_rejected_with_location(
+        self, tmp_path, capsys, name, text, where
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            assert main(["quantify", str(path)]) == 2
+        assert f"{path}{where}: alpha strength" in capsys.readouterr().err
+
+    def test_huge_integer_rejected_with_location(self, tmp_path, capsys):
+        path = tmp_path / "alphas.json"
+        path.write_text(f"[[2, 3], [{10**400}, 2]]")
+        assert main(["quantify", str(path)]) == 2
+        assert f"{path}: alphas[1]: int too large" in capsys.readouterr().err
+
 
 class TestRun:
     def test_full_run_layout_and_summary(self, tmp_path, capsys, monkeypatch):
@@ -121,6 +162,44 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "mode:" in err and "seeds:" in err
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_missing_config_exit_two(self, tmp_path, capsys, command):
+        path = tmp_path / "nope.json"
+        assert main([command, "--config", str(path)]) == 2
+        assert f"{path}: no such file" in capsys.readouterr().err
+
+    def test_non_utf8_config_exit_two(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        config.write_bytes(config.read_text().encode("utf-16"))
+        assert main(["run", "--config", str(config)]) == 2
+        assert f"{config}: not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_read_as_utf8_under_ascii_locale(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"mod\u00e9": "variance"}', encoding="utf-8")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C",
+                   PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        done = subprocess.run(
+            [sys.executable, "-m", "evidunc.cli", "run", "--config", str(config)],
+            env=env, capture_output=True, text=True, encoding="utf-8", errors="replace",
+        )
+        assert done.returncode == 2
+        assert "unknown field" in done.stderr and "Traceback" not in done.stderr
+
+    def test_unallocatable_domain_exit_two(self, tmp_path, capsys):
+        # Too large for numpy to attempt the class-means allocation at all.
+        huge = 10**30
+        document = json.loads(write_config(tmp_path).read_text())
+        document["domain"].update(num_classes=huge, samples_per_domain=huge)
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(document))
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "domain: " in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_seed_list_exit_two(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -220,6 +299,25 @@ class TestAblateAndReport:
     def test_report_on_empty_directory(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 2
         assert "no aggregate.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("aggregate.json", '{"mode": "variance",'),
+            ("aggregate.json", '{"mode": "variance"}'),
+            ("aggregate.json", "[1, 2]"),
+            ("ablation.json", '[{"row": "+UG"'),
+            ("ablation.json", '[{"row": "+UG"}]'),
+            ("ablation.json", '{"row": "+UG"}'),
+            ("ablation.json", "[]"),
+        ],
+    )
+    def test_report_on_damaged_file_exit_two(self, tmp_path, capsys, name, text):
+        (tmp_path / name).write_text(text)
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert str(tmp_path / name) in captured.err
+        assert captured.out == ""
 
 
 class TestDeterminism:

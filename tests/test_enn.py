@@ -1,6 +1,7 @@
 """Trainer tests: forward contract, hand-traced SGD updates, end-to-end
 weight gradients against finite differences, and the determinism contract."""
 
+import copy
 import math
 
 import numpy as np
@@ -153,6 +154,56 @@ class TestFullModelGradient:
                 np.abs(analytic[p_idx] - numeric),
                 1e-8 + 1e-4 * np.abs(numeric),
             )
+
+
+class TestRunEpochComposition:
+    @pytest.mark.parametrize("mode", ["variance", "entropy"])
+    def test_one_step_with_ug_matches_the_composition(self, mode):
+        # batch_size covers the whole supervised set, so the epoch is one
+        # step; pseudo-labeled rows make the per-row weights differ, and
+        # with 7 unlabeled rows the order of the UG reduction shows.
+        pool = small_pool()
+        pool.acquire_with_oracle([0, 1])
+        pool.acquire_with_pseudo_labels([2, 3, 4], [1, 2, 1])
+        loss_cfg = LossConfig(mode=mode, pseudo_label_weight=0.5)
+        cfg = TrainConfig(epochs=3, batch_size=64, learning_rate=0.05, seed=4)
+        model = EvidentialMLP.create(2, 2, hidden=(5,), seed=0)
+        trainer = Trainer(model, pool, cfg, loss_cfg, ug_enabled=True)
+        # The reference draws from copies of the trainer's own shuffle
+        # streams and steps a twin trainer, whose momentum starts the same.
+        sup_rng = copy.deepcopy(trainer._sup_rng)
+        unsup_rng = copy.deepcopy(trainer._unsup_rng)
+        ref = EvidentialMLP([w.copy() for w in model.weights], [b.copy() for b in model.biases])
+        twin = Trainer(ref, pool, cfg, loss_cfg)
+
+        features, labels, weights = pool.supervised_set(loss_cfg.pseudo_label_weight)
+        rows = sup_rng.permutation(features.shape[0])
+        alpha, acts, active = ref._forward_cached(features[rows])
+        row_losses, dalpha = edl_batch(alpha, labels[rows], loss_cfg)
+        scale = weights[rows] / rows.size
+        w_grads, b_grads = ref.alpha_gradient_to_param_gradients(
+            dalpha * scale[:, None], alpha, acts, active
+        )
+        unlabeled = pool.unlabeled_features()
+        u_rows = unsup_rng.permutation(unlabeled.shape[0])  # all 7 fit in one batch
+        u_alpha, u_acts, u_active = ref._forward_cached(unlabeled[u_rows])
+        u_losses, u_dalpha = ug_batch(u_alpha, loss_cfg)
+        u_scale = 1.0 / u_rows.size
+        uw_grads, ub_grads = ref.alpha_gradient_to_param_gradients(
+            u_dalpha * u_scale, u_alpha, u_acts, u_active
+        )
+        twin._apply_step(
+            [a + b for a, b in zip(w_grads, uw_grads)],
+            [a + b for a, b in zip(b_grads, ub_grads)],
+            cfg.lr_at(0.0),
+        )
+
+        sup, ug = trainer.run_epoch()
+        assert sup == float((row_losses * scale).sum())
+        assert ug == float(u_losses.sum() * u_scale)
+        assert len(np.unique(weights)) == 2
+        for got, want in zip(model.weights + model.biases, ref.weights + ref.biases):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTraining:
