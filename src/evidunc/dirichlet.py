@@ -187,6 +187,23 @@ def class_variances_batch(alpha: np.ndarray):
     return _split(a0[:, None], mu * (1.0 - mu))
 
 
+def _total_and_correlation(alpha: np.ndarray):
+    """(a0, total, correlation): the strengths and the (n, C, C) total label
+    covariance and correlation, without the aleatoric/epistemic split."""
+    _, a0, mu = _strength_and_mean(alpha)
+    var = class_variances_batch(alpha)[0]
+    diag = np.arange(mu.shape[1])
+    total = -mu[:, :, None] * mu[:, None, :]
+    total[:, diag, diag] = var
+    ok = var >= CORRELATION_VARIANCE_EPS
+    sigma = np.sqrt(np.where(ok, var, 1.0))
+    correlation = sigma[:, :, None] * sigma[:, None, :]
+    np.divide(total, correlation, out=correlation)
+    correlation[~(ok[:, :, None] & ok[:, None, :])] = 0.0
+    correlation[:, diag, diag] = 1.0
+    return a0, total, np.clip(correlation, -1.0, 1.0, out=correlation)
+
+
 def covariance_batch(alpha: np.ndarray):
     """(total, aleatoric, epistemic, correlation) label covariance matrices
     for an (n, C) alpha matrix; four (n, C, C) arrays.
@@ -196,17 +213,8 @@ def covariance_batch(alpha: np.ndarray):
     is below CORRELATION_VARIANCE_EPS, and is clipped to [-1, 1] because
     rounding can overshoot -1 by an ulp.
     """
-    _, a0, mu = _strength_and_mean(alpha)
-    var = class_variances_batch(alpha)[0]
-    diag = np.arange(mu.shape[1])
-    total = -mu[:, :, None] * mu[:, None, :]
-    total[:, diag, diag] = var
-    ok = var >= CORRELATION_VARIANCE_EPS
-    sigma = np.sqrt(np.where(ok, var, 1.0))
-    guard = ok[:, :, None] & ok[:, None, :]
-    correlation = np.where(guard, total / (sigma[:, :, None] * sigma[:, None, :]), 0.0)
-    correlation[:, diag, diag] = 1.0
-    return (*_split(a0[:, None, None], total), np.clip(correlation, -1.0, 1.0))
+    a0, total, correlation = _total_and_correlation(alpha)
+    return (*_split(a0[:, None, None], total), correlation)
 
 
 def covariance_bundle(pred: DirichletPrediction) -> CovarianceBundle:

@@ -21,11 +21,12 @@ gradients, which is the shape the trainer consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .dirichlet import DirichletPrediction
-from .special import DomainError, digamma, log_gamma, trigamma
+from .special import DomainError, digamma, gamma_terms, log_gamma, trigamma
 
 __all__ = [
     "OneHotLabel",
@@ -116,19 +117,27 @@ def _nll_batch(alpha: np.ndarray, classes: np.ndarray):
     return loss, grad
 
 
+@lru_cache(maxsize=None)
+def _log_gamma_of_count(c: int) -> float:
+    """lnGamma(C), the normalizer of the flat Dirichlet over C classes."""
+    return log_gamma(float(c))
+
+
 def _kl_batch(alpha: np.ndarray, classes: np.ndarray):
     n, c = alpha.shape
     rows = np.arange(n)
     tilde = alpha.copy()
     tilde[rows, classes - 1] = 1.0
     s = tilde.sum(axis=1)
+    # lnGamma, digamma and trigamma of [alpha~ | s] in one pass; column c is s.
+    lg, psi, tri = gamma_terms(np.column_stack((tilde, s)))
     loss = (
-        log_gamma(s)
-        - log_gamma(float(c))
-        - log_gamma(tilde).sum(axis=1)
-        + ((tilde - 1.0) * (digamma(tilde) - digamma(s)[:, None])).sum(axis=1)
+        lg[:, c]
+        - _log_gamma_of_count(c)
+        - lg[:, :c].sum(axis=1)
+        + ((tilde - 1.0) * (psi[:, :c] - psi[:, c:])).sum(axis=1)
     )
-    grad = (tilde - 1.0) * trigamma(tilde) - ((s - c) * trigamma(s))[:, None]
+    grad = (tilde - 1.0) * tri[:, :c] - ((s - c) * tri[:, c])[:, None]
     grad[rows, classes - 1] = 0.0
     return loss, grad
 
@@ -159,14 +168,13 @@ def _ug_entropy_batch(alpha: np.ndarray, lambda_a: float, lambda_e: float):
     mu = alpha / a0[:, None]
     log_mu = np.log(mu)
     u = -(mu * log_mu).sum(axis=1)
-    gap = digamma(a0 + 1.0)[:, None] - digamma(alpha + 1.0)
+    # digamma and trigamma of [alpha + 1 | alpha0 + 1]; the last column is alpha0 + 1.
+    shifted = np.column_stack((alpha, a0)) + 1.0
+    psi, tri = digamma(shifted), trigamma(shifted)
+    gap = psi[:, -1:] - psi[:, :-1]
     u_alea = (mu * gap).sum(axis=1)
     du = -(log_mu + u[:, None]) / a0[:, None]
-    du_alea = (
-        (gap - u_alea[:, None]) / a0[:, None]
-        + trigamma(a0 + 1.0)[:, None]
-        - mu * trigamma(alpha + 1.0)
-    )
+    du_alea = (gap - u_alea[:, None]) / a0[:, None] + tri[:, -1:] - mu * tri[:, :-1]
     diff = lambda_a - lambda_e
     return lambda_e * u + diff * u_alea, lambda_e * du + diff * du_alea
 

@@ -18,8 +18,8 @@ from itertools import combinations
 import numpy as np
 
 from .dirichlet import (
+    _total_and_correlation,
     class_variances_batch,
-    covariance_batch,
     entropy_uncertainties_batch,
     predict_class_batch,
     variance_uncertainties_batch,
@@ -101,7 +101,7 @@ def dataset_class_correlation(alpha: np.ndarray, class_a: int, class_b: int, lab
     if not (1 <= class_a <= c and 1 <= class_b <= c) or class_a == class_b:
         raise DomainError("class pair must be two distinct 1-based classes")
     membership = _membership_classes(alpha, labels)
-    return _pair_mean(covariance_batch(alpha)[3], membership, class_a, class_b)
+    return _pair_mean(_total_and_correlation(alpha)[2], membership, class_a, class_b)
 
 
 def _pair_mean(correlation, membership, class_a, class_b) -> float:
@@ -125,7 +125,7 @@ def rank_class_pairs(alpha: np.ndarray, labels=None):
     c = alpha.shape[1]
     if c < 2:
         raise DomainError("need at least two classes")
-    correlation = covariance_batch(alpha)[3]
+    correlation = _total_and_correlation(alpha)[2]
     membership = _membership_classes(alpha, labels)
     triples = []
     for a, b in combinations(range(1, c + 1), 2):

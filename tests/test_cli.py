@@ -124,6 +124,17 @@ class TestQuantify:
             assert main(["quantify", str(path)]) == 2
         assert f"{path}{where}: alpha strength" in capsys.readouterr().err
 
+    def test_huge_alphas_quantified_without_warnings(self, tmp_path, capsys):
+        path = tmp_path / "alphas.csv"
+        path.write_text("1e200,1e200\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow RuntimeWarning included
+            assert main(["quantify", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        [record] = json.loads(out)
+        assert record["uncertainty"]["variance"]["sample"]["total"] == 0.5
+
     def test_huge_integer_rejected_with_location(self, tmp_path, capsys):
         path = tmp_path / "alphas.json"
         path.write_text(f"[[2, 3], [{10**400}, 2]]")

@@ -25,7 +25,9 @@ from evidunc.losses import (
     ug_loss,
     ug_loss_and_gradient,
 )
+from evidunc.losses import _kl_batch, _ug_entropy_batch
 from evidunc.special import DomainError
+from oracles import kl_batch_seven_calls, ug_entropy_batch_four_calls
 
 FD_STEP = 1e-5
 
@@ -191,6 +193,30 @@ class TestStructuralProperties:
             loss, grad = ug_loss_and_gradient(pred, config)
             assert ug_losses[i] == pytest.approx(loss, abs=1e-12)
             np.testing.assert_allclose(ug_grads[i], grad, atol=1e-12)
+
+
+class TestBitPatterns:
+    """The fused special-function passes give the bits of separate calls."""
+
+    @staticmethod
+    def random_batches(seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            c = int(rng.integers(2, 12))
+            n = int(rng.integers(1, 40))
+            alpha = np.exp(rng.uniform(-8.0, 12.0, size=(n, c)))
+            yield alpha, rng.integers(1, c + 1, size=n)
+
+    def test_kl_batch_matches_seven_calls(self):
+        for alpha, classes in self.random_batches(seed=81, count=200):
+            for got, want in zip(_kl_batch(alpha, classes), kl_batch_seven_calls(alpha, classes)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_ug_entropy_batch_matches_four_calls(self):
+        for alpha, _ in self.random_batches(seed=82, count=200):
+            for got, want in zip(_ug_entropy_batch(alpha, 0.05, 1.0),
+                                 ug_entropy_batch_four_calls(alpha, 0.05, 1.0)):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestTotalLoss:

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from evidunc.special import DomainError, digamma, log_gamma, trigamma
+from evidunc.special import DomainError, digamma, gamma_terms, log_gamma, trigamma
 
 mpmath.mp.dps = 50
 
@@ -130,3 +131,56 @@ def test_domain_errors_on_arrays():
         digamma(np.array([1.0, 0.0]))
     with pytest.raises(DomainError):
         log_gamma(np.array([2.0, -3.0]))
+
+
+def test_gamma_terms_bitwise_equal_to_single_functions():
+    rng = np.random.default_rng(10)
+    x = np.exp(rng.uniform(math.log(1e-8), math.log(1e6), size=120_000)).reshape(400, 300)
+    terms = gamma_terms(x)
+    assert len(terms) == 3
+    for got, fn in zip(terms, (log_gamma, digamma, trigamma)):
+        want = fn(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x", [2.5, 3, np.float64(0.75), np.float32(1e-3)],
+                         ids=["float", "int", "float64", "float32"])
+def test_gamma_terms_scalars_come_back_as_float(x):
+    terms = gamma_terms(x)
+    for got, fn in zip(terms, (log_gamma, digamma, trigamma)):
+        assert type(got) is float and type(fn(x)) is float
+        assert got == fn(x)
+
+
+def test_gamma_terms_zero_d_array_matches_single_functions():
+    x = np.array(4.25)
+    for got, fn in zip(gamma_terms(x), (log_gamma, digamma, trigamma)):
+        want = fn(x)
+        assert type(got) is type(want) and got == want
+
+
+def test_huge_arguments_raise_no_overflow_warning():
+    # y*y overflows near 1.3e154; the series term then takes its limit, 0.
+    x = np.array([1e200, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lg, psi, tri = gamma_terms(x)
+    assert np.all(np.isfinite(lg))
+    assert psi == pytest.approx(np.log(x), rel=1e-15)
+    assert tri == pytest.approx(1.0 / x, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "fn, bad, message",
+    [
+        (log_gamma, 0.0, "log_gamma: argument must be > 0, got 0.0"),
+        (digamma, float("nan"), "digamma: argument must be finite, got nan"),
+        (trigamma, np.array([1.0, -1.0]), "trigamma: argument must be > 0, got array([ 1., -1.])"),
+        (gamma_terms, float("inf"), "gamma_terms: argument must be finite, got inf"),
+        (gamma_terms, np.array(-2.0), "gamma_terms: argument must be > 0, got array(-2.)"),
+    ],
+)
+def test_domain_error_messages(fn, bad, message):
+    with pytest.raises(DomainError) as err:
+        fn(bad)
+    assert str(err.value) == message
