@@ -15,6 +15,8 @@ from evidunc.dirichlet import DirichletPrediction
 from evidunc.losses import (
     LossConfig,
     OneHotLabel,
+    _kl_batch,
+    _ug_entropy_batch,
     edl_batch,
     edl_loss,
     edl_loss_and_gradient,
@@ -25,7 +27,6 @@ from evidunc.losses import (
     ug_loss,
     ug_loss_and_gradient,
 )
-from evidunc.losses import _kl_batch, _ug_entropy_batch
 from evidunc.special import DomainError
 from oracles import kl_batch_seven_calls, ug_entropy_batch_four_calls
 
