@@ -14,7 +14,7 @@ writes the same table to disk together with per-seed run directories.
 
 import numpy as np
 
-from evidunc import ABLATION_ROWS, parse_config, run_seed
+from evidunc import ABLATION_ROWS, parse_config, run_rows
 
 config = parse_config({
     "mode": "variance",
@@ -33,10 +33,14 @@ config = parse_config({
     "sampling": {"budget_fraction": 0.05},
 })
 
+# Rows with the same UG switch train identically up to the first sampling
+# round, so run_rows trains that part once per seed and finishes each row
+# from a copy; EVID_NUM_WORKERS caps its worker processes.
+results = run_rows([config.with_switches(**flags) for _, flags in ABLATION_ROWS])
+
 print(f"{'row':<12} {'mean':>7} {'std':>7}   per-seed final target accuracy")
-for name, flags in ABLATION_ROWS:
-    row_config = config.with_switches(**flags)
-    finals = [run_seed(row_config, seed)[0].final_accuracy for seed in config.seeds]
+for (name, _), reports in zip(ABLATION_ROWS, results):
+    finals = [report.final_accuracy for report in reports]
     arr = np.asarray(finals)
     shown = ", ".join(f"{v:.3f}" for v in finals)
     print(f"{name:<12} {arr.mean():7.4f} {arr.std():7.4f}   [{shown}]")

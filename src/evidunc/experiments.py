@@ -13,8 +13,12 @@ Seeds from the config expand into three independent component seeds (data
 generation, weight init, batch shuffling) so that, say, adding an epoch
 never perturbs the dataset.
 
-The EVID_NUM_WORKERS environment variable caps how many seeds run in
-parallel processes; unset means one process per seed up to the CPU count.
+Rows of a grid that differ only in their US, CS and class-balance switches
+run as one job per seed, which trains up to the first scheduled round once
+and finishes each row from its own copy of that state. All jobs of a run go
+to one process pool, largest first. The EVID_NUM_WORKERS environment
+variable caps how many jobs run in parallel processes; unset means one
+process per job up to the CPU count.
 """
 
 from __future__ import annotations
@@ -29,13 +33,14 @@ import numpy as np
 from .config import AblationSwitches, ConfigError, ExperimentConfig, config_hash, parse_config
 from .enn import EvidentialMLP, save_checkpoint, write_loss_curve
 from .metrics import export_uncertainty_histograms, write_selection_log
-from .sampling import run_ada
+from .sampling import run_ada_rows
 from .synthetic import generate_domain_pair, split_pools
 
 __all__ = [
     "run_seed",
     "run_experiment",
     "run_ablation",
+    "run_rows",
     "aggregate_reports",
     "ABLATION_ROWS",
 ]
@@ -55,8 +60,11 @@ def _component_seeds(seed: int):
     return (int(state[0]), int(state[1]), int(state[2]))
 
 
-def run_seed(config: ExperimentConfig, seed: int):
-    """Run one seed end to end; returns (report, model, source, target)."""
+def _run_group(configs, seed: int):
+    """Run configs that differ only in their US, CS and class-balance
+    switches on one seed, training up to the first round once; returns
+    ([(report, model) per config], source, target)."""
+    config = configs[0]
     data_seed, init_seed, train_seed = _component_seeds(seed)
     spec = config.domain_spec(data_seed)
     source, target = generate_domain_pair(spec)
@@ -67,20 +75,25 @@ def run_seed(config: ExperimentConfig, seed: int):
         hidden=config.hidden_layers,
         seed=init_seed,
     )
-    report = run_ada(
+    rows = run_ada_rows(
         model,
         pool,
         config.train_config(train_seed),
         config.loss_config(),
         config.resolved_plans(),
         config.resolved_schedule(),
+        [(c.ablation.us, c.ablation.cs, c.ablation.class_balanced) for c in configs],
         ug_enabled=config.ablation.ug,
-        us_enabled=config.ablation.us,
-        cs_enabled=config.ablation.cs,
-        class_balanced=config.ablation.class_balanced,
         auroc_epoch=config.auroc_epoch,
     )
-    report.seed = seed
+    for report, _ in rows:
+        report.seed = seed
+    return rows, source, target
+
+
+def run_seed(config: ExperimentConfig, seed: int):
+    """Run one seed end to end; returns (report, model, source, target)."""
+    [(report, model)], source, target = _run_group([config], seed)
     return report, model, source, target
 
 
@@ -99,10 +112,14 @@ def _write_seed_outputs(run_dir: Path, config, report, model, source, target):
     save_checkpoint(model, run_dir / "checkpoint.json")
 
 
-def _run_and_write(config: ExperimentConfig, seed: int, base_dir: str) -> dict:
-    report, model, source, target = run_seed(config, seed)
-    _write_seed_outputs(Path(base_dir) / f"seed{seed}", config, report, model, source, target)
-    return json.loads(report.to_json())
+def _run_job(configs, seed: int, out_dirs) -> list:
+    """One job: a group's rows on one seed, each written to its seed
+    directory under ``out_dirs`` unless that is None; returns the reports."""
+    rows, source, target = _run_group(configs, seed)
+    if out_dirs is not None:
+        for config, (report, model), out in zip(configs, rows, out_dirs):
+            _write_seed_outputs(Path(out) / f"seed{seed}", config, report, model, source, target)
+    return [report for report, _ in rows]
 
 
 def _mean_std(values):
@@ -140,8 +157,8 @@ def aggregate_reports(reports) -> dict:
     }
 
 
-def _worker_count(num_seeds: int) -> int:
-    workers = min(num_seeds, os.cpu_count() or 1)
+def _worker_count(num_jobs: int) -> int:
+    workers = min(num_jobs, os.cpu_count() or 1)
     cap = os.environ.get("EVID_NUM_WORKERS")
     if cap is not None:
         try:
@@ -151,28 +168,45 @@ def _worker_count(num_seeds: int) -> int:
     return workers
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
-    """Run every configured seed and write the run directory tree.
+def run_rows(configs, out_dirs=None) -> list:
+    """Run every config on each of its seeds; returns each config's reports
+    in the order of its seeds.
 
-    Returns the aggregate dict, which is also written to aggregate.json.
+    Configs that differ only in their US, CS and class-balance switches
+    share one job per seed (see ``run_ada_rows``). The jobs run largest
+    first, in one process pool when more than one worker is allowed. With
+    ``out_dirs``, each config's config.json and seed directories are written
+    under its entry.
     """
-    workers = _worker_count(len(config.seeds))
-    base = Path(out_dir if out_dir is not None else config.output_dir)
-    base = base / config_hash(config)
-    base.mkdir(parents=True, exist_ok=True)
-    (base / "config.json").write_text(config.to_json() + "\n")
-
+    groups = {}
+    for i, config in enumerate(configs):
+        prefix = config_hash(config.with_switches(us=False, cs=False, class_balanced=False))
+        for seed in config.seeds:
+            groups.setdefault((prefix, seed), []).append(i)
+    workers = _worker_count(len(groups))
+    if out_dirs is not None:
+        for config, out in zip(configs, out_dirs):
+            Path(out).mkdir(parents=True, exist_ok=True)
+            (Path(out) / "config.json").write_text(config.to_json() + "\n")
+    jobs = sorted(groups.items(), key=lambda job: -len(job[1]))  # largest first
+    args = [
+        ([configs[i] for i in rows], seed, None if out_dirs is None else [out_dirs[i] for i in rows])
+        for (_, seed), rows in jobs
+    ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_and_write, config, seed, str(base))
-                for seed in config.seeds
-            ]
-            rows = [f.result() for f in futures]
+            futures = [pool.submit(_run_job, *a) for a in args]
+            results = [f.result() for f in futures]
     else:
-        rows = [_run_and_write(config, seed, str(base)) for seed in config.seeds]
+        results = [_run_job(*a) for a in args]
+    reports = {}
+    for ((_, seed), rows), got in zip(jobs, results):
+        reports.update(((i, seed), report) for i, report in zip(rows, got))
+    return [[reports[i, seed] for seed in config.seeds] for i, config in enumerate(configs)]
 
-    summary = aggregate_reports(rows)
+
+def _write_aggregate(base: Path, config: ExperimentConfig, reports) -> dict:
+    summary = aggregate_reports(reports)
     summary["config_hash"] = config_hash(config)
     summary["mode"] = config.mode
     summary["ablation"] = config.ablation.row_name()
@@ -182,22 +216,41 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     return summary
 
 
+def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
+    """Run every configured seed and write the run directory tree.
+
+    Returns the aggregate dict, which is also written to aggregate.json.
+    """
+    base = Path(out_dir if out_dir is not None else config.output_dir)
+    base = base / config_hash(config)
+    [reports] = run_rows([config], [base])
+    return _write_aggregate(base, config, reports)
+
+
 def run_ablation(config: ExperimentConfig, out_dir=None) -> list:
     """Run the five-row ablation grid on the same seeds and data settings.
 
     Row order: source-only, +UG, +US, +UG+US, +UG+US+CS. Returns the rows
-    and writes ablation.json at the top of the output directory.
+    and writes ablation.json at the top of the output directory; each row
+    directory holds what ``run_experiment`` writes for that row.
     """
     base = Path(out_dir if out_dir is not None else config.output_dir)
     # Validate every row before any runs: the +US rows switch uncertainty
     # sampling on, which brings the oracle budget into play.
-    rows = [
-        (name, parse_config(config.with_switches(**flags).to_document()))
-        for name, flags in ABLATION_ROWS
+    configs = [
+        parse_config(config.with_switches(**flags).to_document())
+        for _, flags in ABLATION_ROWS
     ]
+    row_dirs = [
+        base / "ablation" / name / config_hash(row_config)
+        for (name, _), row_config in zip(ABLATION_ROWS, configs)
+    ]
+    # Every job finishes before any aggregate is written, so a failed run
+    # leaves no row looking complete.
+    results = run_rows(configs, row_dirs)
     table = []
-    for name, row_config in rows:
-        summary = run_experiment(row_config, out_dir=base / "ablation" / name)
+    for (name, _), row_config, row_dir, reports in zip(ABLATION_ROWS, configs, row_dirs, results):
+        summary = _write_aggregate(row_dir, row_config, reports)
         table.append(
             {
                 "row": name,
@@ -209,6 +262,5 @@ def run_ablation(config: ExperimentConfig, out_dir=None) -> list:
                 "config_hash": summary["config_hash"],
             }
         )
-    base.mkdir(parents=True, exist_ok=True)
     (base / "ablation.json").write_text(json.dumps(table, indent=2) + "\n")
     return table

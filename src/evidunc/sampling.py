@@ -22,11 +22,14 @@ opposite ends. The round then acquires both sets from the pool.
 
 ``run_ada`` interleaves training epochs with sampling rounds and fills an
 AdaRunReport with accuracies, AUROC snapshots, selection logs, and the
-quantities the report consumers need.
+quantities the report consumers need. ``run_ada_rows`` runs several
+settings of the US and CS switches from one training prefix: nothing before
+the first round depends on them.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +52,7 @@ __all__ = [
     "uncertainty_sampling",
     "certainty_sampling",
     "run_ada",
+    "run_ada_rows",
     "eu_sort_count",
 ]
 
@@ -276,66 +280,116 @@ def run_ada(
     guidance loss, the selection scores, the AUROC snapshot and
     ``report.mode``.
     """
+    [(report, _)] = run_ada_rows(
+        model, pool, train_cfg, loss_cfg, plans, schedule,
+        [(us_enabled, cs_enabled, class_balanced)],
+        ug_enabled=ug_enabled, auroc_epoch=auroc_epoch,
+    )
+    return report
+
+
+def run_ada_rows(model, pool: SamplePool, train_cfg, loss_cfg: LossConfig, plans, schedule,
+                 rows, ug_enabled: bool = True, auroc_epoch: int | None = None) -> list:
+    """``run_ada`` for several ``(us_enabled, cs_enabled, class_balanced)``
+    rows that share every other argument; returns one (report, model) pair
+    per row, each equal to what ``run_ada`` gives for that row.
+
+    The rows differ only from their first round on, so the epochs up to the
+    first scheduled one are trained once. Each row but the last then finishes
+    from its own deep copy of that state; the last finishes on ``model`` and
+    ``pool`` themselves, so a single row copies nothing.
+    """
     plans = list(plans)
     schedule = list(schedule)
     problems = round_problems(plans, schedule, train_cfg.epochs, pool.budget_total,
-                              us_enabled, auroc_epoch)
+                              any(us_enabled for us_enabled, _, _ in rows), auroc_epoch)
     if problems:
         raise DomainError("; ".join(f"{key}: {message}" for key, message in problems))
-    if auroc_epoch is None:
-        auroc_epoch = schedule[0] if schedule else None
-    mode = loss_cfg.mode
+    run = _AdaRun(model, pool, train_cfg, loss_cfg, plans, schedule, ug_enabled, auroc_epoch)
+    run.train_to(run.split_epoch)
+    finished = []
+    for i, switches in enumerate(rows):
+        row = run if i == len(rows) - 1 else copy.deepcopy(run)
+        finished.append((row.finish(*switches), row.model))
+    return finished
 
-    report = AdaRunReport(mode=mode, seed=train_cfg.seed, auroc_epoch=auroc_epoch)
-    trainer = Trainer(model, pool, train_cfg, loss_cfg, ug_enabled=ug_enabled)
-    rounds_by_epoch = dict(zip(schedule, plans))
-    target_features = pool.target_features_by_id(np.arange(pool.num_target))
-    target_labels = pool.true_target_labels()
 
-    pseudo_hits = 0
-    pseudo_total = 0
-    unlabeled_acc = []
+class _AdaRun:
+    """The state ``run_ada`` carries from epoch to epoch: the model, the pool,
+    the trainer with its momentum buffers and shuffle streams, and the report
+    so far. A deep copy is an independent run that continues from the same
+    point."""
 
-    for epoch in range(1, train_cfg.epochs + 1):
-        sup, ug = trainer.run_epoch()
-        report.loss_curve.append((epoch, sup, ug))
+    def __init__(self, model, pool: SamplePool, train_cfg, loss_cfg: LossConfig, plans,
+                 schedule, ug_enabled: bool, auroc_epoch: int | None):
+        if auroc_epoch is None:
+            auroc_epoch = schedule[0] if schedule else None
+        self.model = model
+        self.pool = pool
+        self.mode = loss_cfg.mode
+        self.auroc_epoch = auroc_epoch
+        self.rounds_by_epoch = dict(zip(schedule, plans))
+        # Nothing before the first round depends on the US and CS switches.
+        self.split_epoch = schedule[0] if schedule else train_cfg.epochs
+        self.report = AdaRunReport(mode=self.mode, seed=train_cfg.seed, auroc_epoch=auroc_epoch)
+        self.trainer = Trainer(model, pool, train_cfg, loss_cfg, ug_enabled=ug_enabled)
+        self.target_features = pool.target_features_by_id(np.arange(pool.num_target))
+        self.target_labels = pool.true_target_labels()
 
-        if epoch == auroc_epoch:
-            _record_auroc(report, model, target_features, target_labels, mode)
-        plan = rounds_by_epoch.get(epoch)
-        if plan is None:
-            continue
+    def train_to(self, epoch: int) -> None:
+        """Train through ``epoch``, taking the AUROC snapshot on the way; the
+        round after ``epoch`` is left to the caller."""
+        while self.trainer.epochs_done < epoch:
+            sup, ug = self.trainer.run_epoch()
+            done = self.trainer.epochs_done
+            self.report.loss_curve.append((done, sup, ug))
+            if done == self.auroc_epoch:
+                _record_auroc(self.report, self.model, self.target_features,
+                              self.target_labels, self.mode)
 
-        sorts_before = eu_sort_count()
-        rnd = _selection_round(pool, model, plan, mode, us_enabled, cs_enabled, class_balanced)
-        report.eu_sorts_per_round.append(eu_sort_count() - sorts_before)
-        for kind, chosen in (("uncertain", rnd.uncertain), ("certain", rnd.certain)):
-            report.selection_log.extend(
-                _log_rows(plan.round_index, kind, chosen, rnd, target_labels)
-            )
-        if rnd.certain.size:
-            unlabeled_acc.append(float(np.mean(rnd.predicted == target_labels[rnd.ids])))
-            pseudo_hits += int((rnd.pseudo == target_labels[rnd.certain]).sum())
-            pseudo_total += int(rnd.pseudo.size)
-        pool.check_invariants()
-        report.round_accuracies.append(evaluate(model, target_features, target_labels))
+    def finish(self, us_enabled: bool, cs_enabled: bool, class_balanced: bool) -> AdaRunReport:
+        """Run the rounds from the split epoch on with the rest of training,
+        then fill in the closing fields of the report."""
+        model, pool, report, labels = self.model, self.pool, self.report, self.target_labels
+        pseudo_hits = 0
+        pseudo_total = 0
+        unlabeled_acc = []
+        for epoch in range(self.split_epoch, self.trainer.cfg.epochs + 1):
+            self.train_to(epoch)
+            plan = self.rounds_by_epoch.get(epoch)
+            if plan is None:
+                continue
+            sorts_before = eu_sort_count()
+            rnd = _selection_round(pool, model, plan, self.mode, us_enabled, cs_enabled,
+                                   class_balanced)
+            report.eu_sorts_per_round.append(eu_sort_count() - sorts_before)
+            for kind, chosen in (("uncertain", rnd.uncertain), ("certain", rnd.certain)):
+                report.selection_log.extend(
+                    _log_rows(plan.round_index, kind, chosen, rnd, labels)
+                )
+            if rnd.certain.size:
+                unlabeled_acc.append(float(np.mean(rnd.predicted == labels[rnd.ids])))
+                pseudo_hits += int((rnd.pseudo == labels[rnd.certain]).sum())
+                pseudo_total += int(rnd.pseudo.size)
+            pool.check_invariants()
+            report.round_accuracies.append(evaluate(model, self.target_features, labels))
 
-    report.final_accuracy = evaluate(model, target_features, target_labels)
-    report.budget_spent = pool.budget_spent
-    if pseudo_total:
-        report.pseudo_label_accuracy = pseudo_hits / pseudo_total
-        report.model_accuracy_on_unlabeled = float(np.mean(unlabeled_acc))
-    report.class_uncertainty_source = class_level_uncertainty_summary(
-        model, pool.source_features
-    )
-    report.class_uncertainty_target = class_level_uncertainty_summary(
-        model, target_features
-    )
-    report.correlated_pairs = rank_class_pairs(
-        model.forward_batch(target_features), labels=target_labels
-    )
-    report.validate()
-    return report
+        report.final_accuracy = evaluate(model, self.target_features, labels)
+        report.budget_spent = pool.budget_spent
+        if pseudo_total:
+            report.pseudo_label_accuracy = pseudo_hits / pseudo_total
+            report.model_accuracy_on_unlabeled = float(np.mean(unlabeled_acc))
+        report.class_uncertainty_source = class_level_uncertainty_summary(
+            model, pool.source_features
+        )
+        report.class_uncertainty_target = class_level_uncertainty_summary(
+            model, self.target_features
+        )
+        report.correlated_pairs = rank_class_pairs(
+            model.forward_batch(self.target_features), labels=labels
+        )
+        report.validate()
+        return report
 
 
 def _record_auroc(report, model, features, labels, mode):

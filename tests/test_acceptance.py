@@ -21,7 +21,7 @@ from evidunc.dirichlet import (
     sample_uncertainty_entropy,
 )
 from evidunc.enn import EvidentialMLP, TrainConfig, train
-from evidunc.experiments import run_seed
+from evidunc.experiments import run_rows
 from evidunc.losses import (
     LossConfig,
     OneHotLabel,
@@ -86,10 +86,8 @@ DESK_ROWS = (
 def desk_study():
     config = parse_config(DESK_DOCUMENT)
     started = time.perf_counter()
-    rows = {
-        name: [run_seed(config.with_switches(**flags), s)[0] for s in config.seeds]
-        for name, flags in DESK_ROWS
-    }
+    results = run_rows([config.with_switches(**flags) for _, flags in DESK_ROWS])
+    rows = {name: reports for (name, _), reports in zip(DESK_ROWS, results)}
     return rows, time.perf_counter() - started
 
 

@@ -13,6 +13,7 @@ from evidunc.config import (
     load_config,
     parse_config,
 )
+from evidunc import experiments
 from evidunc.experiments import (
     ABLATION_ROWS,
     aggregate_reports,
@@ -333,3 +334,64 @@ class TestAblation:
         _, _, source_plain, _ = run_seed(config.with_switches(ug=False, us=False, cs=False), 0)
         _, _, source_full, _ = run_seed(config, 0)
         assert np.array_equal(source_plain.features, source_full.features)
+
+
+def tree_bytes(base):
+    """Relative path -> bytes of every file under base."""
+    return {str(p.relative_to(base)): p.read_bytes() for p in sorted(base.rglob("*")) if p.is_file()}
+
+
+class TestSharedPrefix:
+    """The grid trains each (UG group, seed) prefix once and finishes every
+    row from a copy; what it writes must equal per-row unshared runs."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("auroc_epoch", [None, 4], ids=["auroc-default", "auroc-after-round"])
+    def test_grid_matches_per_row_runs(self, tmp_path, monkeypatch, workers, auroc_epoch):
+        monkeypatch.setenv("EVID_NUM_WORKERS", workers)
+        document = tiny_document()
+        document["sampling"]["auroc_epoch"] = auroc_epoch
+        config = parse_config(document)
+        run_ablation(config, out_dir=tmp_path / "grid")
+        for name, flags in ABLATION_ROWS:
+            row_config = parse_config(config.with_switches(**flags).to_document())
+            run_experiment(row_config, out_dir=tmp_path / "rows" / "ablation" / name)
+        shared = tree_bytes(tmp_path / "grid" / "ablation")
+        assert len(shared) == 5 * (2 + 2 * 5)
+        assert shared == tree_bytes(tmp_path / "rows" / "ablation")
+        if auroc_epoch is not None:
+            report = json.loads(next((tmp_path / "grid").rglob("report.json")).read_text())
+            assert report["auroc_epoch"] == 4
+
+    @pytest.mark.parametrize("ug", [True, False])
+    def test_rows_finished_in_reverse_give_the_same_bytes(self, ug):
+        config = parse_config(tiny_document())
+        group = [config.with_switches(**flags) for _, flags in ABLATION_ROWS
+                 if flags["ug"] == ug]
+
+        def outputs(configs):
+            rows, _, _ = experiments._run_group(configs, 1)
+            return [(report.to_json(), b"".join(w.tobytes() for w in model.weights + model.biases))
+                    for report, model in rows]
+
+        forward = outputs(group)
+        assert outputs(group[::-1]) == forward[::-1]
+        assert len(set(forward)) == len(group)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_job_leaves_no_aggregate(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setenv("EVID_NUM_WORKERS", workers)
+        write = experiments._write_seed_outputs
+
+        def failing(run_dir, *args):
+            if "+US" in run_dir.parts and run_dir.name == "seed1":
+                raise RuntimeError("disk full")
+            write(run_dir, *args)
+
+        monkeypatch.setattr(experiments, "_write_seed_outputs", failing)
+        config = parse_config(tiny_document(output_dir=str(tmp_path / "out")))
+        with pytest.raises(RuntimeError, match="disk full"):
+            run_ablation(config)
+        written = [p.name for p in (tmp_path / "out").rglob("*")]
+        assert "report.json" in written
+        assert "aggregate.json" not in written and "ablation.json" not in written
