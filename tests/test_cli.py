@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from evidunc.cli import main
+from evidunc.dirichlet import DirichletPrediction, predict_class
+from oracles import per_prediction_record
 
 
 def write_config(tmp_path, **overrides):
@@ -140,6 +142,25 @@ class TestQuantify:
         path.write_text(f"[[2, 3], [{10**400}, 2]]")
         assert main(["quantify", str(path)]) == 2
         assert f"{path}: alphas[1]: int too large" in capsys.readouterr().err
+
+    def test_one_record_per_line_in_input_order(self, tmp_path, capsys):
+        rows = [[2.0, 3.0, 5.0], [1.0, 1.0], [1e-12, 4.0, 7.0, 1.0], [1e200, 1e200]]
+        path = tmp_path / "alphas.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        assert main(["quantify", str(path)]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert len(lines) == len(rows) + 2
+        assert (lines[0], lines[-1]) == ("[", "]")
+        records = json.loads(out)
+        assert [len(r["alpha"]) for r in records] == [len(row) for row in rows]
+        for line, record, row in zip(lines[1:-1], records, rows):
+            assert json.loads(line.rstrip(",")) == record
+            pred = DirichletPrediction.from_alpha(row)
+            assert record == {**per_prediction_record(pred), "predicted_class": predict_class(pred)}
+        path.write_text("")
+        assert main(["quantify", str(path)]) == 0
+        assert capsys.readouterr().out == "[]\n"
 
 
 class TestRun:

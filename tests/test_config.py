@@ -1,6 +1,7 @@
 """Config parsing and the multi-seed experiment driver."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -394,4 +395,25 @@ class TestSharedPrefix:
             run_ablation(config)
         written = [p.name for p in (tmp_path / "out").rglob("*")]
         assert "report.json" in written
+        assert "aggregate.json" not in written and "ablation.json" not in written
+
+    def test_failed_job_cancels_queued_jobs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EVID_NUM_WORKERS", "2")
+        write = experiments._write_seed_outputs
+        marker = tmp_path / "failed"
+
+        def failing_first(run_dir, *args):
+            try:  # exclusive create: only the first call in any process fails
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return write(run_dir, *args)
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(experiments, "_write_seed_outputs", failing_first)
+        config = parse_config(tiny_document(output_dir=str(tmp_path / "out"), seeds=list(range(12))))
+        with pytest.raises(RuntimeError, match="disk full"):
+            run_ablation(config)
+        written = [p.name for p in (tmp_path / "out").rglob("*")]
+        jobs = 2 * len(config.seeds)  # one per (UG group, seed)
+        assert written.count("report.json") < jobs
         assert "aggregate.json" not in written and "ablation.json" not in written

@@ -22,11 +22,13 @@ from evidunc.dirichlet import (
     predict_class_batch,
     prediction_from_record,
     quantify_record,
+    quantify_records,
     sample_uncertainty_entropy,
     sample_uncertainty_variance,
     variance_uncertainties_batch,
 )
 from evidunc.special import DomainError
+from oracles import per_prediction_record
 
 
 def random_alphas(seed, count, max_classes=20):
@@ -262,6 +264,26 @@ class TestValidationAndRecords:
         assert ent["total"] == pytest.approx(1.0296530140645737, abs=1e-9)
         assert len(record["covariance"]) == 3
         assert len(record["correlation"]) == 3
+
+    @pytest.mark.parametrize("classes", range(2, 11))
+    def test_batch_records_equal_one_row_records(self, classes):
+        rng = np.random.default_rng(classes)
+        rows = np.exp(rng.uniform(math.log(1e-2), math.log(1e3), size=(40, classes)))
+        rows[rng.random(rows.shape) < 0.1] = 1e-12  # raised to ALPHA_FLOOR
+        rows[::13] = 1e200
+        alpha = np.stack([DirichletPrediction.from_alpha(row).alpha for row in rows])
+        batch = quantify_records(alpha)
+        assert len(batch) == len(alpha)
+        for i, record in enumerate(batch):
+            pred = DirichletPrediction(alpha[i])
+            assert record == quantify_record(pred)
+            assert record == per_prediction_record(pred)
+
+    def test_huge_equal_alphas_keep_negative_mutual_information(self):
+        # Cancellation in total - aleatoric; entropy-mode selection reads
+        # the same kernel, so the record keeps the value unclamped.
+        [record] = quantify_records(np.array([[1e200, 1e200]]))
+        assert record["uncertainty"]["entropy"]["sample"]["epistemic"] == -1.887379141862766e-15
 
     def test_record_missing_alpha(self):
         with pytest.raises(DomainError):
