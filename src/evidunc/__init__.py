@@ -24,10 +24,8 @@ from .dirichlet import (
     covariance_batch,
     covariance_bundle,
     entropy_uncertainties_batch,
-    mean_probabilities,
     predict_class,
     predict_class_batch,
-    prediction_from_record,
     quantify_record,
     quantify_records,
     sample_uncertainty_entropy,
@@ -51,17 +49,7 @@ from .experiments import (
     run_rows,
     run_seed,
 )
-from .losses import (
-    LossConfig,
-    OneHotLabel,
-    edl_loss,
-    edl_loss_and_gradient,
-    kl_regularizer,
-    nll_loss,
-    total_loss,
-    ug_loss,
-    ug_loss_and_gradient,
-)
+from .losses import LossConfig
 from .metrics import (
     AdaRunReport,
     auroc,
@@ -81,14 +69,7 @@ from .sampling import (
     uncertainty_sampling,
 )
 from .special import DomainError, digamma, gamma_terms, log_gamma, trigamma
-from .synthetic import (
-    Dataset,
-    DomainSpec,
-    generate_domain_pair,
-    import_domains_csv,
-    export_domains_csv,
-    split_pools,
-)
+from .synthetic import Dataset, DomainSpec, generate_domain_pair, split_pools
 
 __version__ = "0.1.0"
 
@@ -107,7 +88,6 @@ __all__ = [
     "EvidentialMLP",
     "ExperimentConfig",
     "LossConfig",
-    "OneHotLabel",
     "PoolError",
     "RoundPlan",
     "SamplePool",
@@ -127,27 +107,19 @@ __all__ = [
     "dataset_class_correlation",
     "default_round_plans",
     "default_schedule",
-    "edl_loss",
-    "edl_loss_and_gradient",
     "entropy_uncertainties_batch",
     "evaluate",
-    "export_domains_csv",
     "export_uncertainty_histograms",
     "generate_domain_pair",
-    "import_domains_csv",
-    "kl_regularizer",
     "load_checkpoint",
     "load_config",
     "log_gamma",
     "digamma",
     "trigamma",
     "gamma_terms",
-    "mean_probabilities",
-    "nll_loss",
     "parse_config",
     "predict_class",
     "predict_class_batch",
-    "prediction_from_record",
     "quantify_record",
     "quantify_records",
     "rank_class_pairs",
@@ -160,9 +132,6 @@ __all__ = [
     "sample_uncertainty_variance",
     "save_checkpoint",
     "split_pools",
-    "total_loss",
-    "ug_loss",
-    "ug_loss_and_gradient",
     "uncertainty_sampling",
     "variance_uncertainties_batch",
     "__version__",

@@ -38,7 +38,6 @@ __all__ = [
     "DirichletPrediction",
     "CovarianceBundle",
     "UncertaintyBundle",
-    "mean_probabilities",
     "predict_class",
     "covariance_bundle",
     "sample_uncertainty_variance",
@@ -50,7 +49,6 @@ __all__ = [
     "predict_class_batch",
     "quantify_record",
     "quantify_records",
-    "prediction_from_record",
 ]
 
 # Floor applied to externally supplied alpha vectors: protects digamma and
@@ -129,11 +127,6 @@ class UncertaintyBundle:
     class_total: np.ndarray = field(default_factory=lambda: np.empty(0))
     class_aleatoric: np.ndarray = field(default_factory=lambda: np.empty(0))
     class_epistemic: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
-def mean_probabilities(pred: DirichletPrediction) -> np.ndarray:
-    """Expected class probabilities alpha / alpha0."""
-    return pred.alpha / pred.alpha.sum()
 
 
 def predict_class(pred: DirichletPrediction) -> int:
@@ -279,10 +272,3 @@ def quantify_records(alpha: np.ndarray) -> list:
 def quantify_record(pred: DirichletPrediction) -> dict:
     """The record of ``quantify_records`` for one prediction."""
     return quantify_records(pred.alpha[None, :])[0]
-
-
-def prediction_from_record(record: dict) -> DirichletPrediction:
-    """Build a prediction from a JSON record holding an "alpha" list."""
-    if "alpha" not in record:
-        raise DomainError("record is missing the 'alpha' field")
-    return DirichletPrediction.from_alpha(record["alpha"])

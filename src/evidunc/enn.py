@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import DirichletPrediction, predict_class_batch
+from .dirichlet import predict_class_batch
 from .losses import LossConfig, edl_batch, ug_batch
 from .pools import SamplePool
 from .special import DomainError
@@ -74,6 +74,8 @@ class TrainConfig:
             raise DomainError("weight_decay must be nonnegative")
         if self.lr_schedule not in LR_SCHEDULES:
             raise DomainError(f"lr_schedule must be one of {LR_SCHEDULES}")
+        if self.lr_gamma < 0 or self.lr_beta < 0:
+            raise DomainError("lr_gamma and lr_beta must be nonnegative")
 
     def lr_at(self, progress: float) -> float:
         """Learning rate at training progress p in [0, 1]: inverse decay
@@ -137,13 +139,6 @@ class EvidentialMLP:
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """Alpha matrix (n, C) for an (n, d) input batch."""
         return self._forward_cached(x)[0]
-
-    def forward(self, x) -> DirichletPrediction:
-        """Dirichlet prediction for a single feature vector."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise DomainError("forward takes a single feature vector")
-        return DirichletPrediction(self.forward_batch(x[None, :])[0])
 
     def alpha_gradient_to_param_gradients(self, dalpha, alpha, activations, active):
         """Backprop an (n, C) alpha-gradient to per-parameter gradients.

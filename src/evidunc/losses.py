@@ -12,10 +12,11 @@ Two loss families:
   entropy quantification, which drives the network to commit on samples it
   has no label for.
 
-Every loss comes with its exact gradient with respect to alpha, derived in
-closed form; the test suite checks them against central finite differences.
-Batch functions take ``(n, C)`` alpha matrices and return per-row losses and
-gradients, which is the shape the trainer consumes.
+``edl_batch`` and ``ug_batch`` are the whole loss API. Each takes an
+``(n, C)`` alpha matrix and returns per-row losses and their exact
+alpha-gradients, derived in closed form, which is the shape the trainer
+consumes; the test suite checks them against central finite differences. A
+single sample is the one-row batch ``alpha[None, :]``.
 """
 
 from __future__ import annotations
@@ -25,46 +26,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dirichlet import DirichletPrediction
 from .special import DomainError, digamma, gamma_terms, log_gamma, trigamma
 
-__all__ = [
-    "OneHotLabel",
-    "LossConfig",
-    "nll_loss",
-    "kl_regularizer",
-    "edl_loss",
-    "ug_loss",
-    "edl_loss_and_gradient",
-    "ug_loss_and_gradient",
-    "edl_batch",
-    "ug_batch",
-    "total_loss",
-]
+__all__ = ["LossConfig", "edl_batch", "ug_batch"]
 
 QUANTIFICATION_MODES = ("variance", "entropy")
 REDUCTIONS = ("mean", "sum")
-
-
-@dataclass(frozen=True)
-class OneHotLabel:
-    """Ground-truth class for one sample, 1-based."""
-
-    class_index: int
-    num_classes: int
-
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise DomainError("at least two classes are required")
-        if not 1 <= self.class_index <= self.num_classes:
-            raise DomainError(
-                f"class_index {self.class_index} out of range 1..{self.num_classes}"
-            )
-
-    def vector(self) -> np.ndarray:
-        out = np.zeros(self.num_classes)
-        out[self.class_index - 1] = 1.0
-        return out
 
 
 @dataclass(frozen=True)
@@ -97,14 +64,6 @@ class LossConfig:
 
     def resolve_lambda_reg(self, num_classes: int) -> float:
         return 1.0 / num_classes if self.lambda_reg is None else self.lambda_reg
-
-
-def _as_batch(pred: DirichletPrediction, label: OneHotLabel):
-    if label.num_classes != pred.num_classes:
-        raise DomainError(
-            f"label has {label.num_classes} classes, prediction has {pred.num_classes}"
-        )
-    return pred.alpha[None, :], np.array([label.class_index])
 
 
 def _nll_batch(alpha: np.ndarray, classes: np.ndarray):
@@ -186,73 +145,3 @@ def ug_batch(alpha: np.ndarray, config: LossConfig):
     if config.mode == "variance":
         return _ug_variance_batch(alpha, config.lambda_a, config.lambda_e)
     return _ug_entropy_batch(alpha, config.lambda_a, config.lambda_e)
-
-
-def nll_loss(pred: DirichletPrediction, label: OneHotLabel) -> float:
-    """Evidential negative log-likelihood ln(alpha0) - ln(alpha_true)."""
-    alpha, classes = _as_batch(pred, label)
-    return float(_nll_batch(alpha, classes)[0][0])
-
-
-def kl_regularizer(pred: DirichletPrediction, label: OneHotLabel) -> float:
-    """KL divergence from the flat Dirichlet after removing the true-class
-    evidence; zero exactly when the non-true classes carry no evidence."""
-    alpha, classes = _as_batch(pred, label)
-    return float(_kl_batch(alpha, classes)[0][0])
-
-
-def edl_loss(pred: DirichletPrediction, label: OneHotLabel, config: LossConfig) -> float:
-    """Supervised loss: NLL plus lambda_reg times the KL regularizer."""
-    alpha, classes = _as_batch(pred, label)
-    return float(edl_batch(alpha, classes, config)[0][0])
-
-
-def ug_loss(pred: DirichletPrediction, config: LossConfig) -> float:
-    """Unsupervised loss lambda_a * U_alea + lambda_e * U_epis in the
-    configured quantification mode."""
-    return float(ug_batch(pred.alpha[None, :], config)[0][0])
-
-
-def edl_loss_and_gradient(pred: DirichletPrediction, label: OneHotLabel, config: LossConfig):
-    """Supervised loss and its exact gradient with respect to alpha."""
-    alpha, classes = _as_batch(pred, label)
-    loss, grad = edl_batch(alpha, classes, config)
-    return float(loss[0]), grad[0]
-
-def ug_loss_and_gradient(pred: DirichletPrediction, config: LossConfig):
-    """Unsupervised loss and its exact gradient with respect to alpha."""
-    loss, grad = ug_batch(pred.alpha[None, :], config)
-    return float(loss[0]), grad[0]
-
-
-def total_loss(
-    labeled_alpha: np.ndarray,
-    labels: np.ndarray,
-    unlabeled_alpha: np.ndarray | None,
-    config: LossConfig,
-    labeled_weights: np.ndarray | None = None,
-) -> float:
-    """Combined objective: supervised loss over the labeled batch plus the
-    uncertainty-guided loss over the unlabeled batch.
-
-    With "mean" reduction each part is averaged over its own batch (weighted
-    rows still divide by the row count); with "sum" the parts add up exactly,
-    so the total over a pool equals the sum over any partition of it. Empty
-    batches contribute zero.
-    """
-    out = 0.0
-    labeled_alpha = np.asarray(labeled_alpha, dtype=np.float64)
-    if labeled_alpha.size:
-        per_row, _ = edl_batch(labeled_alpha, np.asarray(labels), config)
-        if labeled_weights is not None:
-            weights = np.asarray(labeled_weights, dtype=np.float64)
-            if weights.shape != per_row.shape:
-                raise DomainError("labeled_weights must match the labeled batch length")
-            per_row = per_row * weights
-        out += per_row.sum() if config.reduction == "sum" else per_row.mean()
-    if unlabeled_alpha is not None:
-        unlabeled_alpha = np.asarray(unlabeled_alpha, dtype=np.float64)
-        if unlabeled_alpha.size:
-            per_row, _ = ug_batch(unlabeled_alpha, config)
-            out += per_row.sum() if config.reduction == "sum" else per_row.mean()
-    return float(out)

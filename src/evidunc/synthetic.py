@@ -14,7 +14,6 @@ oracle budget.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -29,8 +28,6 @@ __all__ = [
     "default_class_means",
     "generate_domain_pair",
     "split_pools",
-    "export_domains_csv",
-    "import_domains_csv",
 ]
 
 
@@ -165,56 +162,3 @@ def split_pools(
     if warm:
         pool.acquire_with_oracle(np.arange(warm))
     return pool
-
-
-def export_domains_csv(source: Dataset, target: Dataset, path) -> None:
-    """Write both domains as rows of (sample_id, domain, label, f1..fd).
-
-    Sample ids are per-domain row indices, matching pool ids.
-    """
-    dim = source.features.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "domain", "label"] + [f"f{i + 1}" for i in range(dim)])
-        for dataset in (source, target):
-            for i in range(dataset.size):
-                writer.writerow(
-                    [i, dataset.domain, int(dataset.labels[i])]
-                    + [repr(float(v)) for v in dataset.features[i]]
-                )
-
-
-def import_domains_csv(path):
-    """Read a (source, target) pair written by export_domains_csv.
-
-    Malformed rows are reported with their line number.
-    """
-    buckets = {"source": [], "target": []}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != ["sample_id", "domain", "label"]:
-            raise DomainError(f"{path}: missing or malformed header row")
-        dim = len(header) - 3
-        if dim < 1:
-            raise DomainError(f"{path}: no feature columns in header")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 3 + dim:
-                raise DomainError(f"{path}:{line_no}: expected {3 + dim} columns")
-            _, domain, label = row[0], row[1], row[2]
-            if domain not in buckets:
-                raise DomainError(f"{path}:{line_no}: unknown domain {domain!r}")
-            try:
-                parsed = (int(label), [float(v) for v in row[3:]])
-            except ValueError as exc:
-                raise DomainError(f"{path}:{line_no}: {exc}") from None
-            buckets[domain].append(parsed)
-    out = []
-    for domain in ("source", "target"):
-        rows = buckets[domain]
-        if not rows:
-            raise DomainError(f"{path}: no rows for domain {domain!r}")
-        labels = np.array([r[0] for r in rows], dtype=np.int64)
-        features = np.array([r[1] for r in rows])
-        out.append(Dataset(features, labels, domain))
-    return tuple(out)

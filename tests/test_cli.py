@@ -275,6 +275,14 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, value", [("lr_gamma", -5.0), ("lr_beta", -3.0)])
+    def test_negative_lr_schedule_value_exit_two(self, tmp_path, capsys, field, value):
+        config = write_config(tmp_path, train={"epochs": 6, field: value})
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "train: " in err and field in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_override_exit_two(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config), "--seeds", "-1"]) == 2

@@ -149,6 +149,31 @@ class TestParsing:
         for needle in needles:
             assert needle in str(info.value)
 
+    @pytest.mark.parametrize("document, bad_rounds", [
+        ({"sampling": {"plans": [{"round_index": 1, "b_u": 2, "b_c": 0, "kappa": 100000}],
+                       "schedule": [10]}}, [1]),
+        ({"sampling": {"budget_fraction": 1.0}}, [1, 2, 3, 4, 5]),
+    ])
+    def test_oversized_candidate_window_rejected(self, document, bad_rounds):
+        with pytest.raises(ConfigError) as info:
+            parse_config(document)
+        lines = str(info.value).splitlines()[1:]
+        assert [line.split()[2] for line in lines] == [str(i) for i in bad_rounds]
+        assert all(line.startswith("  sampling.plans: round ") for line in lines)
+
+    @pytest.mark.parametrize("cs, kappa, left", [(True, 17, None), (True, 18, 72),
+                                                 (False, 18, None), (False, 20, 76)])
+    def test_candidate_window_counts_earlier_picks(self, cs, kappa, left):
+        # 80 target samples; round 1 takes 4 oracle labels and, with CS on,
+        # 4 pseudo labels, so round 2 chooses among 72 or 76.
+        document = tiny_document(ablation={"ug": True, "us": True, "cs": cs})
+        document["sampling"]["plans"][1]["kappa"] = kappa
+        if left is None:
+            parse_config(document)
+            return
+        with pytest.raises(ConfigError, match=f"round 2 .* only {left} are left"):
+            parse_config(document)
+
     def test_load_reports_json_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "mode": variance\n}\n')

@@ -17,10 +17,8 @@ from evidunc.dirichlet import (
     DirichletPrediction,
     covariance_bundle,
     entropy_uncertainties_batch,
-    mean_probabilities,
     predict_class,
     predict_class_batch,
-    prediction_from_record,
     quantify_record,
     quantify_records,
     sample_uncertainty_entropy,
@@ -63,7 +61,6 @@ def simulate_label_covariances(alpha, n, seed):
 class TestSpotValues:
     def test_mean_and_prediction(self):
         pred = DirichletPrediction.from_alpha([2.0, 3.0, 5.0])
-        np.testing.assert_allclose(mean_probabilities(pred), [0.2, 0.3, 0.5], atol=1e-15)
         assert predict_class(pred) == 3
 
     def test_prediction_tie_takes_lowest_class(self):
@@ -255,7 +252,7 @@ class TestValidationAndRecords:
             "covariance_epistemic",
             "correlation",
         }
-        back = prediction_from_record(record)
+        back = DirichletPrediction.from_alpha(record["alpha"])
         np.testing.assert_array_equal(back.alpha, pred.alpha)
         var = record["uncertainty"]["variance"]
         assert var["sample"]["total"] == pytest.approx(0.62, abs=1e-12)
@@ -284,10 +281,6 @@ class TestValidationAndRecords:
         # the same kernel, so the record keeps the value unclamped.
         [record] = quantify_records(np.array([[1e200, 1e200]]))
         assert record["uncertainty"]["entropy"]["sample"]["epistemic"] == -1.887379141862766e-15
-
-    def test_record_missing_alpha(self):
-        with pytest.raises(DomainError):
-            prediction_from_record({"uncertainty": {}})
 
     def test_bundle_types(self):
         pred = DirichletPrediction.from_alpha([2.0, 3.0, 5.0])

@@ -1,5 +1,5 @@
 """Domain generator tests: balance, determinism, shift geometry, pool
-construction, CSV round trips, and the directional shift property."""
+construction, and the directional shift property."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,7 @@ from evidunc.synthetic import (
     Dataset,
     DomainSpec,
     default_class_means,
-    export_domains_csv,
     generate_domain_pair,
-    import_domains_csv,
     split_pools,
 )
 
@@ -91,6 +89,10 @@ class TestGeneration:
         with pytest.raises(DomainError):
             DomainSpec(**base)
 
+    def test_dataset_validation(self):
+        with pytest.raises(DomainError):
+            Dataset(np.zeros((2, 2)), np.array([0, 1]), "source")
+
 
 class TestSplitPools:
     def test_initial_split_and_budget(self):
@@ -115,54 +117,6 @@ class TestSplitPools:
         source, target = generate_domain_pair(spec)
         with pytest.raises(DomainError):
             split_pools(source, target, budget_fraction=1.5)
-
-
-class TestCsvRoundTrip:
-    def test_round_trip_identity(self, tmp_path):
-        spec = DomainSpec(num_classes=3, samples_per_domain=20, seed=7)
-        source, target = generate_domain_pair(spec)
-        path = tmp_path / "domains.csv"
-        export_domains_csv(source, target, path)
-        back_source, back_target = import_domains_csv(path)
-        np.testing.assert_array_equal(back_source.features, source.features)
-        np.testing.assert_array_equal(back_source.labels, source.labels)
-        np.testing.assert_array_equal(back_target.features, target.features)
-        np.testing.assert_array_equal(back_target.labels, target.labels)
-
-    def test_parse_errors_carry_line_numbers(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(
-            "sample_id,domain,label,f1,f2\n"
-            "0,source,1,0.5,0.25\n"
-            "1,moon,1,0.5,0.25\n"
-        )
-        with pytest.raises(DomainError, match=":3:"):
-            import_domains_csv(path)
-        path.write_text(
-            "sample_id,domain,label,f1,f2\n"
-            "0,source,1,0.5\n"
-        )
-        with pytest.raises(DomainError, match=":2:"):
-            import_domains_csv(path)
-        path.write_text(
-            "sample_id,domain,label,f1,f2\n"
-            "0,source,1,0.5,zebra\n"
-        )
-        with pytest.raises(DomainError, match=":2:"):
-            import_domains_csv(path)
-
-    def test_missing_domain_and_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("sample_id,domain,label,f1\n0,source,1,0.5\n")
-        with pytest.raises(DomainError, match="target"):
-            import_domains_csv(path)
-        path.write_text("id,dom,lab,f1\n")
-        with pytest.raises(DomainError, match="header"):
-            import_domains_csv(path)
-
-    def test_dataset_validation(self):
-        with pytest.raises(DomainError):
-            Dataset(np.zeros((2, 2)), np.array([0, 1]), "source")
 
 
 class TestDirectionalShift:

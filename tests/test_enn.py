@@ -41,24 +41,24 @@ def small_pool(n_source=16, n_target=12, budget=6, seed=3):
 class TestForward:
     def test_zero_logits_give_flat_alpha(self):
         model = linear_model([0.0, 0.0, 0.0])
-        pred = model.forward([1.0, -1.0])
-        np.testing.assert_array_equal(pred.alpha, [1.0, 1.0, 1.0])
+        alpha = model.forward_batch(np.array([[1.0, -1.0]]))[0]
+        np.testing.assert_array_equal(alpha, [1.0, 1.0, 1.0])
 
     def test_logits_invert_through_exp(self):
         model = linear_model([math.log(3.0), 0.0])
-        pred = model.forward([0.5, 0.5])
-        np.testing.assert_allclose(pred.alpha, [3.0, 1.0], atol=1e-12)
+        alpha = model.forward_batch(np.array([[0.5, 0.5]]))[0]
+        np.testing.assert_allclose(alpha, [3.0, 1.0], atol=1e-12)
 
     def test_clamp_bounds_alpha(self):
         model = linear_model([100.0, -100.0])
-        pred = model.forward([0.0, 0.0])
-        assert pred.alpha[0] == pytest.approx(math.exp(30.0))
-        assert pred.alpha[1] == pytest.approx(math.exp(-30.0))
+        alpha = model.forward_batch(np.array([[0.0, 0.0]]))[0]
+        assert alpha[0] == pytest.approx(math.exp(30.0))
+        assert alpha[1] == pytest.approx(math.exp(-30.0))
 
     def test_dimension_mismatch(self):
         model = linear_model([0.0, 0.0], input_dim=3)
         with pytest.raises(DomainError):
-            model.forward([1.0, 2.0])
+            model.forward_batch(np.array([[1.0, 2.0]]))
         with pytest.raises(DomainError):
             model.forward_batch(np.zeros((4, 2)))
 
@@ -157,15 +157,19 @@ class TestFullModelGradient:
 
 
 class TestRunEpochComposition:
-    @pytest.mark.parametrize("mode", ["variance", "entropy"])
-    def test_one_step_with_ug_matches_the_composition(self, mode):
+    @pytest.mark.parametrize(
+        "mode, reduction",
+        [("variance", "mean"), ("entropy", "mean"), ("variance", "sum"), ("entropy", "sum")],
+        ids=["variance", "entropy", "variance-sum", "entropy-sum"],
+    )
+    def test_one_step_with_ug_matches_the_composition(self, mode, reduction):
         # batch_size covers the whole supervised set, so the epoch is one
         # step; pseudo-labeled rows make the per-row weights differ, and
         # with 7 unlabeled rows the order of the UG reduction shows.
         pool = small_pool()
         pool.acquire_with_oracle([0, 1])
         pool.acquire_with_pseudo_labels([2, 3, 4], [1, 2, 1])
-        loss_cfg = LossConfig(mode=mode, pseudo_label_weight=0.5)
+        loss_cfg = LossConfig(mode=mode, reduction=reduction, pseudo_label_weight=0.5)
         cfg = TrainConfig(epochs=3, batch_size=64, learning_rate=0.05, seed=4)
         model = EvidentialMLP.create(2, 2, hidden=(5,), seed=0)
         trainer = Trainer(model, pool, cfg, loss_cfg, ug_enabled=True)
@@ -180,7 +184,7 @@ class TestRunEpochComposition:
         rows = sup_rng.permutation(features.shape[0])
         alpha, acts, active = ref._forward_cached(features[rows])
         row_losses, dalpha = edl_batch(alpha, labels[rows], loss_cfg)
-        scale = weights[rows] / rows.size
+        scale = weights[rows] / rows.size if reduction == "mean" else weights[rows]
         w_grads, b_grads = ref.alpha_gradient_to_param_gradients(
             dalpha * scale[:, None], alpha, acts, active
         )
@@ -188,7 +192,7 @@ class TestRunEpochComposition:
         u_rows = unsup_rng.permutation(unlabeled.shape[0])  # all 7 fit in one batch
         u_alpha, u_acts, u_active = ref._forward_cached(unlabeled[u_rows])
         u_losses, u_dalpha = ug_batch(u_alpha, loss_cfg)
-        u_scale = 1.0 / u_rows.size
+        u_scale = 1.0 / u_rows.size if reduction == "mean" else 1.0
         uw_grads, ub_grads = ref.alpha_gradient_to_param_gradients(
             u_dalpha * u_scale, u_alpha, u_acts, u_active
         )
