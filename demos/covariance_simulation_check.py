@@ -11,7 +11,7 @@ within-draw covariance plus the covariance of the means.
 
 import numpy as np
 
-from evidunc import DirichletPrediction, covariance_bundle
+from evidunc import covariance_batch
 
 rng = np.random.default_rng(42)
 alpha = np.array([2.0, 3.0, 5.0])
@@ -30,13 +30,16 @@ empirical_total = np.cov(onehot.T, ddof=1)
 empirical_aleatoric = np.diag(mu.mean(axis=0)) - mu.T @ mu / draws
 empirical_epistemic = np.cov(mu.T, ddof=1)
 
-closed = covariance_bundle(DirichletPrediction.from_alpha(alpha))
+# One prediction is a one-row alpha matrix for the batch kernel.
+closed_total, closed_aleatoric, closed_epistemic, _ = (
+    m[0] for m in covariance_batch(alpha[None, :])
+)
 
 np.set_printoptions(precision=4, suppress=True)
 for name, emp, ref in (
-    ("total", empirical_total, closed.total),
-    ("aleatoric", empirical_aleatoric, closed.aleatoric),
-    ("epistemic", empirical_epistemic, closed.epistemic),
+    ("total", empirical_total, closed_total),
+    ("aleatoric", empirical_aleatoric, closed_aleatoric),
+    ("epistemic", empirical_epistemic, closed_epistemic),
 ):
     gap = np.abs(emp - ref).max()
     print(f"{name:9s} closed form:\n{ref}")
@@ -46,5 +49,5 @@ for name, emp, ref in (
 # noise, mirroring the exact identity of the closed forms.
 recon = np.abs(empirical_total - (empirical_aleatoric + empirical_epistemic)).max()
 print(f"empirical total vs aleatoric + epistemic: max gap {recon:.1e}")
-exact = np.abs(closed.total - (closed.aleatoric + closed.epistemic)).max()
+exact = np.abs(closed_total - (closed_aleatoric + closed_epistemic)).max()
 print(f"closed-form identity residual: {exact:.1e}")

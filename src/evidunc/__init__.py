@@ -17,19 +17,14 @@ from .config import (
 )
 from .dirichlet import (
     ALPHA_FLOOR,
-    CovarianceBundle,
+    AlphaError,
     DirichletPrediction,
-    UncertaintyBundle,
+    checked_alpha,
     class_variances_batch,
     covariance_batch,
-    covariance_bundle,
     entropy_uncertainties_batch,
-    predict_class,
     predict_class_batch,
-    quantify_record,
     quantify_records,
-    sample_uncertainty_entropy,
-    sample_uncertainty_variance,
     variance_uncertainties_batch,
 )
 from .enn import (
@@ -78,9 +73,9 @@ __all__ = [
     "ALPHA_FLOOR",
     "AblationSwitches",
     "AdaRunReport",
+    "AlphaError",
     "BudgetExhaustedError",
     "ConfigError",
-    "CovarianceBundle",
     "Dataset",
     "DirichletPrediction",
     "DomainError",
@@ -94,16 +89,15 @@ __all__ = [
     "TrainConfig",
     "Trainer",
     "TrainingDivergedError",
-    "UncertaintyBundle",
     "aggregate_reports",
     "auroc",
     "batch_uncertainties",
     "certainty_sampling",
+    "checked_alpha",
     "class_level_uncertainty_summary",
     "class_variances_batch",
     "config_hash",
     "covariance_batch",
-    "covariance_bundle",
     "dataset_class_correlation",
     "default_round_plans",
     "default_schedule",
@@ -118,9 +112,7 @@ __all__ = [
     "trigamma",
     "gamma_terms",
     "parse_config",
-    "predict_class",
     "predict_class_batch",
-    "quantify_record",
     "quantify_records",
     "rank_class_pairs",
     "run_ablation",
@@ -128,8 +120,6 @@ __all__ = [
     "run_experiment",
     "run_rows",
     "run_seed",
-    "sample_uncertainty_entropy",
-    "sample_uncertainty_variance",
     "save_checkpoint",
     "split_pools",
     "uncertainty_sampling",

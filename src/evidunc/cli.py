@@ -18,10 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, load_config, parse_config, read_json, read_text
-from .dirichlet import DirichletPrediction, predict_class_batch
+from .dirichlet import AlphaError, checked_alpha, predict_class_batch
 # Bound under the name the benchmark's tracer wraps as the record builder.
 from .dirichlet import quantify_records as quantify_record
 from .enn import TrainingDivergedError
@@ -54,7 +52,10 @@ def _parse_alpha_json(path: Path):
         # Booleans are not numbers here, as in configs.
         if not isinstance(row, list) or not all(type(v) in (int, float) for v in row):
             raise ConfigError(f"{path}: alphas[{i}] is not a numeric array")
-        vectors.append((row, f"{path}: alphas[{i}]"))
+        try:
+            vectors.append(([float(v) for v in row], f"{path}: alphas[{i}]"))
+        except OverflowError as exc:  # an integer too large for a float
+            raise ConfigError(f"{path}: alphas[{i}]: {exc}") from None
     return vectors
 
 
@@ -63,20 +64,21 @@ def cmd_quantify(args) -> int:
     parse = _parse_alpha_json if path.suffix.lower() == ".json" else _parse_alpha_csv
     vectors = parse(path)
 
-    preds = []
-    for values, where in vectors:
-        try:
-            preds.append(DirichletPrediction.from_alpha(values))
-        except (DomainError, OverflowError) as exc:  # OverflowError: a huge JSON integer
-            raise ConfigError(f"{where}: {exc}") from None
-
     # CSV rows may differ in length: one batch per class count, input order kept.
     groups = {}
-    for i, pred in enumerate(preds):
-        groups.setdefault(pred.num_classes, []).append(i)
-    records = [None] * len(preds)
+    for i, (values, _) in enumerate(vectors):
+        groups.setdefault(len(values), []).append(i)
+    batches, bad = [], []
     for rows in groups.values():
-        alpha = np.stack([preds[i].alpha for i in rows])
+        try:
+            batches.append((rows, checked_alpha([vectors[i][0] for i in rows])))
+        except AlphaError as exc:
+            bad.append((rows[exc.row], str(exc)))
+    if bad:  # the earliest bad row of the input, whichever batch holds it
+        i, message = min(bad)
+        raise ConfigError(f"{vectors[i][1]}: {message}")
+    records = [None] * len(vectors)
+    for rows, alpha in batches:
         built = zip(quantify_record(alpha), predict_class_batch(alpha).tolist())
         for i, (record, label) in zip(rows, built):
             record["predicted_class"] = label

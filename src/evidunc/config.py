@@ -271,21 +271,11 @@ def parse_config(document: dict) -> ExperimentConfig:
         ablation=AblationSwitches(**doc.get("ablation", {})),
     )
     # The rounds are checked against the oracle budget split_pools grants.
-    budget = oracle_budget(config.budget_fraction, config.domain_spec(0).samples_per_domain)
-    plans = config.resolved_plans()
-    problems = round_problems(plans, config.resolved_schedule(),
-                              config.train_config(0).epochs, budget, config.ablation.us,
-                              config.auroc_epoch)
-    # Each round's EU candidate window must fit in the unlabeled target
-    # samples the earlier rounds left, or the round fails mid-run.
-    us, cs = config.ablation.us, config.ablation.cs
-    left = config.domain_spec(0).samples_per_domain
-    for i, plan in enumerate(plans):
-        window = plan.kappa * plan.b_u + (plan.b_c if cs else 0)
-        if us and plan.b_u > 0 and window > left:
-            problems.append(("plans", f"round {i + 1} selects from {window} unlabeled samples "
-                             f"(kappa*b_u{' + b_c' if cs else ''}), but only {left} are left"))
-        left -= plan.b_u * us + (min(plan.b_c, left - plan.b_u * us) if cs else 0)
+    num_target = config.domain_spec(0).samples_per_domain
+    budget = oracle_budget(config.budget_fraction, num_target)
+    problems = round_problems(config.resolved_plans(), config.resolved_schedule(),
+                              config.train_config(0).epochs, budget, num_target,
+                              config.ablation.us, config.ablation.cs, config.auroc_epoch)
     if problems:
         raise ConfigError("invalid config:\n  " + "\n  ".join(
             f"sampling.{key}: {message}" for key, message in problems))

@@ -17,16 +17,16 @@ module is a deterministic function of ``alpha``:
   which exists at the sample level only.
 
 Every formula is implemented once, as a batch kernel over an ``(n, C)``
-alpha matrix (the ``*_batch`` functions); ``quantify_records`` builds the
-JSON-ready records of a whole matrix from one call of each kernel, and the
-single-prediction functions, ``quantify_record`` among them, are one-row
-views. All functions are pure and the kernels are safe to parallelize over
-rows.
+alpha matrix (the ``*_batch`` functions); one prediction is the one-row
+matrix ``alpha[None, :]``. ``quantify_records`` builds the JSON-ready
+records of a matrix from one call of each kernel, and ``checked_alpha``
+validates and floors an external matrix in one pass. All functions are pure
+and the kernels are safe to parallelize over rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,19 +35,14 @@ from .special import DomainError, digamma
 __all__ = [
     "ALPHA_FLOOR",
     "CORRELATION_VARIANCE_EPS",
+    "AlphaError",
+    "checked_alpha",
     "DirichletPrediction",
-    "CovarianceBundle",
-    "UncertaintyBundle",
-    "predict_class",
-    "covariance_bundle",
-    "sample_uncertainty_variance",
-    "sample_uncertainty_entropy",
     "variance_uncertainties_batch",
     "entropy_uncertainties_batch",
     "class_variances_batch",
     "covariance_batch",
     "predict_class_batch",
-    "quantify_record",
     "quantify_records",
 ]
 
@@ -61,9 +56,42 @@ ALPHA_FLOOR = 1e-8
 CORRELATION_VARIANCE_EPS = 1e-12
 
 
+class AlphaError(DomainError):
+    """A row of an alpha matrix failed validation; ``row`` is its index."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def checked_alpha(matrix) -> np.ndarray:
+    """An externally supplied (n, C) alpha matrix as float64, entries in
+    (0, ALPHA_FLOOR) raised to the floor. The first row with fewer than two
+    classes, a non-finite entry, a zero or negative entry, or an overflowing
+    strength (row sum) raises an ``AlphaError`` naming the row and the
+    first of these checks it fails."""
+    alpha = np.asarray(matrix, dtype=np.float64)
+    if alpha.ndim != 2:
+        raise DomainError(f"alpha must be an (n, C) matrix, got shape {alpha.shape}")
+    alpha = np.where(alpha > 0.0, np.maximum(alpha, ALPHA_FLOOR), alpha)
+    with np.errstate(over="ignore"):
+        strength = alpha.sum(axis=1)
+    checks = {  # message: the rows that fail, in the order a row is checked
+        "at least two classes are required": np.full(len(alpha), alpha.shape[1] < 2),
+        "alpha entries must be finite": ~np.isfinite(alpha).all(axis=1),
+        "alpha entries must be strictly positive": (alpha <= 0.0).any(axis=1),
+        "alpha strength (the sum of the entries) must be finite": ~np.isfinite(strength),
+    }
+    failed = np.array(list(checks.values()))
+    if failed.any():
+        row = int(failed.any(axis=0).argmax())
+        raise AlphaError(row, list(checks)[int(failed[:, row].argmax())])
+    return alpha
+
+
 @dataclass(frozen=True)
 class DirichletPrediction:
-    """Dirichlet parameters predicted for one sample. Classes are 1-based."""
+    """Dirichlet parameters for one sample, a one-row ``checked_alpha``."""
 
     alpha: np.ndarray
 
@@ -71,26 +99,12 @@ class DirichletPrediction:
         arr = np.asarray(self.alpha, dtype=np.float64)
         if arr.ndim != 1:
             raise DomainError(f"alpha must be a 1-D vector, got shape {arr.shape}")
-        if arr.size < 2:
-            raise DomainError("at least two classes are required")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("alpha entries must be finite")
-        if np.any(arr <= 0.0):
-            raise DomainError("alpha entries must be strictly positive")
-        with np.errstate(over="ignore"):
-            if not np.isfinite(arr.sum()):
-                raise DomainError("alpha strength (the sum of the entries) must be finite")
-        object.__setattr__(self, "alpha", arr)
+        object.__setattr__(self, "alpha", checked_alpha(arr[None, :])[0])
 
     @classmethod
     def from_alpha(cls, values) -> "DirichletPrediction":
-        """Ingest an externally supplied alpha vector, flooring tiny entries.
-
-        Entries in (0, ALPHA_FLOOR) are raised to the floor; zero, negative,
-        or non-finite entries are rejected.
-        """
-        arr = np.asarray(values, dtype=np.float64)
-        return cls(alpha=np.where(arr > 0.0, np.maximum(arr, ALPHA_FLOOR), arr))
+        """The prediction for an externally supplied alpha vector."""
+        return cls(alpha=values)
 
     @property
     def num_classes(self) -> int:
@@ -102,43 +116,9 @@ class DirichletPrediction:
         return float(self.alpha.sum())
 
 
-@dataclass(frozen=True)
-class CovarianceBundle:
-    """Label covariance matrices and the derived correlation matrix."""
-
-    total: np.ndarray
-    aleatoric: np.ndarray
-    epistemic: np.ndarray
-    correlation: np.ndarray
-
-
-@dataclass(frozen=True)
-class UncertaintyBundle:
-    """Sample- and class-level uncertainties under one quantification mode.
-
-    ``mode`` is "variance" or "entropy". Entropy quantification has no
-    class-level decomposition, so its class vectors are empty.
-    """
-
-    mode: str
-    sample_total: float
-    sample_aleatoric: float
-    sample_epistemic: float
-    class_total: np.ndarray = field(default_factory=lambda: np.empty(0))
-    class_aleatoric: np.ndarray = field(default_factory=lambda: np.empty(0))
-    class_epistemic: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
-def predict_class(pred: DirichletPrediction) -> int:
-    """1-based class with the maximum expected probability.
-
-    Ties resolve to the lowest class index so runs are reproducible.
-    """
-    return int(predict_class_batch(pred.alpha[None, :])[0])
-
-
 def predict_class_batch(alpha: np.ndarray) -> np.ndarray:
-    """1-based argmax per row of an (n, C) alpha matrix."""
+    """1-based argmax per row of an (n, C) alpha matrix. Ties resolve to
+    the lowest class index so runs are reproducible."""
     return np.argmax(alpha, axis=1) + 1
 
 
@@ -213,35 +193,6 @@ def covariance_batch(alpha: np.ndarray):
     return (*_split(a0[:, None, None], total), correlation)
 
 
-def covariance_bundle(pred: DirichletPrediction) -> CovarianceBundle:
-    """Total/aleatoric/epistemic covariance of the one-hot label, plus the
-    correlation matrix (one row of ``covariance_batch``).
-
-    The aleatoric and epistemic parts are exact rescalings of the total by
-    ``alpha0/(alpha0+1)`` and ``1/(alpha0+1)``, so total = aleatoric +
-    epistemic holds entrywise up to rounding and aleatoric/epistemic = alpha0.
-    """
-    return CovarianceBundle(*(m[0] for m in covariance_batch(pred.alpha[None, :])))
-
-
-def sample_uncertainty_variance(pred: DirichletPrediction) -> UncertaintyBundle:
-    """Variance-mode uncertainty: the sample-level ``1 - sum(mu_c^2)`` and
-    the per-class ``mu_c (1 - mu_c)``, each with its aleatoric/epistemic
-    split (one row of the batch kernels)."""
-    alpha = pred.alpha[None, :]
-    sample = (float(v[0]) for v in variance_uncertainties_batch(alpha))
-    return UncertaintyBundle("variance", *sample, *(v[0] for v in class_variances_batch(alpha)))
-
-
-def sample_uncertainty_entropy(pred: DirichletPrediction) -> UncertaintyBundle:
-    """Sample-level entropy-mode uncertainties (one row of
-    ``entropy_uncertainties_batch``). This quantification has no
-    class-level decomposition, so the class vectors are empty."""
-    return UncertaintyBundle(
-        "entropy", *(float(v[0]) for v in entropy_uncertainties_batch(pred.alpha[None, :]))
-    )
-
-
 def quantify_records(alpha: np.ndarray) -> list:
     """JSON-ready records for the rows of an (n, C) alpha matrix: alpha,
     uncertainties in both quantification modes, covariance matrices and the
@@ -267,8 +218,3 @@ def quantify_records(alpha: np.ndarray) -> list:
         for a, v, e, c, total, aleatoric, epistemic, correlation
         in zip(alpha.tolist(), var, ent, per_class, *cov)
     ]
-
-
-def quantify_record(pred: DirichletPrediction) -> dict:
-    """The record of ``quantify_records`` for one prediction."""
-    return quantify_records(pred.alpha[None, :])[0]

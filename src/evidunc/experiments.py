@@ -244,10 +244,12 @@ def run_ablation(config: ExperimentConfig, out_dir=None) -> list:
     base = Path(out_dir if out_dir is not None else config.output_dir)
     # Validate every row before any runs: the +US rows switch uncertainty
     # sampling on, which brings the oracle budget into play.
-    configs = [
-        parse_config(config.with_switches(**flags).to_document())
-        for _, flags in ABLATION_ROWS
-    ]
+    configs = []
+    for name, flags in ABLATION_ROWS:
+        try:
+            configs.append(parse_config(config.with_switches(**flags).to_document()))
+        except ConfigError as exc:
+            raise ConfigError(f"ablation row {name}: {exc}") from None
     row_dirs = [
         base / "ablation" / name / config_hash(row_config)
         for (name, _), row_config in zip(ABLATION_ROWS, configs)

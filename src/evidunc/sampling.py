@@ -43,6 +43,7 @@ from .special import DomainError
 
 __all__ = [
     "RoundPlan",
+    "RoundLayoutError",
     "default_round_plans",
     "default_schedule",
     "round_problems",
@@ -98,12 +99,20 @@ def default_schedule(num_rounds: int = 5):
     return [10 + 2 * i for i in range(num_rounds)]
 
 
-def round_problems(plans: list, schedule: list, epochs: int, budget: int,
-                   us_enabled: bool = True, auroc_epoch: int | None = None) -> list:
+class RoundLayoutError(DomainError, PoolError):
+    """A round layout that cannot run, found before any training; a
+    PoolError too, as a round that finds its pool too small raises one."""
+
+
+def round_problems(plans: list, schedule: list, epochs: int, budget: int, num_target: int,
+                   us_enabled: bool = True, cs_enabled: bool = False,
+                   auroc_epoch: int | None = None) -> list:
     """Every reason a round layout cannot run, as (sampling key, message)
     pairs: one plan per scheduled epoch, strictly increasing epochs within
     the training run, uncertain picks within the oracle budget when
-    uncertainty sampling is on, and an AUROC epoch within the run."""
+    uncertainty sampling is on, an AUROC epoch within the run, and each
+    round's EU candidate window within the unlabeled target samples left of
+    ``num_target`` by the earlier rounds (or the round fails mid-run)."""
     wanted = sum(p.b_u for p in plans)
     checks = [
         ("schedule", len(plans) != len(schedule),
@@ -117,7 +126,17 @@ def round_problems(plans: list, schedule: list, epochs: int, budget: int,
         ("auroc_epoch", auroc_epoch is not None and not 1 <= auroc_epoch <= epochs,
          f"epoch {auroc_epoch} must fall within the training run, 1..{epochs}"),
     ]
-    return [(key, message) for key, failed, message in checks if failed]
+    problems = [(key, message) for key, failed, message in checks if failed]
+    left = num_target
+    for i, plan in enumerate(plans):
+        window = plan.kappa * plan.b_u + (plan.b_c if cs_enabled else 0)
+        if us_enabled and plan.b_u > 0 and window > left:
+            problems.append(("plans", f"round {i + 1} selects from {window} unlabeled samples "
+                             f"(kappa*b_u{' + b_c' if cs_enabled else ''}), "
+                             f"but only {left} are left"))
+        taken = plan.b_u * us_enabled
+        left -= taken + (min(plan.b_c, left - taken) if cs_enabled else 0)
+    return problems
 
 
 def _eu_order(ids, eu) -> np.ndarray:
@@ -204,11 +223,6 @@ def _selection_round(pool: SamplePool, model, plan: RoundPlan, mode: str,
     predicted = predict_class_batch(alpha)
     want_us = us and plan.b_u > 0
     want_cs = cs and plan.b_c > 0
-    if want_us and want_cs and plan.kappa * plan.b_u + plan.b_c > ids.size:
-        raise PoolError(
-            "certainty and uncertainty selections would overlap in the "
-            "EU ordering; shrink b_c or kappa*b_u"
-        )
     uncertain = certain = pseudo = np.empty(0, dtype=np.int64)
     if want_us or want_cs:
         order = _eu_order(ids, eu)
@@ -301,10 +315,12 @@ def run_ada_rows(model, pool: SamplePool, train_cfg, loss_cfg: LossConfig, plans
     """
     plans = list(plans)
     schedule = list(schedule)
-    problems = round_problems(plans, schedule, train_cfg.epochs, pool.budget_total,
-                              any(us_enabled for us_enabled, _, _ in rows), auroc_epoch)
-    if problems:
-        raise DomainError("; ".join(f"{key}: {message}" for key, message in problems))
+    for us_enabled, cs_enabled, _ in rows:  # every row is checked before any training
+        problems = round_problems(plans, schedule, train_cfg.epochs,
+                                  pool.budget_total - pool.budget_spent, pool.num_unlabeled,
+                                  us_enabled, cs_enabled, auroc_epoch)
+        if problems:
+            raise RoundLayoutError("; ".join(f"{key}: {message}" for key, message in problems))
     run = _AdaRun(model, pool, train_cfg, loss_cfg, plans, schedule, ug_enabled, auroc_epoch)
     run.train_to(run.split_epoch)
     finished = []

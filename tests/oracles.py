@@ -5,9 +5,10 @@ tests should call them."""
 import numpy as np
 
 from evidunc.dirichlet import (
-    covariance_bundle,
-    sample_uncertainty_entropy,
-    sample_uncertainty_variance,
+    class_variances_batch,
+    covariance_batch,
+    entropy_uncertainties_batch,
+    variance_uncertainties_batch,
 )
 from evidunc.special import digamma, log_gamma, trigamma
 
@@ -70,25 +71,32 @@ def ug_entropy_batch_four_calls(alpha, lambda_a, lambda_e):
     return lambda_e * u + diff * u_alea, lambda_e * du + diff * du_alea
 
 
+def one_row(kernel, alpha) -> tuple:
+    """What a Dirichlet batch kernel returns for one alpha vector, run as
+    the one-row batch ``alpha[None, :]``: one value or row per part."""
+    return tuple(part[0] for part in kernel(np.asarray(alpha, dtype=np.float64)[None, :]))
+
+
 def per_prediction_record(pred) -> dict:
     """The quantify record of one prediction, assembled field by field from
-    the single-prediction functions. ``dirichlet.quantify_records`` must
+    one-row calls of the batch kernels. ``dirichlet.quantify_records`` must
     give the same record, value for value, for every row of a batch."""
-    var = sample_uncertainty_variance(pred)
-    ent = sample_uncertainty_entropy(pred)
-    cov = covariance_bundle(pred)
+    var = one_row(variance_uncertainties_batch, pred.alpha)
+    per_class = one_row(class_variances_batch, pred.alpha)
+    ent = one_row(entropy_uncertainties_batch, pred.alpha)
+    total, aleatoric, epistemic, correlation = one_row(covariance_batch, pred.alpha)
     parts = ("total", "aleatoric", "epistemic")
     return {
         "alpha": pred.alpha.tolist(),
         "uncertainty": {
             "variance": {
-                "sample": {k: getattr(var, f"sample_{k}") for k in parts},
-                "class": {k: getattr(var, f"class_{k}").tolist() for k in parts},
+                "sample": {k: float(v) for k, v in zip(parts, var)},
+                "class": {k: v.tolist() for k, v in zip(parts, per_class)},
             },
-            "entropy": {"sample": {k: getattr(ent, f"sample_{k}") for k in parts}},
+            "entropy": {"sample": {k: float(v) for k, v in zip(parts, ent)}},
         },
-        "covariance": cov.total.tolist(),
-        "covariance_aleatoric": cov.aleatoric.tolist(),
-        "covariance_epistemic": cov.epistemic.tolist(),
-        "correlation": cov.correlation.tolist(),
+        "covariance": total.tolist(),
+        "covariance_aleatoric": aleatoric.tolist(),
+        "covariance_epistemic": epistemic.tolist(),
+        "correlation": correlation.tolist(),
     }

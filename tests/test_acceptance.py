@@ -15,11 +15,7 @@ import numpy as np
 import pytest
 
 from evidunc.config import parse_config
-from evidunc.dirichlet import (
-    DirichletPrediction,
-    covariance_bundle,
-    sample_uncertainty_entropy,
-)
+from evidunc.dirichlet import DirichletPrediction, covariance_batch, entropy_uncertainties_batch
 from evidunc.enn import EvidentialMLP, TrainConfig, train
 from evidunc.experiments import run_rows
 from evidunc.losses import LossConfig, _kl_batch, edl_batch, ug_batch
@@ -32,7 +28,7 @@ from evidunc.sampling import (
     select_uncertain,
 )
 from evidunc.synthetic import DomainSpec, default_class_means, generate_domain_pair, split_pools
-from oracles import brute_force_auroc
+from oracles import brute_force_auroc, one_row
 
 
 def report(num, ok, detail):
@@ -99,13 +95,13 @@ class TestCriterion1:
         worst_ratio = 0.0
         for alpha in random_alphas(rng, 1000):
             pred = DirichletPrediction.from_alpha(alpha)
-            bundle = covariance_bundle(pred)
+            total, aleatoric, epistemic, _ = one_row(covariance_batch, pred.alpha)
             worst_identity = max(
                 worst_identity,
-                np.abs(bundle.total - (bundle.aleatoric + bundle.epistemic)).max(),
+                np.abs(total - (aleatoric + epistemic)).max(),
             )
-            mask = np.abs(bundle.epistemic) > 1e-300
-            ratio = bundle.aleatoric[mask] / bundle.epistemic[mask]
+            mask = np.abs(epistemic) > 1e-300
+            ratio = aleatoric[mask] / epistemic[mask]
             worst_ratio = max(
                 worst_ratio, np.abs(ratio / pred.strength - 1.0).max()
             )
@@ -161,11 +157,11 @@ class TestCriterion2:
         started = time.perf_counter()
         worst_z = 0.0
         for alpha in MC_ALPHAS:
-            bundle = covariance_bundle(DirichletPrediction.from_alpha(alpha))
+            total, aleatoric, epistemic, _ = one_row(covariance_batch, alpha)
             closed = {
-                "total": bundle.total,
-                "aleatoric": bundle.aleatoric,
-                "epistemic": bundle.epistemic,
+                "total": total,
+                "aleatoric": aleatoric,
+                "epistemic": epistemic,
             }
             estimates = simulate_covariances_batched(alpha, rng)
             for name, (est, se) in estimates.items():
@@ -187,23 +183,23 @@ class TestCriterion3:
         worst_sum = 0.0
         lowest = np.inf
         for alpha in random_alphas(rng, 1000):
-            bundle = sample_uncertainty_entropy(DirichletPrediction.from_alpha(alpha))
+            total, aleatoric, epistemic = one_row(entropy_uncertainties_batch, alpha)
             worst_sum = max(
                 worst_sum,
-                abs(bundle.sample_total - (bundle.sample_aleatoric + bundle.sample_epistemic)),
+                abs(total - (aleatoric + epistemic)),
             )
-            lowest = min(lowest, bundle.sample_aleatoric, bundle.sample_epistemic)
-        spot = sample_uncertainty_entropy(DirichletPrediction.from_alpha((1.0, 1.0)))
+            lowest = min(lowest, aleatoric, epistemic)
+        spot_total, spot_aleatoric, spot_epistemic = one_row(entropy_uncertainties_batch, (1.0, 1.0))
         expected = (np.log(2.0), 0.5, np.log(2.0) - 0.5)
         spot_err = max(
-            abs(spot.sample_total - expected[0]),
-            abs(spot.sample_aleatoric - expected[1]),
-            abs(spot.sample_epistemic - expected[2]),
+            abs(spot_total - expected[0]),
+            abs(spot_aleatoric - expected[1]),
+            abs(spot_epistemic - expected[2]),
         )
         displayed = (
-            round(spot.sample_total, 4),
-            round(spot.sample_aleatoric, 4),
-            round(spot.sample_epistemic, 4),
+            round(spot_total, 4),
+            round(spot_aleatoric, 4),
+            round(spot_epistemic, 4),
         )
         ok = (
             worst_sum <= 1e-12

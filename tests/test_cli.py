@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from evidunc.cli import main
-from evidunc.dirichlet import DirichletPrediction, predict_class
+from evidunc.dirichlet import DirichletPrediction, predict_class_batch
 from oracles import per_prediction_record
 
 
@@ -78,6 +78,16 @@ class TestQuantify:
         assert main(["quantify", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"{path}:2" in err
+        assert "positive" in err
+
+    def test_earliest_bad_row_named_across_class_counts(self, tmp_path, capsys):
+        # Lines 2 and 3 are validated in different class-count batches; the
+        # input's first bad line is reported, not the first batch's.
+        path = tmp_path / "alphas.csv"
+        path.write_text("1,1\n2,3,-5\n0,1\n")
+        assert main(["quantify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:2:" in err
         assert "positive" in err
 
     def test_unparseable_row_names_line(self, tmp_path, capsys):
@@ -157,7 +167,8 @@ class TestQuantify:
         for line, record, row in zip(lines[1:-1], records, rows):
             assert json.loads(line.rstrip(",")) == record
             pred = DirichletPrediction.from_alpha(row)
-            assert record == {**per_prediction_record(pred), "predicted_class": predict_class(pred)}
+            label = int(predict_class_batch(pred.alpha[None, :])[0])
+            assert record == {**per_prediction_record(pred), "predicted_class": label}
         path.write_text("")
         assert main(["quantify", str(path)]) == 0
         assert capsys.readouterr().out == "[]\n"
@@ -316,6 +327,21 @@ class TestAblateAndReport:
             assert name in out
         table = json.loads((tmp_path / "out" / "ablation.json").read_text())
         assert len(table) == 5
+
+    def test_ablate_names_the_failing_row(self, tmp_path, capsys):
+        # The config's own switches (CS off) fit; the +UG+US+CS row's round 2
+        # window of 10*4 + 30 = 70 exceeds the 46 samples round 1 leaves.
+        plans = [{"round_index": k, "b_u": 4, "b_c": 30, "kappa": 10} for k in (1, 2)]
+        config = write_config(
+            tmp_path,
+            sampling={"plans": plans, "schedule": [3, 5], "budget_fraction": 0.1},
+            ablation={"ug": True, "us": True, "cs": False},
+        )
+        assert main(["ablate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "+UG+US+CS" in err
+        assert "round 2 selects from 70 unlabeled samples" in err
+        assert not (tmp_path / "out").exists()
 
     def test_report_on_run_directory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EVID_NUM_WORKERS", "1")

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from evidunc.dirichlet import DirichletPrediction, sample_uncertainty_variance
+from evidunc.dirichlet import class_variances_batch
 from evidunc.enn import EvidentialMLP
 from evidunc.metrics import (
     AdaRunReport,
@@ -19,7 +19,7 @@ from evidunc.metrics import (
     write_selection_log,
 )
 from evidunc.special import DomainError
-from oracles import brute_force_auroc
+from oracles import brute_force_auroc, one_row
 
 
 def identity_model(dim=2):
@@ -178,10 +178,10 @@ class TestClassSummary:
         model = identity_model()
         features = np.log(np.array([[3.0, 1.0]]))
         summary = class_level_uncertainty_summary(model, features)
-        bundle = sample_uncertainty_variance(DirichletPrediction.from_alpha([3.0, 1.0]))
-        np.testing.assert_allclose(summary["total"], bundle.class_total, atol=1e-12)
-        np.testing.assert_allclose(summary["aleatoric"], bundle.class_aleatoric, atol=1e-12)
-        np.testing.assert_allclose(summary["epistemic"], bundle.class_epistemic, atol=1e-12)
+        class_total, class_aleatoric, class_epistemic = one_row(class_variances_batch, [3.0, 1.0])
+        np.testing.assert_allclose(summary["total"], class_total, atol=1e-12)
+        np.testing.assert_allclose(summary["aleatoric"], class_aleatoric, atol=1e-12)
+        np.testing.assert_allclose(summary["epistemic"], class_epistemic, atol=1e-12)
 
     def test_two_sample_hand_average(self):
         model = identity_model()

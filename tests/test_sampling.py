@@ -15,6 +15,7 @@ from evidunc.sampling import (
     default_schedule,
     eu_sort_count,
     run_ada,
+    run_ada_rows,
     select_certain,
     select_certain_balanced,
     select_uncertain,
@@ -250,6 +251,34 @@ class TestRunAda:
         plans = [RoundPlan(1, b_u=2, b_c=38, kappa=2)]
         with pytest.raises(PoolError):
             run_ada(model, pool, cfg, LossConfig(), plans, [2], cs_enabled=True)
+
+    def test_later_window_overflow_rejected_before_training(self):
+        # Round 1 leaves 80 - 4 - 30 = 46 unlabeled samples, fewer than the
+        # 10*4 + 30 = 70 that round 2 selects from with CS on.
+        pool, model, cfg = ada_setup()
+        plans = [RoundPlan(1, b_u=4, b_c=30, kappa=10), RoundPlan(2, b_u=4, b_c=30, kappa=10)]
+        weights = [w.copy() for w in model.weights]
+        with pytest.raises(DomainError, match="round 2 selects from 70 unlabeled samples"):
+            run_ada(model, pool, cfg, LossConfig(), plans, [3, 5], cs_enabled=True)
+        assert pool.budget_spent == 0
+        for before, after in zip(weights, model.weights):
+            np.testing.assert_array_equal(before, after)
+        # Each row is checked with its own switches: the US-only row fits.
+        rows = [(True, False, False), (True, True, False)]
+        with pytest.raises(DomainError, match="round 2"):
+            run_ada_rows(model, pool, cfg, LossConfig(), plans, [3, 5], rows)
+        assert pool.budget_spent == 0
+        [(report, _)] = run_ada_rows(model, pool, cfg, LossConfig(), plans, [3, 5], rows[:1])
+        assert report.budget_spent == 8
+
+    def test_partly_spent_budget_rejected_before_training(self):
+        # Half the budget of 8 is already spent, so two rounds of 4 cannot run.
+        pool, model, cfg = ada_setup()
+        uncertainty_sampling(pool, model, RoundPlan(1, b_u=4, b_c=0, kappa=2))
+        plans = [RoundPlan(1, b_u=4, b_c=0, kappa=2), RoundPlan(2, b_u=4, b_c=0, kappa=2)]
+        with pytest.raises(DomainError, match="more than the budget of 4"):
+            run_ada(model, pool, cfg, LossConfig(), plans, [3, 5])
+        assert pool.budget_spent == 4
 
     def test_class_balanced_round(self):
         pool, model, cfg = ada_setup(seed=5)
