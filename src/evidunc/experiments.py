@@ -19,10 +19,22 @@ and finishes each row from its own copy of that state. All jobs of a run go
 to one process pool, largest first. The EVID_NUM_WORKERS environment
 variable caps how many jobs run in parallel processes; unset means one
 process per job up to the CPU count.
+
+Each pool worker runs OpenBLAS on one thread, and so does the ``evidunc
+run`` or ``ablate`` process, which runs the jobs itself when there is one
+worker. The training GEMMs are at most 64 columns wide, so a second BLAS
+thread only spins, and P workers with two threads each would oversubscribe
+the CPUs. Library callers of ``run_seed`` and the in-process ``run_rows``
+path keep their own BLAS thread count.
+
+A run deletes its completion markers (``aggregate.json``, ``ablation.json``)
+before its first job and writes them again only when every job succeeded,
+so a failed rerun never leaves a directory that looks complete.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -162,13 +174,36 @@ def _worker_count(num_jobs: int) -> int:
     cap = os.environ.get("EVID_NUM_WORKERS")
     if cap is not None:
         try:
-            workers = min(workers, max(1, int(cap)))
+            limit = int(cap)
         except ValueError:
-            raise ConfigError(f"EVID_NUM_WORKERS: expected an integer, got {cap!r}") from None
+            limit = 0  # reported below, like a cap under 1
+        if limit < 1:
+            raise ConfigError(f"EVID_NUM_WORKERS: expected an integer >= 1, got {cap!r}")
+        workers = min(workers, limit)
     return workers
 
 
-def run_rows(configs, out_dirs=None) -> list:
+# The OpenBLAS that numpy's wheel bundles (relative to numpy's site
+# directory) and its thread-count setter.
+_OPENBLAS = ("numpy.libs/libscipy_openblas64_-*.so", "scipy_openblas_set_num_threads64_")
+
+
+def _one_blas_thread() -> None:
+    """Run the bundled OpenBLAS on one thread in this process; does nothing
+    when numpy has not loaded that library or it lacks the setter."""
+    pattern, symbol = _OPENBLAS
+    for path in sorted(Path(np.__file__).parent.parent.glob(pattern)):
+        try:  # RTLD_NOLOAD: only a library this process already has
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        setter = getattr(lib, symbol, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
+def run_rows(configs, out_dirs=None, markers=()) -> list:
     """Run every config on each of its seeds; returns each config's reports
     in the order of its seeds.
 
@@ -176,7 +211,8 @@ def run_rows(configs, out_dirs=None) -> list:
     share one job per seed (see ``run_ada_rows``). The jobs run largest
     first, in one process pool when more than one worker is allowed. With
     ``out_dirs``, each config's config.json and seed directories are written
-    under its entry.
+    under its entry. The files in ``markers`` are deleted once the worker
+    count is known to be valid, before anything is written.
     """
     groups = {}
     for i, config in enumerate(configs):
@@ -184,6 +220,8 @@ def run_rows(configs, out_dirs=None) -> list:
         for seed in config.seeds:
             groups.setdefault((prefix, seed), []).append(i)
     workers = _worker_count(len(groups))
+    for marker in markers:
+        Path(marker).unlink(missing_ok=True)
     if out_dirs is not None:
         for config, out in zip(configs, out_dirs):
             Path(out).mkdir(parents=True, exist_ok=True)
@@ -194,7 +232,7 @@ def run_rows(configs, out_dirs=None) -> list:
         for (_, seed), rows in jobs
     ]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             futures = [pool.submit(_run_job, *a) for a in args]
             try:
                 for done in as_completed(futures):
@@ -230,7 +268,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     """
     base = Path(out_dir if out_dir is not None else config.output_dir)
     base = base / config_hash(config)
-    [reports] = run_rows([config], [base])
+    [reports] = run_rows([config], [base], markers=[base / "aggregate.json"])
     return _write_aggregate(base, config, reports)
 
 
@@ -256,7 +294,8 @@ def run_ablation(config: ExperimentConfig, out_dir=None) -> list:
     ]
     # Every job finishes before any aggregate is written, so a failed run
     # leaves no row looking complete.
-    results = run_rows(configs, row_dirs)
+    markers = [base / "ablation.json", *(row_dir / "aggregate.json" for row_dir in row_dirs)]
+    results = run_rows(configs, row_dirs, markers=markers)
     table = []
     for (name, _), row_config, row_dir, reports in zip(ABLATION_ROWS, configs, row_dirs, results):
         summary = _write_aggregate(row_dir, row_config, reports)

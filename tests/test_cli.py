@@ -300,8 +300,9 @@ class TestRun:
         assert "seeds:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_bad_worker_cap_exit_two(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("EVID_NUM_WORKERS", "abc")
+    @pytest.mark.parametrize("cap", ["abc", "0", "-1"])
+    def test_bad_worker_cap_exit_two(self, tmp_path, capsys, monkeypatch, cap):
+        monkeypatch.setenv("EVID_NUM_WORKERS", cap)
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err
@@ -315,6 +316,21 @@ class TestRun:
         config = write_config(tmp_path, output_dir=str(blocker))
         assert main(["run", "--config", str(config)]) == 3
         assert "runtime failure" in capsys.readouterr().err
+
+    def test_failed_rerun_leaves_no_aggregate(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("EVID_NUM_WORKERS", "1")
+        config = write_config(tmp_path, seeds=[0])
+        assert main(["run", "--config", str(config)]) == 0
+        [run_dir] = (tmp_path / "out").iterdir()
+        assert (run_dir / "aggregate.json").exists()
+        monkeypatch.setattr("evidunc.experiments._run_job", _failing_job)
+        assert main(["run", "--config", str(config)]) == 3
+        assert "runtime failure" in capsys.readouterr().err
+        assert not (run_dir / "aggregate.json").exists()
+
+
+def _failing_job(*args):
+    raise RuntimeError("job failed")
 
 
 class TestAblateAndReport:
@@ -342,6 +358,19 @@ class TestAblateAndReport:
         assert "+UG+US+CS" in err
         assert "round 2 selects from 70 unlabeled samples" in err
         assert not (tmp_path / "out").exists()
+
+    def test_failed_rerun_leaves_no_marker(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("EVID_NUM_WORKERS", "1")
+        config = write_config(tmp_path, seeds=[0])
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", str(config)]) == 0
+        assert len(list(out.rglob("aggregate.json"))) == 5
+        monkeypatch.setattr("evidunc.experiments._run_job", _failing_job)
+        assert main(["ablate", "--config", str(config)]) == 3
+        assert "runtime failure" in capsys.readouterr().err
+        assert not (out / "ablation.json").exists()
+        assert not list(out.rglob("aggregate.json"))
+        assert main(["report", "--out", str(out)]) == 2
 
     def test_report_on_run_directory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EVID_NUM_WORKERS", "1")
