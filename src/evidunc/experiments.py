@@ -20,12 +20,13 @@ to one process pool, largest first. The EVID_NUM_WORKERS environment
 variable caps how many jobs run in parallel processes; unset means one
 process per job up to the CPU count.
 
-Each pool worker runs OpenBLAS on one thread, and so does the ``evidunc
-run`` or ``ablate`` process, which runs the jobs itself when there is one
-worker. The training GEMMs are at most 64 columns wide, so a second BLAS
-thread only spins, and P workers with two threads each would oversubscribe
-the CPUs. Library callers of ``run_seed`` and the in-process ``run_rows``
-path keep their own BLAS thread count.
+Each pool worker runs OpenBLAS on one thread. The training GEMMs are at
+most 64 columns wide, so a second BLAS thread only spins, and P workers with
+two threads each would oversubscribe the CPUs. This applies to numpy builds
+that bundle scipy-openblas (the numpy 2.x wheels); with any other BLAS the
+workers keep its default. Jobs that run in the calling process, as with one
+worker, and library callers of ``run_seed`` keep the caller's BLAS thread
+count.
 
 A run deletes its completion markers (``aggregate.json``, ``ablation.json``)
 before its first job and writes them again only when every job succeeded,
@@ -203,7 +204,7 @@ def _one_blas_thread() -> None:
             setter(1)
 
 
-def run_rows(configs, out_dirs=None, markers=()) -> list:
+def run_rows(configs, out_dirs=None) -> list:
     """Run every config on each of its seeds; returns each config's reports
     in the order of its seeds.
 
@@ -211,8 +212,7 @@ def run_rows(configs, out_dirs=None, markers=()) -> list:
     share one job per seed (see ``run_ada_rows``). The jobs run largest
     first, in one process pool when more than one worker is allowed. With
     ``out_dirs``, each config's config.json and seed directories are written
-    under its entry. The files in ``markers`` are deleted once the worker
-    count is known to be valid, before anything is written.
+    under its entry, and its stale aggregate.json is deleted first.
     """
     groups = {}
     for i, config in enumerate(configs):
@@ -220,10 +220,9 @@ def run_rows(configs, out_dirs=None, markers=()) -> list:
         for seed in config.seeds:
             groups.setdefault((prefix, seed), []).append(i)
     workers = _worker_count(len(groups))
-    for marker in markers:
-        Path(marker).unlink(missing_ok=True)
     if out_dirs is not None:
         for config, out in zip(configs, out_dirs):
+            (Path(out) / "aggregate.json").unlink(missing_ok=True)
             Path(out).mkdir(parents=True, exist_ok=True)
             (Path(out) / "config.json").write_text(config.to_json() + "\n")
     jobs = sorted(groups.items(), key=lambda job: -len(job[1]))  # largest first
@@ -268,7 +267,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     """
     base = Path(out_dir if out_dir is not None else config.output_dir)
     base = base / config_hash(config)
-    [reports] = run_rows([config], [base], markers=[base / "aggregate.json"])
+    [reports] = run_rows([config], [base])
     return _write_aggregate(base, config, reports)
 
 
@@ -294,8 +293,8 @@ def run_ablation(config: ExperimentConfig, out_dir=None) -> list:
     ]
     # Every job finishes before any aggregate is written, so a failed run
     # leaves no row looking complete.
-    markers = [base / "ablation.json", *(row_dir / "aggregate.json" for row_dir in row_dirs)]
-    results = run_rows(configs, row_dirs, markers=markers)
+    (base / "ablation.json").unlink(missing_ok=True)
+    results = run_rows(configs, row_dirs)
     table = []
     for (name, _), row_config, row_dir, reports in zip(ABLATION_ROWS, configs, row_dirs, results):
         summary = _write_aggregate(row_dir, row_config, reports)

@@ -1,0 +1,32 @@
+"""Handles on the OpenBLAS that numpy's wheel bundles, for the BLAS thread
+tests. They live in an importable module so that pool workers resolve
+``report_threads`` by import under any start method."""
+
+import ctypes
+import os
+from pathlib import Path
+
+import numpy as np
+
+from evidunc.experiments import _OPENBLAS
+
+LIBRARIES = sorted(Path(np.__file__).parent.parent.glob(_OPENBLAS[0]))
+
+if LIBRARIES:
+    _lib = ctypes.CDLL(str(LIBRARIES[0]), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+    _lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    _lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+
+
+def threads() -> int:
+    return _lib.scipy_openblas_get_num_threads64_()
+
+
+def set_threads(n: int) -> None:
+    _lib.scipy_openblas_set_num_threads64_(n)
+
+
+def report_threads(configs, seed, out_dirs):
+    """Stands in for ``experiments._run_job``: each row's report is the BLAS
+    thread count of the process that ran the job."""
+    return [threads()] * len(configs)

@@ -1,69 +1,48 @@
-"""BLAS thread count: one thread in the processes evidunc runs jobs in, the
-caller's own count everywhere else.
+"""BLAS thread count: one thread in the pool workers evidunc runs jobs in,
+the caller's own count everywhere else.
 
 Each test runs in a fresh interpreter, because the count applies to the
 whole process and the pytest process must keep its own.
 """
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from evidunc.experiments import _OPENBLAS
+from blas_probe import LIBRARIES
 from test_cli import write_config
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
-pytestmark = pytest.mark.skipif(
-    not list(Path(np.__file__).parent.parent.glob(_OPENBLAS[0])),
-    reason="numpy without its bundled OpenBLAS",
-)
+pytestmark = pytest.mark.skipif(not LIBRARIES, reason="numpy without its bundled OpenBLAS")
 
-# Runs before each script, in a directory holding a tiny config.json:
-# handles on the bundled OpenBLAS, and that config.
+# Runs before each script, in a directory holding a tiny config.json.
 PRELUDE = """
-import ctypes, json, os
-from pathlib import Path
+import json, os
 
-import numpy as np
-
-from evidunc import cli, experiments
+from blas_probe import report_threads, set_threads, threads
+from evidunc import experiments
 from evidunc.config import load_config
-
-_lib = ctypes.CDLL(
-    str(next(Path(np.__file__).parent.parent.glob(experiments._OPENBLAS[0]))),
-    mode=os.RTLD_NOLOAD | os.RTLD_LAZY,
-)
-_lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-_lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-
-
-def threads():
-    return _lib.scipy_openblas_get_num_threads64_()
-
-
-def set_threads(n):
-    _lib.scipy_openblas_set_num_threads64_(n)
-
 
 CONFIG = load_config("config.json")
 """
 
 
-def run_script(body, tmp_path, seeds=(0, 1), **env):
+def run_script(body, tmp_path, **env):
     """Run PRELUDE plus body in a fresh interpreter, next to a config with
-    the given seeds; returns the JSON value the script prints last."""
-    write_config(tmp_path, seeds=list(seeds))
+    seeds 0 and 1; returns the JSON value the script prints last."""
+    write_config(tmp_path, seeds=[0, 1])
     done = subprocess.run(
         [sys.executable, "-c", PRELUDE + textwrap.dedent(body)],
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": str(SRC), **env},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)]), **env},
         capture_output=True,
         text=True,
         timeout=300,
@@ -72,16 +51,16 @@ def run_script(body, tmp_path, seeds=(0, 1), **env):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_pool_workers_run_one_thread(tmp_path):
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_pool_workers_run_one_thread(tmp_path, method):
     got = run_script(
-        """
-        def probe(configs, seed, out_dirs):
-            return [threads()] * len(configs)
-
+        f"""
+        import multiprocessing
+        multiprocessing.set_start_method("{method}")
         set_threads(2)
-        experiments._run_job = probe  # forked workers inherit the patch
+        experiments._run_job = report_threads  # pickled by name, so any start method finds it
         experiments._worker_count = lambda num_jobs: 2
-        print(json.dumps({"workers": experiments.run_rows([CONFIG]), "caller": threads()}))
+        print(json.dumps({{"workers": experiments.run_rows([CONFIG]), "caller": threads()}}))
         """,
         tmp_path,
     )
@@ -107,21 +86,6 @@ def test_library_callers_keep_their_count(tmp_path):
         EVID_NUM_WORKERS="1",
     )
     assert got == [2, 2, 3, 3, 3]
-
-
-@pytest.mark.parametrize("command", ["run", "ablate"])
-def test_cli_process_runs_one_thread(tmp_path, command):
-    got = run_script(
-        f"""
-        set_threads(2)
-        code = cli.main(["{command}", "--config", "config.json"])
-        print(json.dumps([code, threads()]))
-        """,
-        tmp_path,
-        seeds=[0],
-        EVID_NUM_WORKERS="1",
-    )
-    assert got == [0, 1]
 
 
 def test_helper_is_a_no_op_without_library_or_symbol(tmp_path):
