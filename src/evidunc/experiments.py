@@ -22,11 +22,13 @@ process per job up to the CPU count.
 
 Each pool worker runs OpenBLAS on one thread. The training GEMMs are at
 most 64 columns wide, so a second BLAS thread only spins, and P workers with
-two threads each would oversubscribe the CPUs. This applies to numpy builds
-that bundle scipy-openblas (the numpy 2.x wheels); with any other BLAS the
-workers keep its default. Jobs that run in the calling process, as with one
-worker, and library callers of ``run_seed`` keep the caller's BLAS thread
-count.
+two threads each would oversubscribe the CPUs. The ``evidunc run`` and
+``ablate`` commands set one thread in their own process too, which runs the
+jobs when there is one worker: there a second thread saves no wall time and
+costs CPU time. Library callers of ``run_seed`` and the in-process
+``run_rows`` path keep their own BLAS thread count. All this applies to
+numpy builds that bundle scipy-openblas (the numpy 2.x wheels); with any
+other BLAS every process keeps its default.
 
 A run deletes its completion markers (``aggregate.json``, ``ablation.json``)
 before its first job and writes them again only when every job succeeded,

@@ -1,5 +1,5 @@
-"""BLAS thread count: one thread in the pool workers evidunc runs jobs in,
-the caller's own count everywhere else.
+"""BLAS thread count: one thread in the processes evidunc runs jobs in, the
+caller's own count everywhere else.
 
 Each test runs in a fresh interpreter, because the count applies to the
 whole process and the pytest process must keep its own.
@@ -28,7 +28,7 @@ PRELUDE = """
 import json, os
 
 from blas_probe import report_threads, set_threads, threads
-from evidunc import experiments
+from evidunc import cli, experiments
 from evidunc.config import load_config
 
 CONFIG = load_config("config.json")
@@ -86,6 +86,20 @@ def test_library_callers_keep_their_count(tmp_path):
         EVID_NUM_WORKERS="1",
     )
     assert got == [2, 2, 3, 3, 3]
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_cli_process_runs_one_thread(tmp_path, command):
+    got = run_script(
+        f"""
+        set_threads(2)
+        code = cli.main(["{command}", "--config", "config.json"])
+        print(json.dumps([code, threads()]))
+        """,
+        tmp_path,
+        EVID_NUM_WORKERS="1",
+    )
+    assert got == [0, 1]
 
 
 def test_helper_is_a_no_op_without_library_or_symbol(tmp_path):
