@@ -32,9 +32,9 @@ from .enn import (
     TrainConfig,
     Trainer,
     TrainingDivergedError,
+    checkpoint_text,
     evaluate,
     load_checkpoint,
-    save_checkpoint,
 )
 from .experiments import (
     ABLATION_ROWS,
@@ -94,6 +94,7 @@ __all__ = [
     "batch_uncertainties",
     "certainty_sampling",
     "checked_alpha",
+    "checkpoint_text",
     "class_level_uncertainty_summary",
     "class_variances_batch",
     "config_hash",
@@ -120,7 +121,6 @@ __all__ = [
     "run_experiment",
     "run_rows",
     "run_seed",
-    "save_checkpoint",
     "split_pools",
     "uncertainty_sampling",
     "variance_uncertainties_batch",

@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, PoolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingDivergedError, RuntimeError, OSError) as exc:
+    except (TrainingDivergedError, RuntimeError, OSError, MemoryError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
 

@@ -18,7 +18,6 @@ the unlabeled term does not perturb the supervised batch sequence.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -36,9 +35,8 @@ __all__ = [
     "Trainer",
     "train",
     "evaluate",
-    "save_checkpoint",
+    "checkpoint_text",
     "load_checkpoint",
-    "write_loss_curve",
 ]
 
 LOGIT_CLAMP = 30.0
@@ -291,26 +289,17 @@ def evaluate(model: EvidentialMLP, features, labels) -> float:
     return float(np.mean(predicted == labels))
 
 
-def save_checkpoint(model: EvidentialMLP, path) -> None:
-    payload = {
+def checkpoint_text(model: EvidentialMLP) -> str:
+    """The model as checkpoint JSON, which ``load_checkpoint`` reads back."""
+    return json.dumps({
         "schema_version": 1,
         "layer_sizes": [model.weights[0].shape[0]] + [w.shape[1] for w in model.weights],
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    })
 
 
 def load_checkpoint(path) -> EvidentialMLP:
     with open(path) as fh:
         payload = json.load(fh)
     return EvidentialMLP(payload["weights"], payload["biases"])
-
-
-def write_loss_curve(curve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "supervised_loss", "ug_loss"])
-        for epoch, sup, ug in curve:
-            writer.writerow([epoch, f"{sup:.10g}", f"{ug:.10g}"])

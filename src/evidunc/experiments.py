@@ -33,6 +33,12 @@ other BLAS every process keeps its default.
 A run deletes its completion markers (``aggregate.json``, ``ablation.json``)
 before its first job and writes them again only when every job succeeded,
 so a failed rerun never leaves a directory that looks complete.
+
+This module owns the format of every run-directory file, and one writer,
+``_write_atomic``, writes each of them whole: a temporary file in the same
+directory, then ``os.replace``. A process that crashes mid-write leaves the
+old file or none, never a truncated one. Nothing is fsynced, so a power
+loss is not covered.
 """
 
 from __future__ import annotations
@@ -46,8 +52,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import AblationSwitches, ConfigError, ExperimentConfig, config_hash, parse_config
-from .enn import EvidentialMLP, save_checkpoint, write_loss_curve
-from .metrics import export_uncertainty_histograms, write_selection_log
+from .enn import EvidentialMLP, checkpoint_text
+from .metrics import export_uncertainty_histograms
 from .sampling import run_ada_rows
 from .synthetic import generate_domain_pair, split_pools
 
@@ -112,19 +118,43 @@ def run_seed(config: ExperimentConfig, seed: int):
     return report, model, source, target
 
 
-def _write_seed_outputs(run_dir: Path, config, report, model, source, target):
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "report.json").write_text(report.to_json() + "\n")
-    write_selection_log(report.selection_log, run_dir / "selection_log.csv")
-    write_loss_curve(report.loss_curve, run_dir / "loss_curve.csv")
-    export_uncertainty_histograms(
-        model,
-        source.features,
-        target.features,
-        config.mode,
-        path=run_dir / "histograms.csv",
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole: into a temporary file beside it,
+    named with this process's id, then renamed over ``path``."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _csv_text(header, rows) -> str:
+    """CSV as ``csv.writer`` writes these files: floats as %.10g, everything
+    else as str, lines ending in \\r\\n. No field holds a comma, quote or
+    line break, so none needs quoting."""
+    return "".join(
+        ",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row) + "\r\n"
+        for row in (header, *rows)
     )
-    save_checkpoint(model, run_dir / "checkpoint.json")
+
+
+_SELECTION_LOG_COLUMNS = ("round", "sample_id", "selection_type", "epistemic", "aleatoric",
+                          "predicted_class", "true_class")
+
+
+def _write_seed_outputs(run_dir: Path, report, model, source, target):
+    run_dir.mkdir(parents=True, exist_ok=True)
+    _write_atomic(run_dir / "report.json", report.to_json() + "\n")
+    log = ([row[k] for k in _SELECTION_LOG_COLUMNS] for row in report.selection_log)
+    _write_atomic(run_dir / "selection_log.csv", _csv_text(_SELECTION_LOG_COLUMNS, log))
+    curve = _csv_text(("epoch", "supervised_loss", "ug_loss"), report.loss_curve)
+    _write_atomic(run_dir / "loss_curve.csv", curve)
+    rows = export_uncertainty_histograms(model, source.features, target.features, report.mode)
+    _write_atomic(run_dir / "histograms.csv", _csv_text(("domain", "aleatoric", "epistemic"), rows))
+    _write_atomic(run_dir / "checkpoint.json", checkpoint_text(model))
 
 
 def _run_job(configs, seed: int, out_dirs) -> list:
@@ -132,8 +162,8 @@ def _run_job(configs, seed: int, out_dirs) -> list:
     directory under ``out_dirs`` unless that is None; returns the reports."""
     rows, source, target = _run_group(configs, seed)
     if out_dirs is not None:
-        for config, (report, model), out in zip(configs, rows, out_dirs):
-            _write_seed_outputs(Path(out) / f"seed{seed}", config, report, model, source, target)
+        for (report, model), out in zip(rows, out_dirs):
+            _write_seed_outputs(Path(out) / f"seed{seed}", report, model, source, target)
     return [report for report, _ in rows]
 
 
@@ -226,7 +256,7 @@ def run_rows(configs, out_dirs=None) -> list:
         for config, out in zip(configs, out_dirs):
             (Path(out) / "aggregate.json").unlink(missing_ok=True)
             Path(out).mkdir(parents=True, exist_ok=True)
-            (Path(out) / "config.json").write_text(config.to_json() + "\n")
+            _write_atomic(Path(out) / "config.json", config.to_json() + "\n")
     jobs = sorted(groups.items(), key=lambda job: -len(job[1]))  # largest first
     args = [
         ([configs[i] for i in rows], seed, None if out_dirs is None else [out_dirs[i] for i in rows])
@@ -256,9 +286,7 @@ def _write_aggregate(base: Path, config: ExperimentConfig, reports) -> dict:
     summary["config_hash"] = config_hash(config)
     summary["mode"] = config.mode
     summary["ablation"] = config.ablation.row_name()
-    (base / "aggregate.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    _write_atomic(base / "aggregate.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 
@@ -311,5 +339,5 @@ def run_ablation(config: ExperimentConfig, out_dir=None) -> list:
                 "config_hash": summary["config_hash"],
             }
         )
-    (base / "ablation.json").write_text(json.dumps(table, indent=2) + "\n")
+    _write_atomic(base / "ablation.json", json.dumps(table, indent=2) + "\n")
     return table

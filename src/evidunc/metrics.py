@@ -1,5 +1,6 @@
 """Evaluation metrics and run reporting: misclassification AUROC, dataset
-class correlations, uncertainty exports, and the per-run report record.
+class correlations, per-sample uncertainty rows, and the per-run report
+record. Nothing here writes files; ``experiments`` formats the run directory.
 
 The AUROC here is the Mann-Whitney rank statistic with tied scores credited
 half. The test suite checks it against a pair-counting oracle kept in
@@ -10,7 +11,6 @@ bitwise equality rather than approximate agreement.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -34,7 +34,6 @@ __all__ = [
     "class_level_uncertainty_summary",
     "batch_uncertainties",
     "AdaRunReport",
-    "write_selection_log",
 ]
 
 
@@ -137,9 +136,9 @@ def rank_class_pairs(alpha: np.ndarray, labels=None):
     return triples
 
 
-def export_uncertainty_histograms(model, source_features, target_features, mode, path=None):
-    """Per-sample (domain, AU, EU) rows for both domains; optionally written
-    as CSV. The rows are enough to rebuild uncertainty histograms externally."""
+def export_uncertainty_histograms(model, source_features, target_features, mode):
+    """Per-sample (domain, AU, EU) rows for both domains, enough to rebuild
+    uncertainty histograms externally."""
     rows = []
     for domain, features in (("source", source_features), ("target", target_features)):
         features = np.asarray(features, dtype=np.float64)
@@ -148,12 +147,6 @@ def export_uncertainty_histograms(model, source_features, target_features, mode,
         alpha = model.forward_batch(features)
         _, au, eu = batch_uncertainties(alpha, mode)
         rows.extend((domain, float(a), float(e)) for a, e in zip(au, eu))
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["domain", "aleatoric", "epistemic"])
-            for domain, au_v, eu_v in rows:
-                writer.writerow([domain, f"{au_v:.10g}", f"{eu_v:.10g}"])
     return rows
 
 
@@ -212,18 +205,3 @@ class AdaRunReport:
         payload["loss_curve"] = [list(t) for t in self.loss_curve]
         return json.dumps(payload, indent=2, sort_keys=True)
 
-
-def write_selection_log(rows, path) -> None:
-    """Selection log CSV: one row per selected sample per round."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["round", "sample_id", "selection_type", "epistemic", "aleatoric",
-             "predicted_class", "true_class"]
-        )
-        for row in rows:
-            writer.writerow(
-                [row["round"], row["sample_id"], row["selection_type"],
-                 f"{row['epistemic']:.10g}", f"{row['aleatoric']:.10g}",
-                 row["predicted_class"], row["true_class"]]
-            )

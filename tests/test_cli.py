@@ -244,6 +244,18 @@ class TestRun:
         assert "domain: " in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_unallocatable_pool_exit_three(self, tmp_path, capsys, monkeypatch):
+        # 10**16 labels need 80 PB, beyond a 47-bit address space, so numpy's
+        # allocation fails at once whatever the overcommit setting.
+        monkeypatch.setenv("EVID_NUM_WORKERS", "1")
+        document = json.loads(write_config(tmp_path, seeds=[0]).read_text())
+        document["domain"]["samples_per_domain"] = 10**16
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(document))
+        assert main(["run", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert "runtime failure: Unable to allocate" in err and "Traceback" not in err
+
     def test_bad_seed_list_exit_two(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config), "--seeds", "1,two"]) == 2

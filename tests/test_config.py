@@ -2,6 +2,9 @@
 
 import json
 import os
+import stat
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from evidunc.config import (
     parse_config,
 )
 from evidunc import experiments
+from evidunc.enn import EvidentialMLP, load_checkpoint
+from evidunc.metrics import AdaRunReport
 from evidunc.experiments import (
     ABLATION_ROWS,
     aggregate_reports,
@@ -310,6 +315,117 @@ class TestRunExperiment:
         summary = run_experiment(config)
         base = tmp_path / "out" / summary["config_hash"]
         assert json.loads((base / "aggregate.json").read_text()) == summary
+
+
+@pytest.fixture
+def seed_dir(tmp_path):
+    """A seed directory written from a hand-made report: one selection row,
+    a two-epoch loss curve, and an identity model over 30 source and 20
+    target samples."""
+    report = AdaRunReport(
+        mode="variance",
+        seed=0,
+        loss_curve=[(1, 0.5, 0.1), (2, 0.4, 0.05)],
+        selection_log=[
+            {
+                "round": 1,
+                "sample_id": 4,
+                "selection_type": "uncertain",
+                "epistemic": 0.25,
+                "aleatoric": 0.5,
+                "predicted_class": 2,
+                "true_class": 1,
+            }
+        ],
+    )
+    rng = np.random.default_rng(41)
+    source = SimpleNamespace(features=rng.normal(size=(30, 2)))
+    target = SimpleNamespace(features=rng.normal(size=(20, 2)))
+    model = EvidentialMLP([np.eye(2)], [np.zeros(2)])
+    experiments._write_seed_outputs(tmp_path / "seed0", report, model, source, target)
+    return tmp_path / "seed0"
+
+
+class TestRunDirectoryFiles:
+    def test_loss_curve_csv(self, seed_dir):
+        lines = (seed_dir / "loss_curve.csv").read_text().strip().splitlines()
+        assert lines[0] == "epoch,supervised_loss,ug_loss"
+        assert len(lines) == 3
+
+    def test_selection_log_csv(self, seed_dir):
+        lines = (seed_dir / "selection_log.csv").read_text().strip().splitlines()
+        assert lines[0].startswith("round,sample_id,selection_type")
+        assert lines[1] == "1,4,uncertain,0.25,0.5,2,1"
+
+    def test_histograms_csv(self, seed_dir):
+        lines = (seed_dir / "histograms.csv").read_text().strip().splitlines()
+        assert lines[0] == "domain,aleatoric,epistemic"
+        assert len(lines) == 51
+
+    def test_checkpoint_loads_back(self, seed_dir):
+        loaded = load_checkpoint(seed_dir / "checkpoint.json")
+        np.testing.assert_array_equal(loaded.weights[0], np.eye(2))
+        np.testing.assert_array_equal(loaded.biases[0], np.zeros(2))
+
+    def test_csv_lines_end_in_crlf(self, tmp_path, monkeypatch):
+        # As csv.writer writes them; rerun-versus-rerun bytes cannot see a switch to \n.
+        monkeypatch.setenv("EVID_NUM_WORKERS", "1")
+        config = parse_config(tiny_document(output_dir=str(tmp_path / "out"), seeds=[0]))
+        seed0 = tmp_path / "out" / run_experiment(config)["config_hash"] / "seed0"
+        for name in ("loss_curve.csv", "selection_log.csv", "histograms.csv"):
+            data = (seed0 / name).read_bytes()
+            assert data.endswith(b"\r\n"), name
+            assert data.count(b"\n") == data.count(b"\r\n") > 2, name
+
+    @pytest.mark.parametrize("failing", ["write", "replace"])
+    def test_failed_rerun_write_keeps_the_earlier_file(self, tmp_path, monkeypatch, failing):
+        monkeypatch.setenv("EVID_NUM_WORKERS", "1")
+        config = parse_config(tiny_document(output_dir=str(tmp_path / "out"), seeds=[0]))
+        target = tmp_path / "out" / run_experiment(config)["config_hash"] / "seed0" / "histograms.csv"
+        before = target.read_bytes()
+
+        def failing_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            if Path(path).name.startswith(target.name):
+                fh.write("half a file")
+                fh.close()
+                raise OSError("disk full")
+            return fh
+
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst) == target:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        if failing == "write":
+            monkeypatch.setattr(experiments, "open", failing_open, raising=False)
+        else:
+            monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(config)
+        assert target.read_bytes() == before
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_temporary_file_is_per_process_with_default_mode(self, tmp_path, monkeypatch):
+        replaced = []
+        replace = os.replace
+
+        def recording(src, dst):
+            replaced.append((Path(src), stat.S_IMODE(os.stat(src).st_mode)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording)
+        experiments._write_atomic(tmp_path / "a.json", "{}\n")
+        plain = tmp_path / "plain.json"
+        plain.write_text("{}\n")
+        [(tmp, mode)] = replaced
+        assert tmp.parent == tmp_path and tmp.name.endswith(".tmp")
+        assert str(os.getpid()) in tmp.name  # two processes never share a name
+        assert mode == stat.S_IMODE(plain.stat().st_mode)  # not mkstemp's 0600
+        assert (tmp_path / "a.json").read_bytes() == plain.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "plain.json"]
 
 
 class TestAblation:

@@ -12,11 +12,10 @@ from evidunc.enn import (
     TrainConfig,
     Trainer,
     TrainingDivergedError,
+    checkpoint_text,
     evaluate,
     load_checkpoint,
-    save_checkpoint,
     train,
-    write_loss_curve,
 )
 from evidunc.losses import LossConfig, edl_batch, ug_batch
 from evidunc.pools import SamplePool
@@ -300,16 +299,9 @@ class TestEvaluationAndSerialization:
     def test_checkpoint_round_trip(self, tmp_path):
         model = EvidentialMLP.create(3, 4, hidden=(5,), seed=21)
         path = tmp_path / "model.json"
-        save_checkpoint(model, path)
+        path.write_text(checkpoint_text(model))
         loaded = load_checkpoint(path)
         for w1, w2 in zip(model.weights, loaded.weights):
             np.testing.assert_array_equal(w1, w2)
         for b1, b2 in zip(model.biases, loaded.biases):
             np.testing.assert_array_equal(b1, b2)
-
-    def test_loss_curve_csv(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        write_loss_curve([(1, 0.5, 0.1), (2, 0.4, 0.05)], path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,supervised_loss,ug_loss"
-        assert len(lines) == 3

@@ -16,7 +16,6 @@ from evidunc.metrics import (
     dataset_class_correlation,
     export_uncertainty_histograms,
     rank_class_pairs,
-    write_selection_log,
 )
 from evidunc.special import DomainError
 from oracles import brute_force_auroc, one_row
@@ -150,19 +149,15 @@ class TestRankClassPairs:
 
 
 class TestHistogramExport:
-    def test_row_counts_and_nonnegativity(self, tmp_path):
+    def test_row_counts_and_nonnegativity(self):
         model = identity_model()
         rng = np.random.default_rng(41)
         source = rng.normal(size=(30, 2))
         target = rng.normal(size=(20, 2))
-        path = tmp_path / "hist.csv"
-        rows = export_uncertainty_histograms(model, source, target, "variance", path)
+        rows = export_uncertainty_histograms(model, source, target, "variance")
         assert len(rows) == 50
         assert sum(r[0] == "source" for r in rows) == 30
         assert all(r[1] >= 0.0 and r[2] >= 0.0 for r in rows)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "domain,aleatoric,epistemic"
-        assert len(lines) == 51
 
     def test_empty_domain_contributes_nothing(self):
         model = identity_model()
@@ -227,21 +222,3 @@ class TestReport:
         assert payload["final_accuracy"] == 0.7
         assert payload["correlated_pairs"] == [[1, 2, -0.4]]
         assert payload["mode"] == "entropy"
-
-    def test_selection_log_csv(self, tmp_path):
-        rows = [
-            {
-                "round": 1,
-                "sample_id": 4,
-                "selection_type": "uncertain",
-                "epistemic": 0.25,
-                "aleatoric": 0.5,
-                "predicted_class": 2,
-                "true_class": 1,
-            }
-        ]
-        path = tmp_path / "log.csv"
-        write_selection_log(rows, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("round,sample_id,selection_type")
-        assert lines[1] == "1,4,uncertain,0.25,0.5,2,1"
