@@ -18,12 +18,12 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config, parse_config, read_json, read_text
+from .config import ConfigError, load_config, read_json, read_text
 from .dirichlet import AlphaError, checked_alpha, predict_class_batch
 # Bound under the name the benchmark's tracer wraps as the record builder.
 from .dirichlet import quantify_records as quantify_record
 from .enn import TrainingDivergedError
-from .experiments import _one_blas_thread, run_ablation, run_experiment
+from .experiments import _one_blas_thread, _write_atomic, run_ablation, run_experiment
 from .losses import QUANTIFICATION_MODES
 from .pools import PoolError
 from .special import DomainError
@@ -90,7 +90,7 @@ def cmd_quantify(args) -> int:
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+        _write_atomic(out, text)
         print(f"wrote {len(records)} records to {out}")
     else:
         sys.stdout.write(text)
@@ -105,17 +105,11 @@ def _parse_seeds(text: str):
 
 
 def _load_with_overrides(args):
-    """The config file with the command line overrides applied, validated
-    as one document so an override is checked like a config value."""
-    config = load_config(args.config)
-    overrides = {}
-    if args.seeds:
-        overrides["seeds"] = _parse_seeds(args.seeds)
-    if args.mode:
-        overrides["mode"] = args.mode
-    if args.out:
-        overrides["output_dir"] = args.out
-    return parse_config({**config.to_document(), **overrides})
+    """The config file with the command line overrides merged into its
+    document, which is then validated once."""
+    overrides = {"seeds": args.seeds and _parse_seeds(args.seeds), "mode": args.mode,
+                 "output_dir": args.out}
+    return load_config(args.config, **{key: v for key, v in overrides.items() if v})
 
 
 def cmd_run(args) -> int:

@@ -6,9 +6,10 @@ types of ``DomainSpec``, ``TrainConfig``, ``LossConfig``,
 ``AblationSwitches`` or ``RoundPlan``, the top level and ``sampling``
 against ``ExperimentConfig``. An ``int`` is a JSON integer (never a bool or
 ``6.0``), a ``float`` any number but a bool, ``X | None`` also takes null
-and ``tuple[T, ...]`` is a list of ``T``. The constructors check value
-ranges and ``sampling.round_problems`` the round layout. Every problem is
-reported at once under its field path, such as ``sampling.plans[0].b_u``.
+and ``tuple[T, ...]`` is a list of ``T``. The constructors are the
+validator, so ``ExperimentConfig(...)``, ``replace`` and ``with_switches``
+raise ``ConfigError`` too, each problem under its field path, such as
+``sampling.plans[0].b_u``; ``sampling.round_problems`` checks the rounds.
 
 Values keep the form they were written in (lists become tuples), so
 parsing then serializing then parsing again yields an equal config, which
@@ -42,7 +43,13 @@ _SAMPLING = ("plans", "schedule", "budget_fraction", "auroc_epoch")  # grouped i
 
 
 class ConfigError(ValueError):
-    """Invalid experiment config; message lists every offending field."""
+    """Invalid experiment config; message lists every offending field, one
+    entry of ``problems`` each (``rounds`` marks the round layout's)."""
+
+    def __init__(self, problems, rounds: bool = False):
+        listed = not isinstance(problems, str)
+        super().__init__("invalid config:\n  " + "\n  ".join(problems) if listed else problems)
+        self.problems, self.rounds = (problems if listed else [problems]), rounds
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,42 @@ class ExperimentConfig:
     budget_fraction: float = 0.05
     auroc_epoch: int | None = None
     ablation: AblationSwitches = field(default_factory=AblationSwitches)
+
+    def __post_init__(self):
+        """Raise ConfigError listing every value that cannot run."""
+        problems = []
+        if self.mode not in QUANTIFICATION_MODES:
+            problems.append(f"mode: must be one of {QUANTIFICATION_MODES}, got {self.mode!r}")
+        if not self.seeds:
+            problems.append("seeds: need at least one seed")
+        elif min(self.seeds) < 0:
+            problems.append("seeds: every entry must be a nonnegative integer")
+        elif len(set(self.seeds)) != len(self.seeds):
+            problems.append("seeds: duplicates are not allowed")
+        if not all(h > 0 for h in self.hidden_layers):
+            problems.append("hidden_layers: entries must be positive integers")
+        if not 0 <= self.budget_fraction <= 1:
+            problems.append("sampling.budget_fraction: must lie in [0, 1]")
+        for name, build in [("domain", self.domain_spec), ("train", self.train_config),
+                            ("loss", lambda _: LossConfig(**self.loss))]:
+            try:
+                build(0)
+            except (ValueError, MemoryError, OverflowError) as exc:  # numpy refuses sizes too
+                problems.append(f"{name}: {exc}")
+        if problems:
+            raise ConfigError(problems)
+        object.__setattr__(self, "budget_fraction", float(self.budget_fraction))
+        # Once all else passes, the rounds are checked against the oracle
+        # budget split_pools grants.
+        num_target, epochs = self.domain_spec(0).samples_per_domain, self.train_config(0).epochs
+        try:
+            budget = oracle_budget(self.budget_fraction, num_target)
+        except OverflowError as exc:  # a target set beyond any float
+            raise ConfigError([f"domain: {exc}"], rounds=True) from None
+        rounds = round_problems(self.resolved_plans(), self.resolved_schedule(), epochs, budget,
+                                num_target, self.ablation.us, self.ablation.cs, self.auroc_epoch)
+        if rounds:
+            raise ConfigError([f"sampling.{k}: {message}" for k, message in rounds], rounds=True)
 
     def domain_spec(self, seed: int) -> DomainSpec:
         return DomainSpec(seed=seed, **self.domain)
@@ -158,15 +201,15 @@ def _type_name(hint) -> str:
 
 def _fitting(section: dict, schema: dict, path: str, errors: list) -> dict:
     """The entries of a JSON object that fit the schema, each kept as far as
-    it fits; each other entry is reported under its field path."""
+    it fits and built; each other entry is reported under its field path."""
     kept = {}
     for key, value in section.items():
         where = f"{path}.{key}" if path else key
         if key not in schema:
             errors.append(f"{path or 'config'}.{key}: unknown field")
         elif (fit := _check(value, schema[key], where, errors)) is not _BAD:
-            kept[key] = fit
-    return kept
+            kept[key] = _build(fit, schema[key], where, errors)
+    return {key: fit for key, fit in kept.items() if fit is not _BAD}
 
 
 def _check(value, hint, path: str, errors: list):
@@ -192,6 +235,22 @@ def _check(value, hint, path: str, errors: list):
     return value
 
 
+def _build(value, hint, path: str, errors: list):
+    """A fitting JSON value as a config holds it: lists as tuples, dataclass
+    objects built, or _BAD with the constructor's error under its path."""
+    item = get_args(hint)[0] if get_origin(hint) is tuple else None
+    if is_dataclass(item):
+        built = [_build(v, item, f"{path}[{i}]", errors) for i, v in enumerate(value)]
+        return _BAD if _BAD in built else tuple(built)
+    if not is_dataclass(hint):
+        return tuple(value) if isinstance(value, list) else value
+    try:
+        return hint(**value)
+    except ValueError as exc:  # a DomainError
+        errors.append(f"{path}: {exc}")
+        return _BAD
+
+
 def _expect_finite(value, where: str, errors: list):
     """Report every NaN or infinite number anywhere in the document."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -205,80 +264,25 @@ def _expect_finite(value, where: str, errors: list):
 
 
 def parse_config(document: dict) -> ExperimentConfig:
-    """Validate a parsed JSON document into an ExperimentConfig.
-
-    Raises ConfigError carrying every problem found, not just the first. An
-    entry of the wrong type is reported and left out, so the value checks
-    see only well-typed values and defaults.
-    """
+    """Type-check a parsed JSON document into an ExperimentConfig; raises
+    ConfigError carrying every problem found. An ill-typed entry is reported
+    and left out, so the constructors see only well-typed values and
+    defaults, and then the round layout is not reported."""
     if not isinstance(document, dict):
         raise ConfigError("config root must be a JSON object")
     errors: list[str] = []
     _expect_finite(document, "", errors)
     doc = _fitting(document, _DOCUMENT, "", errors)
-    sampling = doc.get("sampling", {})
-
-    if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        errors.append(f"schema_version: unsupported version {doc['schema_version']!r}")
-    mode = doc.get("mode", "variance")
-    if mode not in QUANTIFICATION_MODES:
-        errors.append(f"mode: must be one of {QUANTIFICATION_MODES}, got {mode!r}")
-    seeds = doc.get("seeds", [0, 1, 2])
-    if not seeds:
-        errors.append("seeds: need at least one seed")
-    elif min(seeds) < 0:
-        errors.append("seeds: every entry must be a nonnegative integer")
-    elif len(set(seeds)) != len(seeds):
-        errors.append("seeds: duplicates are not allowed")
-    hidden = doc.get("hidden_layers", [64, 64])
-    if not all(h > 0 for h in hidden):
-        errors.append("hidden_layers: entries must be positive integers")
-    budget_fraction = sampling.get("budget_fraction", 0.05)
-    if not 0 <= budget_fraction <= 1:
-        errors.append("sampling.budget_fraction: must lie in [0, 1]")
-
-    # The constructors check value ranges; report them under the section.
-    domain, train, loss = (
-        {key: tuple(v) if isinstance(v, list) else v for key, v in doc.get(name, {}).items()}
-        for name in ("domain", "train", "loss")
-    )
-    raw_plans = sampling.get("plans", [])
-    for where, build, kwargs in [
-        ("domain", DomainSpec, domain),
-        ("train", TrainConfig, train),
-        ("loss", LossConfig, loss),
-        *((f"sampling.plans[{i}]", RoundPlan, raw) for i, raw in enumerate(raw_plans)),
-    ]:
-        try:
-            build(**kwargs)
-        except ValueError as exc:  # a DomainError, or numpy refusing an array size
-            errors.append(f"{where}: {exc}")
+    version, sampling = doc.pop("schema_version", SCHEMA_VERSION), doc.pop("sampling", {})
+    if version != SCHEMA_VERSION:
+        errors.append(f"schema_version: unsupported version {version!r}")
+    try:
+        config = ExperimentConfig(**doc, **sampling)
+    except ConfigError as exc:
+        if not (errors and exc.rounds):
+            errors += exc.problems
     if errors:
-        raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
-
-    config = ExperimentConfig(
-        mode=mode,
-        seeds=tuple(seeds),
-        output_dir=doc.get("output_dir", "out"),
-        hidden_layers=tuple(hidden),
-        domain=domain,
-        train=train,
-        loss=loss,
-        plans=tuple(RoundPlan(**raw) for raw in raw_plans),
-        schedule=tuple(sampling.get("schedule", [])),
-        budget_fraction=float(budget_fraction),
-        auroc_epoch=sampling.get("auroc_epoch"),
-        ablation=AblationSwitches(**doc.get("ablation", {})),
-    )
-    # The rounds are checked against the oracle budget split_pools grants.
-    num_target = config.domain_spec(0).samples_per_domain
-    budget = oracle_budget(config.budget_fraction, num_target)
-    problems = round_problems(config.resolved_plans(), config.resolved_schedule(),
-                              config.train_config(0).epochs, budget, num_target,
-                              config.ablation.us, config.ablation.cs, config.auroc_epoch)
-    if problems:
-        raise ConfigError("invalid config:\n  " + "\n  ".join(
-            f"sampling.{key}: {message}" for key, message in problems))
+        raise ConfigError(errors)
     return config
 
 
@@ -300,8 +304,10 @@ def read_json(path):
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from None
 
 
-def load_config(path) -> ExperimentConfig:
-    return parse_config(read_json(path))
+def load_config(path, **overrides) -> ExperimentConfig:
+    """A JSON file's config, ``overrides`` merged into its top level."""
+    document = read_json(path)
+    return parse_config({**document, **overrides} if isinstance(document, dict) else document)
 
 
 def config_hash(config: ExperimentConfig) -> str:

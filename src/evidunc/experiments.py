@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import AblationSwitches, ConfigError, ExperimentConfig, config_hash, parse_config
+from .config import AblationSwitches, ConfigError, ExperimentConfig, config_hash
 from .enn import EvidentialMLP, checkpoint_text
 from .metrics import export_uncertainty_histograms
 from .sampling import run_ada_rows
@@ -314,7 +314,7 @@ def run_ablation(config: ExperimentConfig, out_dir=None) -> list:
     configs = []
     for name, flags in ABLATION_ROWS:
         try:
-            configs.append(parse_config(config.with_switches(**flags).to_document()))
+            configs.append(config.with_switches(**flags))
         except ConfigError as exc:
             raise ConfigError(f"ablation row {name}: {exc}") from None
     row_dirs = [

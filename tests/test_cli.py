@@ -66,6 +66,23 @@ class TestQuantify:
         assert "2 records" in capsys.readouterr().out
         assert len(json.loads(dst.read_text())) == 2
 
+    def test_failed_out_write_keeps_the_earlier_file(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "alphas.csv"
+        src.write_text("2,3\n")
+        dst = tmp_path / "records.json"
+        assert main(["quantify", str(src), "--out", str(dst)]) == 0
+        before = dst.read_bytes()
+        src.write_text("2,3\n4,5,6\n")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert main(["quantify", str(src), "--out", str(dst)]) == 3
+        assert "runtime failure: disk full" in capsys.readouterr().err
+        assert dst.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_empty_file_empty_output(self, tmp_path, capsys):
         path = tmp_path / "alphas.csv"
         path.write_text("")
@@ -244,6 +261,19 @@ class TestRun:
         assert "domain: " in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_unallocatable_class_means_exit_two(self, tmp_path, capsys):
+        # 10**16 class means need 8*10**16 bytes, beyond a 47-bit address
+        # space, so numpy's allocation fails at once whatever the overcommit
+        # setting, and MemoryError is reported under the section.
+        document = json.loads(write_config(tmp_path).read_text())
+        document["domain"].update(num_classes=10**8, feature_dim=10**8, samples_per_domain=10**8)
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(document))
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "domain: Unable to allocate" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_unallocatable_pool_exit_three(self, tmp_path, capsys, monkeypatch):
         # 10**16 labels need 80 PB, beyond a 47-bit address space, so numpy's
         # allocation fails at once whatever the overcommit setting.
@@ -305,6 +335,28 @@ class TestRun:
         err = capsys.readouterr().err
         assert "train: " in err and field in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad, flags, check", [
+        ({"mode": "bogus"}, ["--mode", "entropy"], lambda run: run["mode"] == "entropy"),
+        ({"seeds": [1, 1]}, ["--seeds", "0"], lambda run: run["seeds"] == [0]),
+        ({"output_dir": 5}, ["--out", "elsewhere"], lambda run: run["output_dir"] == "elsewhere"),
+    ], ids=["mode", "seeds", "out"])
+    def test_override_replaces_bad_value_in_file(self, tmp_path, capsys, monkeypatch,
+                                                 bad, flags, check):
+        monkeypatch.setenv("EVID_NUM_WORKERS", "1")
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, **{"seeds": [0], "output_dir": "out", **bad})
+        assert main(["run", "--config", str(config), *flags]) == 0
+        capsys.readouterr()
+        [run_dir] = (tmp_path / ("elsewhere" if "--out" in flags else "out")).iterdir()
+        assert check(json.loads((run_dir / "config.json").read_text()))
+
+    @pytest.mark.parametrize("root", [[], "config", 3])
+    def test_non_object_root_with_overrides_exit_two(self, tmp_path, capsys, root):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(root))
+        assert main(["run", "--config", str(config), "--seeds", "0", "--mode", "entropy"]) == 2
+        assert "config root must be a JSON object" in capsys.readouterr().err
 
     def test_negative_seed_override_exit_two(self, tmp_path, capsys):
         config = write_config(tmp_path)

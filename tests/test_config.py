@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -190,6 +191,41 @@ class TestParsing:
         assert config.domain_spec(7).seed == 7
         assert config.train_config(9).seed == 9
         assert config.loss_config().mode == "variance"
+
+
+class TestConstructorValidates:
+    """ExperimentConfig(...), replace and with_switches reject what
+    parse_config rejects."""
+
+    @pytest.mark.parametrize("field, value, where", [
+        ("seeds", (), "seeds"),
+        ("seeds", (1, 1), "seeds"),
+        ("hidden_layers", (0,), "hidden_layers"),
+        ("mode", "bogus", "mode"),
+        ("budget_fraction", 2.0, "sampling.budget_fraction"),
+    ])
+    def test_constructor_rejects_bad_value(self, field, value, where):
+        with pytest.raises(ConfigError, match=rf"\n  {where}: "):
+            ExperimentConfig(**{field: value})
+
+    def test_replace_rejects_bad_value(self):
+        with pytest.raises(ConfigError, match="seeds: need at least one seed"):
+            replace(parse_config(tiny_document()), seeds=())
+
+    def test_with_switches_checks_the_budget(self):
+        # Over budget only once uncertainty sampling is switched on.
+        document = tiny_document()
+        document["sampling"]["plans"][0]["b_u"] = 40
+        document["ablation"]["us"] = False
+        config = parse_config(document)
+        with pytest.raises(ConfigError, match=r"sampling\.plans: .*budget"):
+            config.with_switches(us=True)
+
+    @pytest.mark.parametrize("domain", [{"samples_per_domain": 10**400},
+                                        {"shift_translation": [10**400, 1]}])
+    def test_number_beyond_a_float_reported_under_domain(self, domain):
+        with pytest.raises(ConfigError, match="domain: int too large to convert to float"):
+            parse_config({"domain": domain})
 
 
 class TestHashing:
