@@ -107,9 +107,9 @@ def _parse_seeds(text: str):
 def _load_with_overrides(args):
     """The config file with the command line overrides merged into its
     document, which is then validated once."""
-    overrides = {"seeds": args.seeds and _parse_seeds(args.seeds), "mode": args.mode,
-                 "output_dir": args.out}
-    return load_config(args.config, **{key: v for key, v in overrides.items() if v})
+    overrides = {"seeds": None if args.seeds is None else _parse_seeds(args.seeds),
+                 "mode": args.mode, "output_dir": args.out}
+    return load_config(args.config, **{key: v for key, v in overrides.items() if v is not None})
 
 
 def cmd_run(args) -> int:

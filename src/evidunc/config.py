@@ -34,7 +34,7 @@ from .enn import TrainConfig
 from .losses import QUANTIFICATION_MODES, LossConfig
 from .pools import oracle_budget
 from .sampling import RoundPlan, default_round_plans, default_schedule, round_problems
-from .synthetic import DomainSpec
+from .synthetic import MAX_SIZE, DomainSpec
 
 __all__ = ["ConfigError", "AblationSwitches", "ExperimentConfig", "config_hash"]
 
@@ -93,8 +93,8 @@ class ExperimentConfig:
             problems.append("seeds: every entry must be a nonnegative integer")
         elif len(set(self.seeds)) != len(self.seeds):
             problems.append("seeds: duplicates are not allowed")
-        if not all(h > 0 for h in self.hidden_layers):
-            problems.append("hidden_layers: entries must be positive integers")
+        if not all(0 < h <= MAX_SIZE for h in self.hidden_layers):
+            problems.append(f"hidden_layers: entries must be integers in 1..{MAX_SIZE}")
         if not 0 <= self.budget_fraction <= 1:
             problems.append("sampling.budget_fraction: must lie in [0, 1]")
         for name, build in [("domain", self.domain_spec), ("train", self.train_config),
@@ -109,12 +109,9 @@ class ExperimentConfig:
         # Once all else passes, the rounds are checked against the oracle
         # budget split_pools grants.
         num_target, epochs = self.domain_spec(0).samples_per_domain, self.train_config(0).epochs
-        try:
-            budget = oracle_budget(self.budget_fraction, num_target)
-        except OverflowError as exc:  # a target set beyond any float
-            raise ConfigError([f"domain: {exc}"], rounds=True) from None
-        rounds = round_problems(self.resolved_plans(), self.resolved_schedule(), epochs, budget,
-                                num_target, self.ablation.us, self.ablation.cs, self.auroc_epoch)
+        rounds = round_problems(self.resolved_plans(), self.resolved_schedule(), epochs,
+                                oracle_budget(self.budget_fraction, num_target), num_target,
+                                self.ablation.us, self.ablation.cs, self.auroc_epoch)
         if rounds:
             raise ConfigError([f"sampling.{k}: {message}" for k, message in rounds], rounds=True)
 

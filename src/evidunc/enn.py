@@ -33,7 +33,6 @@ __all__ = [
     "TrainingDivergedError",
     "EvidentialMLP",
     "Trainer",
-    "train",
     "evaluate",
     "checkpoint_text",
     "load_checkpoint",
@@ -260,23 +259,6 @@ class Trainer:
 
         self.epochs_done += 1
         return float(np.mean(sup_losses)), float(np.mean(ug_losses)) if ug_losses else 0.0
-
-
-def train(
-    model: EvidentialMLP,
-    pool: SamplePool,
-    cfg: TrainConfig,
-    loss_cfg: LossConfig,
-    ug_enabled: bool = True,
-):
-    """Train in place for cfg.epochs; returns the per-epoch loss curve as a
-    list of (epoch, supervised_loss, ug_loss) tuples."""
-    trainer = Trainer(model, pool, cfg, loss_cfg, ug_enabled=ug_enabled)
-    curve = []
-    for epoch in range(cfg.epochs):
-        sup, ug = trainer.run_epoch()
-        curve.append((epoch + 1, sup, ug))
-    return curve
 
 
 def evaluate(model: EvidentialMLP, features, labels) -> float:

@@ -178,27 +178,26 @@ def _mean_of_present(values):
 
 
 def aggregate_reports(reports) -> dict:
-    """Cross-seed summary; reports may be AdaRunReport objects or dicts."""
-    rows = [r if isinstance(r, dict) else json.loads(r.to_json()) for r in reports]
-    finals = [r["final_accuracy"] for r in rows]
+    """Cross-seed summary of AdaRunReports."""
+    finals = [r.final_accuracy for r in reports]
     mean, std = _mean_std(finals)
-    rounds = np.asarray([r["round_accuracies"] for r in rows], dtype=np.float64)
+    rounds = np.asarray([r.round_accuracies for r in reports], dtype=np.float64)
     return {
-        "num_seeds": len(rows),
-        "seeds": [r["seed"] for r in rows],
+        "num_seeds": len(reports),
+        "seeds": [r.seed for r in reports],
         "final_accuracy_per_seed": finals,
         "final_accuracy_mean": mean,
         "final_accuracy_std": std,
         "round_accuracy_mean": [float(v) for v in rounds.mean(axis=0)],
-        "auroc_epistemic_mean": _mean_of_present([r["auroc_epistemic"] for r in rows]),
-        "auroc_aleatoric_mean": _mean_of_present([r["auroc_aleatoric"] for r in rows]),
+        "auroc_epistemic_mean": _mean_of_present([r.auroc_epistemic for r in reports]),
+        "auroc_aleatoric_mean": _mean_of_present([r.auroc_aleatoric for r in reports]),
         "pseudo_label_accuracy_mean": _mean_of_present(
-            [r["pseudo_label_accuracy"] for r in rows]
+            [r.pseudo_label_accuracy for r in reports]
         ),
         "model_accuracy_on_unlabeled_mean": _mean_of_present(
-            [r["model_accuracy_on_unlabeled"] for r in rows]
+            [r.model_accuracy_on_unlabeled for r in reports]
         ),
-        "budget_spent": [r["budget_spent"] for r in rows],
+        "budget_spent": [r.budget_spent for r in reports],
     }
 
 

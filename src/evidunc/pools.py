@@ -1,12 +1,14 @@
 """Sample pools for active domain adaptation with enforced budget accounting.
 
 A pool holds the labeled source set plus the target set split into a labeled
-part and an unlabeled part. Target labels exist in the pool (simulation needs
-them) but are access-gated: the only ways to obtain a label for training are
+part and an unlabeled part. Target features are public like the source set;
+target labels exist in the pool (simulation needs them) but are
+access-gated: the only ways to obtain a label for training are
 
 - ``acquire_with_oracle``, which reveals true labels and spends budget, or
 - ``acquire_with_pseudo_labels``, which is free and stores caller-supplied
-  labels with pseudo provenance.
+  labels; ``supervised_set`` weighs them by the pseudo-label weight, and no
+  other view tells the two kinds apart.
 
 ``true_target_labels`` bypasses the gate and exists for evaluation and
 reporting code only; selection logic must never call it.
@@ -17,9 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["PoolError", "BudgetExhaustedError", "SamplePool", "oracle_budget"]
-
-PROVENANCE_ORACLE = "oracle"
-PROVENANCE_PSEUDO = "pseudo"
 
 # Per-id target states.
 _UNLABELED, _ORACLE, _PSEUDO = 0, 1, 2
@@ -66,10 +65,10 @@ class SamplePool:
         self.source_features, self.source_labels = _check_features_labels(
             source_features, source_labels, "source"
         )
-        self._target_features, self._target_labels = _check_features_labels(
+        self.target_features, self._target_labels = _check_features_labels(
             target_features, target_labels, "target"
         )
-        if self.source_features.shape[1] != self._target_features.shape[1]:
+        if self.source_features.shape[1] != self.target_features.shape[1]:
             raise PoolError("source and target feature dimensions differ")
         if budget_total < 0:
             raise PoolError("budget must be nonnegative")
@@ -91,23 +90,15 @@ class SamplePool:
 
     @property
     def num_target(self) -> int:
-        return self._target_features.shape[0]
+        return self.target_features.shape[0]
 
     @property
     def num_unlabeled(self) -> int:
         return self.num_target - len(self._order)
 
     @property
-    def num_labeled_target(self) -> int:
-        return len(self._order)
-
-    @property
     def oracle_count(self) -> int:
         return int(np.count_nonzero(self._state == _ORACLE))
-
-    @property
-    def pseudo_count(self) -> int:
-        return int(np.count_nonzero(self._state == _PSEUDO))
 
     # --- unlabeled view ---
 
@@ -116,10 +107,7 @@ class SamplePool:
         return np.flatnonzero(self._state == _UNLABELED)
 
     def unlabeled_features(self) -> np.ndarray:
-        return self._target_features[self.unlabeled_ids()]
-
-    def target_features_by_id(self, ids) -> np.ndarray:
-        return self._target_features[np.asarray(ids, dtype=np.int64)]
+        return self.target_features[self.unlabeled_ids()]
 
     # --- label acquisition (the only training-time label paths) ---
 
@@ -171,13 +159,6 @@ class SamplePool:
 
     # --- training views ---
 
-    def labeled_target(self):
-        """(features, labels, provenance) of the labeled target set."""
-        idx = np.array(self._order, dtype=np.int64)
-        provenance = [PROVENANCE_ORACLE if s == _ORACLE else PROVENANCE_PSEUDO
-                      for s in self._state[idx]]
-        return self._target_features[idx], self._label[idx], provenance
-
     def supervised_set(self, pseudo_label_weight: float = 1.0):
         """(features, labels, weights) over source plus labeled target.
 
@@ -185,7 +166,7 @@ class SamplePool:
         given weight.
         """
         idx = np.array(self._order, dtype=np.int64)
-        features = np.vstack([self.source_features, self._target_features[idx]])
+        features = np.vstack([self.source_features, self.target_features[idx]])
         labels = np.concatenate([self.source_labels, self._label[idx]])
         weights = np.concatenate(
             [
@@ -197,12 +178,10 @@ class SamplePool:
 
     # --- evaluation-only access ---
 
-    def true_target_labels(self, ids=None) -> np.ndarray:
-        """True labels of target samples. Evaluation and reporting only;
-        never an input to selection or training."""
-        if ids is None:
-            return self._target_labels.copy()
-        return self._target_labels[np.asarray(ids, dtype=np.int64)].copy()
+    def true_target_labels(self) -> np.ndarray:
+        """True labels of the target samples, by id. Evaluation and reporting
+        only; never an input to selection or training."""
+        return self._target_labels.copy()
 
     def check_invariants(self) -> None:
         """Assert the structural pool invariants; cheap enough to call after

@@ -349,7 +349,7 @@ class _AdaRun:
         self.split_epoch = schedule[0] if schedule else train_cfg.epochs
         self.report = AdaRunReport(mode=self.mode, seed=train_cfg.seed, auroc_epoch=auroc_epoch)
         self.trainer = Trainer(model, pool, train_cfg, loss_cfg, ug_enabled=ug_enabled)
-        self.target_features = pool.target_features_by_id(np.arange(pool.num_target))
+        self.target_features = pool.target_features
         self.target_labels = pool.true_target_labels()
 
     def train_to(self, epoch: int) -> None:

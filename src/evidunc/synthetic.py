@@ -23,12 +23,17 @@ from .pools import SamplePool, oracle_budget
 from .special import DomainError
 
 __all__ = [
+    "MAX_SIZE",
     "Dataset",
     "DomainSpec",
     "default_class_means",
     "generate_domain_pair",
     "split_pools",
 ]
+
+
+# The largest array dimension numpy can index; a size above it cannot run.
+MAX_SIZE = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
@@ -54,12 +59,12 @@ class Dataset:
         return self.features.shape[0]
 
 
-def default_class_means(num_classes: int, feature_dim: int, radius: float = 4.0) -> np.ndarray:
-    """Class means evenly spaced on a circle in the first two dimensions."""
+def default_class_means(num_classes: int, feature_dim: int) -> np.ndarray:
+    """Class means evenly spaced on a radius-4 circle in dimensions 1 and 2."""
     means = np.zeros((num_classes, feature_dim))
     angles = 2.0 * math.pi * np.arange(num_classes) / num_classes
-    means[:, 0] = radius * np.cos(angles)
-    means[:, 1] = radius * np.sin(angles)
+    means[:, 0] = 4.0 * np.cos(angles)
+    means[:, 1] = 4.0 * np.sin(angles)
     return means
 
 
@@ -78,6 +83,10 @@ class DomainSpec:
     seed: int = 0
 
     def __post_init__(self):
+        too_large = [name for name in ("num_classes", "feature_dim", "samples_per_domain")
+                     if getattr(self, name) > MAX_SIZE]
+        if too_large:
+            raise DomainError(f"{' and '.join(too_large)} must be at most {MAX_SIZE}")
         if self.num_classes < 2:
             raise DomainError("need at least two classes")
         if self.feature_dim < 2:
@@ -142,23 +151,9 @@ def generate_domain_pair(spec: DomainSpec):
     )
 
 
-def split_pools(
-    source: Dataset,
-    target: Dataset,
-    budget_fraction: float = 0.05,
-    initial_labeled_fraction: float = 0.0,
-) -> SamplePool:
-    """Pool with the whole target unlabeled and budget = fraction of |T|.
-
-    A nonzero initial labeled fraction reveals that many target labels up
-    front through the ordinary oracle path, so warm-start labels spend
-    budget like any other query.
-    """
-    if not 0.0 <= budget_fraction <= 1.0 or not 0.0 <= initial_labeled_fraction <= 1.0:
-        raise DomainError("fractions must lie in [0, 1]")
-    pool = SamplePool(source.features, source.labels, target.features, target.labels,
+def split_pools(source: Dataset, target: Dataset, budget_fraction: float = 0.05) -> SamplePool:
+    """Pool with the whole target unlabeled and budget = fraction of |T|."""
+    if not 0.0 <= budget_fraction <= 1.0:
+        raise DomainError("budget_fraction must lie in [0, 1]")
+    return SamplePool(source.features, source.labels, target.features, target.labels,
                       oracle_budget(budget_fraction, target.size))
-    warm = int(initial_labeled_fraction * target.size)
-    if warm:
-        pool.acquire_with_oracle(np.arange(warm))
-    return pool

@@ -16,7 +16,7 @@ import pytest
 
 from evidunc.config import parse_config
 from evidunc.dirichlet import DirichletPrediction, covariance_batch, entropy_uncertainties_batch
-from evidunc.enn import EvidentialMLP, TrainConfig, train
+from evidunc.enn import EvidentialMLP, TrainConfig
 from evidunc.experiments import run_rows
 from evidunc.losses import LossConfig, _kl_batch, edl_batch, ug_batch
 from evidunc.metrics import auroc, rank_class_pairs
@@ -529,7 +529,7 @@ class TestCriterion10:
                 budget_total=0,
             )
             model = EvidentialMLP.create(2, 5, hidden=(16,), seed=seed + 100)
-            train(
+            run_ada(
                 model,
                 pool,
                 TrainConfig(
@@ -537,6 +537,8 @@ class TestCriterion10:
                     momentum=0.9, weight_decay=0.02, seed=seed + 200,
                 ),
                 LossConfig(),
+                plans=[],
+                schedule=[],
                 ug_enabled=False,
             )
             pairs = rank_class_pairs(

@@ -364,6 +364,44 @@ class TestRun:
         assert "seeds:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_seed_override_exit_two(self, tmp_path, capsys):
+        # An empty --seeds is an error, not a missing option.
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config), "--seeds", ""]) == 2
+        assert "--seeds: expected comma-separated integers, got ''" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_out_override_writes_under_current_directory(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.setenv("EVID_NUM_WORKERS", "1")
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, seeds=[0])
+        assert main(["run", "--config", str(config), "--out", ""]) == 0
+        capsys.readouterr()
+        assert not (tmp_path / "out").exists()
+        [run_dir] = [d for d in tmp_path.iterdir() if (d / "aggregate.json").exists()]
+        assert json.loads((run_dir / "config.json").read_text())["output_dir"] == ""
+
+    @pytest.mark.parametrize("section, key, named", [
+        ("domain", "num_classes", "domain: num_classes must be at most"),
+        ("domain", "feature_dim", "domain: feature_dim must be at most"),
+        ("domain", "samples_per_domain", "domain: samples_per_domain must be at most"),
+        (None, "hidden_layers", "hidden_layers: "),
+    ])
+    def test_size_beyond_any_array_exit_two(self, tmp_path, capsys, section, key, named):
+        # 10**30 is a valid JSON integer, but no numpy array dimension.
+        document = json.loads(write_config(tmp_path).read_text())
+        if section is None:
+            document[key] = [10**30]
+        else:
+            document[section][key] = 10**30
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(document))
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("cap", ["abc", "0", "-1"])
     def test_bad_worker_cap_exit_two(self, tmp_path, capsys, monkeypatch, cap):
         monkeypatch.setenv("EVID_NUM_WORKERS", cap)

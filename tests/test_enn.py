@@ -15,7 +15,6 @@ from evidunc.enn import (
     checkpoint_text,
     evaluate,
     load_checkpoint,
-    train,
 )
 from evidunc.losses import LossConfig, edl_batch, ug_batch
 from evidunc.pools import SamplePool
@@ -209,19 +208,26 @@ class TestRunEpochComposition:
             assert got.tobytes() == want.tobytes()
 
 
+def run_epochs(model, pool, cfg, loss_cfg, ug_enabled=True):
+    """Drive a Trainer through cfg.epochs; returns the (supervised, ug) loss
+    of each epoch."""
+    trainer = Trainer(model, pool, cfg, loss_cfg, ug_enabled=ug_enabled)
+    return [trainer.run_epoch() for _ in range(cfg.epochs)]
+
+
 class TestTraining:
     def test_zero_epochs_leaves_model_unchanged(self):
         model = EvidentialMLP.create(2, 2, seed=1)
         before = [w.copy() for w in model.weights]
-        curve = train(model, small_pool(), TrainConfig(epochs=0, seed=1), LossConfig())
+        curve = run_epochs(model, small_pool(), TrainConfig(epochs=0, seed=1), LossConfig())
         assert curve == []
         assert all(np.array_equal(w, b) for w, b in zip(model.weights, before))
 
     def test_loss_decreases_on_separable_data(self):
         model = EvidentialMLP.create(2, 2, hidden=(16,), seed=2)
         cfg = TrainConfig(epochs=30, batch_size=8, learning_rate=0.05, seed=2)
-        curve = train(model, small_pool(), cfg, LossConfig())
-        assert curve[-1][1] < curve[0][1]
+        curve = run_epochs(model, small_pool(), cfg, LossConfig())
+        assert curve[-1][0] < curve[0][0]
         features = small_pool().source_features
         assert np.all(model.forward_batch(features) > 0.0)
 
@@ -230,7 +236,7 @@ class TestTraining:
         runs = []
         for _ in range(2):
             model = EvidentialMLP.create(2, 2, seed=7)
-            train(model, small_pool(), cfg, LossConfig())
+            run_epochs(model, small_pool(), cfg, LossConfig())
             runs.append(model)
         for w1, w2 in zip(runs[0].weights, runs[1].weights):
             np.testing.assert_array_equal(w1, w2)
@@ -242,12 +248,12 @@ class TestTraining:
         zero_ug = LossConfig(lambda_a=0.0, lambda_e=0.0)
         cfg = TrainConfig(epochs=4, seed=13)
         with_ug = EvidentialMLP.create(2, 2, seed=5)
-        curve_a = train(with_ug, small_pool(), cfg, zero_ug, ug_enabled=True)
+        curve_a = run_epochs(with_ug, small_pool(), cfg, zero_ug, ug_enabled=True)
         without_ug = EvidentialMLP.create(2, 2, seed=5)
-        curve_b = train(without_ug, small_pool(), cfg, zero_ug, ug_enabled=False)
+        curve_b = run_epochs(without_ug, small_pool(), cfg, zero_ug, ug_enabled=False)
         for w1, w2 in zip(with_ug.weights, without_ug.weights):
             np.testing.assert_array_equal(w1, w2)
-        assert [c[1] for c in curve_a] == [c[1] for c in curve_b]
+        assert [c[0] for c in curve_a] == [c[0] for c in curve_b]
 
     def test_empty_supervised_set_rejected(self):
         pool = SamplePool(
@@ -255,14 +261,14 @@ class TestTraining:
         )
         model = EvidentialMLP.create(2, 2, seed=0)
         with pytest.raises(DomainError):
-            train(model, pool, TrainConfig(epochs=1), LossConfig())
+            Trainer(model, pool, TrainConfig(epochs=1), LossConfig()).run_epoch()
 
     def test_non_finite_gradient_aborts(self):
         pool = small_pool()
         pool.source_features[0, 0] = np.nan
         model = EvidentialMLP.create(2, 2, seed=0)
         with pytest.raises(TrainingDivergedError):
-            train(model, pool, TrainConfig(epochs=1, batch_size=64), LossConfig())
+            Trainer(model, pool, TrainConfig(epochs=1, batch_size=64), LossConfig()).run_epoch()
 
     def test_lr_schedule_values(self):
         cfg = TrainConfig(learning_rate=0.2, lr_schedule="inverse-decay")

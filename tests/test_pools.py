@@ -1,4 +1,5 @@
-"""Pool bookkeeping: budget gating, provenance, and structural invariants."""
+"""Pool bookkeeping: budget gating, the labels and weights the trainer sees,
+and structural invariants."""
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ class TestConstruction:
     def test_initial_split(self):
         pool = make_pool()
         assert pool.num_unlabeled == 6
-        assert pool.num_labeled_target == 0
+        assert pool.oracle_count == 0
         assert pool.budget_spent == 0
         np.testing.assert_array_equal(pool.unlabeled_ids(), np.arange(6))
         pool.check_invariants()
@@ -45,7 +46,7 @@ class TestOracleAcquisition:
     def test_reveals_true_labels_and_charges_budget(self):
         pool = make_pool()
         revealed = pool.acquire_with_oracle([0, 3])
-        np.testing.assert_array_equal(revealed, pool.true_target_labels([0, 3]))
+        np.testing.assert_array_equal(revealed, pool.true_target_labels()[[0, 3]])
         assert pool.budget_spent == 2
         assert pool.oracle_count == 2
         assert pool.num_unlabeled == 4
@@ -82,7 +83,7 @@ class TestOracleAcquisition:
         ):
             with pytest.raises(PoolError):
                 acquire()
-            assert (pool.num_unlabeled, pool.oracle_count, pool.pseudo_count) == (5, 1, 0)
+            assert (pool.num_unlabeled, pool.oracle_count) == (5, 1)
             assert pool.budget_spent == 1
             np.testing.assert_array_equal(pool.unlabeled_ids(), [0, 1, 3, 4, 5])
             pool.check_invariants()
@@ -93,10 +94,11 @@ class TestPseudoAcquisition:
         pool = make_pool()
         pool.acquire_with_pseudo_labels([4, 5], [2, 1])
         assert pool.budget_spent == 0
-        assert pool.pseudo_count == 2
-        _, labels, provenance = pool.labeled_target()
-        np.testing.assert_array_equal(labels, [2, 1])
-        assert provenance == ["pseudo", "pseudo"]
+        assert (pool.num_unlabeled, pool.oracle_count) == (4, 0)
+        # The trainer sees the pseudo labels at the pseudo-label weight.
+        _, labels, weights = pool.supervised_set(pseudo_label_weight=0.25)
+        np.testing.assert_array_equal(labels[pool.num_source:], [2, 1])
+        np.testing.assert_array_equal(weights[pool.num_source:], [0.25, 0.25])
         pool.check_invariants()
 
     def test_rejects_mismatched_or_invalid_labels(self):
@@ -119,13 +121,13 @@ class TestTrainingViews:
 
     def test_pseudo_labels_are_used_not_true_labels(self):
         pool = make_pool()
-        truth = pool.true_target_labels([2])[0]
+        truth = pool.true_target_labels()[2]
         wrong = 1 if truth == 2 else 2
         pool.acquire_with_pseudo_labels([2], [wrong])
-        _, labels, _ = pool.labeled_target()
-        assert labels[0] == wrong
+        _, labels, _ = pool.supervised_set()
+        assert labels[pool.num_source] == wrong
 
     def test_features_by_id(self):
         pool = make_pool()
-        row = pool.target_features_by_id([3])
+        row = pool.target_features[[3]]
         np.testing.assert_array_equal(row, pool.unlabeled_features()[3:4])

@@ -4,7 +4,7 @@ round-loop invariants (budget, conservation, single shared EU sort)."""
 import numpy as np
 import pytest
 
-from evidunc.enn import EvidentialMLP, TrainConfig, train
+from evidunc.enn import EvidentialMLP, TrainConfig, Trainer
 from evidunc.losses import LossConfig
 from evidunc.metrics import batch_uncertainties
 from evidunc.pools import BudgetExhaustedError, PoolError, SamplePool
@@ -112,9 +112,12 @@ class TestPoolLevelOps:
         selected = uncertainty_sampling(pool, model, plan)
         assert selected.size == 2
         assert pool.budget_spent == 2
-        _, labels, provenance = pool.labeled_target()
-        np.testing.assert_array_equal(labels, pool.true_target_labels(selected))
-        assert provenance == ["oracle", "oracle"]
+        # The target rows of the trainer's view carry the true labels at
+        # full weight, whatever the pseudo-label weight.
+        _, labels, weights = pool.supervised_set(0.5)
+        np.testing.assert_array_equal(labels[pool.num_source:], pool.true_target_labels()[selected])
+        np.testing.assert_array_equal(weights[pool.num_source:], [1.0, 1.0])
+        assert pool.oracle_count == 2
         pool.check_invariants()
 
     def test_uncertainty_sampling_budget_exhaustion(self):
@@ -135,9 +138,14 @@ class TestPoolLevelOps:
         selected, pseudo = certainty_sampling(pool, model, plan)
         assert selected.size == 3
         assert pool.budget_spent == 0
-        assert pool.pseudo_count == 3
-        alpha = model.forward_batch(pool.target_features_by_id(selected))
+        assert pool.oracle_count == 0
+        assert pool.num_unlabeled == pool.num_target - 3
+        alpha = model.forward_batch(pool.target_features[selected])
         np.testing.assert_array_equal(pseudo, np.argmax(alpha, axis=1) + 1)
+        # The trainer sees the pseudo labels at the pseudo-label weight.
+        _, labels, weights = pool.supervised_set(0.5)
+        np.testing.assert_array_equal(labels[pool.num_source:], pseudo)
+        np.testing.assert_array_equal(weights[pool.num_source:], [0.5] * 3)
         pool.check_invariants()
 
 
@@ -169,8 +177,11 @@ class TestRunAda:
         assert pool.budget_spent == 6
         assert report.budget_spent == 6
         assert pool.oracle_count == 6
-        assert pool.pseudo_count == 4
-        assert pool.num_labeled_target + pool.num_unlabeled == pool.num_target
+        assert pool.num_unlabeled == pool.num_target - 10
+        # 6 oracle rows at full weight and 4 pseudo rows at the given weight.
+        features, _, weights = pool.supervised_set(0.5)
+        assert features.shape[0] == pool.num_source + 10
+        assert sorted(weights[pool.num_source:]) == [0.5] * 4 + [1.0] * 6
         assert report.eu_sorts_per_round == [1, 1]
         assert len(report.round_accuracies) == 2
         assert len(report.loss_curve) == 6
@@ -193,7 +204,7 @@ class TestRunAda:
         report = run_ada(model, pool, cfg, loss_cfg, [RoundPlan(1, b_u=3, b_c=0, kappa=2)], [3])
         assert report.mode == loss_cfg.mode
         ids = np.arange(pool.num_target)
-        _, au, eu = batch_uncertainties(model.forward_batch(pool.target_features_by_id(ids)), mode)
+        _, au, eu = batch_uncertainties(model.forward_batch(pool.target_features), mode)
         logged = [row["sample_id"] for row in report.selection_log]
         np.testing.assert_array_equal(logged, select_uncertain(ids, eu, au, b_u=3, kappa=2))
         for row in report.selection_log:
@@ -226,9 +237,10 @@ class TestRunAda:
         pool_a, model_a, cfg = ada_setup(seed=3)
         report = run_ada(model_a, pool_a, cfg, LossConfig(), [], [])
         pool_b, model_b, _ = ada_setup(seed=3)
-        curve = train(model_b, pool_b, cfg, LossConfig())
+        trainer = Trainer(model_b, pool_b, cfg, LossConfig())
+        curve = [trainer.run_epoch() for _ in range(cfg.epochs)]
         assert report.round_accuracies == []
-        assert [r[1] for r in report.loss_curve] == [c[1] for c in curve]
+        assert [r[1:] for r in report.loss_curve] == curve
         for w1, w2 in zip(model_a.weights, model_b.weights):
             np.testing.assert_array_equal(w1, w2)
 
