@@ -34,7 +34,7 @@ from .enn import TrainConfig
 from .losses import QUANTIFICATION_MODES, LossConfig
 from .pools import oracle_budget
 from .sampling import RoundPlan, default_round_plans, default_schedule, round_problems
-from .synthetic import MAX_SIZE, DomainSpec
+from .synthetic import MAX_SIZE, DomainSpec, float64_array_fits
 
 __all__ = ["ConfigError", "AblationSwitches", "ExperimentConfig", "config_hash"]
 
@@ -106,9 +106,15 @@ class ExperimentConfig:
         if problems:
             raise ConfigError(problems)
         object.__setattr__(self, "budget_fraction", float(self.budget_fraction))
+        spec = self.domain_spec(0)
+        sizes = [spec.feature_dim, *self.hidden_layers, spec.num_classes]
+        too_big = [f"{m} x {n}" for m, n in zip(sizes, sizes[1:]) if not float64_array_fits(m, n)]
+        if too_big:
+            raise ConfigError([f"hidden_layers: {' and '.join(too_big)} weights would take more "
+                               f"than numpy's limit of {MAX_SIZE} bytes"])
         # Once all else passes, the rounds are checked against the oracle
         # budget split_pools grants.
-        num_target, epochs = self.domain_spec(0).samples_per_domain, self.train_config(0).epochs
+        num_target, epochs = spec.samples_per_domain, self.train_config(0).epochs
         rounds = round_problems(self.resolved_plans(), self.resolved_schedule(), epochs,
                                 oracle_budget(self.budget_fraction, num_target), num_target,
                                 self.ablation.us, self.ablation.cs, self.auroc_epoch)

@@ -152,7 +152,9 @@ def entropy_uncertainties_batch(alpha: np.ndarray):
     """
     alpha, a0, mu = _strength_and_mean(alpha)
     total = -(mu * np.log(mu)).sum(axis=1)
-    aleatoric = (mu * (digamma(a0 + 1.0)[:, None] - digamma(alpha + 1.0))).sum(axis=1)
+    # digamma of [alpha + 1 | alpha0 + 1] in one pass; the last column is alpha0 + 1.
+    psi = digamma(np.column_stack((alpha, a0)) + 1.0)
+    aleatoric = (mu * (psi[:, -1:] - psi[:, :-1])).sum(axis=1)
     return total, aleatoric, total - aleatoric
 
 

@@ -117,12 +117,18 @@ class EvidentialMLP:
     def num_classes(self) -> int:
         return self.weights[-1].shape[1]
 
-    def _forward_cached(self, x: np.ndarray):
+    def _checked_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise DomainError(
                 f"expected (n, {self.input_dim}) inputs, got shape {x.shape}"
             )
+        return x
+
+    def _forward_cached(self, x: np.ndarray):
+        """The training forward: alpha plus what backprop needs, every
+        layer's input activations and the mask of unclamped logits."""
+        x = self._checked_input(x)
         activations = [x]
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
@@ -134,8 +140,22 @@ class EvidentialMLP:
         return alpha, activations, active
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """Alpha matrix (n, C) for an (n, d) input batch."""
-        return self._forward_cached(x)[0]
+        """Alpha matrix (n, C) for an (n, d) input batch, for inference.
+
+        Bitwise equal to the alpha of ``_forward_cached``, but keeps no
+        activations or clamp mask and works in place on each layer's
+        product, so scoring a large pool allocates one array per layer.
+        The batch is not split into row blocks: BLAS may pick other kernels
+        for a partial block, which changes the bits."""
+        h = self._checked_input(x)
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
+        logits = h @ self.weights[-1]
+        logits += self.biases[-1]
+        np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP, out=logits)
+        return np.exp(logits, out=logits)
 
     def alpha_gradient_to_param_gradients(self, dalpha, alpha, activations, active):
         """Backprop an (n, C) alpha-gradient to per-parameter gradients.

@@ -27,13 +27,21 @@ __all__ = [
     "Dataset",
     "DomainSpec",
     "default_class_means",
+    "float64_array_fits",
     "generate_domain_pair",
     "split_pools",
 ]
 
 
-# The largest array dimension numpy can index; a size above it cannot run.
+# The largest array dimension numpy can index, and the most bytes one array
+# may take; a size above it cannot run.
 MAX_SIZE = int(np.iinfo(np.intp).max)
+
+
+def float64_array_fits(*dims: int) -> bool:
+    """Whether numpy accepts a float64 array of these dimensions: its byte
+    size must not pass ``MAX_SIZE``."""
+    return math.prod(dims) * 8 <= MAX_SIZE
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,10 @@ class DomainSpec:
             raise DomainError("need at least two feature dimensions")
         if self.samples_per_domain < self.num_classes:
             raise DomainError("need at least one sample per class")
+        # The features are the largest array; the class means are smaller.
+        if not float64_array_fits(self.samples_per_domain, self.feature_dim):
+            raise DomainError(f"samples_per_domain x feature_dim features would take more "
+                              f"than numpy's limit of {MAX_SIZE} bytes")
         if self.class_scale <= 0 or self.shift_noise_multiplier <= 0:
             raise DomainError("scales must be positive")
         means = (

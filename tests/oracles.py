@@ -10,7 +10,7 @@ from evidunc.dirichlet import (
     entropy_uncertainties_batch,
     variance_uncertainties_batch,
 )
-from evidunc.special import digamma, log_gamma, trigamma
+from evidunc.special import _DIGAMMA, _LOG_GAMMA, _SHIFT, _TRIGAMMA, digamma, log_gamma, trigamma
 
 
 def brute_force_auroc(scores, is_positive) -> float:
@@ -28,6 +28,42 @@ def brute_force_auroc(scores, is_positive) -> float:
             elif p == n:
                 wins += 0.5
     return wins / (pos.size * neg.size)
+
+
+def shift_and_series_per_step(x, parts=(_LOG_GAMMA, _DIGAMMA, _TRIGAMMA)):
+    """lnGamma, digamma and trigamma of x by the package's shift-and-series
+    scheme, one shift step and one Horner series per part at a time, on the
+    whole argument. ``special.log_gamma``, ``digamma``, ``trigamma`` and
+    ``gamma_terms`` must match it bit for bit, and in type: a ``float`` for a
+    Python or numpy scalar, a numpy scalar for a 0-d array."""
+    arr = np.asarray(x, dtype=np.float64)
+    y = arr + _SHIFT
+    sums = [(np.zeros_like(y), correction) for correction, _, _ in parts]
+    for i in range(_SHIFT - 1, -1, -1):
+        t = arr + i
+        for corr, correction in sums:
+            corr += correction(t)
+    with np.errstate(over="ignore"):
+        z = 1.0 / (y * y)
+    outs = []
+    for (corr, _), (_, coeffs, finish) in zip(sums, parts):
+        series = np.zeros_like(y)
+        for c in reversed(coeffs):
+            series = series * z + c
+        out = finish(y, z, series, corr)
+        outs.append(float(out) if np.isscalar(x) else out)
+    return tuple(outs)
+
+
+def entropy_uncertainties_two_calls(alpha):
+    """Entropy-mode (total, aleatoric, epistemic) with digamma called apart
+    on alpha0 + 1 and on alpha + 1. ``dirichlet.entropy_uncertainties_batch``
+    must match it bit for bit."""
+    a0 = alpha.sum(axis=1)
+    mu = alpha / a0[:, None]
+    total = -(mu * np.log(mu)).sum(axis=1)
+    aleatoric = (mu * (digamma(a0 + 1.0)[:, None] - digamma(alpha + 1.0))).sum(axis=1)
+    return total, aleatoric, total - aleatoric
 
 
 def kl_batch_seven_calls(alpha, classes):

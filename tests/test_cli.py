@@ -402,6 +402,25 @@ class TestRun:
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, named", [
+        ("domain", "samples_per_domain", "domain: samples_per_domain x feature_dim features"),
+        (None, "hidden_layers", "hidden_layers: 2 x 4611686018427387904 and "),
+    ])
+    def test_size_beyond_numpy_byte_limit_exit_two(self, tmp_path, capsys, section, key, named):
+        # 2**62 is a valid array dimension, but 2**62 float64 rows of two
+        # features (or a 2 x 2**62 weight matrix) pass numpy's byte limit.
+        document = json.loads(write_config(tmp_path).read_text())
+        if section is None:
+            document[key] = [2**62]
+        else:
+            document[section][key] = 2**62
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(document))
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "numpy's limit of" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("cap", ["abc", "0", "-1"])
     def test_bad_worker_cap_exit_two(self, tmp_path, capsys, monkeypatch, cap):
         monkeypatch.setenv("EVID_NUM_WORKERS", cap)

@@ -24,7 +24,7 @@ from evidunc.dirichlet import (
     variance_uncertainties_batch,
 )
 from evidunc.special import DomainError
-from oracles import one_row, per_prediction_record
+from oracles import entropy_uncertainties_two_calls, one_row, per_prediction_record
 
 
 def random_alphas(seed, count, max_classes=20):
@@ -100,6 +100,14 @@ class TestSpotValues:
         assert total == pytest.approx(0.5623351446188083, abs=1e-7)
         assert aleatoric == pytest.approx(0.4583333333333333, abs=1e-7)
         assert epistemic == pytest.approx(0.1040018112854750, abs=1e-7)
+
+    def test_entropy_one_digamma_pass_bitwise_equal_to_two_calls(self):
+        rng = np.random.default_rng(41)
+        for shape in [(1, 2), (50, 5), (5000, 10)]:
+            alpha = np.exp(rng.uniform(math.log(1e-8), math.log(1e6), size=shape))
+            for got, want in zip(entropy_uncertainties_batch(alpha),
+                                 entropy_uncertainties_two_calls(alpha)):
+                assert got.tobytes() == want.tobytes()
 
     def test_uniform_binary_both_modes(self):
         alpha = [1.0, 1.0]

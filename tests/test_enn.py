@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from evidunc.enn import (
+    LOGIT_CLAMP,
     EvidentialMLP,
     TrainConfig,
     Trainer,
@@ -57,8 +58,30 @@ class TestForward:
         model = linear_model([0.0, 0.0], input_dim=3)
         with pytest.raises(DomainError):
             model.forward_batch(np.array([[1.0, 2.0]]))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^expected \(n, 3\) inputs, got shape \(4, 2\)$"):
             model.forward_batch(np.zeros((4, 2)))
+        with pytest.raises(DomainError, match=r"^expected \(n, 3\) inputs, got shape \(3,\)$"):
+            model.forward_batch(np.zeros(3))
+
+    @pytest.mark.parametrize("n", [1, 32, 50_000])
+    @pytest.mark.parametrize("scale", [1.0, 1000.0], ids=["free", "clamped"])
+    def test_inference_forward_bitwise_equal_to_training_forward(self, n, scale):
+        model = EvidentialMLP.create(8, 10, hidden=(64, 64), seed=5)
+        x = np.random.default_rng(n).normal(size=(n, 8)) * scale
+        alpha = model.forward_batch(x)
+        want, _, active = model._forward_cached(x)
+        assert alpha.shape == want.shape and alpha.tobytes() == want.tobytes()
+        # The large inputs drive logits past the clamp on both sides.
+        assert np.all(active) == (scale == 1.0)
+        if scale != 1.0:
+            assert alpha.max() == math.exp(LOGIT_CLAMP) and alpha.min() == math.exp(-LOGIT_CLAMP)
+
+    def test_inference_forward_leaves_its_input_alone(self):
+        x = np.random.default_rng(0).normal(size=(5, 3))
+        before = x.copy()
+        linear_model([0.5, -0.5], input_dim=3).forward_batch(x)
+        EvidentialMLP.create(3, 2, hidden=(4,), seed=1).forward_batch(x)
+        assert x.tobytes() == before.tobytes()
 
     def test_init_is_scaled_and_seeded(self):
         a = EvidentialMLP.create(5, 3, hidden=(7,), seed=11)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from evidunc.special import DomainError, digamma, gamma_terms, log_gamma, trigamma
+from oracles import shift_and_series_per_step
 
 mpmath.mp.dps = 50
 
@@ -184,3 +185,34 @@ def test_domain_error_messages(fn, bad, message):
     with pytest.raises(DomainError) as err:
         fn(bad)
     assert str(err.value) == message
+
+
+def _wide(shape, seed=11):
+    """Log-uniform arguments over [1e-8, 1e300]."""
+    rng = np.random.default_rng(seed)
+    return np.exp(rng.uniform(math.log(1e-8), math.log(1e300), size=shape))
+
+
+def _assert_bitwise_as_per_step(x):
+    want = shift_and_series_per_step(x)
+    got = [*(fn(x) for fn in (log_gamma, digamma, trigamma)), *gamma_terms(x)]
+    for g, w in zip(got, want + want):
+        assert type(g) is type(w) and np.shape(g) == np.shape(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+# Blocks hold 4096 elements; a block of one element would be summed
+# pairwise by numpy and change the bits, so sizes around the edges matter.
+@pytest.mark.parametrize("shape", [1, 2, 3, 4095, 4096, 4097, 8193, (1, 1), (3, 1), (4097, 1),
+                                   (683, 6), (32, 6), (1366, 3), (2, 4097), (0,), (0, 5)])
+def test_blocks_bitwise_equal_to_per_step_loop(shape):
+    _assert_bitwise_as_per_step(_wide(shape))
+    _assert_bitwise_as_per_step(np.random.default_rng(12).uniform(1e-3, 40.0, size=shape))
+
+
+def test_scalars_bitwise_equal_to_per_step_loop():
+    for v in np.concatenate([_wide(200), np.linspace(1e-3, 40.0, 200)]):
+        for x in (float(v), np.float64(v), np.array(v), np.float32(min(v, 1e30))):
+            _assert_bitwise_as_per_step(x)
+    for x in (1, 7, np.int64(3), [0.5, 2.0], np.asfortranarray(_wide((50, 7))), _wide((9, 8))[::2, ::3]):
+        _assert_bitwise_as_per_step(x)
