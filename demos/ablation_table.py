@@ -34,8 +34,9 @@ config = parse_config({
 })
 
 # Rows with the same UG switch train identically up to the first sampling
-# round, so run_rows trains that part once per seed and finishes each row
-# from a copy; EVID_NUM_WORKERS caps its worker processes.
+# round, so run_rows trains that part once per seed, a chunk of seeds at a
+# time in lockstep, and finishes each row from a copy; EVID_NUM_WORKERS caps
+# its worker processes.
 results = run_rows([config.with_switches(**flags) for _, flags in ABLATION_ROWS])
 
 print(f"{'row':<12} {'mean':>7} {'std':>7}   per-seed final target accuracy")

@@ -8,6 +8,13 @@ objective: the supervised loss over source plus labeled target, and, when
 enabled, the uncertainty-guided loss over the unlabeled target. Each step
 consumes one supervised and one unlabeled minibatch.
 
+The same code trains S seeds in lockstep. A stacked model holds each layer
+as an ``(S, fan_in, fan_out)`` array, and every array of a step carries that
+leading seed axis, so each numpy call serves all S seeds. The seeds' sets
+must have equal sizes. Each seed's slice of a step computes the same bits as
+a one-seed step on the 2-D layers: each slice goes to the same BLAS kernel,
+and the sums run along axis -2 or -1 in the same order.
+
 Backpropagation is written out by hand (the loss module supplies exact
 alpha-gradients; the chain rule through the exponential is
 ``dL/dlogit = alpha * dL/dalpha`` wherever the clamp is inactive). All
@@ -19,7 +26,7 @@ the unlabeled term does not perturb the supervised batch sequence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +50,12 @@ LR_SCHEDULES = ("constant", "inverse-decay")
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a gradient turns non-finite mid-training."""
+    """Raised when a gradient turns non-finite mid-training; ``slot`` is the
+    position of the diverged seed in a lockstep run, 0 for one seed."""
+
+    def __init__(self, message: str, slot: int = 0):
+        super().__init__(message)
+        self.slot = slot
 
 
 @dataclass(frozen=True)
@@ -83,16 +95,24 @@ class TrainConfig:
 
 
 class EvidentialMLP:
-    """Fully connected net with exponential output producing alpha."""
+    """Fully connected net with exponential output producing alpha.
+
+    Each layer is a 2-D ``(fan_in, fan_out)`` weight with a ``(fan_out,)``
+    bias, or, for S seeds trained in lockstep, an ``(S, fan_in, fan_out)``
+    weight with an ``(S, 1, fan_out)`` bias, which broadcasts over each
+    seed's rows as the 2-D bias does; inputs then carry the same leading
+    seed axis."""
 
     def __init__(self, weights, biases):
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        lead = self.weights[0].shape[:-2]
         for w, b in zip(self.weights, self.biases):
-            if w.ndim != 2 or b.shape != (w.shape[1],):
+            bias_shape = (*lead, 1, w.shape[-1]) if lead else (w.shape[-1],)
+            if w.ndim not in (2, 3) or w.shape[:-2] != lead or b.shape != bias_shape:
                 raise DomainError("inconsistent layer shapes")
         for prev, nxt in zip(self.weights, self.weights[1:]):
-            if prev.shape[1] != nxt.shape[0]:
+            if prev.shape[-1] != nxt.shape[-2]:
                 raise DomainError("layer dimensions do not chain")
 
     @classmethod
@@ -109,20 +129,37 @@ class EvidentialMLP:
             biases.append(np.zeros(fan_out))
         return cls(weights, biases)
 
+    @classmethod
+    def stack(cls, models):
+        """One model holding the layers of equal-shaped 2-D ``models`` along
+        a leading seed axis."""
+        return cls([np.stack(ws) for ws in zip(*(m.weights for m in models))],
+                   [np.stack(bs)[:, None] for bs in zip(*(m.biases for m in models))])
+
+    def seed_views(self) -> list:
+        """One 2-D model per seed, whose layers are views into this model's
+        stacked layers and so follow its in-place training; a 2-D model is
+        its own one view. A deep copy of a view is no view, so take views
+        after copying."""
+        if self.weights[0].ndim == 2:
+            return [self]
+        return [EvidentialMLP([w[s] for w in self.weights], [b[s, 0] for b in self.biases])
+                for s in range(self.weights[0].shape[0])]
+
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.weights[0].shape[-2]
 
     @property
     def num_classes(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.weights[-1].shape[-1]
 
     def _checked_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise DomainError(
-                f"expected (n, {self.input_dim}) inputs, got shape {x.shape}"
-            )
+        w = self.weights[0]
+        if x.ndim != w.ndim or x.shape[-1] != w.shape[-2] or x.shape[:-2] != w.shape[:-2]:
+            want = ", ".join([*map(str, w.shape[:-2]), "n", str(self.input_dim)])
+            raise DomainError(f"expected ({want}) inputs, got shape {x.shape}")
         return x
 
     def _forward_cached(self, x: np.ndarray):
@@ -158,65 +195,108 @@ class EvidentialMLP:
         return np.exp(logits, out=logits)
 
     def alpha_gradient_to_param_gradients(self, dalpha, alpha, activations, active):
-        """Backprop an (n, C) alpha-gradient to per-parameter gradients.
+        """Backprop an (n, C) alpha-gradient, or an (S, n, C) one through a
+        stacked model, to per-parameter gradients.
 
-        Returns (weight_grads, bias_grads) summed over the batch; the caller
-        owns any 1/n scaling.
+        Returns (weight_grads, bias_grads) summed over each seed's batch;
+        the caller owns any 1/n scaling.
         """
         delta = dalpha * alpha * active
         w_grads = [None] * len(self.weights)
         b_grads = [None] * len(self.biases)
         for layer in range(len(self.weights) - 1, -1, -1):
-            w_grads[layer] = activations[layer].T @ delta
-            b_grads[layer] = delta.sum(axis=0)
+            w_grads[layer] = activations[layer].swapaxes(-1, -2) @ delta
+            b_grads[layer] = delta.sum(axis=-2, keepdims=delta.ndim > 2)
             if layer > 0:
-                delta = (delta @ self.weights[layer].T) * (activations[layer] > 0.0)
+                delta = (delta @ self.weights[layer].swapaxes(-1, -2)) * (activations[layer] > 0.0)
         return w_grads, b_grads
 
 
 class Trainer:
-    """Stateful SGD loop over a sample pool.
+    """Stateful SGD loop over a sample pool, or over S seeds' pools in lockstep.
 
     Kept as a class so the ADA loop can interleave sampling rounds between
-    epochs while momentum buffers and shuffle streams carry over.
+    epochs while momentum buffers and shuffle streams carry over. For a
+    stacked model, ``pool`` and ``cfg`` hold one entry per seed, the configs
+    equal but for their seeds; each seed keeps its own pair of shuffle
+    streams, and a step gathers each seed's rows from its own sets.
     """
 
     def __init__(
         self,
         model: EvidentialMLP,
-        pool: SamplePool,
-        cfg: TrainConfig,
+        pool,
+        cfg,
         loss_cfg: LossConfig,
         ug_enabled: bool = True,
     ):
+        self.pools = [pool] if isinstance(pool, SamplePool) else list(pool)
+        cfgs = [cfg] if isinstance(cfg, TrainConfig) else list(cfg)
+        lead = model.weights[0].shape[:-2]
+        if len(self.pools) != (lead[0] if lead else 1) or len(cfgs) != len(self.pools):
+            raise DomainError("need one pool and one train config per seed of the model")
+        if any(replace(c, seed=0) != replace(cfgs[0], seed=0) for c in cfgs):
+            raise DomainError("lockstep seeds must share every train setting but the seed")
         self.model = model
-        self.pool = pool
-        self.cfg = cfg
+        self.cfg = cfgs[0]
         self.loss_cfg = loss_cfg
         self.ug_enabled = ug_enabled
         self.epochs_done = 0
-        streams = np.random.SeedSequence(cfg.seed).spawn(2)
-        self._sup_rng = np.random.default_rng(streams[0])
-        self._unsup_rng = np.random.default_rng(streams[1])
+        streams = [np.random.SeedSequence(c.seed).spawn(2) for c in cfgs]
+        self._sup_rngs = [np.random.default_rng(sup) for sup, _ in streams]
+        self._unsup_rngs = [np.random.default_rng(unsup) for _, unsup in streams]
         self._vel_w = [np.zeros_like(w) for w in model.weights]
         self._vel_b = [np.zeros_like(b) for b in model.biases]
+
+    def _joined(self, parts):
+        """One seed's array as it is; S seeds' arrays joined along their
+        rows, which the row indices of ``_shuffled`` address."""
+        return np.concatenate(parts) if self._lead else parts[0]
+
+    def _shuffled(self, rngs, n: int):
+        """A permutation of range(n) from each seed's stream: one row of
+        ``(S, n)`` indices into the ``_joined`` arrays, or ``(n,)`` for one
+        seed."""
+        perms = [rng.permutation(n) for rng in rngs]
+        if not self._lead:
+            return perms[0]
+        return np.stack(perms) + (np.arange(len(perms)) * n)[:, None]
+
+    @property
+    def _lead(self) -> tuple:
+        """The seed axis of every array in a step: () or (S,)."""
+        return self.model.weights[0].shape[:-2]
+
+    def _diverged(self, what: str, bad, hint: str = "") -> TrainingDivergedError:
+        """The error for a step whose ``bad`` masks, each with the step's
+        leading seed axis, mark what turned non-finite; it carries the slot
+        of the first seed they mark."""
+        seeds = len(self.pools)
+        slot = int(np.argmax(np.any([m.reshape(seeds, -1).any(axis=1) for m in bad], axis=0)))
+        epoch = self.epochs_done + 1
+        return TrainingDivergedError(f"non-finite {what} at epoch {epoch}{hint}", slot)
 
     def _minibatch(self, x, what: str, scale, kernel, *args):
         """Forward a minibatch, check its evidence and backprop ``scale`` times
         the alpha-gradient of ``kernel(alpha, *args, loss_cfg)``; returns the
-        per-row losses and the batch-summed (weight_grads, bias_grads)."""
+        per-row losses and the batch-summed (weight_grads, bias_grads). The
+        kernel sees the S seeds' rows as one ``(S*n, C)`` matrix."""
         alpha, acts, active = self.model._forward_cached(x)
         if not np.all(np.isfinite(alpha)):
-            bad = int(np.where(~np.isfinite(alpha).all(axis=1))[0][0])
-            raise TrainingDivergedError(
-                f"non-finite evidence for {what} sample {bad} at epoch "
-                f"{self.epochs_done + 1}; check inputs and learning rate"
-            )
-        losses, dalpha = kernel(alpha, *args, self.loss_cfg)
+            bad = ~np.isfinite(alpha).all(axis=-1)
+            row = int(np.argwhere(bad)[0][-1])
+            raise self._diverged(f"evidence for {what} sample {row}", [bad],
+                                 "; check inputs and learning rate")
+        flat = alpha.reshape(-1, alpha.shape[-1])
+        losses, dalpha = kernel(flat, *(a.reshape(-1) for a in args), self.loss_cfg)
         backprop = self.model.alpha_gradient_to_param_gradients
-        return (losses, *backprop(dalpha * scale, alpha, acts, active))
+        grads = backprop(dalpha.reshape(alpha.shape) * scale, alpha, acts, active)
+        return (losses.reshape(alpha.shape[:-1]), *grads)
 
     def _apply_step(self, w_grads, b_grads, lr: float):
+        """Momentum SGD with weight decay, elementwise, so it serves 2-D and
+        stacked layers alike; the layers change in place, which keeps any
+        ``seed_views`` of them current."""
         wd = self.cfg.weight_decay
         mom = self.cfg.momentum
         for i, (gw, gb) in enumerate(zip(w_grads, b_grads)):
@@ -227,58 +307,67 @@ class Trainer:
 
     def run_epoch(self):
         """One epoch of minibatch SGD; returns (supervised_loss, ug_loss)
-        means over the epoch's batches."""
-        features, labels, weights = self.pool.supervised_set(
-            self.loss_cfg.pseudo_label_weight
-        )
-        n_sup = features.shape[0]
+        means over the epoch's batches, as floats for one seed or as lists
+        of S floats for a stacked model."""
+        sets = [pool.supervised_set(self.loss_cfg.pseudo_label_weight) for pool in self.pools]
+        sizes = [(f.shape[0], p.num_unlabeled) for (f, _, _), p in zip(sets, self.pools)]
+        if len(set(sizes)) > 1:
+            raise DomainError(
+                f"lockstep seeds need sets of equal sizes, got (supervised, unlabeled) {sizes}"
+            )
+        n_sup, n_unl = sizes[0]
         if n_sup == 0:
             raise DomainError("supervised set is empty; nothing to train on")
+        features, labels, weights = (self._joined(parts) for parts in zip(*sets))
         bs = self.cfg.batch_size
-        order = self._sup_rng.permutation(n_sup)
+        order = self._shuffled(self._sup_rngs, n_sup)
         steps = (n_sup + bs - 1) // bs
 
         mean_reduction = self.loss_cfg.reduction != "sum"
-        use_ug = self.ug_enabled and self.pool.num_unlabeled > 0
+        use_ug = self.ug_enabled and n_unl > 0
         if use_ug:
-            unsup_features = self.pool.unlabeled_features()
-            take = min(bs, unsup_features.shape[0])
+            unsup_features = self._joined([p.unlabeled_features() for p in self.pools])
+            take = min(bs, n_unl)
             u_scale = 1.0 / take if mean_reduction else 1.0
             # Shuffled at the first step and whenever a batch would run past the end.
-            unsup_order, unsup_pos = (), 0
+            unsup_pos = n_unl
 
-        sup_losses, ug_losses = [], []
+        # One contiguous row of step losses per seed: its mean then sums in
+        # the order a one-seed run does.
+        sup_losses = np.empty((*self._lead, steps))
+        ug_losses = np.zeros((*self._lead, steps if use_ug else 1))
         for step in range(steps):
-            batch_idx = order[step * bs : (step + 1) * bs]
-            scale = weights[batch_idx] / batch_idx.size if mean_reduction else weights[batch_idx]
+            batch_idx = order[..., step * bs : (step + 1) * bs]
+            scale = weights[batch_idx]
+            if mean_reduction:
+                scale = scale / batch_idx.shape[-1]
             row_losses, w_grads, b_grads = self._minibatch(
-                features[batch_idx], "supervised", scale[:, None], edl_batch, labels[batch_idx]
+                features[batch_idx], "supervised", scale[..., None], edl_batch, labels[batch_idx]
             )
-            sup_losses.append(float((row_losses * scale).sum()))
+            sup_losses[..., step] = (row_losses * scale).sum(axis=-1)
 
             if use_ug:
-                if unsup_pos + take > len(unsup_order):
-                    unsup_order, unsup_pos = self._unsup_rng.permutation(len(unsup_features)), 0
-                ub_idx = unsup_order[unsup_pos : unsup_pos + take]
+                if unsup_pos + take > n_unl:
+                    unsup_order, unsup_pos = self._shuffled(self._unsup_rngs, n_unl), 0
+                ub_idx = unsup_order[..., unsup_pos : unsup_pos + take]
                 unsup_pos += take
                 u_losses, uw_grads, ub_grads = self._minibatch(
                     unsup_features[ub_idx], "unlabeled", u_scale, ug_batch
                 )
                 w_grads = [a + b for a, b in zip(w_grads, uw_grads)]
                 b_grads = [a + b for a, b in zip(b_grads, ub_grads)]
-                ug_losses.append(float(u_losses.sum() * u_scale))
+                ug_losses[..., step] = u_losses.sum(axis=-1) * u_scale
 
             finite = [bool(np.isfinite(g).all()) for g in w_grads + b_grads]
             if not all(finite):
                 what = "bias" if all(finite[: len(w_grads)]) else "weight"
-                raise TrainingDivergedError(
-                    f"non-finite {what} gradient at epoch {self.epochs_done + 1}"
-                )
+                bad = [~np.isfinite(g) for g in w_grads + b_grads]
+                raise self._diverged(f"{what} gradient", bad)
             progress = (self.epochs_done + step / steps) / max(self.cfg.epochs, 1)
             self._apply_step(w_grads, b_grads, self.cfg.lr_at(progress))
 
         self.epochs_done += 1
-        return float(np.mean(sup_losses)), float(np.mean(ug_losses)) if ug_losses else 0.0
+        return sup_losses.mean(axis=-1).tolist(), ug_losses.mean(axis=-1).tolist()
 
 
 def evaluate(model: EvidentialMLP, features, labels) -> float:

@@ -14,11 +14,16 @@ generation, weight init, batch shuffling) so that, say, adding an epoch
 never perturbs the dataset.
 
 Rows of a grid that differ only in their US, CS and class-balance switches
-run as one job per seed, which trains up to the first scheduled round once
-and finishes each row from its own copy of that state. All jobs of a run go
-to one process pool, largest first. The EVID_NUM_WORKERS environment
-variable caps how many jobs run in parallel processes; unset means one
-process per job up to the CPU count.
+form a group. A group's seeds run as jobs of contiguous seed chunks of at
+most ``MAX_LOCKSTEP_SEEDS``, as even as possible, and as many as it takes to
+give every worker a job where the seeds allow. A job trains its chunk's
+seeds in lockstep along a leading seed axis up to the first scheduled round
+once, then finishes each row for every seed of the chunk from its own copy
+of that state. Each seed still gets its own 2-D model and writes the same
+bytes as a one-seed job would. All jobs of a run go to one process pool,
+largest first. The EVID_NUM_WORKERS environment variable caps how many jobs
+run in parallel processes; unset means one process per job up to the CPU
+count.
 
 Each pool worker runs OpenBLAS on one thread. The training GEMMs are at
 most 64 columns wide, so a second BLAS thread only spins, and P workers with
@@ -47,12 +52,13 @@ import ctypes
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from .config import AblationSwitches, ConfigError, ExperimentConfig, config_hash
-from .enn import EvidentialMLP, checkpoint_text
+from .enn import EvidentialMLP, TrainingDivergedError, checkpoint_text
 from .metrics import export_uncertainty_histograms
 from .sampling import run_ada_rows
 from .synthetic import generate_domain_pair, split_pools
@@ -65,6 +71,10 @@ __all__ = [
     "aggregate_reports",
     "ABLATION_ROWS",
 ]
+
+# Seeds one job trains in lockstep at most: a desk step's cost per seed
+# bottoms out near 8 seeds and rises again beyond.
+MAX_LOCKSTEP_SEEDS = 8
 
 # Ablation grid: each row toggles one more stage on top of the previous.
 ABLATION_ROWS = tuple((AblationSwitches(**flags).row_name(), flags) for flags in (
@@ -81,40 +91,50 @@ def _component_seeds(seed: int):
     return (int(state[0]), int(state[1]), int(state[2]))
 
 
-def _run_group(configs, seed: int):
+def _run_group(configs, seeds):
     """Run configs that differ only in their US, CS and class-balance
-    switches on one seed, training up to the first round once; returns
-    ([(report, model) per config], source, target)."""
+    switches on ``seeds`` in lockstep, training up to the first round once;
+    returns, per seed, ([(report, model) per config], source, target).
+    A diverged seed is named in the error."""
     config = configs[0]
-    data_seed, init_seed, train_seed = _component_seeds(seed)
-    spec = config.domain_spec(data_seed)
-    source, target = generate_domain_pair(spec)
-    pool = split_pools(source, target, budget_fraction=config.budget_fraction)
-    model = EvidentialMLP.create(
-        spec.feature_dim,
-        spec.num_classes,
-        hidden=config.hidden_layers,
-        seed=init_seed,
-    )
-    rows = run_ada_rows(
-        model,
-        pool,
-        config.train_config(train_seed),
-        config.loss_config(),
-        config.resolved_plans(),
-        config.resolved_schedule(),
-        [(c.ablation.us, c.ablation.cs, c.ablation.class_balanced) for c in configs],
-        ug_enabled=config.ablation.ug,
-        auroc_epoch=config.auroc_epoch,
-    )
-    for report, _ in rows:
-        report.seed = seed
-    return rows, source, target
+    models, pools, train_cfgs, domains = [], [], [], []
+    for seed in seeds:
+        data_seed, init_seed, train_seed = _component_seeds(seed)
+        spec = config.domain_spec(data_seed)
+        source, target = generate_domain_pair(spec)
+        domains.append((source, target))
+        pools.append(split_pools(source, target, budget_fraction=config.budget_fraction))
+        models.append(EvidentialMLP.create(
+            spec.feature_dim,
+            spec.num_classes,
+            hidden=config.hidden_layers,
+            seed=init_seed,
+        ))
+        train_cfgs.append(config.train_config(train_seed))
+    try:
+        rows = run_ada_rows(
+            models,
+            pools,
+            train_cfgs,
+            config.loss_config(),
+            config.resolved_plans(),
+            config.resolved_schedule(),
+            [(c.ablation.us, c.ablation.cs, c.ablation.class_balanced) for c in configs],
+            ug_enabled=config.ablation.ug,
+            auroc_epoch=config.auroc_epoch,
+        )
+    except TrainingDivergedError as exc:
+        raise TrainingDivergedError(f"seed {seeds[exc.slot]}: {exc}", exc.slot) from None
+    per_seed = list(zip(*rows))
+    for seed, pairs in zip(seeds, per_seed):
+        for report, _ in pairs:
+            report.seed = seed
+    return [(pairs, *domain) for pairs, domain in zip(per_seed, domains)]
 
 
 def run_seed(config: ExperimentConfig, seed: int):
     """Run one seed end to end; returns (report, model, source, target)."""
-    [(report, model)], source, target = _run_group([config], seed)
+    [([(report, model)], source, target)] = _run_group([config], [seed])
     return report, model, source, target
 
 
@@ -157,14 +177,16 @@ def _write_seed_outputs(run_dir: Path, report, model, source, target):
     _write_atomic(run_dir / "checkpoint.json", checkpoint_text(model))
 
 
-def _run_job(configs, seed: int, out_dirs) -> list:
-    """One job: a group's rows on one seed, each written to its seed
-    directory under ``out_dirs`` unless that is None; returns the reports."""
-    rows, source, target = _run_group(configs, seed)
+def _run_job(configs, seeds, out_dirs) -> list:
+    """One job: a group's rows on a chunk of seeds in lockstep, each written
+    to its seed directory under ``out_dirs`` unless that is None; returns,
+    per seed, the reports of the rows."""
+    results = _run_group(configs, seeds)
     if out_dirs is not None:
-        for (report, model), out in zip(rows, out_dirs):
-            _write_seed_outputs(Path(out) / f"seed{seed}", report, model, source, target)
-    return [report for report, _ in rows]
+        for seed, (rows, source, target) in zip(seeds, results):
+            for (report, model), out in zip(rows, out_dirs):
+                _write_seed_outputs(Path(out) / f"seed{seed}", report, model, source, target)
+    return [[report for report, _ in rows] for rows, _, _ in results]
 
 
 def _mean_std(values):
@@ -201,8 +223,10 @@ def aggregate_reports(reports) -> dict:
     }
 
 
-def _worker_count(num_jobs: int) -> int:
-    workers = min(num_jobs, os.cpu_count() or 1)
+def _worker_count() -> int:
+    """Worker processes a run may use: the CPU count, capped by
+    EVID_NUM_WORKERS."""
+    workers = os.cpu_count() or 1
     cap = os.environ.get("EVID_NUM_WORKERS")
     if cap is not None:
         try:
@@ -213,6 +237,17 @@ def _worker_count(num_jobs: int) -> int:
             raise ConfigError(f"EVID_NUM_WORKERS: expected an integer >= 1, got {cap!r}")
         workers = min(workers, limit)
     return workers
+
+
+def _seed_chunks(seeds, groups: int, workers: int) -> list:
+    """Split one group's seeds into contiguous chunks whose sizes differ by
+    at most one: enough chunks that none exceeds MAX_LOCKSTEP_SEEDS and
+    that the ``groups`` groups together make at least ``workers`` jobs,
+    where the seeds allow."""
+    count = min(len(seeds), max(-(-len(seeds) // MAX_LOCKSTEP_SEEDS), -(-workers // groups)))
+    size, extra = divmod(len(seeds), count)
+    bounds = list(accumulate((size + (k < extra) for k in range(count)), initial=0))
+    return [tuple(seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 # The OpenBLAS that numpy's wheel bundles (relative to numpy's site
@@ -240,26 +275,33 @@ def run_rows(configs, out_dirs=None) -> list:
     in the order of its seeds.
 
     Configs that differ only in their US, CS and class-balance switches
-    share one job per seed (see ``run_ada_rows``). The jobs run largest
-    first, in one process pool when more than one worker is allowed. With
-    ``out_dirs``, each config's config.json and seed directories are written
-    under its entry, and its stale aggregate.json is deleted first.
+    form a group, which shares its jobs (see ``run_ada_rows``). A job runs
+    one chunk of the group's seeds in lockstep (see ``_seed_chunks``). The
+    jobs run largest first, in one process pool when more than one worker
+    is allowed. With ``out_dirs``, each config's config.json and seed
+    directories are written under its entry, and its stale aggregate.json
+    is deleted first.
     """
     groups = {}
     for i, config in enumerate(configs):
         prefix = config_hash(config.with_switches(us=False, cs=False, class_balanced=False))
-        for seed in config.seeds:
-            groups.setdefault((prefix, seed), []).append(i)
-    workers = _worker_count(len(groups))
+        groups.setdefault(prefix, []).append(i)
+    allowed = _worker_count()
+    jobs = [
+        (rows, chunk)
+        for rows in groups.values()
+        for chunk in _seed_chunks(configs[rows[0]].seeds, len(groups), allowed)
+    ]
+    jobs.sort(key=lambda job: -len(job[0]) * len(job[1]))  # largest first
+    workers = min(allowed, len(jobs))
     if out_dirs is not None:
         for config, out in zip(configs, out_dirs):
             (Path(out) / "aggregate.json").unlink(missing_ok=True)
             Path(out).mkdir(parents=True, exist_ok=True)
             _write_atomic(Path(out) / "config.json", config.to_json() + "\n")
-    jobs = sorted(groups.items(), key=lambda job: -len(job[1]))  # largest first
     args = [
-        ([configs[i] for i in rows], seed, None if out_dirs is None else [out_dirs[i] for i in rows])
-        for (_, seed), rows in jobs
+        ([configs[i] for i in rows], chunk, None if out_dirs is None else [out_dirs[i] for i in rows])
+        for rows, chunk in jobs
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
@@ -275,8 +317,9 @@ def run_rows(configs, out_dirs=None) -> list:
     else:
         results = [_run_job(*a) for a in args]
     reports = {}
-    for ((_, seed), rows), got in zip(jobs, results):
-        reports.update(((i, seed), report) for i, report in zip(rows, got))
+    for (rows, chunk), got in zip(jobs, results):
+        for seed, seed_reports in zip(chunk, got):
+            reports.update(((i, seed), report) for i, report in zip(rows, seed_reports))
     return [[reports[i, seed] for seed in config.seeds] for i, config in enumerate(configs)]
 
 

@@ -23,8 +23,11 @@ opposite ends. The round then acquires both sets from the pool.
 ``run_ada`` interleaves training epochs with sampling rounds and fills an
 AdaRunReport with accuracies, AUROC snapshots, selection logs, and the
 quantities the report consumers need. ``run_ada_rows`` runs several
-settings of the US and CS switches from one training prefix: nothing before
-the first round depends on them.
+settings of the US and CS switches from one training prefix, since nothing
+before the first round depends on them, and it runs S seeds at once: their
+models train in lockstep along a leading seed axis, while each seed's rounds,
+evaluation and summaries run on its own pool and its own 2-D view of the
+model.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enn import Trainer, evaluate
+from .enn import EvidentialMLP, Trainer, evaluate
 from .losses import LossConfig
 from .metrics import AdaRunReport, auroc, batch_uncertainties, class_level_uncertainty_summary, rank_class_pairs
 from .dirichlet import predict_class_batch
@@ -294,118 +297,135 @@ def run_ada(
     guidance loss, the selection scores, the AUROC snapshot and
     ``report.mode``.
     """
-    [(report, _)] = run_ada_rows(
-        model, pool, train_cfg, loss_cfg, plans, schedule,
+    [[(report, _)]] = run_ada_rows(
+        [model], [pool], [train_cfg], loss_cfg, plans, schedule,
         [(us_enabled, cs_enabled, class_balanced)],
         ug_enabled=ug_enabled, auroc_epoch=auroc_epoch,
     )
     return report
 
 
-def run_ada_rows(model, pool: SamplePool, train_cfg, loss_cfg: LossConfig, plans, schedule,
+def run_ada_rows(models, pools, train_cfgs, loss_cfg: LossConfig, plans, schedule,
                  rows, ug_enabled: bool = True, auroc_epoch: int | None = None) -> list:
     """``run_ada`` for several ``(us_enabled, cs_enabled, class_balanced)``
-    rows that share every other argument; returns one (report, model) pair
-    per row, each equal to what ``run_ada`` gives for that row.
+    rows on S seeds that share every other argument. ``models``, ``pools``
+    and ``train_cfgs`` hold one entry per seed, the configs equal but for
+    their seeds. Returns, per row, one (report, model) pair per seed, each
+    equal to what ``run_ada`` gives for that row and seed.
+
+    The S seeds train in lockstep: their 2-D models are stacked along a
+    leading seed axis (see ``enn.Trainer``), so their pools must have equal
+    sizes, and each returned model is a 2-D view of its seed's slice. One
+    seed trains its own model. Selection rounds, evaluation and the AUROC
+    snapshot run seed by seed on those 2-D views.
 
     The rows differ only from their first round on, so the epochs up to the
     first scheduled one are trained once. Each row but the last then finishes
-    from its own deep copy of that state; the last finishes on ``model`` and
-    ``pool`` themselves, so a single row copies nothing.
+    from its own deep copy of that state; the last finishes on the models
+    and pools given, so a single row copies nothing.
     """
     plans = list(plans)
     schedule = list(schedule)
-    for us_enabled, cs_enabled, _ in rows:  # every row is checked before any training
-        problems = round_problems(plans, schedule, train_cfg.epochs,
-                                  pool.budget_total - pool.budget_spent, pool.num_unlabeled,
-                                  us_enabled, cs_enabled, auroc_epoch)
-        if problems:
-            raise RoundLayoutError("; ".join(f"{key}: {message}" for key, message in problems))
-    run = _AdaRun(model, pool, train_cfg, loss_cfg, plans, schedule, ug_enabled, auroc_epoch)
+    for pool in pools:  # every row of every seed is checked before any training
+        for us_enabled, cs_enabled, _ in rows:
+            problems = round_problems(plans, schedule, train_cfgs[0].epochs,
+                                      pool.budget_total - pool.budget_spent, pool.num_unlabeled,
+                                      us_enabled, cs_enabled, auroc_epoch)
+            if problems:
+                raise RoundLayoutError("; ".join(f"{key}: {message}" for key, message in problems))
+    run = _AdaRun(models, pools, train_cfgs, loss_cfg, plans, schedule, ug_enabled, auroc_epoch)
     run.train_to(run.split_epoch)
-    finished = []
-    for i, switches in enumerate(rows):
-        row = run if i == len(rows) - 1 else copy.deepcopy(run)
-        finished.append((row.finish(*switches), row.model))
-    return finished
+    return [(run if i == len(rows) - 1 else copy.deepcopy(run)).finish(*switches)
+            for i, switches in enumerate(rows)]
 
 
 class _AdaRun:
-    """The state ``run_ada`` carries from epoch to epoch: the model, the pool,
-    the trainer with its momentum buffers and shuffle streams, and the report
-    so far. A deep copy is an independent run that continues from the same
-    point."""
+    """The state ``run_ada_rows`` carries from epoch to epoch: the model of
+    its seeds (2-D for one seed, stacked for more), their pools, the trainer
+    with its momentum buffers and shuffle streams, and each seed's report so
+    far. A deep copy is an independent run that continues from the same
+    point. It holds no per-seed views of a stacked model, which a deep copy
+    would turn into arrays of their own; ``seed_views`` makes them when
+    needed."""
 
-    def __init__(self, model, pool: SamplePool, train_cfg, loss_cfg: LossConfig, plans,
+    def __init__(self, models, pools, train_cfgs, loss_cfg: LossConfig, plans,
                  schedule, ug_enabled: bool, auroc_epoch: int | None):
         if auroc_epoch is None:
             auroc_epoch = schedule[0] if schedule else None
-        self.model = model
-        self.pool = pool
+        self.model = models[0] if len(models) == 1 else EvidentialMLP.stack(models)
+        self.pools = list(pools)
         self.mode = loss_cfg.mode
         self.auroc_epoch = auroc_epoch
         self.rounds_by_epoch = dict(zip(schedule, plans))
         # Nothing before the first round depends on the US and CS switches.
-        self.split_epoch = schedule[0] if schedule else train_cfg.epochs
-        self.report = AdaRunReport(mode=self.mode, seed=train_cfg.seed, auroc_epoch=auroc_epoch)
-        self.trainer = Trainer(model, pool, train_cfg, loss_cfg, ug_enabled=ug_enabled)
-        self.target_features = pool.target_features
-        self.target_labels = pool.true_target_labels()
+        self.split_epoch = schedule[0] if schedule else train_cfgs[0].epochs
+        self.reports = [AdaRunReport(mode=self.mode, seed=cfg.seed, auroc_epoch=auroc_epoch)
+                        for cfg in train_cfgs]
+        self.trainer = Trainer(self.model, self.pools, train_cfgs, loss_cfg,
+                               ug_enabled=ug_enabled)
+        self.target_labels = [pool.true_target_labels() for pool in self.pools]
 
     def train_to(self, epoch: int) -> None:
         """Train through ``epoch``, taking the AUROC snapshot on the way; the
         round after ``epoch`` is left to the caller."""
         while self.trainer.epochs_done < epoch:
-            sup, ug = self.trainer.run_epoch()
+            # One float per seed, whether the trainer returns floats or lists.
+            sup, ug = np.reshape(self.trainer.run_epoch(), (2, -1)).tolist()
             done = self.trainer.epochs_done
-            self.report.loss_curve.append((done, sup, ug))
+            for report, s, u in zip(self.reports, sup, ug):
+                report.loss_curve.append((done, s, u))
             if done == self.auroc_epoch:
-                _record_auroc(self.report, self.model, self.target_features,
-                              self.target_labels, self.mode)
+                for report, model, pool, labels in zip(self.reports, self.model.seed_views(),
+                                                       self.pools, self.target_labels):
+                    _record_auroc(report, model, pool.target_features, labels, self.mode)
 
-    def finish(self, us_enabled: bool, cs_enabled: bool, class_balanced: bool) -> AdaRunReport:
+    def finish(self, us_enabled: bool, cs_enabled: bool, class_balanced: bool) -> list:
         """Run the rounds from the split epoch on with the rest of training,
-        then fill in the closing fields of the report."""
-        model, pool, report, labels = self.model, self.pool, self.report, self.target_labels
-        pseudo_hits = 0
-        pseudo_total = 0
-        unlabeled_acc = []
+        then fill in the closing fields of each seed's report; returns one
+        (report, model) pair per seed."""
+        models = self.model.seed_views()
+        seeds = list(zip(models, self.pools, self.reports, self.target_labels))
+        # Per seed, (pseudo-label hits, pseudo labels, model accuracy on the
+        # unlabeled pool) of each round that pseudo-labeled.
+        certain = [[] for _ in seeds]
         for epoch in range(self.split_epoch, self.trainer.cfg.epochs + 1):
             self.train_to(epoch)
             plan = self.rounds_by_epoch.get(epoch)
             if plan is None:
                 continue
-            sorts_before = eu_sort_count()
-            rnd = _selection_round(pool, model, plan, self.mode, us_enabled, cs_enabled,
-                                   class_balanced)
-            report.eu_sorts_per_round.append(eu_sort_count() - sorts_before)
-            for kind, chosen in (("uncertain", rnd.uncertain), ("certain", rnd.certain)):
-                report.selection_log.extend(
-                    _log_rows(plan.round_index, kind, chosen, rnd, labels)
-                )
-            if rnd.certain.size:
-                unlabeled_acc.append(float(np.mean(rnd.predicted == labels[rnd.ids])))
-                pseudo_hits += int((rnd.pseudo == labels[rnd.certain]).sum())
-                pseudo_total += int(rnd.pseudo.size)
-            pool.check_invariants()
-            report.round_accuracies.append(evaluate(model, self.target_features, labels))
+            for (model, pool, report, labels), tally in zip(seeds, certain):
+                sorts_before = eu_sort_count()
+                rnd = _selection_round(pool, model, plan, self.mode, us_enabled, cs_enabled,
+                                       class_balanced)
+                report.eu_sorts_per_round.append(eu_sort_count() - sorts_before)
+                for kind, chosen in (("uncertain", rnd.uncertain), ("certain", rnd.certain)):
+                    report.selection_log.extend(
+                        _log_rows(plan.round_index, kind, chosen, rnd, labels)
+                    )
+                if rnd.certain.size:
+                    tally.append((int((rnd.pseudo == labels[rnd.certain]).sum()),
+                                  int(rnd.pseudo.size),
+                                  float(np.mean(rnd.predicted == labels[rnd.ids]))))
+                pool.check_invariants()
+                report.round_accuracies.append(evaluate(model, pool.target_features, labels))
+        return [(_close_report(*seed, tally), seed[0]) for seed, tally in zip(seeds, certain)]
 
-        report.final_accuracy = evaluate(model, self.target_features, labels)
-        report.budget_spent = pool.budget_spent
-        if pseudo_total:
-            report.pseudo_label_accuracy = pseudo_hits / pseudo_total
-            report.model_accuracy_on_unlabeled = float(np.mean(unlabeled_acc))
-        report.class_uncertainty_source = class_level_uncertainty_summary(
-            model, pool.source_features
-        )
-        report.class_uncertainty_target = class_level_uncertainty_summary(
-            model, self.target_features
-        )
-        report.correlated_pairs = rank_class_pairs(
-            model.forward_batch(self.target_features), labels=labels
-        )
-        report.validate()
-        return report
+
+def _close_report(model, pool: SamplePool, report: AdaRunReport, labels, certain) -> AdaRunReport:
+    """Fill in the fields a finished run reports: final accuracy, budget,
+    pseudo-label tallies and the class-level summaries."""
+    target = pool.target_features
+    report.final_accuracy = evaluate(model, target, labels)
+    report.budget_spent = pool.budget_spent
+    if certain:
+        hits, totals, accuracies = zip(*certain)
+        report.pseudo_label_accuracy = sum(hits) / sum(totals)
+        report.model_accuracy_on_unlabeled = float(np.mean(accuracies))
+    report.class_uncertainty_source = class_level_uncertainty_summary(model, pool.source_features)
+    report.class_uncertainty_target = class_level_uncertainty_summary(model, target)
+    report.correlated_pairs = rank_class_pairs(model.forward_batch(target), labels=labels)
+    report.validate()
+    return report
 
 
 def _record_auroc(report, model, features, labels, mode):

@@ -26,7 +26,7 @@ def set_threads(n: int) -> None:
     _lib.scipy_openblas_set_num_threads64_(n)
 
 
-def report_threads(configs, seed, out_dirs):
-    """Stands in for ``experiments._run_job``: each row's report is the BLAS
-    thread count of the process that ran the job."""
-    return [threads()] * len(configs)
+def report_threads(configs, seeds, out_dirs):
+    """Stands in for ``experiments._run_job``: each row's report on each
+    seed is the BLAS thread count of the process that ran the job."""
+    return [[threads()] * len(configs) for _ in seeds]

@@ -59,7 +59,7 @@ def test_pool_workers_run_one_thread(tmp_path, method):
         multiprocessing.set_start_method("{method}")
         set_threads(2)
         experiments._run_job = report_threads  # pickled by name, so any start method finds it
-        experiments._worker_count = lambda num_jobs: 2
+        experiments._worker_count = lambda: 2
         print(json.dumps({{"workers": experiments.run_rows([CONFIG]), "caller": threads()}}))
         """,
         tmp_path,

@@ -196,8 +196,8 @@ class TestRunEpochComposition:
         trainer = Trainer(model, pool, cfg, loss_cfg, ug_enabled=True)
         # The reference draws from copies of the trainer's own shuffle
         # streams and steps a twin trainer, whose momentum starts the same.
-        sup_rng = copy.deepcopy(trainer._sup_rng)
-        unsup_rng = copy.deepcopy(trainer._unsup_rng)
+        [sup_rng] = copy.deepcopy(trainer._sup_rngs)
+        [unsup_rng] = copy.deepcopy(trainer._unsup_rngs)
         ref = EvidentialMLP([w.copy() for w in model.weights], [b.copy() for b in model.biases])
         twin = Trainer(ref, pool, cfg, loss_cfg)
 

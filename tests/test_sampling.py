@@ -278,9 +278,9 @@ class TestRunAda:
         # Each row is checked with its own switches: the US-only row fits.
         rows = [(True, False, False), (True, True, False)]
         with pytest.raises(DomainError, match="round 2"):
-            run_ada_rows(model, pool, cfg, LossConfig(), plans, [3, 5], rows)
+            run_ada_rows([model], [pool], [cfg], LossConfig(), plans, [3, 5], rows)
         assert pool.budget_spent == 0
-        [(report, _)] = run_ada_rows(model, pool, cfg, LossConfig(), plans, [3, 5], rows[:1])
+        [[(report, _)]] = run_ada_rows([model], [pool], [cfg], LossConfig(), plans, [3, 5], rows[:1])
         assert report.budget_spent == 8
 
     def test_partly_spent_budget_rejected_before_training(self):
