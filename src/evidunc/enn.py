@@ -106,6 +106,8 @@ class EvidentialMLP:
     def __init__(self, weights, biases):
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        if not self.weights or len(self.weights) != len(self.biases):
+            raise DomainError("need one bias per weight and at least one layer")
         lead = self.weights[0].shape[:-2]
         for w, b in zip(self.weights, self.biases):
             bias_shape = (*lead, 1, w.shape[-1]) if lead else (w.shape[-1],)
@@ -306,9 +308,9 @@ class Trainer:
             self.model.biases[i] -= lr * self._vel_b[i]
 
     def run_epoch(self):
-        """One epoch of minibatch SGD; returns (supervised_loss, ug_loss)
-        means over the epoch's batches, as floats for one seed or as lists
-        of S floats for a stacked model."""
+        """One epoch of minibatch SGD; returns (supervised_losses, ug_losses),
+        each a list of the epoch's batch mean for each seed, one entry for a
+        2-D model."""
         sets = [pool.supervised_set(self.loss_cfg.pseudo_label_weight) for pool in self.pools]
         sizes = [(f.shape[0], p.num_unlabeled) for (f, _, _), p in zip(sets, self.pools)]
         if len(set(sizes)) > 1:
@@ -367,7 +369,8 @@ class Trainer:
             self._apply_step(w_grads, b_grads, self.cfg.lr_at(progress))
 
         self.epochs_done += 1
-        return sup_losses.mean(axis=-1).tolist(), ug_losses.mean(axis=-1).tolist()
+        return (np.reshape(sup_losses.mean(axis=-1), -1).tolist(),
+                np.reshape(ug_losses.mean(axis=-1), -1).tolist())
 
 
 def evaluate(model: EvidentialMLP, features, labels) -> float:
@@ -391,6 +394,11 @@ def checkpoint_text(model: EvidentialMLP) -> str:
 
 
 def load_checkpoint(path) -> EvidentialMLP:
+    """The 2-D model a ``checkpoint_text`` file holds; stacked layers are
+    rejected, as no checkpoint is written from them."""
     with open(path) as fh:
         payload = json.load(fh)
-    return EvidentialMLP(payload["weights"], payload["biases"])
+    model = EvidentialMLP(payload["weights"], payload["biases"])
+    if model.weights[0].ndim != 2:  # the constructor made every layer agree
+        raise DomainError("inconsistent layer shapes: a checkpoint holds 2-D weights")
+    return model

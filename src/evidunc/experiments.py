@@ -15,7 +15,8 @@ never perturbs the dataset.
 
 Rows of a grid that differ only in their US, CS and class-balance switches
 form a group. A group's seeds run as jobs of contiguous seed chunks of at
-most ``MAX_LOCKSTEP_SEEDS``, as even as possible, and as many as it takes to
+most ``MAX_LOCKSTEP_SEEDS``, fewer where their domain features would pass
+``LOCKSTEP_FEATURE_BYTES``, as even as possible, and as many as it takes to
 give every worker a job where the seeds allow. A job trains its chunk's
 seeds in lockstep along a leading seed axis up to the first scheduled round
 once, then finishes each row for every seed of the chunk from its own copy
@@ -75,6 +76,11 @@ __all__ = [
 # Seeds one job trains in lockstep at most: a desk step's cost per seed
 # bottoms out near 8 seeds and rises again beyond.
 MAX_LOCKSTEP_SEEDS = 8
+# Domain features, source and target, that one job's seeds may hold
+# together. A job's peak memory grows by about 4x a seed's features for each
+# seed it trains (55 MB a seed at 50,000 x 16 features a domain), so
+# large domains train fewer seeds together, down to one.
+LOCKSTEP_FEATURE_BYTES = 32 * 2**20
 
 # Ablation grid: each row toggles one more stage on top of the previous.
 ABLATION_ROWS = tuple((AblationSwitches(**flags).row_name(), flags) for flags in (
@@ -239,12 +245,21 @@ def _worker_count() -> int:
     return workers
 
 
-def _seed_chunks(seeds, groups: int, workers: int) -> list:
+def _lockstep_limit(config: ExperimentConfig) -> int:
+    """Seeds one job of ``config`` may train together: MAX_LOCKSTEP_SEEDS,
+    fewer where their features would pass LOCKSTEP_FEATURE_BYTES, at least
+    one."""
+    spec = config.domain_spec(0)
+    seed_bytes = 2 * spec.samples_per_domain * spec.feature_dim * 8
+    return max(1, min(MAX_LOCKSTEP_SEEDS, LOCKSTEP_FEATURE_BYTES // seed_bytes))
+
+
+def _seed_chunks(seeds, groups: int, workers: int, limit: int) -> list:
     """Split one group's seeds into contiguous chunks whose sizes differ by
-    at most one: enough chunks that none exceeds MAX_LOCKSTEP_SEEDS and
-    that the ``groups`` groups together make at least ``workers`` jobs,
-    where the seeds allow."""
-    count = min(len(seeds), max(-(-len(seeds) // MAX_LOCKSTEP_SEEDS), -(-workers // groups)))
+    at most one: enough chunks that none exceeds ``limit`` seeds and that
+    the ``groups`` groups together make at least ``workers`` jobs, where
+    the seeds allow."""
+    count = min(len(seeds), max(-(-len(seeds) // limit), -(-workers // groups)))
     size, extra = divmod(len(seeds), count)
     bounds = list(accumulate((size + (k < extra) for k in range(count)), initial=0))
     return [tuple(seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
@@ -276,11 +291,11 @@ def run_rows(configs, out_dirs=None) -> list:
 
     Configs that differ only in their US, CS and class-balance switches
     form a group, which shares its jobs (see ``run_ada_rows``). A job runs
-    one chunk of the group's seeds in lockstep (see ``_seed_chunks``). The
-    jobs run largest first, in one process pool when more than one worker
-    is allowed. With ``out_dirs``, each config's config.json and seed
-    directories are written under its entry, and its stale aggregate.json
-    is deleted first.
+    one chunk of the group's seeds in lockstep (see ``_seed_chunks`` and
+    ``_lockstep_limit``). The jobs run largest first, in one process pool
+    when more than one worker is allowed. With ``out_dirs``, each config's
+    config.json and seed directories are written under its entry, and its
+    stale aggregate.json is deleted first.
     """
     groups = {}
     for i, config in enumerate(configs):
@@ -290,7 +305,8 @@ def run_rows(configs, out_dirs=None) -> list:
     jobs = [
         (rows, chunk)
         for rows in groups.values()
-        for chunk in _seed_chunks(configs[rows[0]].seeds, len(groups), allowed)
+        for chunk in _seed_chunks(configs[rows[0]].seeds, len(groups), allowed,
+                                  _lockstep_limit(configs[rows[0]]))
     ]
     jobs.sort(key=lambda job: -len(job[0]) * len(job[1]))  # largest first
     workers = min(allowed, len(jobs))

@@ -369,8 +369,7 @@ class _AdaRun:
         """Train through ``epoch``, taking the AUROC snapshot on the way; the
         round after ``epoch`` is left to the caller."""
         while self.trainer.epochs_done < epoch:
-            # One float per seed, whether the trainer returns floats or lists.
-            sup, ug = np.reshape(self.trainer.run_epoch(), (2, -1)).tolist()
+            sup, ug = self.trainer.run_epoch()
             done = self.trainer.epochs_done
             for report, s, u in zip(self.reports, sup, ug):
                 report.loss_curve.append((done, s, u))

@@ -578,8 +578,7 @@ class TestSharedPrefix:
         with pytest.raises(RuntimeError, match="disk full"):
             run_ablation(config)
         written = [p.name for p in (tmp_path / "out").rglob("*")]
-        # 24 jobs, one per (UG group, chunk of 8 seeds). The failed job
-        # writes nothing, and only the job running beside it and the few
-        # already handed to a worker finish: far from all 5 rows per seed.
-        assert written.count("report.json") < 5 * len(config.seeds) // 2
+        # 24 jobs, one per (UG group, chunk of 8 seeds): enough that some
+        # stay queued when the first fails, and those are cancelled.
+        assert written.count("report.json") < 2 * len(config.seeds)
         assert "aggregate.json" not in written and "ablation.json" not in written

@@ -2,6 +2,7 @@
 weight gradients against finite differences, and the determinism contract."""
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -223,7 +224,7 @@ class TestRunEpochComposition:
             cfg.lr_at(0.0),
         )
 
-        sup, ug = trainer.run_epoch()
+        [sup], [ug] = trainer.run_epoch()
         assert sup == float((row_losses * scale).sum())
         assert ug == float(u_losses.sum() * u_scale)
         assert len(np.unique(weights)) == 2
@@ -235,7 +236,7 @@ def run_epochs(model, pool, cfg, loss_cfg, ug_enabled=True):
     """Drive a Trainer through cfg.epochs; returns the (supervised, ug) loss
     of each epoch."""
     trainer = Trainer(model, pool, cfg, loss_cfg, ug_enabled=ug_enabled)
-    return [trainer.run_epoch() for _ in range(cfg.epochs)]
+    return [(sup, ug) for [sup], [ug] in (trainer.run_epoch() for _ in range(cfg.epochs))]
 
 
 class TestTraining:
@@ -334,3 +335,20 @@ class TestEvaluationAndSerialization:
             np.testing.assert_array_equal(w1, w2)
         for b1, b2 in zip(model.biases, loaded.biases):
             np.testing.assert_array_equal(b1, b2)
+
+    def test_checkpoint_of_stacked_layers_rejected(self, tmp_path):
+        # The constructor takes stacked layers; a checkpoint file may not.
+        stacked = EvidentialMLP.stack([EvidentialMLP.create(3, 4, hidden=(5,), seed=s)
+                                       for s in (0, 1)])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"weights": [w.tolist() for w in stacked.weights],
+                                    "biases": [b.tolist() for b in stacked.biases]}))
+        with pytest.raises(DomainError, match="inconsistent layer shapes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("weights, biases", [([], []), ([[[1.0, 2.0]]], [])])
+    def test_checkpoint_missing_layers_rejected(self, tmp_path, weights, biases):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"weights": weights, "biases": biases}))
+        with pytest.raises(DomainError):
+            load_checkpoint(path)

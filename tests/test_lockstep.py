@@ -121,15 +121,16 @@ class TestDivergence:
 
 
 class TestJobLayout:
+    @pytest.mark.parametrize("limit", [1, 3, MAX_LOCKSTEP_SEEDS])
     @pytest.mark.parametrize("groups", [1, 2, 5])
-    def test_chunks(self, groups):
+    def test_chunks(self, groups, limit):
         for num_seeds in (1, 2, 3, 7, 8, 9, 10, 16, 17, 30):
             seeds = tuple(range(100, 100 + num_seeds))
             for workers in (1, 2, 3, 8, 40):
-                chunks = _seed_chunks(seeds, groups, workers)
+                chunks = _seed_chunks(seeds, groups, workers, limit)
                 sizes = [len(chunk) for chunk in chunks]
                 assert sum(chunks, ()) == seeds  # contiguous, in order
-                assert max(sizes) <= MAX_LOCKSTEP_SEEDS
+                assert max(sizes) <= limit
                 assert max(sizes) - min(sizes) <= 1
                 # Enough jobs for the workers, where the seeds allow.
                 assert groups * len(chunks) >= min(workers, groups * num_seeds)
@@ -152,6 +153,26 @@ class TestJobLayout:
         # Two groups, each of two chunks of 5, the larger group first.
         assert jobs == [(2, tuple(seeds[:5])), (2, tuple(seeds[5:])),
                         (1, tuple(seeds[:5])), (1, tuple(seeds[5:]))]
+
+    def test_large_domains_train_fewer_seeds_together(self, monkeypatch):
+        monkeypatch.setenv("EVID_NUM_WORKERS", "1")
+        chunks = []
+
+        def recording(configs, chunk, out_dirs):
+            chunks.append(chunk)
+            return [[None] * len(configs) for _ in chunk]
+
+        monkeypatch.setattr(experiments, "_run_job", recording)
+        # Two features a sample, source and target: 32 bytes a sample per seed.
+        for samples, limit in ((80, MAX_LOCKSTEP_SEEDS), (300_000, 3), (2_000_000, 1)):
+            document = tiny_document(seeds=list(range(8)))
+            document["domain"]["samples_per_domain"] = samples
+            config = parse_config(document)
+            assert experiments._lockstep_limit(config) == limit
+            chunks.clear()
+            run_rows([config])
+            assert sum(chunks, ()) == config.seeds
+            assert max(map(len, chunks)) == limit
 
     def test_output_tree_independent_of_worker_count(self, tmp_path, monkeypatch):
         # With 4 CPUs the cap decides: one chunk of 5 seeds per group for 1

@@ -238,7 +238,7 @@ class TestRunAda:
         report = run_ada(model_a, pool_a, cfg, LossConfig(), [], [])
         pool_b, model_b, _ = ada_setup(seed=3)
         trainer = Trainer(model_b, pool_b, cfg, LossConfig())
-        curve = [trainer.run_epoch() for _ in range(cfg.epochs)]
+        curve = [(sup, ug) for [sup], [ug] in (trainer.run_epoch() for _ in range(cfg.epochs))]
         assert report.round_accuracies == []
         assert [r[1:] for r in report.loss_curve] == curve
         for w1, w2 in zip(model_a.weights, model_b.weights):
