@@ -78,7 +78,7 @@ __all__ = [
 MAX_LOCKSTEP_SEEDS = 8
 # Domain features, source and target, that one job's seeds may hold
 # together. A job's peak memory grows by about 4x a seed's features for each
-# seed it trains (55 MB a seed at 50,000 x 16 features a domain), so
+# seed it trains (52 MB a seed at 50,000 x 16 features a domain), so
 # large domains train fewer seeds together, down to one.
 LOCKSTEP_FEATURE_BYTES = 32 * 2**20
 
