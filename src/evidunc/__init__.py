@@ -50,7 +50,6 @@ from .metrics import (
     auroc,
     batch_uncertainties,
     class_level_uncertainty_summary,
-    dataset_class_correlation,
     export_uncertainty_histograms,
     rank_class_pairs,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "class_variances_batch",
     "config_hash",
     "covariance_batch",
-    "dataset_class_correlation",
     "default_round_plans",
     "default_schedule",
     "entropy_uncertainties_batch",

@@ -8,12 +8,13 @@ objective: the supervised loss over source plus labeled target, and, when
 enabled, the uncertainty-guided loss over the unlabeled target. Each step
 consumes one supervised and one unlabeled minibatch.
 
-The same code trains S seeds in lockstep. A stacked model holds each layer
-as an ``(S, fan_in, fan_out)`` array, and every array of a step carries that
-leading seed axis, so each numpy call serves all S seeds. The seeds' sets
-must have equal sizes. Each seed's slice of a step computes the same bits as
-a one-seed step on the 2-D layers: each slice goes to the same BLAS kernel,
-and the sums run along axis -2 or -1 in the same order.
+The trainer runs S seeds in lockstep; one seed is S = 1. It stacks the
+seeds' 2-D models into one holding each layer as an ``(S, fan_in, fan_out)``
+array, and every array of a step carries that leading seed axis, so each
+numpy call serves all S seeds. The seeds' sets must have equal sizes. Each
+seed's slice of a step computes the same bits as the same step on its 2-D
+layers alone: each slice goes to the same BLAS kernel, and the sums run
+along axis -2 or -1 in the same order.
 
 Backpropagation is written out by hand (the loss module supplies exact
 alpha-gradients; the chain rule through the exponential is
@@ -32,7 +33,6 @@ import numpy as np
 
 from .dirichlet import predict_class_batch
 from .losses import LossConfig, edl_batch, ug_batch
-from .pools import SamplePool
 from .special import DomainError
 
 __all__ = [
@@ -51,7 +51,7 @@ LR_SCHEDULES = ("constant", "inverse-decay")
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a gradient turns non-finite mid-training; ``slot`` is the
-    position of the diverged seed in a lockstep run, 0 for one seed."""
+    position of the diverged seed among the trainer's seeds."""
 
     def __init__(self, message: str, slot: int = 0):
         super().__init__(message)
@@ -134,17 +134,18 @@ class EvidentialMLP:
     @classmethod
     def stack(cls, models):
         """One model holding the layers of equal-shaped 2-D ``models`` along
-        a leading seed axis."""
-        return cls([np.stack(ws) for ws in zip(*(m.weights for m in models))],
-                   [np.stack(bs)[:, None] for bs in zip(*(m.biases for m in models))])
+        a leading seed axis. Each given model then holds the ``seed_views``
+        layers of its slice, so it follows the stacked model's training."""
+        stacked = cls([np.stack(ws) for ws in zip(*(m.weights for m in models))],
+                      [np.stack(bs)[:, None] for bs in zip(*(m.biases for m in models))])
+        for model, view in zip(models, stacked.seed_views()):
+            model.weights, model.biases = view.weights, view.biases
+        return stacked
 
     def seed_views(self) -> list:
-        """One 2-D model per seed, whose layers are views into this model's
-        stacked layers and so follow its in-place training; a 2-D model is
-        its own one view. A deep copy of a view is no view, so take views
-        after copying."""
-        if self.weights[0].ndim == 2:
-            return [self]
+        """One 2-D model per seed of this stacked model, whose layers are
+        views into its layers and so follow its in-place training. A deep
+        copy of a view is no view, so take views after copying."""
         return [EvidentialMLP([w[s] for w in self.weights], [b[s, 0] for b in self.biases])
                 for s in range(self.weights[0].shape[0])]
 
@@ -215,31 +216,25 @@ class EvidentialMLP:
 
 
 class Trainer:
-    """Stateful SGD loop over a sample pool, or over S seeds' pools in lockstep.
+    """Stateful SGD loop over S seeds' sample pools in lockstep.
 
     Kept as a class so the ADA loop can interleave sampling rounds between
-    epochs while momentum buffers and shuffle streams carry over. For a
-    stacked model, ``pool`` and ``cfg`` hold one entry per seed, the configs
-    equal but for their seeds; each seed keeps its own pair of shuffle
-    streams, and a step gathers each seed's rows from its own sets.
+    epochs while momentum buffers and shuffle streams carry over. ``models``,
+    ``pools`` and ``cfgs`` hold one entry per seed, one seed being a list of
+    one; the models are 2-D and of equal shapes, the configs equal but for
+    their seeds. ``model`` stacks the given models (``EvidentialMLP.stack``),
+    so they train in place. Each seed keeps its own pair of shuffle streams,
+    and a step gathers each seed's rows from its own sets.
     """
 
-    def __init__(
-        self,
-        model: EvidentialMLP,
-        pool,
-        cfg,
-        loss_cfg: LossConfig,
-        ug_enabled: bool = True,
-    ):
-        self.pools = [pool] if isinstance(pool, SamplePool) else list(pool)
-        cfgs = [cfg] if isinstance(cfg, TrainConfig) else list(cfg)
-        lead = model.weights[0].shape[:-2]
-        if len(self.pools) != (lead[0] if lead else 1) or len(cfgs) != len(self.pools):
-            raise DomainError("need one pool and one train config per seed of the model")
+    def __init__(self, models, pools, cfgs, loss_cfg: LossConfig, ug_enabled: bool = True):
+        self.pools = list(pools)
+        cfgs = list(cfgs)
+        if not self.pools or len(models) != len(self.pools) or len(cfgs) != len(self.pools):
+            raise DomainError("need one pool and one train config per model")
         if any(replace(c, seed=0) != replace(cfgs[0], seed=0) for c in cfgs):
             raise DomainError("lockstep seeds must share every train setting but the seed")
-        self.model = model
+        self.model = EvidentialMLP.stack(models)
         self.cfg = cfgs[0]
         self.loss_cfg = loss_cfg
         self.ug_enabled = ug_enabled
@@ -247,27 +242,14 @@ class Trainer:
         streams = [np.random.SeedSequence(c.seed).spawn(2) for c in cfgs]
         self._sup_rngs = [np.random.default_rng(sup) for sup, _ in streams]
         self._unsup_rngs = [np.random.default_rng(unsup) for _, unsup in streams]
-        self._vel_w = [np.zeros_like(w) for w in model.weights]
-        self._vel_b = [np.zeros_like(b) for b in model.biases]
+        self._vel_w = [np.zeros_like(w) for w in self.model.weights]
+        self._vel_b = [np.zeros_like(b) for b in self.model.biases]
 
-    def _joined(self, parts):
-        """One seed's array as it is; S seeds' arrays joined along their
-        rows, which the row indices of ``_shuffled`` address."""
-        return np.concatenate(parts) if self._lead else parts[0]
-
-    def _shuffled(self, rngs, n: int):
-        """A permutation of range(n) from each seed's stream: one row of
-        ``(S, n)`` indices into the ``_joined`` arrays, or ``(n,)`` for one
-        seed."""
-        perms = [rng.permutation(n) for rng in rngs]
-        if not self._lead:
-            return perms[0]
-        return np.stack(perms) + (np.arange(len(perms)) * n)[:, None]
-
-    @property
-    def _lead(self) -> tuple:
-        """The seed axis of every array in a step: () or (S,)."""
-        return self.model.weights[0].shape[:-2]
+    @staticmethod
+    def _shuffled(rngs, n: int):
+        """A permutation of range(n) from each seed's stream, as one row of
+        ``(S, n)`` indices into the seeds' sets joined along their rows."""
+        return np.stack([rng.permutation(n) for rng in rngs]) + (np.arange(len(rngs)) * n)[:, None]
 
     def _diverged(self, what: str, bad, hint: str = "") -> TrainingDivergedError:
         """The error for a step whose ``bad`` masks, each with the step's
@@ -296,9 +278,8 @@ class Trainer:
         return (losses.reshape(alpha.shape[:-1]), *grads)
 
     def _apply_step(self, w_grads, b_grads, lr: float):
-        """Momentum SGD with weight decay, elementwise, so it serves 2-D and
-        stacked layers alike; the layers change in place, which keeps any
-        ``seed_views`` of them current."""
+        """Momentum SGD with weight decay, elementwise; the layers change in
+        place, which keeps their ``seed_views`` current."""
         wd = self.cfg.weight_decay
         mom = self.cfg.momentum
         for i, (gw, gb) in enumerate(zip(w_grads, b_grads)):
@@ -309,8 +290,7 @@ class Trainer:
 
     def run_epoch(self):
         """One epoch of minibatch SGD; returns (supervised_losses, ug_losses),
-        each a list of the epoch's batch mean for each seed, one entry for a
-        2-D model."""
+        each a list of the epoch's batch mean for each seed."""
         sets = [pool.supervised_set(self.loss_cfg.pseudo_label_weight) for pool in self.pools]
         sizes = [(f.shape[0], p.num_unlabeled) for (f, _, _), p in zip(sets, self.pools)]
         if len(set(sizes)) > 1:
@@ -320,7 +300,7 @@ class Trainer:
         n_sup, n_unl = sizes[0]
         if n_sup == 0:
             raise DomainError("supervised set is empty; nothing to train on")
-        features, labels, weights = (self._joined(parts) for parts in zip(*sets))
+        features, labels, weights = (np.concatenate(parts) for parts in zip(*sets))
         bs = self.cfg.batch_size
         order = self._shuffled(self._sup_rngs, n_sup)
         steps = (n_sup + bs - 1) // bs
@@ -328,16 +308,16 @@ class Trainer:
         mean_reduction = self.loss_cfg.reduction != "sum"
         use_ug = self.ug_enabled and n_unl > 0
         if use_ug:
-            unsup_features = self._joined([p.unlabeled_features() for p in self.pools])
+            unsup_features = np.concatenate([p.unlabeled_features() for p in self.pools])
             take = min(bs, n_unl)
             u_scale = 1.0 / take if mean_reduction else 1.0
             # Shuffled at the first step and whenever a batch would run past the end.
             unsup_pos = n_unl
 
         # One contiguous row of step losses per seed: its mean then sums in
-        # the order a one-seed run does.
-        sup_losses = np.empty((*self._lead, steps))
-        ug_losses = np.zeros((*self._lead, steps if use_ug else 1))
+        # the same order whatever the number of seeds.
+        sup_losses = np.empty((len(self.pools), steps))
+        ug_losses = np.zeros((len(self.pools), steps if use_ug else 1))
         for step in range(steps):
             batch_idx = order[..., step * bs : (step + 1) * bs]
             scale = weights[batch_idx]
@@ -369,8 +349,7 @@ class Trainer:
             self._apply_step(w_grads, b_grads, self.cfg.lr_at(progress))
 
         self.epochs_done += 1
-        return (np.reshape(sup_losses.mean(axis=-1), -1).tolist(),
-                np.reshape(ug_losses.mean(axis=-1), -1).tolist())
+        return sup_losses.mean(axis=-1).tolist(), ug_losses.mean(axis=-1).tolist()
 
 
 def evaluate(model: EvidentialMLP, features, labels) -> float:

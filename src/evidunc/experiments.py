@@ -178,7 +178,8 @@ def _write_seed_outputs(run_dir: Path, report, model, source, target):
     _write_atomic(run_dir / "selection_log.csv", _csv_text(_SELECTION_LOG_COLUMNS, log))
     curve = _csv_text(("epoch", "supervised_loss", "ug_loss"), report.loss_curve)
     _write_atomic(run_dir / "loss_curve.csv", curve)
-    rows = export_uncertainty_histograms(model, source.features, target.features, report.mode)
+    rows = export_uncertainty_histograms(model.forward_batch(source.features),
+                                         model.forward_batch(target.features), report.mode)
     _write_atomic(run_dir / "histograms.csv", _csv_text(("domain", "aleatoric", "epistemic"), rows))
     _write_atomic(run_dir / "checkpoint.json", checkpoint_text(model))
 

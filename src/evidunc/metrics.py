@@ -1,6 +1,8 @@
-"""Evaluation metrics and run reporting: misclassification AUROC, dataset
-class correlations, per-sample uncertainty rows, and the per-run report
-record. Nothing here writes files; ``experiments`` formats the run directory.
+"""Evaluation metrics and run reporting: misclassification AUROC, class
+pairs ranked by their mean correlation, per-class uncertainty summaries,
+per-sample uncertainty rows, and the per-run report record. Every metric
+takes ``(n, C)`` alpha, never a model. Nothing here writes files;
+``experiments`` formats the run directory.
 
 The AUROC here is the Mann-Whitney rank statistic with tied scores credited
 half. The test suite checks it against a pair-counting oracle kept in
@@ -28,7 +30,6 @@ from .special import DomainError
 
 __all__ = [
     "auroc",
-    "dataset_class_correlation",
     "rank_class_pairs",
     "export_uncertainty_histograms",
     "class_level_uncertainty_summary",
@@ -78,85 +79,51 @@ def auroc(scores, is_positive) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _membership_classes(alpha, labels):
-    if labels is None:
-        return predict_class_batch(alpha)
-    membership = np.asarray(labels)
-    if membership.shape != (alpha.shape[0],):
-        raise DomainError("labels must provide one class per prediction")
-    return membership
-
-
-def dataset_class_correlation(alpha: np.ndarray, class_a: int, class_b: int, labels=None) -> float:
-    """Mean correlation between two classes over the samples belonging to
-    either of them.
-
-    Membership comes from ``labels`` when they are given, otherwise from
-    the predicted classes. Samples from other classes carry no information
-    about the pair and are excluded.
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    c = alpha.shape[1]
-    if not (1 <= class_a <= c and 1 <= class_b <= c) or class_a == class_b:
-        raise DomainError("class pair must be two distinct 1-based classes")
-    membership = _membership_classes(alpha, labels)
-    return _pair_mean(_total_and_correlation(alpha)[2], membership, class_a, class_b)
-
-
-def _pair_mean(correlation, membership, class_a, class_b) -> float:
-    mask = (membership == class_a) | (membership == class_b)
-    if not mask.any():
-        raise DomainError(
-            f"no samples belong to classes {class_a} or {class_b}"
-        )
-    return float(correlation[mask, class_a - 1, class_b - 1].mean())
-
-
 def rank_class_pairs(alpha: np.ndarray, labels=None):
     """All class pairs sorted most-negatively-correlated first.
 
-    Returns (class_a, class_b, correlation) triples; under this model the
-    off-diagonal correlations are nonpositive, so the head of the list is
-    the most confusable pair. Ties order lexicographically. Membership
-    comes from ``labels`` when given, as in ``dataset_class_correlation``.
+    Returns (class_a, class_b, correlation) triples, the correlation being
+    the mean over the samples belonging to either class of the pair; under
+    this model the off-diagonal correlations are nonpositive, so the head of
+    the list is the most confusable pair. Ties order lexicographically.
+    Membership comes from ``labels`` when given, otherwise from the
+    predicted classes. Samples from other classes carry no information about
+    a pair and are excluded; a pair with no samples is left out.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     c = alpha.shape[1]
     if c < 2:
         raise DomainError("need at least two classes")
     correlation = _total_and_correlation(alpha)[2]
-    membership = _membership_classes(alpha, labels)
+    membership = predict_class_batch(alpha) if labels is None else np.asarray(labels)
+    if membership.shape != (alpha.shape[0],):
+        raise DomainError("labels must provide one class per prediction")
     triples = []
     for a, b in combinations(range(1, c + 1), 2):
-        try:
-            triples.append((a, b, _pair_mean(correlation, membership, a, b)))
-        except DomainError:
-            continue
+        mask = (membership == a) | (membership == b)
+        if mask.any():
+            triples.append((a, b, float(correlation[mask, a - 1, b - 1].mean())))
     triples.sort(key=lambda t: (t[2], t[0], t[1]))
     return triples
 
 
-def export_uncertainty_histograms(model, source_features, target_features, mode):
-    """Per-sample (domain, AU, EU) rows for both domains, enough to rebuild
-    uncertainty histograms externally."""
+def export_uncertainty_histograms(source_alpha, target_alpha, mode):
+    """Per-sample (domain, AU, EU) rows for both domains' alpha, enough to
+    rebuild uncertainty histograms externally."""
     rows = []
-    for domain, features in (("source", source_features), ("target", target_features)):
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape[0] == 0:
-            continue
-        alpha = model.forward_batch(features)
-        _, au, eu = batch_uncertainties(alpha, mode)
+    for domain, alpha in (("source", source_alpha), ("target", target_alpha)):
+        _, au, eu = batch_uncertainties(np.asarray(alpha, dtype=np.float64), mode)
         rows.extend((domain, float(a), float(e)) for a, e in zip(au, eu))
     return rows
 
 
-def class_level_uncertainty_summary(model, features):
+def class_level_uncertainty_summary(alpha):
     """Per-class mean total/aleatoric/epistemic uncertainties over one
-    dataset (arithmetic mean of the per-sample class vectors)."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape[0] == 0:
+    dataset's alpha (arithmetic mean of the per-sample class vectors)."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.shape[0] == 0:
         raise DomainError("cannot summarize an empty dataset")
-    total, alea, epis = class_variances_batch(model.forward_batch(features))
+    total, alea, epis = class_variances_batch(alpha)
     return {
         "total": total.mean(axis=0).tolist(),
         "aleatoric": alea.mean(axis=0).tolist(),

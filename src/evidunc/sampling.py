@@ -24,10 +24,10 @@ opposite ends. The round then acquires both sets from the pool.
 AdaRunReport with accuracies, AUROC snapshots, selection logs, and the
 quantities the report consumers need. ``run_ada_rows`` runs several
 settings of the US and CS switches from one training prefix, since nothing
-before the first round depends on them, and it runs S seeds at once: their
-models train in lockstep along a leading seed axis, while each seed's rounds,
-evaluation and summaries run on its own pool and its own 2-D view of the
-model.
+before the first round depends on them, and it runs S seeds at once, one
+seed being S = 1: their models train in lockstep along a leading seed axis,
+while each seed's rounds, evaluation and summaries run on its own pool and
+its own 2-D view of the stacked model.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enn import EvidentialMLP, Trainer, evaluate
+from .enn import Trainer, evaluate
 from .losses import LossConfig
 from .metrics import AdaRunReport, auroc, batch_uncertainties, class_level_uncertainty_summary, rank_class_pairs
 from .dirichlet import predict_class_batch
@@ -50,9 +50,6 @@ __all__ = [
     "default_round_plans",
     "default_schedule",
     "round_problems",
-    "select_uncertain",
-    "select_certain",
-    "select_certain_balanced",
     "uncertainty_sampling",
     "certainty_sampling",
     "run_ada",
@@ -175,32 +172,6 @@ def _pick_certain_balanced_tail(order, ids, predicted, b_c, num_classes, exclude
     return ids[np.concatenate([tail[in_quota], tail[~in_quota]])[: min(b_c, tail.size)]]
 
 
-def select_uncertain(ids, eu, au, b_u: int, kappa: int) -> np.ndarray:
-    """Pure two-step selection on score arrays; returns chosen sample ids.
-
-    Step one keeps the kappa*b_u highest-EU samples; step two returns the
-    b_u highest-AU among them. Both sorts break ties by ascending id.
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    return _pick_uncertain(_eu_order(ids, eu), ids, au, b_u, kappa)
-
-
-def select_certain(ids, eu, b_c: int) -> np.ndarray:
-    """The b_c least-EU sample ids (soft: fewer if the pool is smaller)."""
-    ids = np.asarray(ids, dtype=np.int64)
-    return _pick_certain_tail(_eu_order(ids, eu), ids, b_c)
-
-
-def select_certain_balanced(ids, eu, predicted, b_c: int, num_classes: int) -> np.ndarray:
-    """Class-balanced certainty selection: floor(b_c/C) least-EU samples per
-    predicted class, remainder filled by global least-EU."""
-    ids = np.asarray(ids, dtype=np.int64)
-    order = _eu_order(ids, eu)
-    return _pick_certain_balanced_tail(
-        order, ids, np.asarray(predicted), min(b_c, ids.size), num_classes
-    )
-
-
 @dataclass(frozen=True)
 class _Round:
     """The scored unlabeled pool a round chose from, and what it took."""
@@ -315,14 +286,15 @@ def run_ada_rows(models, pools, train_cfgs, loss_cfg: LossConfig, plans, schedul
 
     The S seeds train in lockstep: their 2-D models are stacked along a
     leading seed axis (see ``enn.Trainer``), so their pools must have equal
-    sizes, and each returned model is a 2-D view of its seed's slice. One
-    seed trains its own model. Selection rounds, evaluation and the AUROC
-    snapshot run seed by seed on those 2-D views.
+    sizes, and each returned model is a 2-D view of its seed's slice.
+    Selection rounds, evaluation and the AUROC snapshot run seed by seed on
+    those 2-D views.
 
     The rows differ only from their first round on, so the epochs up to the
     first scheduled one are trained once. Each row but the last then finishes
     from its own deep copy of that state; the last finishes on the models
-    and pools given, so a single row copies nothing.
+    and pools given, so a single row copies nothing, and the given models,
+    which stacking made views of their slices, hold its trained weights.
     """
     plans = list(plans)
     schedule = list(schedule)
@@ -340,19 +312,17 @@ def run_ada_rows(models, pools, train_cfgs, loss_cfg: LossConfig, plans, schedul
 
 
 class _AdaRun:
-    """The state ``run_ada_rows`` carries from epoch to epoch: the model of
-    its seeds (2-D for one seed, stacked for more), their pools, the trainer
-    with its momentum buffers and shuffle streams, and each seed's report so
-    far. A deep copy is an independent run that continues from the same
-    point. It holds no per-seed views of a stacked model, which a deep copy
-    would turn into arrays of their own; ``seed_views`` makes them when
-    needed."""
+    """The state ``run_ada_rows`` carries from epoch to epoch: its seeds'
+    pools, the trainer with their stacked model, momentum buffers and
+    shuffle streams, and each seed's report so far. A deep copy is an
+    independent run that continues from the same point. It holds no per-seed
+    views of the stacked model, which a deep copy would turn into arrays of
+    their own; ``seed_views`` makes them when needed."""
 
     def __init__(self, models, pools, train_cfgs, loss_cfg: LossConfig, plans,
                  schedule, ug_enabled: bool, auroc_epoch: int | None):
         if auroc_epoch is None:
             auroc_epoch = schedule[0] if schedule else None
-        self.model = models[0] if len(models) == 1 else EvidentialMLP.stack(models)
         self.pools = list(pools)
         self.mode = loss_cfg.mode
         self.auroc_epoch = auroc_epoch
@@ -361,8 +331,7 @@ class _AdaRun:
         self.split_epoch = schedule[0] if schedule else train_cfgs[0].epochs
         self.reports = [AdaRunReport(mode=self.mode, seed=cfg.seed, auroc_epoch=auroc_epoch)
                         for cfg in train_cfgs]
-        self.trainer = Trainer(self.model, self.pools, train_cfgs, loss_cfg,
-                               ug_enabled=ug_enabled)
+        self.trainer = Trainer(models, self.pools, train_cfgs, loss_cfg, ug_enabled=ug_enabled)
         self.target_labels = [pool.true_target_labels() for pool in self.pools]
 
     def train_to(self, epoch: int) -> None:
@@ -374,15 +343,16 @@ class _AdaRun:
             for report, s, u in zip(self.reports, sup, ug):
                 report.loss_curve.append((done, s, u))
             if done == self.auroc_epoch:
-                for report, model, pool, labels in zip(self.reports, self.model.seed_views(),
-                                                       self.pools, self.target_labels):
+                seeds = zip(self.reports, self.trainer.model.seed_views(), self.pools,
+                            self.target_labels)
+                for report, model, pool, labels in seeds:
                     _record_auroc(report, model, pool.target_features, labels, self.mode)
 
     def finish(self, us_enabled: bool, cs_enabled: bool, class_balanced: bool) -> list:
         """Run the rounds from the split epoch on with the rest of training,
         then fill in the closing fields of each seed's report; returns one
         (report, model) pair per seed."""
-        models = self.model.seed_views()
+        models = self.trainer.model.seed_views()
         seeds = list(zip(models, self.pools, self.reports, self.target_labels))
         # Per seed, (pseudo-label hits, pseudo labels, model accuracy on the
         # unlabeled pool) of each round that pseudo-labeled.
@@ -412,17 +382,19 @@ class _AdaRun:
 
 def _close_report(model, pool: SamplePool, report: AdaRunReport, labels, certain) -> AdaRunReport:
     """Fill in the fields a finished run reports: final accuracy, budget,
-    pseudo-label tallies and the class-level summaries."""
-    target = pool.target_features
-    report.final_accuracy = evaluate(model, target, labels)
+    pseudo-label tallies and the class-level summaries, from one forward
+    pass over each domain."""
+    target = model.forward_batch(pool.target_features)
+    report.class_uncertainty_target = class_level_uncertainty_summary(target)
+    report.final_accuracy = float(np.mean(predict_class_batch(target) == labels))
     report.budget_spent = pool.budget_spent
     if certain:
         hits, totals, accuracies = zip(*certain)
         report.pseudo_label_accuracy = sum(hits) / sum(totals)
         report.model_accuracy_on_unlabeled = float(np.mean(accuracies))
-    report.class_uncertainty_source = class_level_uncertainty_summary(model, pool.source_features)
-    report.class_uncertainty_target = class_level_uncertainty_summary(model, target)
-    report.correlated_pairs = rank_class_pairs(model.forward_batch(target), labels=labels)
+    report.class_uncertainty_source = class_level_uncertainty_summary(
+        model.forward_batch(pool.source_features))
+    report.correlated_pairs = rank_class_pairs(target, labels=labels)
     report.validate()
     return report
 

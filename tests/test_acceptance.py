@@ -22,10 +22,11 @@ from evidunc.losses import LossConfig, _kl_batch, edl_batch, ug_batch
 from evidunc.metrics import auroc, rank_class_pairs
 from evidunc.pools import SamplePool
 from evidunc.sampling import (
+    _eu_order,
+    _pick_certain_balanced_tail,
+    _pick_certain_tail,
+    _pick_uncertain,
     run_ada,
-    select_certain,
-    select_certain_balanced,
-    select_uncertain,
 )
 from evidunc.synthetic import DomainSpec, default_class_means, generate_domain_pair, split_pools
 from oracles import brute_force_auroc, one_row
@@ -359,24 +360,28 @@ class TestCriterion6:
         ids = np.arange(1, 7)
         eu = np.array([0.1, 0.9, 0.8, 0.7, 0.3, 0.2])
         au = np.array([0.5, 0.1, 0.9, 0.8, 0.2, 0.6])
-        two_step = select_uncertain(ids, eu, au, b_u=2, kappa=2)
+        two_step = _pick_uncertain(_eu_order(ids, eu), ids, au, b_u=2, kappa=2)
         # EU keeps {2,3,4,5}; AU picks 3 (0.9) then 4 (0.8)
         trace_a = list(two_step) == [3, 4]
 
         tie_eu = np.array([0.5, 0.5, 0.9, 0.2, 0.9, 0.1])
         tie_au = np.array([0.0, 0.0, 0.3, 0.0, 0.2, 0.0])
-        tied = select_uncertain(ids, tie_eu, tie_au, b_u=2, kappa=1)
+        tied = _pick_uncertain(_eu_order(ids, tie_eu), ids, tie_au, b_u=2, kappa=1)
         trace_b = list(tied) == [3, 5]  # equal EU resolved by ascending id
 
-        certain = select_certain(ids, np.array([0.5, 0.4, 0.6, 0.7, 0.8, 0.05]), b_c=1)
+        certain_eu = np.array([0.5, 0.4, 0.6, 0.7, 0.8, 0.05])
+        certain = _pick_certain_tail(_eu_order(ids, certain_eu), ids, b_c=1)
         trace_c = list(certain) == [6]
 
-        tail_ties = select_certain(np.arange(1, 4), np.array([0.2, 0.2, 0.9]), b_c=1)
+        tail_ids = np.arange(1, 4)
+        tail_ties = _pick_certain_tail(_eu_order(tail_ids, np.array([0.2, 0.2, 0.9])), tail_ids,
+                                       b_c=1)
         trace_d = list(tail_ties) == [2]  # tail read of the shared order
 
-        balanced = select_certain_balanced(
-            np.arange(1, 5),
-            np.array([0.1, 0.2, 0.3, 0.05]),
+        balanced_ids = np.arange(1, 5)
+        balanced = _pick_certain_balanced_tail(
+            _eu_order(balanced_ids, np.array([0.1, 0.2, 0.3, 0.05])),
+            balanced_ids,
             predicted=np.array([1, 1, 2, 2]),
             b_c=2,
             num_classes=2,

@@ -103,10 +103,10 @@ class TestSgdUpdate:
         model = EvidentialMLP([np.array([[1.0]])], [np.array([0.0])])
         pool = SamplePool(np.zeros((1, 1)), [1], np.zeros((0, 1)), np.zeros(0, dtype=int), 0)
         cfg = TrainConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.01, seed=0)
-        trainer = Trainer(model, pool, cfg, LossConfig(), ug_enabled=False)
-        trainer._apply_step([np.array([[2.0]])], [np.array([0.0])], lr=0.1)
+        trainer = Trainer([model], [pool], [cfg], LossConfig(), ug_enabled=False)
+        trainer._apply_step([np.array([[[2.0]]])], [np.array([[[0.0]]])], lr=0.1)
         assert model.weights[0][0, 0] == pytest.approx(0.799, abs=1e-12)
-        trainer._apply_step([np.array([[-1.0]])], [np.array([0.0])], lr=0.1)
+        trainer._apply_step([np.array([[[-1.0]]])], [np.array([[[0.0]]])], lr=0.1)
         assert model.weights[0][0, 0] == pytest.approx(0.717301, abs=1e-12)
         assert model.biases[0][0] == 0.0
 
@@ -115,10 +115,10 @@ class TestSgdUpdate:
         before = [w.copy() for w in model.weights]
         pool = small_pool()
         cfg = TrainConfig(weight_decay=0.0, seed=0)
-        trainer = Trainer(model, pool, cfg, LossConfig())
+        trainer = Trainer([model], [pool], [cfg], LossConfig())
         trainer._apply_step(
-            [np.zeros_like(w) for w in model.weights],
-            [np.zeros_like(b) for b in model.biases],
+            [np.zeros_like(w) for w in trainer.model.weights],
+            [np.zeros_like(b) for b in trainer.model.biases],
             lr=0.1,
         )
         assert all(np.array_equal(w, b) for w, b in zip(model.weights, before))
@@ -194,13 +194,13 @@ class TestRunEpochComposition:
         loss_cfg = LossConfig(mode=mode, reduction=reduction, pseudo_label_weight=0.5)
         cfg = TrainConfig(epochs=3, batch_size=64, learning_rate=0.05, seed=4)
         model = EvidentialMLP.create(2, 2, hidden=(5,), seed=0)
-        trainer = Trainer(model, pool, cfg, loss_cfg, ug_enabled=True)
+        trainer = Trainer([model], [pool], [cfg], loss_cfg, ug_enabled=True)
         # The reference draws from copies of the trainer's own shuffle
         # streams and steps a twin trainer, whose momentum starts the same.
         [sup_rng] = copy.deepcopy(trainer._sup_rngs)
         [unsup_rng] = copy.deepcopy(trainer._unsup_rngs)
         ref = EvidentialMLP([w.copy() for w in model.weights], [b.copy() for b in model.biases])
-        twin = Trainer(ref, pool, cfg, loss_cfg)
+        twin = Trainer([ref], [pool], [cfg], loss_cfg)
 
         features, labels, weights = pool.supervised_set(loss_cfg.pseudo_label_weight)
         rows = sup_rng.permutation(features.shape[0])
@@ -219,8 +219,8 @@ class TestRunEpochComposition:
             u_dalpha * u_scale, u_alpha, u_acts, u_active
         )
         twin._apply_step(
-            [a + b for a, b in zip(w_grads, uw_grads)],
-            [a + b for a, b in zip(b_grads, ub_grads)],
+            [(a + b)[None] for a, b in zip(w_grads, uw_grads)],
+            [(a + b)[None, None] for a, b in zip(b_grads, ub_grads)],
             cfg.lr_at(0.0),
         )
 
@@ -235,7 +235,7 @@ class TestRunEpochComposition:
 def run_epochs(model, pool, cfg, loss_cfg, ug_enabled=True):
     """Drive a Trainer through cfg.epochs; returns the (supervised, ug) loss
     of each epoch."""
-    trainer = Trainer(model, pool, cfg, loss_cfg, ug_enabled=ug_enabled)
+    trainer = Trainer([model], [pool], [cfg], loss_cfg, ug_enabled=ug_enabled)
     return [(sup, ug) for [sup], [ug] in (trainer.run_epoch() for _ in range(cfg.epochs))]
 
 
@@ -285,14 +285,15 @@ class TestTraining:
         )
         model = EvidentialMLP.create(2, 2, seed=0)
         with pytest.raises(DomainError):
-            Trainer(model, pool, TrainConfig(epochs=1), LossConfig()).run_epoch()
+            Trainer([model], [pool], [TrainConfig(epochs=1)], LossConfig()).run_epoch()
 
     def test_non_finite_gradient_aborts(self):
         pool = small_pool()
         pool.source_features[0, 0] = np.nan
         model = EvidentialMLP.create(2, 2, seed=0)
         with pytest.raises(TrainingDivergedError):
-            Trainer(model, pool, TrainConfig(epochs=1, batch_size=64), LossConfig()).run_epoch()
+            Trainer([model], [pool], [TrainConfig(epochs=1, batch_size=64)],
+                    LossConfig()).run_epoch()
 
     def test_lr_schedule_values(self):
         cfg = TrainConfig(learning_rate=0.2, lr_schedule="inverse-decay")

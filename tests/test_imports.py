@@ -1,6 +1,7 @@
 """Every name a package module imports is used in it or listed in its
-``__all__``, and every ``__all__`` entry is defined or imported there.
-Standard library only, so it runs wherever the suite runs."""
+``__all__``, and every ``__all__`` entry is defined or imported there; and
+the quantification core imports no module outside it and never runs a
+model. Standard library only, so it runs wherever the suite runs."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,40 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_names(path.read_text()) == ([], [])
+
+
+# The quantification core works on alpha alone, whatever produced it.
+CORE = ("special", "dirichlet", "losses", "metrics")
+
+
+def core_violations(source: str) -> tuple:
+    """(package modules the module imports from outside ``CORE``, relative
+    by their names and absolute by their dotted paths, and the number of its
+    ``forward_batch`` calls)."""
+    outside, forwards = set(), 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            outside.update(node.module.split(".")[0] if node.module else alias.name
+                           for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names]
+            outside.update(n for n in names if n.split(".")[0] == "evidunc")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            forwards += (func.attr if isinstance(func, ast.Attribute) else
+                         getattr(func, "id", None)) == "forward_batch"
+    return sorted(outside - set(CORE)), forwards
+
+
+def test_layering_checker_finds_a_model_in_the_core():
+    source = ("from .dirichlet import checked_alpha\nfrom .enn import evaluate\n"
+              "from . import pools\nimport evidunc.sampling\n"
+              "def f(model, x):\n    return model.forward_batch(x)\n")
+    assert core_violations(source) == (["enn", "evidunc.sampling", "pools"], 1)
+
+
+@pytest.mark.parametrize("name", CORE)
+def test_core_imports_only_the_core_and_runs_no_model(name):
+    path = SOURCES[0].parent / f"{name}.py"
+    assert core_violations(path.read_text()) == ([], 0)

@@ -1,6 +1,7 @@
 """Seeds trained in lockstep: an S-seed job must write what S one-seed jobs
-write, byte for byte; a diverged seed is named; and run_rows lays its jobs
-out as (UG group, seed chunk) without letting the layout reach the outputs."""
+write, byte for byte; a diverged seed is named; the models given to
+run_ada_rows train in place; and run_rows lays its jobs out as (UG group,
+seed chunk) without letting the layout reach the outputs."""
 
 import os
 
@@ -13,6 +14,7 @@ from evidunc.enn import EvidentialMLP, TrainConfig, Trainer, TrainingDivergedErr
 from evidunc.experiments import MAX_LOCKSTEP_SEEDS, _seed_chunks, run_ablation, run_rows
 from evidunc.losses import LossConfig
 from evidunc.pools import SamplePool
+from evidunc.sampling import run_ada_rows
 from evidunc.special import DomainError
 from test_config import tiny_document, tree_bytes
 
@@ -88,8 +90,7 @@ def nan_before_epoch(monkeypatch, epoch, slot):
 
     def poisoned(self):
         if self.epochs_done == epoch - 1:
-            weights = self.model.weights[0]
-            (weights[slot] if weights.ndim == 3 else weights)[0, 0] = np.nan
+            self.model.weights[0][slot, 0, 0] = np.nan
         return run_epoch(self)
 
     monkeypatch.setattr(Trainer, "run_epoch", poisoned)
@@ -109,15 +110,29 @@ class TestDivergence:
     def test_unequal_set_sizes_rejected_before_the_epoch(self):
         pools = [small_pool(seed) for seed in (0, 1)]
         pools[1].acquire_with_oracle([0, 1])
-        model = EvidentialMLP.stack([EvidentialMLP.create(2, 2, hidden=(4,), seed=s)
-                                     for s in (0, 1)])
-        before = [w.copy() for w in model.weights]
-        trainer = Trainer(model, pools, [TrainConfig(seed=0), TrainConfig(seed=1)], LossConfig())
+        models = [EvidentialMLP.create(2, 2, hidden=(4,), seed=s) for s in (0, 1)]
+        before = [w.copy() for model in models for w in model.weights]
+        trainer = Trainer(models, pools, [TrainConfig(seed=0), TrainConfig(seed=1)], LossConfig())
         with pytest.raises(DomainError, match=r"unlabeled\) \[\(16, 12\), \(18, 10\)\]$"):
             trainer.run_epoch()
         assert trainer.epochs_done == 0
-        for w, b in zip(model.weights, before):
+        for w, b in zip([w for model in models for w in model.weights], before):
             np.testing.assert_array_equal(w, b)
+
+
+class TestInPlaceTraining:
+    @pytest.mark.parametrize("seeds", [[5], [5, 6, 7]], ids=["one-seed", "three-seeds"])
+    def test_run_ada_rows_trains_the_given_models(self, seeds):
+        models = [EvidentialMLP.create(2, 2, hidden=(4,), seed=s) for s in seeds]
+        initial = [[a.tobytes() for a in m.weights + m.biases] for m in models]
+        pools = [small_pool(seed) for seed in seeds]
+        cfgs = [TrainConfig(epochs=2, batch_size=8, seed=seed) for seed in seeds]
+        [pairs] = run_ada_rows(models, pools, cfgs, LossConfig(), [], [], [(False, False, False)])
+        for model, (_, trained), before in zip(models, pairs, initial):
+            assert [w.ndim for w in model.weights] == [2, 2]
+            got = [a.tobytes() for a in model.weights + model.biases]
+            assert got == [a.tobytes() for a in trained.weights + trained.biases]
+            assert all(g != b for g, b in zip(got, before))
 
 
 class TestJobLayout:

@@ -8,12 +8,10 @@ import numpy as np
 import pytest
 
 from evidunc.dirichlet import class_variances_batch
-from evidunc.enn import EvidentialMLP
 from evidunc.metrics import (
     AdaRunReport,
     auroc,
     class_level_uncertainty_summary,
-    dataset_class_correlation,
     export_uncertainty_histograms,
     rank_class_pairs,
 )
@@ -21,9 +19,11 @@ from evidunc.special import DomainError
 from oracles import brute_force_auroc, one_row
 
 
-def identity_model(dim=2):
-    """Single-layer net with identity weights: alpha = exp(features)."""
-    return EvidentialMLP([np.eye(dim)], [np.zeros(dim)])
+def pair_correlation(alpha, class_a, class_b, labels=None):
+    """The mean correlation ``rank_class_pairs`` reports for one pair."""
+    pair = tuple(sorted((class_a, class_b)))
+    [value] = [c for a, b, c in rank_class_pairs(alpha, labels=labels) if (a, b) == pair]
+    return value
 
 
 class TestAuroc:
@@ -73,13 +73,13 @@ class TestClassCorrelation:
     def test_binary_dataset_is_minus_one(self):
         alpha = np.array([[2.0, 5.0], [4.0, 1.0], [3.0, 3.0]])
         labels = np.array([1, 2, 1])
-        assert dataset_class_correlation(alpha, 1, 2, labels=labels) == pytest.approx(
+        assert pair_correlation(alpha, 1, 2, labels=labels) == pytest.approx(
             -1.0, abs=1e-12
         )
 
     def test_single_sample_spot_value(self):
         alpha = np.array([[2.0, 3.0, 5.0]])
-        value = dataset_class_correlation(alpha, 1, 2, labels=np.array([1]))
+        value = pair_correlation(alpha, 1, 2, labels=np.array([1]))
         assert value == pytest.approx(-0.06 / np.sqrt(0.16 * 0.21), abs=1e-12)
         assert round(value, 4) == -0.3273
 
@@ -87,18 +87,18 @@ class TestClassCorrelation:
         rng = np.random.default_rng(31)
         alpha = np.exp(rng.uniform(-1, 2, size=(20, 4)))
         labels = rng.integers(1, 5, size=20)
-        ab = dataset_class_correlation(alpha, 2, 3, labels=labels)
-        ba = dataset_class_correlation(alpha, 3, 2, labels=labels)
+        ab = pair_correlation(alpha, 2, 3, labels=labels)
+        ba = pair_correlation(alpha, 3, 2, labels=labels)
         assert ab == ba
         perm = rng.permutation(20)
-        shuffled = dataset_class_correlation(alpha[perm], 2, 3, labels=labels[perm])
+        shuffled = pair_correlation(alpha[perm], 2, 3, labels=labels[perm])
         assert shuffled == pytest.approx(ab, abs=1e-12)
 
     def test_other_classes_excluded(self):
         informative = np.array([[2.0, 3.0, 5.0]])
         noise = np.array([[50.0, 1.0, 1.0]])
-        solo = dataset_class_correlation(informative, 2, 3, labels=np.array([2]))
-        both = dataset_class_correlation(
+        solo = pair_correlation(informative, 2, 3, labels=np.array([2]))
+        both = pair_correlation(
             np.vstack([informative, noise]), 2, 3, labels=np.array([2, 1])
         )
         assert both == pytest.approx(solo, abs=1e-15)
@@ -106,23 +106,16 @@ class TestClassCorrelation:
     def test_prediction_proxy_when_unlabeled(self):
         # argmax classes: row 1 -> class 3, row 2 -> class 1.
         alpha = np.array([[2.0, 3.0, 5.0], [9.0, 1.0, 1.0]])
-        by_proxy = dataset_class_correlation(alpha, 1, 3)
+        by_proxy = pair_correlation(alpha, 1, 3)
         assert -1.0 <= by_proxy <= 0.0
         # Labels put only the first row in the pair, so the means differ.
-        with_labels = dataset_class_correlation(alpha, 1, 3, labels=np.array([3, 2]))
+        with_labels = pair_correlation(alpha, 1, 3, labels=np.array([3, 2]))
         assert by_proxy != with_labels
 
     def test_no_qualifying_samples(self):
         alpha = np.array([[2.0, 3.0, 5.0]])
-        with pytest.raises(DomainError):
-            dataset_class_correlation(alpha, 1, 2, labels=np.array([3]))
-
-    def test_bad_pair_rejected(self):
-        alpha = np.array([[2.0, 3.0, 5.0]])
-        with pytest.raises(DomainError):
-            dataset_class_correlation(alpha, 1, 1, labels=np.array([1]))
-        with pytest.raises(DomainError):
-            dataset_class_correlation(alpha, 0, 2, labels=np.array([1]))
+        pairs = rank_class_pairs(alpha, labels=np.array([3]))
+        assert {(a, b) for a, b, _ in pairs} == {(1, 3), (2, 3)}
 
 
 class TestRankClassPairs:
@@ -150,54 +143,44 @@ class TestRankClassPairs:
 
 class TestHistogramExport:
     def test_row_counts_and_nonnegativity(self):
-        model = identity_model()
         rng = np.random.default_rng(41)
-        source = rng.normal(size=(30, 2))
-        target = rng.normal(size=(20, 2))
-        rows = export_uncertainty_histograms(model, source, target, "variance")
+        source = np.exp(rng.normal(size=(30, 2)))
+        target = np.exp(rng.normal(size=(20, 2)))
+        rows = export_uncertainty_histograms(source, target, "variance")
         assert len(rows) == 50
         assert sum(r[0] == "source" for r in rows) == 30
         assert all(r[1] >= 0.0 and r[2] >= 0.0 for r in rows)
 
     def test_empty_domain_contributes_nothing(self):
-        model = identity_model()
-        rows = export_uncertainty_histograms(
-            model, np.empty((0, 2)), np.zeros((3, 2)), "entropy"
-        )
+        rows = export_uncertainty_histograms(np.empty((0, 2)), np.ones((3, 2)), "entropy")
         assert len(rows) == 3
         assert all(r[0] == "target" for r in rows)
 
 
 class TestClassSummary:
     def test_single_sample_equals_own_uncertainties(self):
-        model = identity_model()
-        features = np.log(np.array([[3.0, 1.0]]))
-        summary = class_level_uncertainty_summary(model, features)
+        summary = class_level_uncertainty_summary(np.array([[3.0, 1.0]]))
         class_total, class_aleatoric, class_epistemic = one_row(class_variances_batch, [3.0, 1.0])
         np.testing.assert_allclose(summary["total"], class_total, atol=1e-12)
         np.testing.assert_allclose(summary["aleatoric"], class_aleatoric, atol=1e-12)
         np.testing.assert_allclose(summary["epistemic"], class_epistemic, atol=1e-12)
 
     def test_two_sample_hand_average(self):
-        model = identity_model()
-        features = np.log(np.array([[3.0, 1.0], [1.0, 1.0]]))
-        summary = class_level_uncertainty_summary(model, features)
+        summary = class_level_uncertainty_summary(np.array([[3.0, 1.0], [1.0, 1.0]]))
         # Hand average of (0.1875, 0.1875) and (0.25, 0.25).
         np.testing.assert_allclose(summary["total"], [0.21875, 0.21875], atol=1e-12)
 
     def test_class_means_sum_to_mean_sample_uncertainty(self):
-        model = identity_model(3)
         rng = np.random.default_rng(43)
-        features = rng.normal(size=(40, 3))
-        summary = class_level_uncertainty_summary(model, features)
-        alpha = model.forward_batch(features)
+        alpha = np.exp(rng.normal(size=(40, 3)))
+        summary = class_level_uncertainty_summary(alpha)
         mu = alpha / alpha.sum(axis=1, keepdims=True)
         mean_sample_u = (1.0 - (mu * mu).sum(axis=1)).mean()
         assert sum(summary["total"]) == pytest.approx(mean_sample_u, abs=1e-12)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DomainError):
-            class_level_uncertainty_summary(identity_model(), np.empty((0, 2)))
+            class_level_uncertainty_summary(np.empty((0, 2)))
 
 
 class TestReport:

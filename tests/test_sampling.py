@@ -10,15 +10,16 @@ from evidunc.metrics import batch_uncertainties
 from evidunc.pools import BudgetExhaustedError, PoolError, SamplePool
 from evidunc.sampling import (
     RoundPlan,
+    _eu_order,
+    _pick_certain_balanced_tail,
+    _pick_certain_tail,
+    _pick_uncertain,
     certainty_sampling,
     default_round_plans,
     default_schedule,
     eu_sort_count,
     run_ada,
     run_ada_rows,
-    select_certain,
-    select_certain_balanced,
-    select_uncertain,
     uncertainty_sampling,
 )
 from evidunc.special import DomainError
@@ -32,51 +33,53 @@ AU = np.array([0.0, 1.0, 9.0, 8.0, 0.0, 0.0])
 class TestSelectUncertain:
     def test_two_step_hand_trace(self):
         # EU keeps {1,2,3,4}; AU ranks them 3(9), 4(8), 2(1), 1(0).
-        chosen = select_uncertain(IDS, EU, AU, b_u=2, kappa=2)
+        chosen = _pick_uncertain(_eu_order(IDS, EU), IDS, AU, b_u=2, kappa=2)
         np.testing.assert_array_equal(chosen, [3, 4])
 
     def test_degenerate_kappa_reduces_to_au_ranking(self):
-        chosen = select_uncertain(IDS, EU, AU, b_u=2, kappa=3)
+        chosen = _pick_uncertain(_eu_order(IDS, EU), IDS, AU, b_u=2, kappa=3)
         np.testing.assert_array_equal(chosen, [3, 4])
 
     def test_zero_budget_selects_nothing(self):
-        assert select_uncertain(IDS, EU, AU, b_u=0, kappa=2).size == 0
+        assert _pick_uncertain(_eu_order(IDS, EU), IDS, AU, b_u=0, kappa=2).size == 0
 
     def test_pool_too_small(self):
         with pytest.raises(PoolError):
-            select_uncertain(IDS, EU, AU, b_u=4, kappa=2)
+            _pick_uncertain(_eu_order(IDS, EU), IDS, AU, b_u=4, kappa=2)
 
     def test_eu_ties_break_by_ascending_id(self):
         ids = np.array([7, 3, 5])
         eu = np.array([1.0, 1.0, 1.0])
         au = np.array([0.0, 0.0, 0.0])
-        chosen = select_uncertain(ids, eu, au, b_u=2, kappa=1)
+        chosen = _pick_uncertain(_eu_order(ids, eu), ids, au, b_u=2, kappa=1)
         np.testing.assert_array_equal(chosen, [3, 5])
 
 
 class TestSelectCertain:
     def test_least_eu_hand_trace(self):
-        np.testing.assert_array_equal(select_certain(IDS, EU, b_c=1), [6])
+        np.testing.assert_array_equal(_pick_certain_tail(_eu_order(IDS, EU), IDS, b_c=1), [6])
 
     def test_zero_is_noop(self):
-        assert select_certain(IDS, EU, b_c=0).size == 0
+        assert _pick_certain_tail(_eu_order(IDS, EU), IDS, b_c=0).size == 0
 
     def test_oversized_request_takes_everything(self):
-        chosen = select_certain(IDS, EU, b_c=10)
+        chosen = _pick_certain_tail(_eu_order(IDS, EU), IDS, b_c=10)
         np.testing.assert_array_equal(chosen, [6, 5, 4, 3, 2, 1])
 
     def test_balanced_hand_trace(self):
         ids = np.array([1, 2, 3, 4])
         eu = np.array([1.0, 2.0, 3.0, 4.0])
         predicted = np.array([1, 1, 2, 2])
-        chosen = select_certain_balanced(ids, eu, predicted, b_c=2, num_classes=2)
+        chosen = _pick_certain_balanced_tail(_eu_order(ids, eu), ids, predicted, b_c=2,
+                                             num_classes=2)
         np.testing.assert_array_equal(sorted(chosen), [1, 3])
 
     def test_balanced_remainder_fills_globally(self):
         ids = np.array([1, 2, 3, 4])
         eu = np.array([1.0, 2.0, 3.0, 4.0])
         predicted = np.array([1, 1, 2, 2])
-        chosen = select_certain_balanced(ids, eu, predicted, b_c=3, num_classes=2)
+        chosen = _pick_certain_balanced_tail(_eu_order(ids, eu), ids, predicted, b_c=3,
+                                             num_classes=2)
         assert sorted(chosen) == [1, 2, 3]
 
     def test_balanced_counts_within_one_of_quota(self):
@@ -84,7 +87,8 @@ class TestSelectCertain:
         ids = np.arange(60)
         eu = rng.random(60)
         predicted = rng.integers(1, 4, size=60)
-        chosen = select_certain_balanced(ids, eu, predicted, b_c=12, num_classes=3)
+        chosen = _pick_certain_balanced_tail(_eu_order(ids, eu), ids, predicted, b_c=12,
+                                             num_classes=3)
         assert chosen.size == 12
         by_class = {c: 0 for c in (1, 2, 3)}
         lookup = dict(zip(ids, predicted))
@@ -206,7 +210,7 @@ class TestRunAda:
         ids = np.arange(pool.num_target)
         _, au, eu = batch_uncertainties(model.forward_batch(pool.target_features), mode)
         logged = [row["sample_id"] for row in report.selection_log]
-        np.testing.assert_array_equal(logged, select_uncertain(ids, eu, au, b_u=3, kappa=2))
+        np.testing.assert_array_equal(logged, _pick_uncertain(_eu_order(ids, eu), ids, au, 3, 2))
         for row in report.selection_log:
             assert row["epistemic"] == eu[row["sample_id"]]
 
@@ -237,7 +241,7 @@ class TestRunAda:
         pool_a, model_a, cfg = ada_setup(seed=3)
         report = run_ada(model_a, pool_a, cfg, LossConfig(), [], [])
         pool_b, model_b, _ = ada_setup(seed=3)
-        trainer = Trainer(model_b, pool_b, cfg, LossConfig())
+        trainer = Trainer([model_b], [pool_b], [cfg], LossConfig())
         curve = [(sup, ug) for [sup], [ug] in (trainer.run_epoch() for _ in range(cfg.epochs))]
         assert report.round_accuracies == []
         assert [r[1:] for r in report.loss_curve] == curve
