@@ -14,30 +14,29 @@ generation, weight init, batch shuffling) so that, say, adding an epoch
 never perturbs the dataset.
 
 Rows of a grid that differ only in their US, CS and class-balance switches
-form a group. A group's seeds run as jobs of contiguous seed chunks of at
-most ``MAX_LOCKSTEP_SEEDS``, fewer where their domain features would pass
-``LOCKSTEP_FEATURE_BYTES``, as even as possible, and as many as it takes to
-give every worker a job where the seeds allow. A job trains its chunk's
-seeds in lockstep along a leading seed axis up to the first scheduled round
-once, then finishes each row for every seed of the chunk from its own copy
-of that state. Each seed still gets its own 2-D model and writes the same
-bytes as a one-seed job would. All jobs of a run go to one process pool,
-largest first. The EVID_NUM_WORKERS environment variable caps how many jobs
-run in parallel processes; unset means one process per job up to the CPU
-count.
+form a group, whose seeds are cut into contiguous chunks of at most
+``MAX_LOCKSTEP_SEEDS`` (fewer where their domain features would pass
+``LOCKSTEP_FEATURE_BYTES``), as even as possible and enough to give every
+worker one where the seeds allow. A prefix task trains a chunk's seeds in
+lockstep along a leading seed axis up to the first scheduled round and
+returns that state pickled; a row task per row then finishes and writes
+every seed of the chunk from its own copy. Each seed still gets its own 2-D
+model and writes the same bytes as a one-seed chunk would. The workers are
+the CPUs this process may use, capped by the EVID_NUM_WORKERS environment
+variable; one runs the tasks in this process, more share one process pool.
 
 Each pool worker runs OpenBLAS on one thread. The training GEMMs are at
 most 64 columns wide, so a second BLAS thread only spins, and P workers with
 two threads each would oversubscribe the CPUs. The ``evidunc run`` and
 ``ablate`` commands set one thread in their own process too, which runs the
-jobs when there is one worker: there a second thread saves no wall time and
+tasks when there is one worker: there a second thread saves no wall time and
 costs CPU time. Library callers of ``run_seed`` and the in-process
 ``run_rows`` path keep their own BLAS thread count. All this applies to
 numpy builds that bundle scipy-openblas (the numpy 2.x wheels); with any
 other BLAS every process keeps its default.
 
 A run deletes its completion markers (``aggregate.json``, ``ablation.json``)
-before its first job and writes them again only when every job succeeded,
+before its first task and writes them again only when every task succeeded,
 so a failed rerun never leaves a directory that looks complete.
 
 This module owns the format of every run-directory file, and one writer,
@@ -50,9 +49,11 @@ loss is not covered.
 from __future__ import annotations
 
 import ctypes
+import heapq
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import pickle
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from itertools import accumulate
 from pathlib import Path
 
@@ -61,7 +62,7 @@ import numpy as np
 from .config import AblationSwitches, ConfigError, ExperimentConfig, config_hash
 from .enn import EvidentialMLP, TrainingDivergedError, checkpoint_text
 from .metrics import export_uncertainty_histograms
-from .sampling import run_ada_rows
+from .sampling import start_rows
 from .synthetic import generate_domain_pair, split_pools
 
 __all__ = [
@@ -73,11 +74,11 @@ __all__ = [
     "ABLATION_ROWS",
 ]
 
-# Seeds one job trains in lockstep at most: a desk step's cost per seed
+# Seeds one chunk trains in lockstep at most: a desk step's cost per seed
 # bottoms out near 8 seeds and rises again beyond.
 MAX_LOCKSTEP_SEEDS = 8
-# Domain features, source and target, that one job's seeds may hold
-# together. A job's peak memory grows by about 4x a seed's features for each
+# Domain features, source and target, that one chunk's seeds may hold
+# together. A task's peak memory grows by about 4x a seed's features for each
 # seed it trains (52 MB a seed at 50,000 x 16 features a domain), so
 # large domains train fewer seeds together, down to one.
 LOCKSTEP_FEATURE_BYTES = 32 * 2**20
@@ -97,11 +98,10 @@ def _component_seeds(seed: int):
     return (int(state[0]), int(state[1]), int(state[2]))
 
 
-def _run_group(configs, seeds):
-    """Run configs that differ only in their US, CS and class-balance
-    switches on ``seeds`` in lockstep, training up to the first round once;
-    returns, per seed, ([(report, model) per config], source, target).
-    A diverged seed is named in the error."""
+def _start_chunk(configs, seeds):
+    """Build the data and models of ``seeds`` and train them in lockstep up
+    to the first round of ``configs``, which differ only in their US, CS and
+    class-balance switches; returns the run and, per seed, (source, target)."""
     config = configs[0]
     models, pools, train_cfgs, domains = [], [], [], []
     for seed in seeds:
@@ -110,38 +110,56 @@ def _run_group(configs, seeds):
         source, target = generate_domain_pair(spec)
         domains.append((source, target))
         pools.append(split_pools(source, target, budget_fraction=config.budget_fraction))
-        models.append(EvidentialMLP.create(
-            spec.feature_dim,
-            spec.num_classes,
-            hidden=config.hidden_layers,
-            seed=init_seed,
-        ))
+        models.append(EvidentialMLP.create(spec.feature_dim, spec.num_classes,
+                                           hidden=config.hidden_layers, seed=init_seed))
         train_cfgs.append(config.train_config(train_seed))
+    rows = [(c.ablation.us, c.ablation.cs, c.ablation.class_balanced) for c in configs]
+    run = _seed_named(seeds, start_rows, models, pools, train_cfgs, config.loss_config(),
+                      config.resolved_plans(), config.resolved_schedule(), rows,
+                      ug_enabled=config.ablation.ug, auroc_epoch=config.auroc_epoch)
+    return run, domains
+
+
+def _finish_chunk(run, config, seeds) -> list:
+    """Finish ``config``'s row of a started run; one (report, model) per seed."""
+    switches = config.ablation
+    pairs = _seed_named(seeds, run.finish, switches.us, switches.cs, switches.class_balanced)
+    for seed, (report, _) in zip(seeds, pairs):
+        report.seed = seed
+    return pairs
+
+
+def _seed_named(seeds, fn, *args, **kwargs):
+    """Call ``fn``, naming the diverged seed in a TrainingDivergedError."""
     try:
-        rows = run_ada_rows(
-            models,
-            pools,
-            train_cfgs,
-            config.loss_config(),
-            config.resolved_plans(),
-            config.resolved_schedule(),
-            [(c.ablation.us, c.ablation.cs, c.ablation.class_balanced) for c in configs],
-            ug_enabled=config.ablation.ug,
-            auroc_epoch=config.auroc_epoch,
-        )
+        return fn(*args, **kwargs)
     except TrainingDivergedError as exc:
         raise TrainingDivergedError(f"seed {seeds[exc.slot]}: {exc}", exc.slot) from None
-    per_seed = list(zip(*rows))
-    for seed, pairs in zip(seeds, per_seed):
-        for report, _ in pairs:
-            report.seed = seed
-    return [(pairs, *domain) for pairs, domain in zip(per_seed, domains)]
 
 
 def run_seed(config: ExperimentConfig, seed: int):
     """Run one seed end to end; returns (report, model, source, target)."""
-    [([(report, model)], source, target)] = _run_group([config], [seed])
+    run, [(source, target)] = _start_chunk([config], [seed])
+    [(report, model)] = _finish_chunk(run, config, [seed])
     return report, model, source, target
+
+
+def _prefix_task(configs, seeds) -> bytes:
+    """A prefix task: the group ``configs`` on the seed chunk ``seeds``,
+    trained up to the first round; returns that state pickled."""
+    return pickle.dumps(_start_chunk(configs, seeds)[0])
+
+
+def _row_task(state: bytes, config, seeds, out_dir) -> list:
+    """A row task: ``config``'s row finished from its own copy of a prefix
+    task's ``state``, each seed written to ``out_dir/seed<N>`` unless
+    ``out_dir`` is None; returns the report of each seed."""
+    run = pickle.loads(state)
+    pairs = _finish_chunk(run, config, seeds)
+    if out_dir is not None:
+        for seed, (report, model), pool in zip(seeds, pairs, run.pools):
+            _write_seed_outputs(Path(out_dir) / f"seed{seed}", report, model, pool)
+    return [report for report, _ in pairs]
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -171,29 +189,17 @@ _SELECTION_LOG_COLUMNS = ("round", "sample_id", "selection_type", "epistemic", "
                           "predicted_class", "true_class")
 
 
-def _write_seed_outputs(run_dir: Path, report, model, source, target):
+def _write_seed_outputs(run_dir: Path, report, model, pool):
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(run_dir / "report.json", report.to_json() + "\n")
     log = ([row[k] for k in _SELECTION_LOG_COLUMNS] for row in report.selection_log)
     _write_atomic(run_dir / "selection_log.csv", _csv_text(_SELECTION_LOG_COLUMNS, log))
     curve = _csv_text(("epoch", "supervised_loss", "ug_loss"), report.loss_curve)
     _write_atomic(run_dir / "loss_curve.csv", curve)
-    rows = export_uncertainty_histograms(model.forward_batch(source.features),
-                                         model.forward_batch(target.features), report.mode)
+    rows = export_uncertainty_histograms(model.forward_batch(pool.source_features),
+                                         model.forward_batch(pool.target_features), report.mode)
     _write_atomic(run_dir / "histograms.csv", _csv_text(("domain", "aleatoric", "epistemic"), rows))
     _write_atomic(run_dir / "checkpoint.json", checkpoint_text(model))
-
-
-def _run_job(configs, seeds, out_dirs) -> list:
-    """One job: a group's rows on a chunk of seeds in lockstep, each written
-    to its seed directory under ``out_dirs`` unless that is None; returns,
-    per seed, the reports of the rows."""
-    results = _run_group(configs, seeds)
-    if out_dirs is not None:
-        for seed, (rows, source, target) in zip(seeds, results):
-            for (report, model), out in zip(rows, out_dirs):
-                _write_seed_outputs(Path(out) / f"seed{seed}", report, model, source, target)
-    return [[report for report, _ in rows] for rows, _, _ in results]
 
 
 def _mean_std(values):
@@ -231,9 +237,11 @@ def aggregate_reports(reports) -> dict:
 
 
 def _worker_count() -> int:
-    """Worker processes a run may use: the CPU count, capped by
+    """Worker processes a run may use: the CPUs this process may run on
+    (the host's CPU count where the platform cannot tell), capped by
     EVID_NUM_WORKERS."""
-    workers = os.cpu_count() or 1
+    usable = getattr(os, "sched_getaffinity", None)
+    workers = len(usable(0)) if usable else os.cpu_count() or 1
     cap = os.environ.get("EVID_NUM_WORKERS")
     if cap is not None:
         try:
@@ -247,7 +255,7 @@ def _worker_count() -> int:
 
 
 def _lockstep_limit(config: ExperimentConfig) -> int:
-    """Seeds one job of ``config`` may train together: MAX_LOCKSTEP_SEEDS,
+    """Seeds one chunk of ``config`` may train together: MAX_LOCKSTEP_SEEDS,
     fewer where their features would pass LOCKSTEP_FEATURE_BYTES, at least
     one."""
     spec = config.domain_spec(0)
@@ -258,7 +266,7 @@ def _lockstep_limit(config: ExperimentConfig) -> int:
 def _seed_chunks(seeds, groups: int, workers: int, limit: int) -> list:
     """Split one group's seeds into contiguous chunks whose sizes differ by
     at most one: enough chunks that none exceeds ``limit`` seeds and that
-    the ``groups`` groups together make at least ``workers`` jobs, where
+    the ``groups`` groups together make at least ``workers`` chunks, where
     the seeds allow."""
     count = min(len(seeds), max(-(-len(seeds) // limit), -(-workers // groups)))
     size, extra = divmod(len(seeds), count)
@@ -286,57 +294,64 @@ def _one_blas_thread() -> None:
             setter(1)
 
 
+class _InProcess(Executor):
+    """The executor of a one-worker run: a task runs when it is submitted."""
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 def run_rows(configs, out_dirs=None) -> list:
     """Run every config on each of its seeds; returns each config's reports
     in the order of its seeds.
 
     Configs that differ only in their US, CS and class-balance switches
-    form a group, which shares its jobs (see ``run_ada_rows``). A job runs
-    one chunk of the group's seeds in lockstep (see ``_seed_chunks`` and
-    ``_lockstep_limit``). The jobs run largest first, in one process pool
-    when more than one worker is allowed. With ``out_dirs``, each config's
-    config.json and seed directories are written under its entry, and its
-    stale aggregate.json is deleted first.
+    form a group, cut into seed chunks (see ``_seed_chunks`` and
+    ``_lockstep_limit``). Each (group, chunk) runs a prefix task, then a row
+    task per config of the group from the state it returns (see
+    ``start_rows``). Each worker runs one task at a time, taking ready row
+    tasks before the next prefix task, largest first. With ``out_dirs``,
+    each config's config.json and seed directories are written under its
+    entry, and its stale aggregate.json is deleted first.
     """
     groups = {}
     for i, config in enumerate(configs):
         prefix = config_hash(config.with_switches(us=False, cs=False, class_balanced=False))
         groups.setdefault(prefix, []).append(i)
     allowed = _worker_count()
-    jobs = [
-        (rows, chunk)
-        for rows in groups.values()
-        for chunk in _seed_chunks(configs[rows[0]].seeds, len(groups), allowed,
-                                  _lockstep_limit(configs[rows[0]]))
-    ]
-    jobs.sort(key=lambda job: -len(job[0]) * len(job[1]))  # largest first
-    workers = min(allowed, len(jobs))
+    prefixes = [(rows, chunk) for rows in groups.values()
+                for chunk in _seed_chunks(configs[rows[0]].seeds, len(groups), allowed,
+                                          _lockstep_limit(configs[rows[0]]))]
+    prefixes.sort(key=lambda p: -len(p[0]) * len(p[1]))  # largest first
+    workers = min(allowed, sum(len(rows) for rows, _ in prefixes))
     if out_dirs is not None:
         for config, out in zip(configs, out_dirs):
             (Path(out) / "aggregate.json").unlink(missing_ok=True)
             Path(out).mkdir(parents=True, exist_ok=True)
             _write_atomic(Path(out) / "config.json", config.to_json() + "\n")
-    args = [
-        ([configs[i] for i in rows], chunk, None if out_dirs is None else [out_dirs[i] for i in rows])
-        for rows, chunk in jobs
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            futures = [pool.submit(_run_job, *a) for a in args]
-            try:
-                for done in as_completed(futures):
-                    done.result()
-            except BaseException:
-                # Otherwise leaving the pool would still run every queued job.
-                pool.shutdown(cancel_futures=True)
-                raise
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_job(*a) for a in args]
-    reports = {}
-    for (rows, chunk), got in zip(jobs, results):
-        for seed, seed_reports in zip(chunk, got):
-            reports.update(((i, seed), report) for i, report in zip(rows, seed_reports))
+    reports, running = {}, {}  # running: future -> (prefix index, config index or None)
+    # Heap of the tasks to run: (0, k, i, state) is row i of prefix k, whose
+    # task returned state; (1, k, None, None) is prefix task k.
+    todo = [(1, k, None, None) for k in range(len(prefixes))]
+    with (ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+          if workers > 1 else _InProcess()) as pool:
+        while todo or running:
+            while todo and len(running) < workers:
+                _, k, i, state = heapq.heappop(todo)
+                rows, chunk = prefixes[k]
+                task = ((_prefix_task, [configs[j] for j in rows], chunk) if i is None else
+                        (_row_task, state, configs[i], chunk, out_dirs and out_dirs[i]))
+                running[pool.submit(*task)] = (k, i)
+            for future in wait(running, return_when=FIRST_COMPLETED).done:
+                k, i = running.pop(future)
+                rows, chunk = prefixes[k]
+                if i is None:
+                    for j in rows:
+                        heapq.heappush(todo, (0, k, j, future.result()))
+                else:
+                    reports.update(((i, seed), r) for seed, r in zip(chunk, future.result()))
     return [[reports[i, seed] for seed in config.seeds] for i, config in enumerate(configs)]
 
 
@@ -380,7 +395,7 @@ def run_ablation(config: ExperimentConfig, out_dir=None) -> list:
         base / "ablation" / name / config_hash(row_config)
         for (name, _), row_config in zip(ABLATION_ROWS, configs)
     ]
-    # Every job finishes before any aggregate is written, so a failed run
+    # Every task finishes before any aggregate is written, so a failed run
     # leaves no row looking complete.
     (base / "ablation.json").unlink(missing_ok=True)
     results = run_rows(configs, row_dirs)

@@ -54,6 +54,7 @@ __all__ = [
     "certainty_sampling",
     "run_ada",
     "run_ada_rows",
+    "start_rows",
     "eu_sort_count",
 ]
 
@@ -290,15 +291,25 @@ def run_ada_rows(models, pools, train_cfgs, loss_cfg: LossConfig, plans, schedul
     Selection rounds, evaluation and the AUROC snapshot run seed by seed on
     those 2-D views.
 
-    The rows differ only from their first round on, so the epochs up to the
-    first scheduled one are trained once. Each row but the last then finishes
-    from its own deep copy of that state; the last finishes on the models
-    and pools given, so a single row copies nothing, and the given models,
-    which stacking made views of their slices, hold its trained weights.
+    The rows differ only from their first round on, so ``start_rows``
+    trains up to the first scheduled epoch once. Each row but the last then
+    finishes from its own deep copy of that state (a pickled copy serves as
+    well); the last finishes on the models and pools given, so a single row
+    copies nothing, and the given models, which stacking made views of their
+    slices, hold its trained weights.
     """
-    plans = list(plans)
-    schedule = list(schedule)
-    for pool in pools:  # every row of every seed is checked before any training
+    run = start_rows(models, pools, train_cfgs, loss_cfg, plans, schedule, rows, ug_enabled,
+                     auroc_epoch)
+    return [(run if i == len(rows) - 1 else copy.deepcopy(run)).finish(*switches)
+            for i, switches in enumerate(rows)]
+
+
+def start_rows(models, pools, train_cfgs, loss_cfg: LossConfig, plans, schedule,
+               rows, ug_enabled: bool = True, auroc_epoch: int | None = None) -> "_AdaRun":
+    """Check every row's round layout on every seed, then train up to the
+    first round as ``run_ada_rows`` does; ``finish`` runs a row from there."""
+    plans, schedule = list(plans), list(schedule)
+    for pool in pools:
         for us_enabled, cs_enabled, _ in rows:
             problems = round_problems(plans, schedule, train_cfgs[0].epochs,
                                       pool.budget_total - pool.budget_spent, pool.num_unlabeled,
@@ -307,17 +318,16 @@ def run_ada_rows(models, pools, train_cfgs, loss_cfg: LossConfig, plans, schedul
                 raise RoundLayoutError("; ".join(f"{key}: {message}" for key, message in problems))
     run = _AdaRun(models, pools, train_cfgs, loss_cfg, plans, schedule, ug_enabled, auroc_epoch)
     run.train_to(run.split_epoch)
-    return [(run if i == len(rows) - 1 else copy.deepcopy(run)).finish(*switches)
-            for i, switches in enumerate(rows)]
+    return run
 
 
 class _AdaRun:
     """The state ``run_ada_rows`` carries from epoch to epoch: its seeds'
     pools, the trainer with their stacked model, momentum buffers and
-    shuffle streams, and each seed's report so far. A deep copy is an
-    independent run that continues from the same point. It holds no per-seed
-    views of the stacked model, which a deep copy would turn into arrays of
-    their own; ``seed_views`` makes them when needed."""
+    shuffle streams, and each seed's report so far. A deep or pickled copy is
+    an independent run that continues from the same point. It holds no
+    per-seed views of the stacked model, which a copy would turn into arrays
+    of their own; ``seed_views`` makes them when needed."""
 
     def __init__(self, models, pools, train_cfgs, loss_cfg: LossConfig, plans,
                  schedule, ug_enabled: bool, auroc_epoch: int | None):

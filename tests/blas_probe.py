@@ -1,9 +1,10 @@
 """Handles on the OpenBLAS that numpy's wheel bundles, for the BLAS thread
 tests. They live in an importable module so that pool workers resolve
-``report_threads`` by import under any start method."""
+``prefix_threads`` and ``row_threads`` by import under any start method."""
 
 import ctypes
 import os
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,14 @@ def set_threads(n: int) -> None:
     _lib.scipy_openblas_set_num_threads64_(n)
 
 
-def report_threads(configs, seeds, out_dirs):
-    """Stands in for ``experiments._run_job``: each row's report on each
-    seed is the BLAS thread count of the process that ran the job."""
-    return [[threads()] * len(configs) for _ in seeds]
+def prefix_threads(configs, seeds):
+    """Stands in for ``experiments._prefix_task``: the state is the BLAS
+    thread count of the process that ran the task."""
+    return pickle.dumps(threads())
+
+
+def row_threads(state, config, seeds, out_dir):
+    """Stands in for ``experiments._row_task``: each seed's report is the
+    larger BLAS thread count of the processes that ran the prefix and the
+    row."""
+    return [max(pickle.loads(state), threads())] * len(seeds)

@@ -27,7 +27,7 @@ pytestmark = pytest.mark.skipif(not LIBRARIES, reason="numpy without its bundled
 PRELUDE = """
 import json, os
 
-from blas_probe import report_threads, set_threads, threads
+from blas_probe import prefix_threads, row_threads, set_threads, threads
 from evidunc import cli, experiments
 from evidunc.config import load_config
 
@@ -58,7 +58,8 @@ def test_pool_workers_run_one_thread(tmp_path, method):
         import multiprocessing
         multiprocessing.set_start_method("{method}")
         set_threads(2)
-        experiments._run_job = report_threads  # pickled by name, so any start method finds it
+        # Pickled by name, so any start method finds them.
+        experiments._prefix_task, experiments._row_task = prefix_threads, row_threads
         experiments._worker_count = lambda: 2
         print(json.dumps({{"workers": experiments.run_rows([CONFIG]), "caller": threads()}}))
         """,

@@ -444,7 +444,7 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == 0
         [run_dir] = (tmp_path / "out").iterdir()
         assert (run_dir / "aggregate.json").exists()
-        monkeypatch.setattr("evidunc.experiments._run_job", _failing_job)
+        monkeypatch.setattr("evidunc.experiments._row_task", _failing_job)
         assert main(["run", "--config", str(config)]) == 3
         assert "runtime failure" in capsys.readouterr().err
         assert not (run_dir / "aggregate.json").exists()
@@ -486,7 +486,7 @@ class TestAblateAndReport:
         out = tmp_path / "out"
         assert main(["ablate", "--config", str(config)]) == 0
         assert len(list(out.rglob("aggregate.json"))) == 5
-        monkeypatch.setattr("evidunc.experiments._run_job", _failing_job)
+        monkeypatch.setattr("evidunc.experiments._row_task", _failing_job)
         assert main(["ablate", "--config", str(config)]) == 3
         assert "runtime failure" in capsys.readouterr().err
         assert not (out / "ablation.json").exists()

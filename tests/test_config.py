@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import stat
 from dataclasses import replace
 from pathlib import Path
@@ -362,10 +363,10 @@ def seed_dir(tmp_path):
         ],
     )
     rng = np.random.default_rng(41)
-    source = SimpleNamespace(features=rng.normal(size=(30, 2)))
-    target = SimpleNamespace(features=rng.normal(size=(20, 2)))
+    pool = SimpleNamespace(source_features=rng.normal(size=(30, 2)),
+                           target_features=rng.normal(size=(20, 2)))
     model = EvidentialMLP([np.eye(2)], [np.zeros(2)])
-    experiments._write_seed_outputs(tmp_path / "seed0", report, model, source, target)
+    experiments._write_seed_outputs(tmp_path / "seed0", report, model, pool)
     return tmp_path / "seed0"
 
 
@@ -535,9 +536,10 @@ class TestSharedPrefix:
                  if flags["ug"] == ug]
 
         def outputs(configs):
-            [(rows, _, _)] = experiments._run_group(configs, [1])
+            state = experiments._prefix_task(configs, [1])
+            rows = [experiments._finish_chunk(pickle.loads(state), c, [1]) for c in configs]
             return [(report.to_json(), b"".join(w.tobytes() for w in model.weights + model.biases))
-                    for report, model in rows]
+                    for [(report, model)] in rows]
 
         forward = outputs(group)
         assert outputs(group[::-1]) == forward[::-1]

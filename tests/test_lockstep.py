@@ -1,16 +1,21 @@
-"""Seeds trained in lockstep: an S-seed job must write what S one-seed jobs
-write, byte for byte; a diverged seed is named; the models given to
-run_ada_rows train in place; and run_rows lays its jobs out as (UG group,
-seed chunk) without letting the layout reach the outputs."""
+"""Seeds trained in lockstep: an S-seed chunk must write what S one-seed
+chunks write, byte for byte; a diverged seed is named; the models given to
+run_ada_rows train in place; and run_rows lays its tasks out as one prefix
+task per (UG group, seed chunk) and one row task per (row, seed chunk)
+without letting the layout reach the outputs."""
 
+import copy
+import json
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 from evidunc import experiments
+from evidunc.cli import main
 from evidunc.config import parse_config
-from evidunc.enn import EvidentialMLP, TrainConfig, Trainer, TrainingDivergedError
+from evidunc.enn import EvidentialMLP, TrainConfig, Trainer, TrainingDivergedError, checkpoint_text
 from evidunc.experiments import MAX_LOCKSTEP_SEEDS, _seed_chunks, run_ablation, run_rows
 from evidunc.losses import LossConfig
 from evidunc.pools import SamplePool
@@ -46,6 +51,14 @@ def group_configs(mode, ug):
     ]
 
 
+def run_chunk(configs, seeds, out_dirs):
+    """One seed chunk as run_rows runs it: its prefix task, then a row task
+    per config; returns, per seed, the reports of the rows."""
+    state = experiments._prefix_task(configs, seeds)
+    rows = [experiments._row_task(state, c, seeds, out) for c, out in zip(configs, out_dirs)]
+    return [list(reports) for reports in zip(*rows)]
+
+
 class TestLockstepBytes:
     @pytest.mark.parametrize("ug", [True, False], ids=["ug", "no-ug"])
     @pytest.mark.parametrize("mode", ["variance", "entropy"])
@@ -54,8 +67,8 @@ class TestLockstepBytes:
         configs = group_configs(mode, ug)
         rows = [str(tmp_path / "lockstep" / str(i)) for i in range(len(configs))]
         alone = [str(tmp_path / "alone" / str(i)) for i in range(len(configs))]
-        together = experiments._run_job(configs, SEEDS, rows)
-        apart = [experiments._run_job(configs, [seed], alone)[0] for seed in SEEDS]
+        together = run_chunk(configs, SEEDS, rows)
+        apart = [run_chunk(configs, [seed], alone)[0] for seed in SEEDS]
         assert [[r.to_json() for r in reports] for reports in together] == [
             [r.to_json() for r in reports] for reports in apart
         ]
@@ -70,11 +83,26 @@ class TestLockstepBytes:
 
     def test_returned_models_are_two_dimensional(self):
         configs = group_configs("variance", True)
-        for rows, source, _ in experiments._run_group(configs, SEEDS):
-            for _, model in rows:
+        state = experiments._prefix_task(configs, SEEDS)
+        for config in configs:
+            run = pickle.loads(state)
+            for (_, model), pool in zip(experiments._finish_chunk(run, config, SEEDS), run.pools):
                 assert [w.ndim for w in model.weights] == [2, 2]
                 assert [b.ndim for b in model.biases] == [1, 1]
-                assert model.forward_batch(source.features).shape == (SAMPLES, 2)
+                assert model.forward_batch(pool.source_features).shape == (SAMPLES, 2)
+
+
+class TestPickledState:
+    @pytest.mark.parametrize("ug", [True, False], ids=["ug", "no-ug"])
+    def test_pickled_prefix_finishes_like_its_deep_copy(self, ug):
+        configs = group_configs("variance", ug)
+        run, _ = experiments._start_chunk(configs, SEEDS)
+        for config in configs:
+            outputs = []
+            for copied in (pickle.loads(pickle.dumps(run)), copy.deepcopy(run)):
+                pairs = experiments._finish_chunk(copied, config, SEEDS)
+                outputs.append([(r.to_json(), checkpoint_text(m)) for r, m in pairs])
+            assert outputs[0] == outputs[1]
 
 
 def small_pool(seed):
@@ -99,13 +127,40 @@ def nan_before_epoch(monkeypatch, epoch, slot):
 class TestDivergence:
     @pytest.mark.parametrize("seeds, slot", [([4, 7, 9], 1), ([7], 0)])
     def test_diverged_seed_and_epoch_are_named(self, monkeypatch, seeds, slot):
-        nan_before_epoch(monkeypatch, epoch=4, slot=slot)
         config = parse_config(lockstep_document("variance", True))
-        with pytest.raises(
-            TrainingDivergedError,
-            match=r"^seed 7: non-finite evidence for supervised sample 0 at epoch 4; ",
-        ):
-            experiments._run_group([config], seeds)
+        # The first round follows epoch 3: epoch 2 diverges in the prefix
+        # task, epoch 4 in the row task.
+        for epoch in (2, 4):
+            with monkeypatch.context() as patch:
+                nan_before_epoch(patch, epoch=epoch, slot=slot)
+                with pytest.raises(
+                    TrainingDivergedError,
+                    match=rf"^seed 7: non-finite evidence for supervised sample 0 at epoch {epoch}; ",
+                ):
+                    run_chunk([config], seeds, [None])
+
+    def test_row_task_divergence_in_a_worker_is_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("EVID_NUM_WORKERS", "2")
+        poisoned_in = tmp_path / "pids"
+        run_epoch = Trainer.run_epoch
+
+        def poisoned(self):
+            if self.epochs_done == 3:  # epoch 4, after the first round at 3
+                self.model.weights[0][1, 0, 0] = np.nan
+                with open(poisoned_in, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+            return run_epoch(self)
+
+        monkeypatch.setattr(Trainer, "run_epoch", poisoned)
+        document = dict(lockstep_document("variance", True), seeds=[4, 7, 9],
+                        output_dir=str(tmp_path / "out"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        assert main(["ablate", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "runtime failure: seed 7: non-finite evidence for supervised sample 0 at epoch 4; " in err
+        assert str(os.getpid()) not in poisoned_in.read_text().split()
+        assert (tmp_path / "out").exists() and not list((tmp_path / "out").rglob("aggregate.json"))
 
     def test_unequal_set_sizes_rejected_before_the_epoch(self):
         pools = [small_pool(seed) for seed in (0, 1)]
@@ -135,6 +190,32 @@ class TestInPlaceTraining:
             assert all(g != b for g, b in zip(got, before))
 
 
+PREFIX_TASK, ROW_TASK = experiments._prefix_task, experiments._row_task
+
+
+def _log_task(*fields):
+    with open(os.environ["TASK_LOG"], "a") as fh:
+        fh.write(" ".join(fields) + "\n")
+
+
+def _chunk_name(config, seeds):
+    return f"{'ug' if config.ablation.ug else 'no-ug'}:{'-'.join(map(str, seeds))}"
+
+
+def logged_prefix_task(configs, seeds):
+    """experiments._prefix_task, logging when it returns. Pool workers find
+    it by name in this module."""
+    state = PREFIX_TASK(configs, seeds)
+    _log_task("prefix-end", "-", _chunk_name(configs[0], seeds))
+    return state
+
+
+def logged_row_task(state, config, seeds, out_dir):
+    """experiments._row_task, logging its start and its process id."""
+    _log_task(f"row:{os.getpid()}", config.ablation.row_name(), _chunk_name(config, seeds))
+    return ROW_TASK(state, config, seeds, out_dir)
+
+
 class TestJobLayout:
     @pytest.mark.parametrize("limit", [1, 3, MAX_LOCKSTEP_SEEDS])
     @pytest.mark.parametrize("groups", [1, 2, 5])
@@ -155,13 +236,13 @@ class TestJobLayout:
         seeds = [9, 2, 30, 4, 17, 5, 11, 8, 1, 0]
         config = parse_config(tiny_document(seeds=seeds))
         jobs = []
-        run_job = experiments._run_job
+        prefix_task = experiments._prefix_task
 
-        def recording(configs, chunk, out_dirs):
+        def recording(configs, chunk):
             jobs.append((len(configs), chunk))
-            return run_job(configs, chunk, out_dirs)
+            return prefix_task(configs, chunk)
 
-        monkeypatch.setattr(experiments, "_run_job", recording)
+        monkeypatch.setattr(experiments, "_prefix_task", recording)
         configs = [config.with_switches(ug=False), config, config.with_switches(cs=False)]
         results = run_rows(configs)
         assert [[r.seed for r in reports] for reports in results] == [seeds] * 3
@@ -173,11 +254,12 @@ class TestJobLayout:
         monkeypatch.setenv("EVID_NUM_WORKERS", "1")
         chunks = []
 
-        def recording(configs, chunk, out_dirs):
+        def recording(configs, chunk):
             chunks.append(chunk)
-            return [[None] * len(configs) for _ in chunk]
+            return b""
 
-        monkeypatch.setattr(experiments, "_run_job", recording)
+        monkeypatch.setattr(experiments, "_prefix_task", recording)
+        monkeypatch.setattr(experiments, "_row_task", lambda state, c, chunk, out: [None] * len(chunk))
         # Two features a sample, source and target: 32 bytes a sample per seed.
         for samples, limit in ((80, MAX_LOCKSTEP_SEEDS), (300_000, 3), (2_000_000, 1)):
             document = tiny_document(seeds=list(range(8)))
@@ -189,10 +271,45 @@ class TestJobLayout:
             assert sum(chunks, ()) == config.seeds
             assert max(map(len, chunks)) == limit
 
+    @pytest.mark.parametrize("workers, chunks", [("1", 1), ("2", 1), ("3", 2)])
+    def test_prefix_task_per_chunk_then_row_tasks(self, tmp_path, monkeypatch, workers, chunks):
+        # With 4 usable CPUs: one chunk of 5 seeds per group for 1 and 2
+        # workers, chunks of 3 and 2 for 3 workers.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setenv("EVID_NUM_WORKERS", workers)
+        monkeypatch.setenv("TASK_LOG", str(tmp_path / "tasks.log"))
+        monkeypatch.setattr(experiments, "_prefix_task", logged_prefix_task)
+        monkeypatch.setattr(experiments, "_row_task", logged_row_task)
+        config = parse_config(tiny_document(seeds=[6, 1, 4, 0, 3]))
+        run_ablation(config, out_dir=tmp_path / "out")
+        log = [line.split() for line in (tmp_path / "tasks.log").read_text().splitlines()]
+        prefixes = [chunk for event, _, chunk in log if event == "prefix-end"]
+        rows = [(name, chunk) for event, name, chunk in log if event.startswith("row:")]
+        assert len(prefixes) == len(set(prefixes)) == 2 * chunks
+        assert len(rows) == len(set(rows)) == 5 * chunks
+        for n, (event, _, chunk) in enumerate(log):
+            if event.startswith("row:"):  # its prefix task has returned
+                assert ["prefix-end", "-", chunk] in log[:n]
+        # One worker runs every task in this process, more in pool workers.
+        pids = {int(event.split(":")[1]) for event, _, _ in log if event.startswith("row:")}
+        assert (pids == {os.getpid()}) == (workers == "1")
+
+    def test_workers_are_the_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("EVID_NUM_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert experiments._worker_count() == 1
+        monkeypatch.setenv("EVID_NUM_WORKERS", "4")
+        assert experiments._worker_count() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")  # platforms without it
+        assert experiments._worker_count() == 4
+        monkeypatch.delenv("EVID_NUM_WORKERS")
+        assert experiments._worker_count() == 8
+
     def test_output_tree_independent_of_worker_count(self, tmp_path, monkeypatch):
-        # With 4 CPUs the cap decides: one chunk of 5 seeds per group for 1
-        # and 2 workers, chunks of 3 and 2 for 3 workers.
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        # With 4 usable CPUs the cap decides: one chunk of 5 seeds per group
+        # for 1 and 2 workers, chunks of 3 and 2 for 3 workers.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         config = parse_config(tiny_document(seeds=[6, 1, 4, 0, 3]))
         trees = []
         for workers in ("1", "2", "3"):
