@@ -23,7 +23,7 @@ from .dirichlet import AlphaError, checked_alpha, predict_class_batch
 # Bound under the name the benchmark's tracer wraps as the record builder.
 from .dirichlet import quantify_records as quantify_record
 from .enn import TrainingDivergedError
-from .experiments import _one_blas_thread, _write_atomic, run_ablation, run_experiment
+from .experiments import _write_atomic, run_ablation, run_experiment
 from .losses import QUANTIFICATION_MODES
 from .pools import PoolError
 from .special import DomainError
@@ -114,7 +114,6 @@ def _load_with_overrides(args):
 
 def cmd_run(args) -> int:
     config = _load_with_overrides(args)
-    _one_blas_thread()  # this process runs the jobs when there is one worker
     summary = run_experiment(config)
     base = Path(config.output_dir) / summary["config_hash"]
     print(f"run directory: {base}")
@@ -128,7 +127,6 @@ def cmd_run(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _load_with_overrides(args)
-    _one_blas_thread()
     table = run_ablation(config)
     print("\n".join(_ablation_lines(table)))
     print(f"table written to {Path(config.output_dir) / 'ablation.json'}")

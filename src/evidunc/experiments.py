@@ -25,15 +25,12 @@ model and writes the same bytes as a one-seed chunk would. The workers are
 the CPUs this process may use, capped by the EVID_NUM_WORKERS environment
 variable; one runs the tasks in this process, more share one process pool.
 
-Each pool worker runs OpenBLAS on one thread. The training GEMMs are at
-most 64 columns wide, so a second BLAS thread only spins, and P workers with
-two threads each would oversubscribe the CPUs. The ``evidunc run`` and
-``ablate`` commands set one thread in their own process too, which runs the
-tasks when there is one worker: there a second thread saves no wall time and
-costs CPU time. Library callers of ``run_seed`` and the in-process
-``run_rows`` path keep their own BLAS thread count. All this applies to
-numpy builds that bundle scipy-openblas (the numpy 2.x wheels); with any
-other BLAS every process keeps its default.
+``run_seed`` and ``run_rows`` run the OpenBLAS of numpy's 2.x wheels on one
+thread for the call and give the caller's count back, also when they raise:
+the training GEMMs are at most 64 columns wide, so a second thread saves no
+wall time but spins after each larger forward, and P workers with two each
+would oversubscribe the CPUs. The count is process-wide, so concurrent calls
+from several Python threads are not covered. Other BLAS builds keep their count.
 
 A run deletes its completion markers (``aggregate.json``, ``ablation.json``)
 before its first task and writes them again only when every task succeeded,
@@ -48,6 +45,7 @@ loss is not covered.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import heapq
 import json
@@ -139,8 +137,9 @@ def _seed_named(seeds, fn, *args, **kwargs):
 
 def run_seed(config: ExperimentConfig, seed: int):
     """Run one seed end to end; returns (report, model, source, target)."""
-    run, [(source, target)] = _start_chunk([config], [seed])
-    [(report, model)] = _finish_chunk(run, config, [seed])
+    with _one_blas_thread():
+        run, [(source, target)] = _start_chunk([config], [seed])
+        [(report, model)] = _finish_chunk(run, config, [seed])
     return report, model, source, target
 
 
@@ -275,23 +274,39 @@ def _seed_chunks(seeds, groups: int, workers: int, limit: int) -> list:
 
 
 # The OpenBLAS that numpy's wheel bundles (relative to numpy's site
-# directory) and its thread-count setter.
-_OPENBLAS = ("numpy.libs/libscipy_openblas64_-*.so", "scipy_openblas_set_num_threads64_")
+# directory) and its thread-count setter and getter.
+_OPENBLAS = ("numpy.libs/libscipy_openblas64_-*.so", "scipy_openblas_set_num_threads64_",
+             "scipy_openblas_get_num_threads64_")
 
 
-def _one_blas_thread() -> None:
-    """Run the bundled OpenBLAS on one thread in this process; does nothing
-    when numpy has not loaded that library or it lacks the setter."""
-    pattern, symbol = _OPENBLAS
+def _set_blas_threads(n: int):
+    """Run the bundled OpenBLAS on ``n`` threads in this process; returns the
+    previous count, or None, changing nothing, when numpy has not loaded that
+    library or it lacks the setter or the getter."""
+    pattern, set_name, get_name = _OPENBLAS
     for path in sorted(Path(np.__file__).parent.parent.glob(pattern)):
         try:  # RTLD_NOLOAD: only a library this process already has
             lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-        except OSError:
+            setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+        except (OSError, AttributeError):
             continue
-        setter = getattr(lib, symbol, None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        previous = getter()
+        setter(n)
+        return previous
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """One BLAS thread for the body, then the previous count again."""
+    previous = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            _set_blas_threads(previous)
 
 
 class _InProcess(Executor):
@@ -335,8 +350,11 @@ def run_rows(configs, out_dirs=None) -> list:
     # Heap of the tasks to run: (0, k, i, state) is row i of prefix k, whose
     # task returned state; (1, k, None, None) is prefix task k.
     todo = [(1, k, None, None) for k in range(len(prefixes))]
-    with (ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
-          if workers > 1 else _InProcess()) as pool:
+    # Workers fork inside the scope (forked at two threads, they spent ~5% more
+    # CPU time); spawned ones start afresh, so the initializer sets theirs.
+    pool = (ProcessPoolExecutor(workers, initializer=_set_blas_threads, initargs=(1,))
+            if workers > 1 else _InProcess())
+    with _one_blas_thread(), pool:
         while todo or running:
             while todo and len(running) < workers:
                 _, k, i, state = heapq.heappop(todo)

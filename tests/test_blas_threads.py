@@ -1,5 +1,7 @@
-"""BLAS thread count: one thread in the processes evidunc runs jobs in, the
-caller's own count everywhere else.
+"""BLAS thread count: ``run_seed`` and ``run_rows`` train on one thread for
+the call, in the caller's process and in their pool workers, and give the
+caller's own count back when they return or raise. The results do not
+depend on the count.
 
 Each test runs in a fresh interpreter, because the count applies to the
 whole process and the pytest process must keep its own.
@@ -23,22 +25,39 @@ SRC = TESTS.parent / "src"
 
 pytestmark = pytest.mark.skipif(not LIBRARIES, reason="numpy without its bundled OpenBLAS")
 
-# Runs before each script, in a directory holding a tiny config.json.
+# Runs before each script, in a directory holding a small config.json.
 PRELUDE = """
 import json, os
 
 from blas_probe import prefix_threads, row_threads, set_threads, threads
-from evidunc import cli, experiments
+from evidunc import cli, enn, experiments
 from evidunc.config import load_config
 
 CONFIG = load_config("config.json")
+
+
+def record_epochs(diverge_at=None):
+    \"\"\"Wrap Trainer.run_epoch to record this process's BLAS thread count
+    at each epoch into the list returned; with ``diverge_at``, the first
+    seed's weights turn NaN before that epoch.\"\"\"
+    counts, run_epoch = [], enn.Trainer.run_epoch
+
+    def recorded(self):
+        counts.append(threads())
+        if self.epochs_done + 1 == diverge_at:
+            self.model.weights[0][0, 0, 0] = float("nan")
+        return run_epoch(self)
+
+    enn.Trainer.run_epoch = recorded
+    return counts
 """
 
 
-def run_script(body, tmp_path, **env):
+def run_script(body, tmp_path, document=(), **env):
     """Run PRELUDE plus body in a fresh interpreter, next to a config with
-    seeds 0 and 1; returns the JSON value the script prints last."""
-    write_config(tmp_path, seeds=[0, 1])
+    seeds 0 and 1 updated by ``document``; returns the JSON value the script
+    prints last."""
+    write_config(tmp_path, **{"seeds": [0, 1], **dict(document)})
     done = subprocess.run(
         [sys.executable, "-c", PRELUDE + textwrap.dedent(body)],
         cwd=tmp_path,
@@ -89,35 +108,124 @@ def test_library_callers_keep_their_count(tmp_path):
     assert got == [2, 2, 3, 3, 3]
 
 
+def test_in_process_training_runs_one_thread(tmp_path):
+    got = run_script(
+        """
+        set_threads(2)
+        epochs = record_epochs()
+        got = []
+        for run in (lambda: experiments.run_seed(CONFIG, 0), lambda: experiments.run_rows([CONFIG])):
+            epochs.clear()
+            run()
+            got.append([len(epochs), sorted(set(epochs)), threads()])
+        print(json.dumps(got))
+        """,
+        tmp_path,
+        EVID_NUM_WORKERS="1",
+    )
+    # 6 epochs of one seed, then of a 2-seed chunk trained in lockstep.
+    assert got == [[6, [1], 2], [6, [1], 2]]
+
+
+def test_caller_keeps_its_count_when_the_run_raises(tmp_path):
+    got = run_script(
+        """
+        set_threads(2)
+        record_epochs(diverge_at=4)
+        runs = {
+            "run_seed diverges": lambda: experiments.run_seed(CONFIG, 0),
+            "run_rows diverges": lambda: experiments.run_rows([CONFIG]),
+        }
+        got = {}
+        for name, run in runs.items():
+            try:
+                run()
+            except enn.TrainingDivergedError:
+                got[name] = threads()
+
+        def failing_task(*args):
+            raise RuntimeError("task failed")
+
+        experiments._row_task = failing_task
+        try:
+            experiments.run_rows([CONFIG])
+        except RuntimeError:
+            got["run_rows task raises"] = threads()
+        print(json.dumps(got))
+        """,
+        tmp_path,
+        EVID_NUM_WORKERS="1",
+    )
+    assert got == {"run_seed diverges": 2, "run_rows diverges": 2, "run_rows task raises": 2}
+
+
+def test_results_do_not_depend_on_the_thread_count(tmp_path):
+    # Large enough that OpenBLAS splits the inference forwards' hidden-layer
+    # products (1000 x 64 x 64) between its threads when it has two.
+    document = {"seeds": [0], "hidden_layers": [64, 64],
+                "domain": {"num_classes": 3, "feature_dim": 2, "samples_per_domain": 1000}}
+    got = run_script(
+        """
+        from pathlib import Path
+
+        def tree(root):
+            return {str(p.relative_to(root)): p.read_bytes().hex()
+                    for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+        set_threads(2)
+        epochs = record_epochs()
+        real = experiments._OPENBLAS
+        runs = []
+        for name, blas in (("inert", ("numpy.libs/no-such-library-*.so", *real[1:])),
+                           ("active", real)):
+            experiments._OPENBLAS = blas
+            epochs.clear()
+            report, model, _, _ = experiments.run_seed(CONFIG, 0)
+            experiments.run_rows([CONFIG], [name])
+            runs.append({"epochs": sorted(set(epochs)), "report": report.to_json(),
+                         "checkpoint": enn.checkpoint_text(model), "tree": tree(name)})
+        inert, active = runs
+        print(json.dumps({"epochs": [inert.pop("epochs"), active.pop("epochs")],
+                          "files": len(inert["tree"]), "equal": inert == active}))
+        """,
+        tmp_path,
+        document,
+        EVID_NUM_WORKERS="1",
+    )
+    assert got == {"epochs": [[2], [1]], "files": 6, "equal": True}
+
+
 @pytest.mark.parametrize("command", ["run", "ablate"])
 def test_cli_process_runs_one_thread(tmp_path, command):
     got = run_script(
         f"""
         set_threads(2)
+        epochs = record_epochs()
         code = cli.main(["{command}", "--config", "config.json"])
-        print(json.dumps([code, threads()]))
+        print(json.dumps([code, sorted(set(epochs)), threads()]))
         """,
         tmp_path,
         EVID_NUM_WORKERS="1",
     )
-    assert got == [0, 1]
+    assert got == [0, [1], 2]
 
 
 def test_helper_is_a_no_op_without_library_or_symbol(tmp_path):
     got = run_script(
         """
-        pattern, symbol = experiments._OPENBLAS
+        pattern, setter, getter = experiments._OPENBLAS
         set_threads(2)
         counts = []
-        for patched in (("numpy.libs/no-such-library-*.so", symbol), (pattern, "no_such_symbol")):
+        for patched in (("numpy.libs/no-such-library-*.so", setter, getter),
+                        (pattern, "no_such_symbol", getter), (pattern, setter, "no_such_symbol")):
             experiments._OPENBLAS = patched
-            experiments._one_blas_thread()
+            counts.append([experiments._set_blas_threads(1), threads()])
+        experiments._OPENBLAS = (pattern, setter, getter)
+        with experiments._one_blas_thread():
             counts.append(threads())
-        experiments._OPENBLAS = (pattern, symbol)
-        experiments._one_blas_thread()
         counts.append(threads())
         print(json.dumps(counts))
         """,
         tmp_path,
     )
-    assert got == [2, 2, 1]
+    assert got == [[None, 2], [None, 2], [None, 2], 1, 2]
