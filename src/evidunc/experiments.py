@@ -24,6 +24,8 @@ every seed of the chunk from its own copy. Each seed still gets its own 2-D
 model and writes the same bytes as a one-seed chunk would. The workers are
 the CPUs this process may use, capped by the EVID_NUM_WORKERS environment
 variable; one runs the tasks in this process, more share one process pool.
+``run_seed`` is a one-seed chunk run the same way in this process: its
+prefix task, then its row task, writing nothing.
 
 ``run_seed`` and ``run_rows`` run the OpenBLAS of numpy's 2.x wheels on one
 thread for the call and give the caller's count back, also when they raise:
@@ -96,37 +98,6 @@ def _component_seeds(seed: int):
     return (int(state[0]), int(state[1]), int(state[2]))
 
 
-def _start_chunk(configs, seeds):
-    """Build the data and models of ``seeds`` and train them in lockstep up
-    to the first round of ``configs``, which differ only in their US, CS and
-    class-balance switches; returns the run and, per seed, (source, target)."""
-    config = configs[0]
-    models, pools, train_cfgs, domains = [], [], [], []
-    for seed in seeds:
-        data_seed, init_seed, train_seed = _component_seeds(seed)
-        spec = config.domain_spec(data_seed)
-        source, target = generate_domain_pair(spec)
-        domains.append((source, target))
-        pools.append(split_pools(source, target, budget_fraction=config.budget_fraction))
-        models.append(EvidentialMLP.create(spec.feature_dim, spec.num_classes,
-                                           hidden=config.hidden_layers, seed=init_seed))
-        train_cfgs.append(config.train_config(train_seed))
-    rows = [(c.ablation.us, c.ablation.cs, c.ablation.class_balanced) for c in configs]
-    run = _seed_named(seeds, start_rows, models, pools, train_cfgs, config.loss_config(),
-                      config.resolved_plans(), config.resolved_schedule(), rows,
-                      ug_enabled=config.ablation.ug, auroc_epoch=config.auroc_epoch)
-    return run, domains
-
-
-def _finish_chunk(run, config, seeds) -> list:
-    """Finish ``config``'s row of a started run; one (report, model) per seed."""
-    switches = config.ablation
-    pairs = _seed_named(seeds, run.finish, switches.us, switches.cs, switches.class_balanced)
-    for seed, (report, _) in zip(seeds, pairs):
-        report.seed = seed
-    return pairs
-
-
 def _seed_named(seeds, fn, *args, **kwargs):
     """Call ``fn``, naming the diverged seed in a TrainingDivergedError."""
     try:
@@ -136,29 +107,48 @@ def _seed_named(seeds, fn, *args, **kwargs):
 
 
 def run_seed(config: ExperimentConfig, seed: int):
-    """Run one seed end to end; returns (report, model, source, target)."""
+    """Run one seed end to end as a one-seed chunk in this process: its
+    prefix task, then its row task; returns (report, model, source, target)."""
     with _one_blas_thread():
-        run, [(source, target)] = _start_chunk([config], [seed])
-        [(report, model)] = _finish_chunk(run, config, [seed])
+        [(report, model)] = _row_task(_prefix_task([config], [seed]), config, [seed], None)
+    source, target = generate_domain_pair(config.domain_spec(_component_seeds(seed)[0]))
     return report, model, source, target
 
 
 def _prefix_task(configs, seeds) -> bytes:
-    """A prefix task: the group ``configs`` on the seed chunk ``seeds``,
-    trained up to the first round; returns that state pickled."""
-    return pickle.dumps(_start_chunk(configs, seeds)[0])
+    """A prefix task: build the data and models of the seed chunk ``seeds``
+    and train them in lockstep up to the first round of ``configs``, which
+    differ only in their US, CS and class-balance switches; returns that
+    state pickled."""
+    config = configs[0]
+    models, pools, train_cfgs = [], [], []
+    for seed in seeds:
+        data_seed, init_seed, train_seed = _component_seeds(seed)
+        spec = config.domain_spec(data_seed)
+        source, target = generate_domain_pair(spec)
+        pools.append(split_pools(source, target, budget_fraction=config.budget_fraction))
+        models.append(EvidentialMLP.create(spec.feature_dim, spec.num_classes,
+                                           hidden=config.hidden_layers, seed=init_seed))
+        train_cfgs.append(config.train_config(train_seed))
+    rows = [(c.ablation.us, c.ablation.cs, c.ablation.class_balanced) for c in configs]
+    run = _seed_named(seeds, start_rows, models, pools, train_cfgs, config.loss_config(),
+                      config.resolved_plans(), config.resolved_schedule(), rows,
+                      ug_enabled=config.ablation.ug, auroc_epoch=config.auroc_epoch)
+    return pickle.dumps(run)
 
 
 def _row_task(state: bytes, config, seeds, out_dir) -> list:
     """A row task: ``config``'s row finished from its own copy of a prefix
     task's ``state``, each seed written to ``out_dir/seed<N>`` unless
-    ``out_dir`` is None; returns the report of each seed."""
+    ``out_dir`` is None; returns one (report, model) pair per seed."""
     run = pickle.loads(state)
-    pairs = _finish_chunk(run, config, seeds)
-    if out_dir is not None:
-        for seed, (report, model), pool in zip(seeds, pairs, run.pools):
+    switches = config.ablation
+    pairs = _seed_named(seeds, run.finish, switches.us, switches.cs, switches.class_balanced)
+    for seed, (report, model), pool in zip(seeds, pairs, run.pools):
+        report.seed = seed
+        if out_dir is not None:
             _write_seed_outputs(Path(out_dir) / f"seed{seed}", report, model, pool)
-    return [report for report, _ in pairs]
+    return pairs
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -369,7 +359,7 @@ def run_rows(configs, out_dirs=None) -> list:
                     for j in rows:
                         heapq.heappush(todo, (0, k, j, future.result()))
                 else:
-                    reports.update(((i, seed), r) for seed, r in zip(chunk, future.result()))
+                    reports.update(((i, seed), r) for seed, (r, _) in zip(chunk, future.result()))
     return [[reports[i, seed] for seed in config.seeds] for i, config in enumerate(configs)]
 
 

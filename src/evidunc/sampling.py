@@ -22,17 +22,18 @@ opposite ends. The round then acquires both sets from the pool.
 
 ``run_ada`` interleaves training epochs with sampling rounds and fills an
 AdaRunReport with accuracies, AUROC snapshots, selection logs, and the
-quantities the report consumers need. ``run_ada_rows`` runs several
-settings of the US and CS switches from one training prefix, since nothing
-before the first round depends on them, and it runs S seeds at once, one
-seed being S = 1: their models train in lockstep along a leading seed axis,
+quantities the report consumers need. It is ``start_rows``, which trains up
+to the first round, then ``finish``, which runs the rounds and the rest of
+training. ``start_rows`` takes several settings of the US and CS switches,
+since nothing before the first round depends on them, each finished from
+its own copy of the started run; and it takes S seeds at once, one seed
+being S = 1: their models train in lockstep along a leading seed axis,
 while each seed's rounds, evaluation and summaries run on its own pool and
 its own 2-D view of the stacked model.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,6 @@ __all__ = [
     "uncertainty_sampling",
     "certainty_sampling",
     "run_ada",
-    "run_ada_rows",
     "start_rows",
     "eu_sort_count",
 ]
@@ -269,45 +269,30 @@ def run_ada(
     guidance loss, the selection scores, the AUROC snapshot and
     ``report.mode``.
     """
-    [[(report, _)]] = run_ada_rows(
-        [model], [pool], [train_cfg], loss_cfg, plans, schedule,
-        [(us_enabled, cs_enabled, class_balanced)],
-        ug_enabled=ug_enabled, auroc_epoch=auroc_epoch,
-    )
+    switches = (us_enabled, cs_enabled, class_balanced)
+    run = start_rows([model], [pool], [train_cfg], loss_cfg, plans, schedule, [switches],
+                     ug_enabled=ug_enabled, auroc_epoch=auroc_epoch)
+    [(report, _)] = run.finish(*switches)
     return report
-
-
-def run_ada_rows(models, pools, train_cfgs, loss_cfg: LossConfig, plans, schedule,
-                 rows, ug_enabled: bool = True, auroc_epoch: int | None = None) -> list:
-    """``run_ada`` for several ``(us_enabled, cs_enabled, class_balanced)``
-    rows on S seeds that share every other argument. ``models``, ``pools``
-    and ``train_cfgs`` hold one entry per seed, the configs equal but for
-    their seeds. Returns, per row, one (report, model) pair per seed, each
-    equal to what ``run_ada`` gives for that row and seed.
-
-    The S seeds train in lockstep: their 2-D models are stacked along a
-    leading seed axis (see ``enn.Trainer``), so their pools must have equal
-    sizes, and each returned model is a 2-D view of its seed's slice.
-    Selection rounds, evaluation and the AUROC snapshot run seed by seed on
-    those 2-D views.
-
-    The rows differ only from their first round on, so ``start_rows``
-    trains up to the first scheduled epoch once. Each row but the last then
-    finishes from its own deep copy of that state (a pickled copy serves as
-    well); the last finishes on the models and pools given, so a single row
-    copies nothing, and the given models, which stacking made views of their
-    slices, hold its trained weights.
-    """
-    run = start_rows(models, pools, train_cfgs, loss_cfg, plans, schedule, rows, ug_enabled,
-                     auroc_epoch)
-    return [(run if i == len(rows) - 1 else copy.deepcopy(run)).finish(*switches)
-            for i, switches in enumerate(rows)]
 
 
 def start_rows(models, pools, train_cfgs, loss_cfg: LossConfig, plans, schedule,
                rows, ug_enabled: bool = True, auroc_epoch: int | None = None) -> "_AdaRun":
-    """Check every row's round layout on every seed, then train up to the
-    first round as ``run_ada_rows`` does; ``finish`` runs a row from there."""
+    """Check the round layout of every ``(us_enabled, cs_enabled,
+    class_balanced)`` row in ``rows`` on every seed, then train up to the
+    first scheduled epoch; ``finish`` runs one row from there, on the
+    returned run or on a copy of it. The other arguments are ``run_ada``'s,
+    but ``models``, ``pools`` and ``train_cfgs`` hold one entry per seed,
+    the configs equal but for their seeds.
+
+    The S seeds train in lockstep: their 2-D models are stacked along a
+    leading seed axis (see ``enn.Trainer``), so their pools must have equal
+    sizes, and each model ``finish`` returns is a 2-D view of its seed's
+    slice. Selection rounds, evaluation and the AUROC snapshot run seed by
+    seed on those 2-D views. Stacking makes the given models views of their
+    slices, so a run finished without copying leaves its trained weights in
+    them, and its selections in the given pools.
+    """
     plans, schedule = list(plans), list(schedule)
     for pool in pools:
         for us_enabled, cs_enabled, _ in rows:
@@ -322,12 +307,13 @@ def start_rows(models, pools, train_cfgs, loss_cfg: LossConfig, plans, schedule,
 
 
 class _AdaRun:
-    """The state ``run_ada_rows`` carries from epoch to epoch: its seeds'
-    pools, the trainer with their stacked model, momentum buffers and
-    shuffle streams, and each seed's report so far. A deep or pickled copy is
-    an independent run that continues from the same point. It holds no
-    per-seed views of the stacked model, which a copy would turn into arrays
-    of their own; ``seed_views`` makes them when needed."""
+    """The state a run carries from epoch to epoch: its seeds' pools, the
+    trainer with their stacked model, momentum buffers and shuffle streams,
+    and each seed's report so far. A pickled copy, which the experiment
+    driver finishes each row from, is an independent run that continues from
+    the same point; a deep copy finishes equal to it, as the tests check. It
+    holds no per-seed views of the stacked model, which a copy would turn
+    into arrays of their own; ``seed_views`` makes them when needed."""
 
     def __init__(self, models, pools, train_cfgs, loss_cfg: LossConfig, plans,
                  schedule, ug_enabled: bool, auroc_epoch: int | None):
@@ -343,6 +329,7 @@ class _AdaRun:
                         for cfg in train_cfgs]
         self.trainer = Trainer(models, self.pools, train_cfgs, loss_cfg, ug_enabled=ug_enabled)
         self.target_labels = [pool.true_target_labels() for pool in self.pools]
+        self.finished = False
 
     def train_to(self, epoch: int) -> None:
         """Train through ``epoch``, taking the AUROC snapshot on the way; the
@@ -361,7 +348,12 @@ class _AdaRun:
     def finish(self, us_enabled: bool, cs_enabled: bool, class_balanced: bool) -> list:
         """Run the rounds from the split epoch on with the rest of training,
         then fill in the closing fields of each seed's report; returns one
-        (report, model) pair per seed."""
+        (report, model) pair per seed. A run finishes once: a second call
+        raises DomainError before it trains or selects anything."""
+        if self.finished:
+            raise DomainError("run already finished; finish a copy of the started run "
+                              "for another row")
+        self.finished = True
         models = self.trainer.model.seed_views()
         seeds = list(zip(models, self.pools, self.reports, self.target_labels))
         # Per seed, (pseudo-label hits, pseudo labels, model accuracy on the

@@ -36,5 +36,5 @@ def prefix_threads(configs, seeds):
 def row_threads(state, config, seeds, out_dir):
     """Stands in for ``experiments._row_task``: each seed's report is the
     larger BLAS thread count of the processes that ran the prefix and the
-    row."""
-    return [max(pickle.loads(state), threads())] * len(seeds)
+    row, paired with no model."""
+    return [(max(pickle.loads(state), threads()), None)] * len(seeds)

@@ -2,7 +2,6 @@
 
 import json
 import os
-import pickle
 import stat
 from dataclasses import replace
 from pathlib import Path
@@ -20,7 +19,7 @@ from evidunc.config import (
     parse_config,
 )
 from evidunc import experiments
-from evidunc.enn import EvidentialMLP, load_checkpoint
+from evidunc.enn import EvidentialMLP, checkpoint_text, load_checkpoint
 from evidunc.metrics import AdaRunReport
 from evidunc.experiments import (
     ABLATION_ROWS,
@@ -270,6 +269,19 @@ class TestRunSeed:
         report, *_ = run_seed(config, 1)
         assert report.seed == 1
         report.validate()
+
+    def test_matches_the_seed_a_worker_trained_in_a_chunk(self, tmp_path, monkeypatch):
+        # Two workers of 4 usable CPUs cut seeds 0, 1, 2 into chunks (0, 1)
+        # and (2,), trained in pool workers; run_seed trains seed 1 alone in
+        # this process.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setenv("EVID_NUM_WORKERS", "2")
+        config = parse_config(tiny_document(seeds=[0, 1, 2]))
+        run_experiment(config, out_dir=tmp_path)
+        report, model, _, _ = run_seed(config, 1)
+        [seed_dir] = tmp_path.glob("*/seed1")
+        assert (seed_dir / "report.json").read_text() == report.to_json() + "\n"
+        assert (seed_dir / "checkpoint.json").read_text() == checkpoint_text(model)
 
 
 class TestAggregation:
@@ -537,7 +549,7 @@ class TestSharedPrefix:
 
         def outputs(configs):
             state = experiments._prefix_task(configs, [1])
-            rows = [experiments._finish_chunk(pickle.loads(state), c, [1]) for c in configs]
+            rows = [experiments._row_task(state, c, [1], None) for c in configs]
             return [(report.to_json(), b"".join(w.tobytes() for w in model.weights + model.biases))
                     for [(report, model)] in rows]
 

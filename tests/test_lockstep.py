@@ -1,8 +1,9 @@
 """Seeds trained in lockstep: an S-seed chunk must write what S one-seed
-chunks write, byte for byte; a diverged seed is named; the models given to
-run_ada_rows train in place; and run_rows lays its tasks out as one prefix
-task per (UG group, seed chunk) and one row task per (row, seed chunk)
-without letting the layout reach the outputs."""
+chunks write, byte for byte; a diverged seed is named; a run that
+start_rows starts and finish finishes without copying trains the given
+models in place; and run_rows lays its tasks out as one prefix task per
+(UG group, seed chunk) and one row task per (row, seed chunk) without
+letting the layout reach the outputs."""
 
 import copy
 import json
@@ -19,7 +20,7 @@ from evidunc.enn import EvidentialMLP, TrainConfig, Trainer, TrainingDivergedErr
 from evidunc.experiments import MAX_LOCKSTEP_SEEDS, _seed_chunks, run_ablation, run_rows
 from evidunc.losses import LossConfig
 from evidunc.pools import SamplePool
-from evidunc.sampling import run_ada_rows
+from evidunc.sampling import start_rows
 from evidunc.special import DomainError
 from test_config import tiny_document, tree_bytes
 
@@ -55,7 +56,8 @@ def run_chunk(configs, seeds, out_dirs):
     """One seed chunk as run_rows runs it: its prefix task, then a row task
     per config; returns, per seed, the reports of the rows."""
     state = experiments._prefix_task(configs, seeds)
-    rows = [experiments._row_task(state, c, seeds, out) for c, out in zip(configs, out_dirs)]
+    rows = [[report for report, _ in experiments._row_task(state, c, seeds, out)]
+            for c, out in zip(configs, out_dirs)]
     return [list(reports) for reports in zip(*rows)]
 
 
@@ -84,9 +86,9 @@ class TestLockstepBytes:
     def test_returned_models_are_two_dimensional(self):
         configs = group_configs("variance", True)
         state = experiments._prefix_task(configs, SEEDS)
+        pools = pickle.loads(state).pools
         for config in configs:
-            run = pickle.loads(state)
-            for (_, model), pool in zip(experiments._finish_chunk(run, config, SEEDS), run.pools):
+            for (_, model), pool in zip(experiments._row_task(state, config, SEEDS, None), pools):
                 assert [w.ndim for w in model.weights] == [2, 2]
                 assert [b.ndim for b in model.biases] == [1, 1]
                 assert model.forward_batch(pool.source_features).shape == (SAMPLES, 2)
@@ -96,11 +98,12 @@ class TestPickledState:
     @pytest.mark.parametrize("ug", [True, False], ids=["ug", "no-ug"])
     def test_pickled_prefix_finishes_like_its_deep_copy(self, ug):
         configs = group_configs("variance", ug)
-        run, _ = experiments._start_chunk(configs, SEEDS)
+        run = pickle.loads(experiments._prefix_task(configs, SEEDS))
         for config in configs:
+            switches = config.ablation
             outputs = []
             for copied in (pickle.loads(pickle.dumps(run)), copy.deepcopy(run)):
-                pairs = experiments._finish_chunk(copied, config, SEEDS)
+                pairs = copied.finish(switches.us, switches.cs, switches.class_balanced)
                 outputs.append([(r.to_json(), checkpoint_text(m)) for r, m in pairs])
             assert outputs[0] == outputs[1]
 
@@ -177,12 +180,13 @@ class TestDivergence:
 
 class TestInPlaceTraining:
     @pytest.mark.parametrize("seeds", [[5], [5, 6, 7]], ids=["one-seed", "three-seeds"])
-    def test_run_ada_rows_trains_the_given_models(self, seeds):
+    def test_finish_trains_the_given_models(self, seeds):
         models = [EvidentialMLP.create(2, 2, hidden=(4,), seed=s) for s in seeds]
         initial = [[a.tobytes() for a in m.weights + m.biases] for m in models]
         pools = [small_pool(seed) for seed in seeds]
         cfgs = [TrainConfig(epochs=2, batch_size=8, seed=seed) for seed in seeds]
-        [pairs] = run_ada_rows(models, pools, cfgs, LossConfig(), [], [], [(False, False, False)])
+        run = start_rows(models, pools, cfgs, LossConfig(), [], [], [(False, False, False)])
+        pairs = run.finish(False, False, False)
         for model, (_, trained), before in zip(models, pairs, initial):
             assert [w.ndim for w in model.weights] == [2, 2]
             got = [a.tobytes() for a in model.weights + model.biases]
@@ -259,7 +263,8 @@ class TestJobLayout:
             return b""
 
         monkeypatch.setattr(experiments, "_prefix_task", recording)
-        monkeypatch.setattr(experiments, "_row_task", lambda state, c, chunk, out: [None] * len(chunk))
+        monkeypatch.setattr(experiments, "_row_task",
+                            lambda state, c, chunk, out: [(None, None)] * len(chunk))
         # Two features a sample, source and target: 32 bytes a sample per seed.
         for samples, limit in ((80, MAX_LOCKSTEP_SEEDS), (300_000, 3), (2_000_000, 1)):
             document = tiny_document(seeds=list(range(8)))

@@ -19,7 +19,7 @@ from evidunc.sampling import (
     default_schedule,
     eu_sort_count,
     run_ada,
-    run_ada_rows,
+    start_rows,
     uncertainty_sampling,
 )
 from evidunc.special import DomainError
@@ -282,10 +282,30 @@ class TestRunAda:
         # Each row is checked with its own switches: the US-only row fits.
         rows = [(True, False, False), (True, True, False)]
         with pytest.raises(DomainError, match="round 2"):
-            run_ada_rows([model], [pool], [cfg], LossConfig(), plans, [3, 5], rows)
+            start_rows([model], [pool], [cfg], LossConfig(), plans, [3, 5], rows)
         assert pool.budget_spent == 0
-        [[(report, _)]] = run_ada_rows([model], [pool], [cfg], LossConfig(), plans, [3, 5], rows[:1])
+        run = start_rows([model], [pool], [cfg], LossConfig(), plans, [3, 5], rows[:1])
+        [(report, _)] = run.finish(*rows[0])
         assert report.budget_spent == 8
+
+    def test_second_finish_rejected(self):
+        # 300 target samples at fraction 0.1 give a budget of 30; two rounds
+        # of 5 oracle labels spend 10 of it.
+        pool, model, cfg = ada_setup(n=300)
+        plans = [RoundPlan(1, b_u=5, b_c=3, kappa=2), RoundPlan(2, b_u=5, b_c=3, kappa=2)]
+        run = start_rows([model], [pool], [cfg], LossConfig(), plans, [3, 5], [(True, True, False)])
+        [(report, _)] = run.finish(True, True, False)
+        assert pool.budget_spent == report.budget_spent == 10
+        before = (pool.unlabeled_ids(), pool.supervised_set(), [w.copy() for w in model.weights])
+        with pytest.raises(DomainError, match="finished"):
+            run.finish(True, True, False)
+        assert pool.budget_spent == 10
+        assert len(report.round_accuracies) == 2
+        np.testing.assert_array_equal(pool.unlabeled_ids(), before[0])
+        for got, want in zip(pool.supervised_set(), before[1]):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(model.weights, before[2]):
+            np.testing.assert_array_equal(got, want)
 
     def test_partly_spent_budget_rejected_before_training(self):
         # Half the budget of 8 is already spent, so two rounds of 4 cannot run.
