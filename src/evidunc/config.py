@@ -26,6 +26,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -39,6 +40,7 @@ from .synthetic import MAX_SIZE, DomainSpec, float64_array_fits
 __all__ = ["ConfigError", "AblationSwitches", "ExperimentConfig", "config_hash"]
 
 SCHEMA_VERSION = 1
+MAX_SEED = 2**64 - 1  # one 64-bit word of seed entropy, and a short directory name
 _SAMPLING = ("plans", "schedule", "budget_fraction", "auroc_epoch")  # grouped in the document
 
 
@@ -89,8 +91,8 @@ class ExperimentConfig:
             problems.append(f"mode: must be one of {QUANTIFICATION_MODES}, got {self.mode!r}")
         if not self.seeds:
             problems.append("seeds: need at least one seed")
-        elif min(self.seeds) < 0:
-            problems.append("seeds: every entry must be a nonnegative integer")
+        elif not all(0 <= seed <= MAX_SEED for seed in self.seeds):
+            problems.append(f"seeds: every entry must be an integer in 0..{MAX_SEED}")
         elif len(set(self.seeds)) != len(self.seeds):
             problems.append("seeds: duplicates are not allowed")
         if not all(0 < h <= MAX_SIZE for h in self.hidden_layers):
@@ -235,6 +237,10 @@ def _check(value, hint, path: str, errors: list):
     if not _fits(value, hint):
         errors.append(f"{path}: expected {_type_name(hint)}, got {json.dumps(value)}")
         return _BAD
+    # An integer in a float field (one that takes 0.5) is used as a float, so it must fit one.
+    if type(value) is int and _fits(0.5, hint) and abs(value) > sys.float_info.max:
+        errors.append(f"{path}: integer too large for a float")
+        return _BAD
     return value
 
 
@@ -305,6 +311,8 @@ def read_json(path):
         return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer of more digits than Python converts
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_config(path, **overrides) -> ExperimentConfig:

@@ -224,7 +224,7 @@ class Trainer:
     one; the models are 2-D and of equal shapes, the configs equal but for
     their seeds. ``model`` stacks the given models (``EvidentialMLP.stack``),
     so they train in place. Each seed keeps its own pair of shuffle streams,
-    and a step gathers each seed's rows from its own sets.
+    and an epoch gathers each seed's rows from its own sets.
     """
 
     def __init__(self, models, pools, cfgs, loss_cfg: LossConfig, ug_enabled: bool = True):
@@ -300,18 +300,24 @@ class Trainer:
         n_sup, n_unl = sizes[0]
         if n_sup == 0:
             raise DomainError("supervised set is empty; nothing to train on")
-        features, labels, weights = (np.concatenate(parts) for parts in zip(*sets))
-        bs = self.cfg.batch_size
+        # The epoch's rows gathered once in batch order, each an (S, n_sup, ...)
+        # array of which a step takes views.
         order = self._shuffled(self._sup_rngs, n_sup)
+        features, labels, weights = (np.concatenate(parts)[order] for parts in zip(*sets))
+        bs = self.cfg.batch_size
         steps = (n_sup + bs - 1) // bs
 
         mean_reduction = self.loss_cfg.reduction != "sum"
+        if mean_reduction:
+            # The mean over each row's own batch; the last batch may be short.
+            weights = weights / np.minimum(bs, n_sup - np.arange(n_sup) // bs * bs)
         use_ug = self.ug_enabled and n_unl > 0
         if use_ug:
             unsup_features = np.concatenate([p.unlabeled_features() for p in self.pools])
             take = min(bs, n_unl)
             u_scale = 1.0 / take if mean_reduction else 1.0
-            # Shuffled at the first step and whenever a batch would run past the end.
+            # Shuffled and gathered at the first step and whenever a batch
+            # would run past the end.
             unsup_pos = n_unl
 
         # One contiguous row of step losses per seed: its mean then sums in
@@ -319,23 +325,21 @@ class Trainer:
         sup_losses = np.empty((len(self.pools), steps))
         ug_losses = np.zeros((len(self.pools), steps if use_ug else 1))
         for step in range(steps):
-            batch_idx = order[..., step * bs : (step + 1) * bs]
-            scale = weights[batch_idx]
-            if mean_reduction:
-                scale = scale / batch_idx.shape[-1]
+            batch = slice(step * bs, (step + 1) * bs)
+            scale = weights[:, batch]
             row_losses, w_grads, b_grads = self._minibatch(
-                features[batch_idx], "supervised", scale[..., None], edl_batch, labels[batch_idx]
+                features[:, batch], "supervised", scale[..., None], edl_batch, labels[:, batch]
             )
             sup_losses[..., step] = (row_losses * scale).sum(axis=-1)
 
             if use_ug:
                 if unsup_pos + take > n_unl:
-                    unsup_order, unsup_pos = self._shuffled(self._unsup_rngs, n_unl), 0
-                ub_idx = unsup_order[..., unsup_pos : unsup_pos + take]
-                unsup_pos += take
+                    unsup_batches = unsup_features[self._shuffled(self._unsup_rngs, n_unl)]
+                    unsup_pos = 0
                 u_losses, uw_grads, ub_grads = self._minibatch(
-                    unsup_features[ub_idx], "unlabeled", u_scale, ug_batch
+                    unsup_batches[:, unsup_pos : unsup_pos + take], "unlabeled", u_scale, ug_batch
                 )
+                unsup_pos += take
                 w_grads = [a + b for a, b in zip(w_grads, uw_grads)]
                 b_grads = [a + b for a, b in zip(b_grads, ub_grads)]
                 ug_losses[..., step] = u_losses.sum(axis=-1) * u_scale

@@ -17,6 +17,13 @@ Two loss families:
 alpha-gradients, derived in closed form, which is the shape the trainer
 consumes; the test suite checks them against central finite differences. A
 single sample is the one-row batch ``alpha[None, :]``.
+
+Alpha must be positive and finite, and the kernels do not check it: they
+run on every SGD step, where alpha is ``exp`` of clamped logits that the
+trainer has already checked for finiteness, so they call the unchecked
+``special._series`` in place of the validating special functions. A row
+with a NaN gives a NaN loss and gradient in that row and raises nothing;
+the other rows are unaffected.
 """
 
 from __future__ import annotations
@@ -26,9 +33,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import DomainError, digamma, gamma_terms, log_gamma, trigamma
+from .special import (_ALL_THREE, _DIGAMMA_AND_TRIGAMMA, DomainError, _series, digamma,
+                      log_gamma, trigamma)
 
 __all__ = ["LossConfig", "edl_batch", "ug_batch"]
+
+# Not called here; kept because perfbench/tracing.py wraps these names in this module.
+_TRACED = (digamma, trigamma)
 
 QUANTIFICATION_MODES = ("variance", "entropy")
 REDUCTIONS = ("mean", "sum")
@@ -71,7 +82,7 @@ def _nll_batch(alpha: np.ndarray, classes: np.ndarray):
     a0 = alpha.sum(axis=1)
     true = alpha[rows, classes - 1]
     loss = np.log(a0) - np.log(true)
-    grad = np.broadcast_to(1.0 / a0[:, None], alpha.shape).copy()
+    grad = np.repeat((1.0 / a0)[:, None], alpha.shape[1], axis=1)
     grad[rows, classes - 1] -= 1.0 / true
     return loss, grad
 
@@ -89,7 +100,8 @@ def _kl_batch(alpha: np.ndarray, classes: np.ndarray):
     tilde[rows, classes - 1] = 1.0
     s = tilde.sum(axis=1)
     # lnGamma, digamma and trigamma of [alpha~ | s] in one pass; column c is s.
-    lg, psi, tri = gamma_terms(np.column_stack((tilde, s)))
+    arg = np.column_stack((tilde, s))
+    lg, psi, tri = (part.reshape(arg.shape) for part in _series(arg.reshape(-1), _ALL_THREE))
     loss = (
         lg[:, c]
         - _log_gamma_of_count(c)
@@ -103,7 +115,8 @@ def _kl_batch(alpha: np.ndarray, classes: np.ndarray):
 
 def edl_batch(alpha: np.ndarray, classes: np.ndarray, config: LossConfig):
     """Per-row supervised loss and alpha-gradient for an (n, C) alpha matrix
-    and 1-based class indices."""
+    and 1-based class indices. Alpha must be positive and finite; it is not
+    checked (see the module docstring)."""
     alpha = np.asarray(alpha, dtype=np.float64)
     classes = np.asarray(classes)
     lam = config.resolve_lambda_reg(alpha.shape[1])
@@ -129,7 +142,8 @@ def _ug_entropy_batch(alpha: np.ndarray, lambda_a: float, lambda_e: float):
     u = -(mu * log_mu).sum(axis=1)
     # digamma and trigamma of [alpha + 1 | alpha0 + 1]; the last column is alpha0 + 1.
     shifted = np.column_stack((alpha, a0)) + 1.0
-    psi, tri = digamma(shifted), trigamma(shifted)
+    psi, tri = (part.reshape(shifted.shape)
+                for part in _series(shifted.reshape(-1), _DIGAMMA_AND_TRIGAMMA))
     gap = psi[:, -1:] - psi[:, :-1]
     u_alea = (mu * gap).sum(axis=1)
     du = -(log_mu + u[:, None]) / a0[:, None]
@@ -140,7 +154,8 @@ def _ug_entropy_batch(alpha: np.ndarray, lambda_a: float, lambda_e: float):
 
 def ug_batch(alpha: np.ndarray, config: LossConfig):
     """Per-row uncertainty-guided loss and alpha-gradient for an (n, C)
-    alpha matrix of unlabeled samples."""
+    alpha matrix of unlabeled samples. Alpha must be positive and finite; it
+    is not checked (see the module docstring)."""
     alpha = np.asarray(alpha, dtype=np.float64)
     if config.mode == "variance":
         return _ug_variance_batch(alpha, config.lambda_a, config.lambda_e)

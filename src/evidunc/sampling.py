@@ -301,7 +301,8 @@ def start_rows(models, pools, train_cfgs, loss_cfg: LossConfig, plans, schedule,
                                       us_enabled, cs_enabled, auroc_epoch)
             if problems:
                 raise RoundLayoutError("; ".join(f"{key}: {message}" for key, message in problems))
-    run = _AdaRun(models, pools, train_cfgs, loss_cfg, plans, schedule, ug_enabled, auroc_epoch)
+    run = _AdaRun(models, pools, train_cfgs, loss_cfg, plans, schedule, rows, ug_enabled,
+                  auroc_epoch)
     run.train_to(run.split_epoch)
     return run
 
@@ -316,7 +317,7 @@ class _AdaRun:
     into arrays of their own; ``seed_views`` makes them when needed."""
 
     def __init__(self, models, pools, train_cfgs, loss_cfg: LossConfig, plans,
-                 schedule, ug_enabled: bool, auroc_epoch: int | None):
+                 schedule, rows, ug_enabled: bool, auroc_epoch: int | None):
         if auroc_epoch is None:
             auroc_epoch = schedule[0] if schedule else None
         self.pools = list(pools)
@@ -329,6 +330,7 @@ class _AdaRun:
                         for cfg in train_cfgs]
         self.trainer = Trainer(models, self.pools, train_cfgs, loss_cfg, ug_enabled=ug_enabled)
         self.target_labels = [pool.true_target_labels() for pool in self.pools]
+        self.rows = {tuple(row) for row in rows}  # the rows whose layout was checked
         self.finished = False
 
     def train_to(self, epoch: int) -> None:
@@ -348,11 +350,16 @@ class _AdaRun:
     def finish(self, us_enabled: bool, cs_enabled: bool, class_balanced: bool) -> list:
         """Run the rounds from the split epoch on with the rest of training,
         then fill in the closing fields of each seed's report; returns one
-        (report, model) pair per seed. A run finishes once: a second call
-        raises DomainError before it trains or selects anything."""
+        (report, model) pair per seed. A run finishes once, and only a row
+        ``start_rows`` checked: a second call or another row raises
+        DomainError before it trains or selects anything."""
         if self.finished:
             raise DomainError("run already finished; finish a copy of the started run "
                               "for another row")
+        row = (us_enabled, cs_enabled, class_balanced)
+        if row not in self.rows:
+            raise DomainError(f"row (us, cs, class_balanced) = {row} was not among the rows "
+                              f"start_rows checked, {sorted(self.rows)}")
         self.finished = True
         models = self.trainer.model.seed_views()
         seeds = list(zip(models, self.pools, self.reports, self.target_labels))

@@ -7,8 +7,14 @@ evaluation branch-free and fully vectorized. ``gamma_terms`` returns all
 three from one shift pass, for callers that need them on the same argument.
 The argument is processed in cache-sized blocks, each block's 16 shifts as
 one array; the blocks give bitwise the results of shifting the whole
-argument one step at a time (see ``_shift_and_series`` for the condition
+argument one step at a time (see ``_series_block`` for the condition
 that keeps the summation order, and so the bits, unchanged).
+
+Validation lives in the public functions: each checks that its argument is
+finite and positive, raising ``DomainError`` otherwise, then runs the
+unchecked ``_series``. The training losses call ``_series`` directly, on
+arguments positive and finite by construction, and so skip the checks and
+the output buffers of each call; there a NaN argument gives NaN results.
 
 Accuracy (verified against a 50-digit reference in the test suite):
 absolute error stays below 1e-12 for ``log_gamma``/``digamma`` and below
@@ -75,58 +81,72 @@ class DomainError(ValueError):
     """Argument outside the (0, inf) domain, or not finite."""
 
 
-def _shift_and_series(x, name: str, scheme):
-    """The scheme all three share, for x > 0: validate x once, shift it to
-    ``y = x + 16`` and, for each part of ``scheme`` (see ``_scheme``), sum
-    ``correction(t)`` over ``t = x + i`` smallest-first (i = 15 down to 0)
-    into ``corr``, sum the series in ``z = 1/y^2`` by Horner's rule, and
-    finish with ``finish(y, z, series, corr)``. Returns one result per part,
-    a ``float`` each for a scalar x.
+def _series_block(flat, scheme):
+    """The scheme all three share, on one flat block of 2 to ``_BLOCK``
+    positive finite elements, unchecked: shift it to ``y = x + 16`` and, for
+    each part of ``scheme`` (see ``_scheme``), sum ``correction(t)`` over
+    ``t = x + i`` smallest-first (i = 15 down to 0) into ``corr``, sum the
+    series in ``z = 1/y^2`` by Horner's rule, and finish with ``finish(y, z,
+    series, corr)``. Returns one flat array per part.
 
-    The flattened argument is walked in blocks of at most ``_BLOCK``
-    elements. A block's 16 shifts are one ``(16, b)`` array whose row k is
+    The block's 16 shifts are one ``(16, b)`` array whose row k is
     ``x + (15 - k)``, and each correction is one ``np.add.reduce`` over its
     leading axis. On a C-contiguous array with b >= 2 that axis is not the
     contiguous one, so numpy adds the rows one after another, smallest
     first. With b == 1 the summed axis becomes contiguous and numpy sums it
-    pairwise, which changes the rounding, so every block is kept at least
-    two wide: a lone element is duplicated, and a last block of one element
-    starts one element early. The Horner series of all parts run as one
-    ``(parts, b)`` array. Results are bitwise those of one shift step and
-    one series per part at a time."""
+    pairwise, which changes the rounding; hence the two-element minimum. The
+    Horner series of all parts run as one ``(parts, b)`` array. Results are
+    bitwise those of one shift step and one series per part at a time."""
+    corrections, columns, finishes = scheme
+    shifts = flat + _STEPS
+    corrs = [np.add.reduce(correction(shifts), axis=0) for correction in corrections]
+    y = flat + _SHIFT
+    with np.errstate(over="ignore"):  # y*y overflows above ~1.3e154; z = 0 is the limit
+        z = 1.0 / (y * y)
+    series = np.repeat(columns[0], flat.size, axis=1)  # = 0*z + c, Horner's first step
+    for column in columns[1:]:
+        series *= z
+        series += column
+    return [finish(y, z, s, corr) for finish, s, corr in zip(finishes, series, corrs)]
+
+
+def _series(flat, scheme):
+    """``_series_block`` on a flat array of any size, unchecked; returns one
+    flat array per part, of at least the input's size (a lone element comes
+    back twice). Up to ``_BLOCK`` elements are one block, returned as
+    computed. A larger array is walked in blocks of ``_BLOCK`` into one
+    buffer per part, its last block starting early enough to hold two
+    elements; no element's result depends on the block it falls in."""
+    if flat.size == 1:
+        flat = np.repeat(flat, 2)
+    n = flat.size
+    if n <= _BLOCK:
+        return _series_block(flat, scheme)
+    outs = [np.empty(n) for _ in scheme[2]]
+    for start in range(0, n, _BLOCK):
+        lo, hi = min(start, n - 2), min(start + _BLOCK, n)
+        for out, part in zip(outs, _series_block(flat[lo:hi], scheme)):
+            out[lo:hi] = part
+    return outs
+
+
+def _shift_and_series(x, name: str, scheme):
+    """``_series`` of x after checking that every element is finite and
+    positive; one result per part of ``scheme``, each of x's shape, or a
+    ``float`` for a scalar x."""
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name}: argument must be finite, got {x!r}")
     if np.any(arr <= 0.0):
         raise DomainError(f"{name}: argument must be > 0, got {x!r}")
-    corrections, columns, finishes = scheme
-    flat = arr.reshape(-1)
-    if flat.size == 1:
-        flat = np.repeat(flat, 2)
-    n = flat.size
-    outs = [np.empty(n) for _ in finishes]
-    for start in range(0, n, _BLOCK):
-        lo, hi = min(start, n - 2), min(start + _BLOCK, n)
-        block = flat[lo:hi]
-        shifts = block + _STEPS
-        corrs = [np.add.reduce(correction(shifts), axis=0) for correction in corrections]
-        y = block + _SHIFT
-        with np.errstate(over="ignore"):  # y*y overflows above ~1.3e154; z = 0 is the limit
-            z = 1.0 / (y * y)
-        series = np.repeat(columns[0], hi - lo, axis=1)  # = 0*z + c, Horner's first step
-        for column in columns[1:]:
-            series *= z
-            series += column
-        for out, finish, s, corr in zip(outs, finishes, series, corrs):
-            out[lo:hi] = finish(y, z, s, corr)
-    outs = [out[: arr.size].reshape(arr.shape) for out in outs]
+    outs = [out[: arr.size].reshape(arr.shape) for out in _series(arr.reshape(-1), scheme)]
     if np.isscalar(x):
         return [float(out) for out in outs]
     return [out[()] for out in outs]
 
 
 def _scheme(*parts):
-    """The ``(correction, coeffs, finish)`` parts as ``_shift_and_series``
+    """The ``(correction, coeffs, finish)`` parts as ``_series_block``
     runs them: the corrections, the coefficients as ``(parts, 1)`` columns
     in Horner order (highest first), and the finishes."""
     corrections, coeffs, finishes = zip(*parts)
@@ -158,6 +178,7 @@ _LOG_GAMMA_ONLY = _scheme(_LOG_GAMMA)
 _DIGAMMA_ONLY = _scheme(_DIGAMMA)
 _TRIGAMMA_ONLY = _scheme(_TRIGAMMA)
 _ALL_THREE = _scheme(_LOG_GAMMA, _DIGAMMA, _TRIGAMMA)
+_DIGAMMA_AND_TRIGAMMA = _scheme(_DIGAMMA, _TRIGAMMA)
 
 
 def log_gamma(x):

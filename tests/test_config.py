@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,7 +11,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from evidunc.cli import main
 from evidunc.config import (
+    MAX_SEED,
     AblationSwitches,
     ConfigError,
     ExperimentConfig,
@@ -229,6 +232,47 @@ class TestConstructorValidates:
                    else "int too large to convert to float")
         with pytest.raises(ConfigError, match=f"domain: {message}"):
             parse_config({"domain": domain})
+
+    @pytest.mark.parametrize("where", [
+        "train.weight_decay", "train.learning_rate", "train.lr_gamma", "train.lr_beta",
+        "loss.lambda_a", "loss.lambda_e", "loss.lambda_reg", "loss.pseudo_label_weight",
+        "domain.class_scale", "domain.shift_rotation_degrees",
+        "domain.shift_noise_multiplier", "sampling.budget_fraction",
+    ])
+    def test_float_field_integer_beyond_a_float_rejected(self, where):
+        section, key = where.split(".")
+        for value in (10**400, -(10**400)):
+            document = tiny_document()
+            document.setdefault(section, {})[key] = value
+            with pytest.raises(ConfigError, match=rf"\n  {where}: integer too large for a float"):
+                parse_config(document)
+
+    def test_float_field_integer_a_float_holds_kept_as_written(self):
+        document = tiny_document(loss={"lambda_e": int(sys.float_info.max)})
+        assert parse_config(document).loss["lambda_e"] == int(sys.float_info.max)
+
+    @pytest.mark.parametrize("seed", [-1, MAX_SEED + 1, 10**400])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        message = rf"seeds: every entry must be an integer in 0\.\.{MAX_SEED}"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(tiny_document(seeds=[0, seed]))
+        assert parse_config(tiny_document(seeds=[MAX_SEED])).seeds == (MAX_SEED,)
+
+    @pytest.mark.parametrize("override, where", [({"train": {"learning_rate": 10**400}},
+                                                   "train.learning_rate"),
+                                                  ({"seeds": [10**400]}, "seeds")])
+    def test_number_beyond_a_float_exits_two_from_the_cli(self, tmp_path, capsys, override, where):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(tiny_document(**override)))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"\n  {where}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_of_too_many_digits_is_a_config_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"seeds": [' + "1" * 5000 + "]}")
+        with pytest.raises(ConfigError, match="config.json: Exceeds the limit"):
+            load_config(path)
 
 
 class TestHashing:

@@ -195,6 +195,9 @@ class TestBitPatterns:
             n = int(rng.integers(1, 40))
             alpha = np.exp(rng.uniform(-8.0, 12.0, size=(n, c)))
             yield alpha, rng.integers(1, c + 1, size=n)
+        # 700 x 7 arguments pass the special functions' 4096-element block.
+        alpha = np.exp(rng.uniform(-8.0, 12.0, size=(700, 6)))
+        yield alpha, rng.integers(1, 7, size=700)
 
     def test_kl_batch_matches_seven_calls(self):
         for alpha, classes in self.random_batches(seed=81, count=200):
@@ -206,6 +209,26 @@ class TestBitPatterns:
             for got, want in zip(_ug_entropy_batch(alpha, 0.05, 1.0),
                                  ug_entropy_batch_four_calls(alpha, 0.05, 1.0)):
                 assert got.tobytes() == want.tobytes()
+
+
+class TestUncheckedAlpha:
+    """The kernels take alpha as given (see the module docstring): a NaN
+    passes through its own row and raises nothing."""
+
+    @pytest.mark.parametrize("mode", ["variance", "entropy"])
+    def test_nan_row_gives_nan_loss_row(self, mode):
+        alpha = np.exp(np.random.default_rng(7).uniform(-2.0, 3.0, size=(4, 3)))
+        bad = alpha.copy()
+        bad[1, 2] = np.nan
+        classes = np.array([1, 2, 3, 1])
+        config = LossConfig(mode=mode)
+        for kernel, args in [(edl_batch, (classes, config)), (ug_batch, (config,))]:
+            loss, grad = kernel(bad, *args)
+            want_loss, want_grad = kernel(alpha, *args)
+            assert np.isnan(loss[1]) and np.isnan(grad[1]).any()
+            others = [0, 2, 3]
+            assert loss[others].tobytes() == want_loss[others].tobytes()
+            assert grad[others].tobytes() == want_grad[others].tobytes()
 
 
 class TestValidation:

@@ -307,6 +307,22 @@ class TestRunAda:
         for got, want in zip(model.weights, before[2]):
             np.testing.assert_array_equal(got, want)
 
+    def test_unchecked_row_rejected_before_training(self):
+        # Two rounds of 20 oracle labels fit the budget of 30 only with US
+        # off, the one row start_rows checked.
+        pool, model, cfg = ada_setup(n=300)
+        plans = [RoundPlan(1, b_u=20, b_c=3, kappa=2), RoundPlan(2, b_u=20, b_c=3, kappa=2)]
+        run = start_rows([model], [pool], [cfg], LossConfig(), plans, [3, 5],
+                         [(False, False, False)])
+        weights = [w.copy() for w in model.weights]
+        with pytest.raises(DomainError, match="not among the rows start_rows checked"):
+            run.finish(True, False, False)
+        assert pool.budget_spent == 0 and run.trainer.epochs_done == 3
+        for got, want in zip(model.weights, weights):
+            np.testing.assert_array_equal(got, want)
+        [(report, _)] = run.finish(False, False, False)
+        assert report.budget_spent == 0 and len(report.round_accuracies) == 2
+
     def test_partly_spent_budget_rejected_before_training(self):
         # Half the budget of 8 is already spent, so two rounds of 4 cannot run.
         pool, model, cfg = ada_setup()

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from evidunc import special
 from evidunc.special import DomainError, digamma, gamma_terms, log_gamma, trigamma
 from oracles import shift_and_series_per_step
 
@@ -216,3 +217,27 @@ def test_scalars_bitwise_equal_to_per_step_loop():
             _assert_bitwise_as_per_step(x)
     for x in (1, 7, np.int64(3), [0.5, 2.0], np.asfortranarray(_wide((50, 7))), _wide((9, 8))[::2, ::3]):
         _assert_bitwise_as_per_step(x)
+
+
+# The training losses call the unchecked walker directly; it must give the
+# bits of the validated public functions, merged schemes included.
+@pytest.mark.parametrize("size", [2, 3, 192, 4095, 4096, 4097, 8193])
+def test_unchecked_series_bitwise_equal_to_public_functions(size):
+    x = np.random.default_rng(size).uniform(1e-3, 40.0, size=size)
+    public = {"log_gamma": log_gamma(x), "digamma": digamma(x), "trigamma": trigamma(x)}
+    for scheme, names in [(special._ALL_THREE, ["log_gamma", "digamma", "trigamma"]),
+                          (special._DIGAMMA_AND_TRIGAMMA, ["digamma", "trigamma"])]:
+        parts = special._series(x, scheme)
+        assert len(parts) == len(names)
+        for got, name in zip(parts, names):
+            assert got.tobytes() == public[name].tobytes()
+    for got, want in zip(special._series(x, special._ALL_THREE), gamma_terms(x)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_unchecked_series_passes_nan_through():
+    x = np.array([1.5, np.nan, 2.5])
+    lg, psi, tri = special._series(x, special._ALL_THREE)
+    for got, fn in zip((lg, psi, tri), (log_gamma, digamma, trigamma)):
+        assert np.isnan(got[1])
+        assert got[[0, 2]].tobytes() == fn(x[[0, 2]]).tobytes()
