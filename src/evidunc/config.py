@@ -41,6 +41,7 @@ __all__ = ["ConfigError", "AblationSwitches", "ExperimentConfig", "config_hash"]
 
 SCHEMA_VERSION = 1
 MAX_SEED = 2**64 - 1  # one 64-bit word of seed entropy, and a short directory name
+MAX_EPOCHS = 10**5  # a desk run's 20 epochs take seconds; this many take days, more never end
 _SAMPLING = ("plans", "schedule", "budget_fraction", "auroc_epoch")  # grouped in the document
 
 
@@ -105,6 +106,8 @@ class ExperimentConfig:
                 build(0)
             except (ValueError, MemoryError, OverflowError) as exc:  # numpy refuses sizes too
                 problems.append(f"{name}: {exc}")
+        if self.train.get("epochs", 0) > MAX_EPOCHS:  # compared with 0 by TrainConfig already
+            problems.append(f"train.epochs: must be at most {MAX_EPOCHS}")
         if problems:
             raise ConfigError(problems)
         object.__setattr__(self, "budget_fraction", float(self.budget_fraction))
@@ -179,6 +182,7 @@ _DOCUMENT = {
 }
 _TYPE_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string", type(None): "null"}
 _BAD = object()  # what _check returns for a value that cannot be used
+_SHOWN = 60  # characters of a mistyped value an error message shows at most
 
 
 def _fits(value, hint) -> bool:
@@ -202,6 +206,17 @@ def _type_name(hint) -> str:
     if get_origin(hint) is tuple:
         return f"list of {_type_name(get_args(hint)[0])}s"
     return " or ".join(map(_type_name, get_args(hint))) or _TYPE_NAMES[hint]
+
+
+def _shown(value) -> str:
+    """A JSON value as an error message shows it: its JSON text, cut to
+    ``_SHOWN`` characters."""
+    try:
+        text = json.dumps(value)
+    except ValueError:  # an integer of more digits than Python turns into text
+        holder = "an" if isinstance(value, int) else "a value holding an"
+        return f"{holder} integer too long to show"
+    return text if len(text) <= _SHOWN else text[: _SHOWN - 3] + "..."
 
 
 def _fitting(section: dict, schema: dict, path: str, errors: list) -> dict:
@@ -235,7 +250,7 @@ def _check(value, hint, path: str, errors: list):
         fits = [_check(v, item, f"{path}[{i}]", errors) for i, v in enumerate(value)]
         return _BAD if _BAD in fits else fits
     if not _fits(value, hint):
-        errors.append(f"{path}: expected {_type_name(hint)}, got {json.dumps(value)}")
+        errors.append(f"{path}: expected {_type_name(hint)}, got {_shown(value)}")
         return _BAD
     # An integer in a float field (one that takes 0.5) is used as a float, so it must fit one.
     if type(value) is int and _fits(0.5, hint) and abs(value) > sys.float_info.max:

@@ -6,15 +6,21 @@ vector, so every forward pass yields strictly positive evidence. Training is
 plain minibatch SGD with momentum and weight decay on the combined
 objective: the supervised loss over source plus labeled target, and, when
 enabled, the uncertainty-guided loss over the unlabeled target. Each step
-consumes one supervised and one unlabeled minibatch.
+consumes one supervised and one unlabeled minibatch, and runs them as one
+pass along a leading pass axis, ``(2, S, n, d)``: one forward, each half's
+loss kernel, one backward, and the two halves' gradients summed. A batch
+goes alone, as a one-slice pass, when the two differ in shape (the short
+last batch of an epoch, fewer unlabeled rows than the batch size) or when
+the unlabeled term is off.
 
 The trainer runs S seeds in lockstep; one seed is S = 1. It stacks the
 seeds' 2-D models into one holding each layer as an ``(S, fan_in, fan_out)``
 array, and every array of a step carries that leading seed axis, so each
 numpy call serves all S seeds. The seeds' sets must have equal sizes. Each
-seed's slice of a step computes the same bits as the same step on its 2-D
-layers alone: each slice goes to the same BLAS kernel, and the sums run
-along axis -2 or -1 in the same order.
+seed's slice of a step, in either pass, computes the same bits as the same
+minibatch on its 2-D layers alone: each slice goes to the same BLAS kernel,
+the sums run along axis -2 or -1 in the same order, and a step's gradients
+add the supervised half's and the unlabeled half's, in that order.
 
 Backpropagation is written out by hand (the loss module supplies exact
 alpha-gradients; the chain rule through the exponential is
@@ -157,18 +163,25 @@ class EvidentialMLP:
     def num_classes(self) -> int:
         return self.weights[-1].shape[-1]
 
-    def _checked_input(self, x: np.ndarray) -> np.ndarray:
+    def _checked_input(self, x: np.ndarray, passes: bool = False) -> np.ndarray:
+        """x as float64 after checking that it is ``(n, d)`` input, ``(S, n,
+        d)`` for a stacked model; with ``passes`` also a stack of such inputs
+        along one more leading axis."""
         x = np.asarray(x, dtype=np.float64)
         w = self.weights[0]
-        if x.ndim != w.ndim or x.shape[-1] != w.shape[-2] or x.shape[:-2] != w.shape[:-2]:
+        shape = x.shape[1:] if passes and x.ndim == w.ndim + 1 else x.shape
+        if len(shape) != w.ndim or shape[-1] != w.shape[-2] or shape[:-2] != w.shape[:-2]:
             want = ", ".join([*map(str, w.shape[:-2]), "n", str(self.input_dim)])
             raise DomainError(f"expected ({want}) inputs, got shape {x.shape}")
         return x
 
     def _forward_cached(self, x: np.ndarray):
         """The training forward: alpha plus what backprop needs, every
-        layer's input activations and the mask of unclamped logits."""
-        x = self._checked_input(x)
+        layer's input activations and the mask of unclamped logits. ``x``
+        may stack several passes' inputs along a leading axis; each
+        ``(pass, seed)`` slice then goes to the same BLAS call as it would
+        alone."""
+        x = self._checked_input(x, passes=True)
         activations = [x]
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
@@ -199,17 +212,19 @@ class EvidentialMLP:
 
     def alpha_gradient_to_param_gradients(self, dalpha, alpha, activations, active):
         """Backprop an (n, C) alpha-gradient, or an (S, n, C) one through a
-        stacked model, to per-parameter gradients.
+        stacked model, to per-parameter gradients; a leading pass axis, as
+        ``_forward_cached`` takes, carries through to them.
 
         Returns (weight_grads, bias_grads) summed over each seed's batch;
         the caller owns any 1/n scaling.
         """
         delta = dalpha * alpha * active
+        stacked = self.weights[0].ndim > 2
         w_grads = [None] * len(self.weights)
         b_grads = [None] * len(self.biases)
         for layer in range(len(self.weights) - 1, -1, -1):
             w_grads[layer] = activations[layer].swapaxes(-1, -2) @ delta
-            b_grads[layer] = delta.sum(axis=-2, keepdims=delta.ndim > 2)
+            b_grads[layer] = delta.sum(axis=-2, keepdims=stacked)
             if layer > 0:
                 delta = (delta @ self.weights[layer].swapaxes(-1, -2)) * (activations[layer] > 0.0)
         return w_grads, b_grads
@@ -260,22 +275,38 @@ class Trainer:
         epoch = self.epochs_done + 1
         return TrainingDivergedError(f"non-finite {what} at epoch {epoch}{hint}", slot)
 
-    def _minibatch(self, x, what: str, scale, kernel, *args):
-        """Forward a minibatch, check its evidence and backprop ``scale`` times
-        the alpha-gradient of ``kernel(alpha, *args, loss_cfg)``; returns the
-        per-row losses and the batch-summed (weight_grads, bias_grads). The
-        kernel sees the S seeds' rows as one ``(S*n, C)`` matrix."""
-        alpha, acts, active = self.model._forward_cached(x)
-        if not np.all(np.isfinite(alpha)):
-            bad = ~np.isfinite(alpha).all(axis=-1)
-            row = int(np.argwhere(bad)[0][-1])
-            raise self._diverged(f"evidence for {what} sample {row}", [bad],
-                                 "; check inputs and learning rate")
-        flat = alpha.reshape(-1, alpha.shape[-1])
-        losses, dalpha = kernel(flat, *(a.reshape(-1) for a in args), self.loss_cfg)
-        backprop = self.model.alpha_gradient_to_param_gradients
-        grads = backprop(dalpha.reshape(alpha.shape) * scale, alpha, acts, active)
-        return (losses.reshape(alpha.shape[:-1]), *grads)
+    def _minibatches(self, batches):
+        """Forward one step's minibatches, each ``(x, what, scale, kernel,
+        *args)``, check their evidence and backprop ``scale`` times the
+        alpha-gradient of ``kernel(alpha, *args, loss_cfg)``; returns each
+        batch's per-row losses and the (weight_grads, bias_grads) summed
+        over every row, batch after batch. Batches of one shape run as one
+        pass along a leading axis, others each as a one-slice pass. The
+        kernel sees a batch's S seeds' rows as one ``(S*n, C)`` matrix."""
+        stacked = len({x.shape for x, *_ in batches}) == 1
+        losses, grads = [], None
+        for group in [batches] if stacked else [[batch] for batch in batches]:
+            alpha, acts, active = self.model._forward_cached(np.stack([x for x, *_ in group]))
+            if not np.isfinite(alpha).all():
+                for a, (_, what, *_) in zip(alpha, group):
+                    bad = ~np.isfinite(a).all(axis=-1)
+                    if bad.any():
+                        row = int(np.argwhere(bad)[0][-1])
+                        raise self._diverged(f"evidence for {what} sample {row}", [bad],
+                                             "; check inputs and learning rate")
+            dalpha = np.empty_like(alpha)
+            for a, d, (_, _, scale, kernel, *args) in zip(alpha, dalpha, group):
+                row_losses, da = kernel(a.reshape(-1, a.shape[-1]),
+                                        *(v.reshape(-1) for v in args), self.loss_cfg)
+                np.multiply(da.reshape(a.shape), scale, out=d)
+                losses.append(row_losses.reshape(a.shape[:-1]))
+            w_grads, b_grads = self.model.alpha_gradient_to_param_gradients(dalpha, alpha, acts,
+                                                                             active)
+            for k in range(len(group)):
+                part = [g[k] for g in w_grads + b_grads]
+                grads = part if grads is None else [a + b for a, b in zip(grads, part)]
+        layers = len(self.model.weights)
+        return losses, grads[:layers], grads[layers:]
 
     def _apply_step(self, w_grads, b_grads, lr: float):
         """Momentum SGD with weight decay, elementwise; the layers change in
@@ -327,28 +358,25 @@ class Trainer:
         for step in range(steps):
             batch = slice(step * bs, (step + 1) * bs)
             scale = weights[:, batch]
-            row_losses, w_grads, b_grads = self._minibatch(
-                features[:, batch], "supervised", scale[..., None], edl_batch, labels[:, batch]
-            )
-            sup_losses[..., step] = (row_losses * scale).sum(axis=-1)
-
+            batches = [(features[:, batch], "supervised", scale[..., None], edl_batch,
+                        labels[:, batch])]
             if use_ug:
                 if unsup_pos + take > n_unl:
                     unsup_batches = unsup_features[self._shuffled(self._unsup_rngs, n_unl)]
                     unsup_pos = 0
-                u_losses, uw_grads, ub_grads = self._minibatch(
-                    unsup_batches[:, unsup_pos : unsup_pos + take], "unlabeled", u_scale, ug_batch
-                )
+                batches.append((unsup_batches[:, unsup_pos : unsup_pos + take], "unlabeled",
+                                u_scale, ug_batch))
                 unsup_pos += take
-                w_grads = [a + b for a, b in zip(w_grads, uw_grads)]
-                b_grads = [a + b for a, b in zip(b_grads, ub_grads)]
-                ug_losses[..., step] = u_losses.sum(axis=-1) * u_scale
+            losses, w_grads, b_grads = self._minibatches(batches)
+            sup_losses[..., step] = (losses[0] * scale).sum(axis=-1)
+            if use_ug:
+                ug_losses[..., step] = losses[1].sum(axis=-1) * u_scale
 
-            finite = [bool(np.isfinite(g).all()) for g in w_grads + b_grads]
-            if not all(finite):
+            grads = w_grads + b_grads
+            if not np.isfinite(np.concatenate(grads, axis=None)).all():
+                finite = [bool(np.isfinite(g).all()) for g in grads]
                 what = "bias" if all(finite[: len(w_grads)]) else "weight"
-                bad = [~np.isfinite(g) for g in w_grads + b_grads]
-                raise self._diverged(f"{what} gradient", bad)
+                raise self._diverged(f"{what} gradient", [~np.isfinite(g) for g in grads])
             progress = (self.epochs_done + step / steps) / max(self.cfg.epochs, 1)
             self._apply_step(w_grads, b_grads, self.cfg.lr_at(progress))
 

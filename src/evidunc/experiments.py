@@ -34,6 +34,16 @@ wall time but spins after each larger forward, and P workers with two each
 would oversubscribe the CPUs. The count is process-wide, so concurrent calls
 from several Python threads are not covered. Other BLAS builds keep their count.
 
+The same calls, in the process that trains (the pool workers as they
+start), also set glibc's heap thresholds once per process with
+``mallopt``: freed memory is kept up to 64 MiB (``M_TRIM_THRESHOLD``) and
+blocks under 32 MiB come from the heap (``M_MMAP_THRESHOLD``). A training
+step frees arrays of a few hundred KiB that glibc's default 128 KiB
+thresholds would hand back to the kernel and fault in again on the next
+step. The setting stays for the life of the process, as glibc cannot
+report the thresholds to restore; without ``mallopt`` (another libc)
+nothing changes.
+
 A run deletes its completion markers (``aggregate.json``, ``ablation.json``)
 before its first task and writes them again only when every task succeeded,
 so a failed rerun never leaves a directory that looks complete.
@@ -49,6 +59,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import heapq
 import json
 import os
@@ -109,6 +120,7 @@ def _seed_named(seeds, fn, *args, **kwargs):
 def run_seed(config: ExperimentConfig, seed: int):
     """Run one seed end to end as a one-seed chunk in this process: its
     prefix task, then its row task; returns (report, model, source, target)."""
+    _heap_setting()
     with _one_blas_thread():
         [(report, model)] = _row_task(_prefix_task([config], [seed]), config, [seed], None)
     source, target = generate_domain_pair(config.domain_spec(_component_seeds(seed)[0]))
@@ -299,6 +311,34 @@ def _one_blas_thread():
             _set_blas_threads(previous)
 
 
+# glibc's mallopt and the (parameter, value) pairs training sets with it:
+# M_TRIM_THRESHOLD 64 MiB and M_MMAP_THRESHOLD 32 MiB.
+_MALLOPT = ("mallopt", ((-1, 64 * 2**20), (-3, 32 * 2**20)))
+
+
+@functools.cache
+def _heap_setting() -> bool:
+    """Keep freed memory in this process's heap (see the module docstring),
+    once per process; returns whether libc has ``mallopt``, without which
+    it changes nothing."""
+    name, settings = _MALLOPT
+    try:
+        mallopt = getattr(ctypes.CDLL(None), name)
+    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    for param, value in settings:
+        mallopt(param, value)
+    return True
+
+
+def _start_worker():
+    """Pool initializer: one BLAS thread and the heap setting in a worker
+    started afresh."""
+    _set_blas_threads(1)
+    _heap_setting()
+
+
 class _InProcess(Executor):
     """The executor of a one-worker run: a task runs when it is submitted."""
 
@@ -341,9 +381,14 @@ def run_rows(configs, out_dirs=None) -> list:
     # task returned state; (1, k, None, None) is prefix task k.
     todo = [(1, k, None, None) for k in range(len(prefixes))]
     # Workers fork inside the scope (forked at two threads, they spent ~5% more
-    # CPU time); spawned ones start afresh, so the initializer sets theirs.
-    pool = (ProcessPoolExecutor(workers, initializer=_set_blas_threads, initargs=(1,))
-            if workers > 1 else _InProcess())
+    # CPU time); spawned ones start afresh, so the initializer sets theirs. The
+    # heap setting goes where the training runs, not into a process that only
+    # waits for its workers (it kept ~0.3 MB more there).
+    if workers > 1:
+        pool = ProcessPoolExecutor(workers, initializer=_start_worker)
+    else:
+        _heap_setting()
+        pool = _InProcess()
     with _one_blas_thread(), pool:
         while todo or running:
             while todo and len(running) < workers:

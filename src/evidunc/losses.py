@@ -77,13 +77,12 @@ class LossConfig:
         return 1.0 / num_classes if self.lambda_reg is None else self.lambda_reg
 
 
-def _nll_batch(alpha: np.ndarray, classes: np.ndarray):
-    rows = np.arange(alpha.shape[0])
+def _nll_batch(alpha: np.ndarray, at):
     a0 = alpha.sum(axis=1)
-    true = alpha[rows, classes - 1]
+    true = alpha[at]
     loss = np.log(a0) - np.log(true)
     grad = np.repeat((1.0 / a0)[:, None], alpha.shape[1], axis=1)
-    grad[rows, classes - 1] -= 1.0 / true
+    grad[at] -= 1.0 / true
     return loss, grad
 
 
@@ -93,23 +92,24 @@ def _log_gamma_of_count(c: int) -> float:
     return log_gamma(float(c))
 
 
-def _kl_batch(alpha: np.ndarray, classes: np.ndarray):
+def _kl_batch(alpha: np.ndarray, at):
     n, c = alpha.shape
-    rows = np.arange(n)
-    tilde = alpha.copy()
-    tilde[rows, classes - 1] = 1.0
-    s = tilde.sum(axis=1)
     # lnGamma, digamma and trigamma of [alpha~ | s] in one pass; column c is s.
-    arg = np.column_stack((tilde, s))
+    arg = np.empty((n, c + 1))
+    tilde = arg[:, :c]
+    tilde[...] = alpha
+    tilde[at] = 1.0
+    s = np.sum(tilde, axis=1, out=arg[:, c])
     lg, psi, tri = (part.reshape(arg.shape) for part in _series(arg.reshape(-1), _ALL_THREE))
+    excess = tilde - 1.0
     loss = (
         lg[:, c]
         - _log_gamma_of_count(c)
         - lg[:, :c].sum(axis=1)
-        + ((tilde - 1.0) * (psi[:, :c] - psi[:, c:])).sum(axis=1)
+        + (excess * (psi[:, :c] - psi[:, c:])).sum(axis=1)
     )
-    grad = (tilde - 1.0) * tri[:, :c] - ((s - c) * tri[:, c])[:, None]
-    grad[rows, classes - 1] = 0.0
+    grad = excess * tri[:, :c] - ((s - c) * tri[:, c])[:, None]
+    grad[at] = 0.0
     return loss, grad
 
 
@@ -118,10 +118,10 @@ def edl_batch(alpha: np.ndarray, classes: np.ndarray, config: LossConfig):
     and 1-based class indices. Alpha must be positive and finite; it is not
     checked (see the module docstring)."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    classes = np.asarray(classes)
+    at = (np.arange(alpha.shape[0]), np.asarray(classes) - 1)  # each row's true class
     lam = config.resolve_lambda_reg(alpha.shape[1])
-    nll, nll_grad = _nll_batch(alpha, classes)
-    kl, kl_grad = _kl_batch(alpha, classes)
+    nll, nll_grad = _nll_batch(alpha, at)
+    kl, kl_grad = _kl_batch(alpha, at)
     return nll + lam * kl, nll_grad + lam * kl_grad
 
 

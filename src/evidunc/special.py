@@ -84,22 +84,24 @@ class DomainError(ValueError):
 def _series_block(flat, scheme):
     """The scheme all three share, on one flat block of 2 to ``_BLOCK``
     positive finite elements, unchecked: shift it to ``y = x + 16`` and, for
-    each part of ``scheme`` (see ``_scheme``), sum ``correction(t)`` over
-    ``t = x + i`` smallest-first (i = 15 down to 0) into ``corr``, sum the
-    series in ``z = 1/y^2`` by Horner's rule, and finish with ``finish(y, z,
-    series, corr)``. Returns one flat array per part.
+    each part of ``scheme`` (see ``_scheme``), sum ``correction(t, 1/t)``
+    over ``t = x + i`` smallest-first (i = 15 down to 0) into ``corr``, sum
+    the series in ``z = 1/y^2`` by Horner's rule, and finish with
+    ``finish(y, z, series, corr)``. Returns one flat array per part.
 
     The block's 16 shifts are one ``(16, b)`` array whose row k is
-    ``x + (15 - k)``, and each correction is one ``np.add.reduce`` over its
-    leading axis. On a C-contiguous array with b >= 2 that axis is not the
-    contiguous one, so numpy adds the rows one after another, smallest
-    first. With b == 1 the summed axis becomes contiguous and numpy sums it
+    ``x + (15 - k)``; their reciprocal is taken once, when a part uses it
+    (``np.reciprocal(t)`` is ``1.0/t``), and each correction is one
+    ``np.add.reduce`` over the leading axis. On a C-contiguous array with
+    b >= 2 that axis is not the contiguous one, so numpy adds the rows one
+    after another, smallest first. With b == 1 the summed axis becomes contiguous and numpy sums it
     pairwise, which changes the rounding; hence the two-element minimum. The
     Horner series of all parts run as one ``(parts, b)`` array. Results are
     bitwise those of one shift step and one series per part at a time."""
-    corrections, columns, finishes = scheme
+    corrections, columns, finishes, reciprocal = scheme
     shifts = flat + _STEPS
-    corrs = [np.add.reduce(correction(shifts), axis=0) for correction in corrections]
+    inv = np.reciprocal(shifts) if reciprocal else None
+    corrs = [np.add.reduce(correction(shifts, inv), axis=0) for correction in corrections]
     y = flat + _SHIFT
     with np.errstate(over="ignore"):  # y*y overflows above ~1.3e154; z = 0 is the limit
         z = 1.0 / (y * y)
@@ -148,10 +150,16 @@ def _shift_and_series(x, name: str, scheme):
 def _scheme(*parts):
     """The ``(correction, coeffs, finish)`` parts as ``_series_block``
     runs them: the corrections, the coefficients as ``(parts, 1)`` columns
-    in Horner order (highest first), and the finishes."""
+    in Horner order (highest first), the finishes, and whether a correction
+    uses the reciprocal of the shifts."""
     corrections, coeffs, finishes = zip(*parts)
     columns = np.array(coeffs).T[::-1, :, None]
-    return corrections, columns, finishes
+    reciprocal = any(c is not _log_gamma_correction for c in corrections)
+    return corrections, columns, finishes, reciprocal
+
+
+def _log_gamma_correction(t, inv):
+    return np.log(t)
 
 
 def _log_gamma_finish(y, z, series, corr):
@@ -162,8 +170,11 @@ def _digamma_finish(y, z, series, corr):
     return np.log(y) - 0.5 / y - series * z - corr
 
 
-def _trigamma_correction(t):
-    inv = 1.0 / t
+def _digamma_correction(t, inv):
+    return inv
+
+
+def _trigamma_correction(t, inv):
     return inv * inv
 
 
@@ -171,8 +182,8 @@ def _trigamma_finish(y, z, series, corr):
     return 1.0 / y + 0.5 * z + series * (z / y) + corr
 
 
-_LOG_GAMMA = (np.log, _LGAMMA_COEFFS, _log_gamma_finish)
-_DIGAMMA = (np.reciprocal, _DIGAMMA_COEFFS, _digamma_finish)
+_LOG_GAMMA = (_log_gamma_correction, _LGAMMA_COEFFS, _log_gamma_finish)
+_DIGAMMA = (_digamma_correction, _DIGAMMA_COEFFS, _digamma_finish)
 _TRIGAMMA = (_trigamma_correction, _TRIGAMMA_COEFFS, _trigamma_finish)
 _LOG_GAMMA_ONLY = _scheme(_LOG_GAMMA)
 _DIGAMMA_ONLY = _scheme(_DIGAMMA)

@@ -42,7 +42,7 @@ def shift_and_series_per_step(x, parts=(_LOG_GAMMA, _DIGAMMA, _TRIGAMMA)):
     for i in range(_SHIFT - 1, -1, -1):
         t = arr + i
         for corr, correction in sums:
-            corr += correction(t)
+            corr += correction(t, 1.0 / t)
     with np.errstate(over="ignore"):
         z = 1.0 / (y * y)
     outs = []

@@ -258,7 +258,7 @@ class TestCriterion4:
             unit = LossConfig(mode="variance", lambda_reg=1.0)
             g_kl = edl_batch(alpha[None, :], [label], unit)[1][0] - g_nll[0]
             n_kl = central_difference(
-                lambda a: _kl_batch(a[None, :], np.array([label]))[0][0], alpha
+                lambda a: _kl_batch(a[None, :], ([0], [label - 1]))[0][0], alpha
             )
             worst["kl"] = max(worst["kl"], worst_relative_error(g_kl, n_kl))
 

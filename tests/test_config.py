@@ -13,6 +13,7 @@ import pytest
 
 from evidunc.cli import main
 from evidunc.config import (
+    MAX_EPOCHS,
     MAX_SEED,
     AblationSwitches,
     ConfigError,
@@ -267,6 +268,33 @@ class TestConstructorValidates:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"\n  {where}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("document, problem", [
+        ({"mode": 10**5000}, "mode: expected string, got an integer too long to show"),
+        ({"mode": [1, 10**5000]},
+         "mode: expected string, got a value holding an integer too long to show"),
+        ({"mode": list(range(100))},
+         "mode: expected string, got " + str(list(range(100)))[:57] + "..."),
+        ({"train": {"epochs": "x" * 100}},
+         'train.epochs: expected integer, got "' + "x" * 56 + "..."),
+    ], ids=["huge-integer", "list-with-huge-integer", "long-list", "long-string"])
+    def test_mistyped_value_shown_bounded_under_its_path(self, document, problem):
+        # The JSON text of an integer past Python's digit limit raises ValueError.
+        with pytest.raises(ConfigError) as err:
+            parse_config(document)
+        assert err.value.problems == [problem]
+
+    def test_epochs_bounded(self, tmp_path, capsys):
+        for epochs in (MAX_EPOCHS + 1, 10**30):
+            message = rf"\n  train\.epochs: must be at most {MAX_EPOCHS}$"
+            with pytest.raises(ConfigError, match=message):
+                parse_config(tiny_document(train={"epochs": epochs}))
+        document = tiny_document(train={"epochs": MAX_EPOCHS})
+        assert parse_config(document).train_config(0).epochs == MAX_EPOCHS
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(tiny_document(train={"epochs": 10**30})))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"\n  train.epochs: must be at most {MAX_EPOCHS}" in capsys.readouterr().err
 
     def test_integer_of_too_many_digits_is_a_config_error(self, tmp_path):
         path = tmp_path / "config.json"

@@ -178,7 +178,107 @@ class TestFullModelGradient:
             )
 
 
+def composition_pools(seeds):
+    """One pool per seed, each with 21 supervised rows of two weights
+    (pseudo-labeled rows weigh 0.5 under ``pseudo_label_weight=0.5``) and 7
+    unlabeled rows, target ids 5 to 11."""
+    pools = []
+    for seed in seeds:
+        pool = small_pool(seed=seed)
+        pool.acquire_with_oracle([0, 1])
+        pool.acquire_with_pseudo_labels([2, 3, 4], [1, 2, 1])
+        pools.append(pool)
+    return pools
+
+
+def composition_trainer(mode, reduction, batch_size, seeds, ug_enabled):
+    """A fresh trainer on ``composition_pools`` with one 2-5-2 model per
+    seed, a twin trainer on copies of the models, and those copies, which
+    the twin's stacking turns into views of its layers."""
+    loss_cfg = LossConfig(mode=mode, reduction=reduction, pseudo_label_weight=0.5)
+    cfgs = [TrainConfig(epochs=3, batch_size=batch_size, learning_rate=0.05, seed=4 + k)
+            for k in range(seeds)]
+    models = [EvidentialMLP.create(2, 2, hidden=(5,), seed=k) for k in range(seeds)]
+    refs = [EvidentialMLP([w.copy() for w in m.weights], [b.copy() for b in m.biases])
+            for m in models]
+    pools = composition_pools(range(3, 3 + seeds))
+    trainer = Trainer(models, pools, cfgs, loss_cfg, ug_enabled=ug_enabled)
+    return trainer, Trainer(refs, pools, cfgs, loss_cfg), refs
+
+
+def composed_epoch(trainer, twin, refs):
+    """Step ``twin`` through the epoch ``trainer.run_epoch`` is about to
+    run, drawing from copies of its shuffle streams, with each seed's
+    gradients composed apart for each minibatch: ``_forward_cached`` ->
+    ``edl_batch``/``ug_batch`` -> mean scaling ->
+    ``alpha_gradient_to_param_gradients`` on the seed's 2-D model in
+    ``refs`` (views of ``twin``'s layers), summed supervised + unlabeled
+    and stepped by ``_apply_step``. Returns the epoch's (supervised, UG)
+    mean losses of each seed, as ``run_epoch`` does."""
+    cfg, loss_cfg = trainer.cfg, trainer.loss_cfg
+    sup_rngs = copy.deepcopy(trainer._sup_rngs)
+    unsup_rngs = copy.deepcopy(trainer._unsup_rngs)
+    mean = loss_cfg.reduction == "mean"
+    sets = [pool.supervised_set(loss_cfg.pseudo_label_weight) for pool in trainer.pools]
+    unlabeled = [pool.unlabeled_features() for pool in trainer.pools]
+    n_sup, n_unl, bs = sets[0][0].shape[0], unlabeled[0].shape[0], cfg.batch_size
+    orders = [rng.permutation(n_sup) for rng in sup_rngs]
+    steps = (n_sup + bs - 1) // bs
+    use_ug = trainer.ug_enabled and n_unl > 0
+    take, u_pos = min(bs, n_unl), n_unl
+    sup_losses = [[] for _ in refs]
+    ug_losses = [[] for _ in refs] if use_ug else [[0.0] for _ in refs]
+    for step in range(steps):
+        if use_ug and u_pos + take > n_unl:
+            u_orders = [rng.permutation(n_unl) for rng in unsup_rngs]
+            u_pos = 0
+        w_steps, b_steps = [], []
+        for k, ref in enumerate(refs):
+            features, labels, weights = sets[k]
+            rows = orders[k][step * bs : (step + 1) * bs]
+            alpha, acts, active = ref._forward_cached(features[rows])
+            row_losses, dalpha = edl_batch(alpha, labels[rows], loss_cfg)
+            scale = weights[rows] / rows.size if mean else weights[rows]
+            w_grads, b_grads = ref.alpha_gradient_to_param_gradients(
+                dalpha * scale[:, None], alpha, acts, active
+            )
+            sup_losses[k].append(float((row_losses * scale).sum()))
+            if use_ug:
+                u_rows = u_orders[k][u_pos : u_pos + take]
+                u_alpha, u_acts, u_active = ref._forward_cached(unlabeled[k][u_rows])
+                u_losses, u_dalpha = ug_batch(u_alpha, loss_cfg)
+                u_scale = 1.0 / u_rows.size if mean else 1.0
+                uw_grads, ub_grads = ref.alpha_gradient_to_param_gradients(
+                    u_dalpha * u_scale, u_alpha, u_acts, u_active
+                )
+                w_grads = [a + b for a, b in zip(w_grads, uw_grads)]
+                b_grads = [a + b for a, b in zip(b_grads, ub_grads)]
+                ug_losses[k].append(float(u_losses.sum() * u_scale))
+            w_steps.append(w_grads)
+            b_steps.append(b_grads)
+        u_pos += take
+        twin._apply_step([np.stack(ws) for ws in zip(*w_steps)],
+                         [np.stack(bs)[:, None] for bs in zip(*b_steps)],
+                         cfg.lr_at((trainer.epochs_done + step / steps) / max(cfg.epochs, 1)))
+    return ([float(np.mean(ls)) for ls in sup_losses], [float(np.mean(ls)) for ls in ug_losses])
+
+
 class TestRunEpochComposition:
+    """``run_epoch`` runs a step's supervised and unlabeled minibatches as
+    one stacked pass when their shapes agree and as one-slice passes when
+    they do not; either way every weight moves bit for bit as the per-seed,
+    per-minibatch composition of ``composed_epoch`` moves it."""
+
+    @staticmethod
+    def assert_epoch_composed(mode, reduction, batch_size, seeds, ug_enabled):
+        trainer, twin, refs = composition_trainer(mode, reduction, batch_size, seeds, ug_enabled)
+        assert len(np.unique(trainer.pools[0].supervised_set(0.5)[2])) == 2
+        want = composed_epoch(trainer, twin, refs)
+        assert trainer.run_epoch() == want
+        for got, ref in zip(trainer.model.weights + trainer.model.biases,
+                            twin.model.weights + twin.model.biases):
+            assert got.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize(
         "mode, reduction",
         [("variance", "mean"), ("entropy", "mean"), ("variance", "sum"), ("entropy", "sum")],
@@ -186,50 +286,49 @@ class TestRunEpochComposition:
     )
     def test_one_step_with_ug_matches_the_composition(self, mode, reduction):
         # batch_size covers the whole supervised set, so the epoch is one
-        # step; pseudo-labeled rows make the per-row weights differ, and
-        # with 7 unlabeled rows the order of the UG reduction shows.
-        pool = small_pool()
-        pool.acquire_with_oracle([0, 1])
-        pool.acquire_with_pseudo_labels([2, 3, 4], [1, 2, 1])
-        loss_cfg = LossConfig(mode=mode, reduction=reduction, pseudo_label_weight=0.5)
-        cfg = TrainConfig(epochs=3, batch_size=64, learning_rate=0.05, seed=4)
-        model = EvidentialMLP.create(2, 2, hidden=(5,), seed=0)
-        trainer = Trainer([model], [pool], [cfg], loss_cfg, ug_enabled=True)
-        # The reference draws from copies of the trainer's own shuffle
-        # streams and steps a twin trainer, whose momentum starts the same.
-        [sup_rng] = copy.deepcopy(trainer._sup_rngs)
-        [unsup_rng] = copy.deepcopy(trainer._unsup_rngs)
-        ref = EvidentialMLP([w.copy() for w in model.weights], [b.copy() for b in model.biases])
-        twin = Trainer([ref], [pool], [cfg], loss_cfg)
+        # step, of 21 supervised and 7 unlabeled rows run apart; with 7
+        # unlabeled rows the order of the UG reduction shows.
+        self.assert_epoch_composed(mode, reduction, 64, 1, True)
 
-        features, labels, weights = pool.supervised_set(loss_cfg.pseudo_label_weight)
-        rows = sup_rng.permutation(features.shape[0])
-        alpha, acts, active = ref._forward_cached(features[rows])
-        row_losses, dalpha = edl_batch(alpha, labels[rows], loss_cfg)
-        scale = weights[rows] / rows.size if reduction == "mean" else weights[rows]
-        w_grads, b_grads = ref.alpha_gradient_to_param_gradients(
-            dalpha * scale[:, None], alpha, acts, active
-        )
-        unlabeled = pool.unlabeled_features()
-        u_rows = unsup_rng.permutation(unlabeled.shape[0])  # all 7 fit in one batch
-        u_alpha, u_acts, u_active = ref._forward_cached(unlabeled[u_rows])
-        u_losses, u_dalpha = ug_batch(u_alpha, loss_cfg)
-        u_scale = 1.0 / u_rows.size if reduction == "mean" else 1.0
-        uw_grads, ub_grads = ref.alpha_gradient_to_param_gradients(
-            u_dalpha * u_scale, u_alpha, u_acts, u_active
-        )
-        twin._apply_step(
-            [(a + b)[None] for a, b in zip(w_grads, uw_grads)],
-            [(a + b)[None, None] for a, b in zip(b_grads, ub_grads)],
-            cfg.lr_at(0.0),
-        )
+    @pytest.mark.parametrize("mode, batch_size, seeds, ug_enabled", [
+        # 5 stacked steps of 4 + 4 rows, then the short last batch of 1 row
+        # apart from its 4 unlabeled rows.
+        ("variance", 4, 1, True),
+        # Batches of 8, 8 and 5 rows, each apart from its 7 unlabeled rows.
+        ("variance", 8, 1, True),
+        # Supervised batches alone, each a one-slice pass.
+        ("variance", 4, 2, False),
+        # Two seeds in lockstep, every step stacked: 3 x (7 + 7) rows.
+        ("variance", 7, 2, True),
+        ("entropy", 4, 2, True),
+    ], ids=["short-last-batch", "unlabeled-short", "ug-off", "lockstep", "entropy"])
+    def test_epoch_matches_the_composition(self, mode, batch_size, seeds, ug_enabled):
+        self.assert_epoch_composed(mode, "mean", batch_size, seeds, ug_enabled)
 
-        [sup], [ug] = trainer.run_epoch()
-        assert sup == float((row_losses * scale).sum())
-        assert ug == float(u_losses.sum() * u_scale)
-        assert len(np.unique(weights)) == 2
-        for got, want in zip(model.weights + model.biases, ref.weights + ref.biases):
-            assert got.tobytes() == want.tobytes()
+    @staticmethod
+    def stacked_trainer():
+        """Two seeds whose steps all stack 7 supervised and 7 unlabeled rows."""
+        trainer, _, _ = composition_trainer("variance", "mean", 7, 2, True)
+        return trainer
+
+    def test_unlabeled_evidence_checked_in_a_stacked_step(self):
+        trainer = self.stacked_trainer()
+        trainer.pools[1].target_features[9] = np.nan  # the 5th unlabeled row (ids 5 to 11)
+        # The whole unlabeled set is the first step's batch, in shuffled order.
+        row = int(np.flatnonzero(copy.deepcopy(trainer._unsup_rngs[1]).permutation(7) == 4)[0])
+        message = rf"^non-finite evidence for unlabeled sample {row} at epoch 1; check inputs"
+        with pytest.raises(TrainingDivergedError, match=message) as err:
+            trainer.run_epoch()
+        assert err.value.slot == 1
+
+    def test_supervised_evidence_checked_first(self):
+        trainer = self.stacked_trainer()
+        trainer.pools[1].target_features[9] = np.nan
+        trainer.pools[0].source_features[:] = np.nan
+        message = r"^non-finite evidence for supervised sample 0 at epoch 1; check inputs"
+        with pytest.raises(TrainingDivergedError, match=message) as err:
+            trainer.run_epoch()
+        assert err.value.slot == 0
 
 
 def run_epochs(model, pool, cfg, loss_cfg, ug_enabled=True):

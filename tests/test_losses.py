@@ -41,6 +41,12 @@ def one_row(kernel, alpha, *args):
     return loss[0], grad[0]
 
 
+def true_class(classes):
+    """The index of each row's true class that the NLL and KL kernels take,
+    for 1-based class labels."""
+    return np.arange(len(classes)), np.asarray(classes) - 1
+
+
 def assert_gradient_matches(analytic, numeric, rtol=1e-5, atol=1e-8):
     # atol absorbs the finite-difference noise floor (~h^2 plus rounding),
     # which dominates wherever the true derivative is itself near zero.
@@ -59,20 +65,20 @@ def random_cases(seed, count):
 class TestSpotValues:
     def test_nll_alpha_3_1(self):
         alpha = [3.0, 1.0]
-        assert one_row(_nll_batch, alpha, np.array([1]))[0] == pytest.approx(
+        assert one_row(_nll_batch, alpha, true_class([1]))[0] == pytest.approx(
             math.log(4.0 / 3.0), abs=1e-12
         )
-        assert one_row(_nll_batch, alpha, np.array([2]))[0] == pytest.approx(
+        assert one_row(_nll_batch, alpha, true_class([2]))[0] == pytest.approx(
             math.log(4.0), abs=1e-12
         )
 
     def test_kl_alpha_3_4(self):
         expected = math.log(4.0) - 0.75
-        kl = one_row(_kl_batch, [3.0, 4.0], np.array([1]))[0]
+        kl = one_row(_kl_batch, [3.0, 4.0], true_class([1]))[0]
         assert kl == pytest.approx(expected, abs=1e-10)
 
     def test_kl_zero_when_other_classes_flat(self):
-        kl = one_row(_kl_batch, [7.0, 1.0, 1.0], np.array([1]))[0]
+        kl = one_row(_kl_batch, [7.0, 1.0, 1.0], true_class([1]))[0]
         assert kl == pytest.approx(0.0, abs=1e-12)
 
     def test_edl_alpha_3_4(self):
@@ -201,7 +207,8 @@ class TestBitPatterns:
 
     def test_kl_batch_matches_seven_calls(self):
         for alpha, classes in self.random_batches(seed=81, count=200):
-            for got, want in zip(_kl_batch(alpha, classes), kl_batch_seven_calls(alpha, classes)):
+            parts = _kl_batch(alpha, true_class(classes))
+            for got, want in zip(parts, kl_batch_seven_calls(alpha, classes)):
                 assert got.tobytes() == want.tobytes()
 
     def test_ug_entropy_batch_matches_four_calls(self):

@@ -220,17 +220,23 @@ def test_scalars_bitwise_equal_to_per_step_loop():
 
 
 # The training losses call the unchecked walker directly; it must give the
-# bits of the validated public functions, merged schemes included.
+# bits of the validated public functions and of the per-step reference, one
+# function at a time, in the merged schemes that share the shifts' reciprocal
+# as in the trigamma-only one that squares it alone.
 @pytest.mark.parametrize("size", [2, 3, 192, 4095, 4096, 4097, 8193])
 def test_unchecked_series_bitwise_equal_to_public_functions(size):
     x = np.random.default_rng(size).uniform(1e-3, 40.0, size=size)
     public = {"log_gamma": log_gamma(x), "digamma": digamma(x), "trigamma": trigamma(x)}
+    single = {name: shift_and_series_per_step(x, [part])[0] for name, part in
+              [("log_gamma", special._LOG_GAMMA), ("digamma", special._DIGAMMA),
+               ("trigamma", special._TRIGAMMA)]}
     for scheme, names in [(special._ALL_THREE, ["log_gamma", "digamma", "trigamma"]),
-                          (special._DIGAMMA_AND_TRIGAMMA, ["digamma", "trigamma"])]:
+                          (special._DIGAMMA_AND_TRIGAMMA, ["digamma", "trigamma"]),
+                          (special._TRIGAMMA_ONLY, ["trigamma"])]:
         parts = special._series(x, scheme)
         assert len(parts) == len(names)
         for got, name in zip(parts, names):
-            assert got.tobytes() == public[name].tobytes()
+            assert got.tobytes() == public[name].tobytes() == single[name].tobytes()
     for got, want in zip(special._series(x, special._ALL_THREE), gamma_terms(x)):
         assert got.tobytes() == want.tobytes()
 
