@@ -5,10 +5,12 @@ The dataclasses are the schema: each section is checked against the field
 types of ``DomainSpec``, ``TrainConfig``, ``LossConfig``,
 ``AblationSwitches`` or ``RoundPlan``, the top level and ``sampling``
 against ``ExperimentConfig``. An ``int`` is a JSON integer (never a bool or
-``6.0``), a ``float`` any number but a bool, ``X | None`` also takes null
-and ``tuple[T, ...]`` is a list of ``T``. The constructors are the
-validator, so ``ExperimentConfig(...)``, ``replace`` and ``with_switches``
-raise ``ConfigError`` too, each problem under its field path, such as
+``6.0``), a ``float`` any finite number but a bool, ``X | None`` also takes
+null and ``tuple[T, ...]`` is a list of ``T``. One walk checks a value,
+turns its lists into tuples and builds its dataclass objects. The
+constructors are the validator: ``ExperimentConfig`` walks its own sections,
+so ``ExperimentConfig(...)``, ``replace`` and ``with_switches`` raise
+``ConfigError`` too, each problem under its field path, such as
 ``sampling.plans[0].b_u``; ``sampling.round_problems`` checks the rounds.
 
 Values keep the form they were written in (lists become tuples), so
@@ -86,8 +88,12 @@ class ExperimentConfig:
     ablation: AblationSwitches = field(default_factory=AblationSwitches)
 
     def __post_init__(self):
-        """Raise ConfigError listing every value that cannot run."""
+        """Raise ConfigError listing every value that cannot run. A section
+        keeps its well-typed entries, so its constructor still checks them."""
         problems = []
+        for name, schema in _SECTIONS.items():
+            section = _check(getattr(self, name), schema, name, problems)
+            object.__setattr__(self, name, {} if section is _BAD else section)
         if self.mode not in QUANTIFICATION_MODES:
             problems.append(f"mode: must be one of {QUANTIFICATION_MODES}, got {self.mode!r}")
         if not self.seeds:
@@ -168,16 +174,18 @@ def _schema(cls, *excluded) -> dict:
     return {f.name: hints[f.name] for f in fields(cls) if f.name not in excluded}
 
 
-# ExperimentConfig with its round settings grouped under "sampling" and its
-# section dicts typed by the dataclasses they build, minus what the runner
-# sets per run (seeds, the quantification mode) and the class means, which
-# configs leave at their default layout.
-_DOCUMENT = {
-    **{key: hint for key, hint in _schema(ExperimentConfig).items() if key not in _SAMPLING},
-    "schema_version": int,
+# The sections ExperimentConfig walks, typed by the dataclasses they build,
+# minus what the runner sets per run (seeds, the quantification mode) and
+# the class means, which configs leave at their default layout.
+_SECTIONS = {
     "domain": _schema(DomainSpec, "seed", "class_means"),
     "train": _schema(TrainConfig, "seed"),
     "loss": _schema(LossConfig, "mode"),
+}
+# ExperimentConfig with its round settings grouped under "sampling".
+_DOCUMENT = {
+    **{key: hint for key, hint in _schema(ExperimentConfig).items() if key not in _SAMPLING},
+    "schema_version": int,
     "sampling": {key: _schema(ExperimentConfig)[key] for key in _SAMPLING},
 }
 _TYPE_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string", type(None): "null"}
@@ -189,19 +197,19 @@ def _fits(value, hint) -> bool:
     """Whether a JSON value fits an annotated type."""
     if hint in (int, float) and isinstance(value, bool):
         return False
-    if hint is float:
-        return isinstance(value, (int, float))
-    if hint in (int, bool, str):
+    if hint is float:  # NaN and the infinities do not fit
+        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    if hint in (int, bool, str, dict):
         return isinstance(value, hint)
     if hint is type(None):
         return value is None
     if get_origin(hint) is tuple:
-        return isinstance(value, list) and all(_fits(item, get_args(hint)[0]) for item in value)
+        return isinstance(value, (list, tuple)) and all(_fits(v, get_args(hint)[0]) for v in value)
     return any(_fits(value, arg) for arg in get_args(hint))  # a union
 
 
 def _type_name(hint) -> str:
-    if isinstance(hint, dict) or is_dataclass(hint):
+    if hint is dict or isinstance(hint, dict) or is_dataclass(hint):
         return "object"
     if get_origin(hint) is tuple:
         return f"list of {_type_name(get_args(hint)[0])}s"
@@ -210,9 +218,10 @@ def _type_name(hint) -> str:
 
 def _shown(value) -> str:
     """A JSON value as an error message shows it: its JSON text, cut to
-    ``_SHOWN`` characters."""
+    ``_SHOWN`` characters; a library caller's value of no JSON type shows
+    its repr as a string."""
     try:
-        text = json.dumps(value)
+        text = json.dumps(value, default=repr)
     except ValueError:  # an integer of more digits than Python turns into text
         holder = "an" if isinstance(value, int) else "a value holding an"
         return f"{holder} integer too long to show"
@@ -220,23 +229,25 @@ def _shown(value) -> str:
 
 
 def _fitting(section: dict, schema: dict, path: str, errors: list) -> dict:
-    """The entries of a JSON object that fit the schema, each kept as far as
-    it fits and built; each other entry is reported under its field path."""
+    """The entries of a JSON object that fit the schema, each as a config
+    holds it; each other entry is reported under its field path."""
     kept = {}
     for key, value in section.items():
         where = f"{path}.{key}" if path else key
         if key not in schema:
             errors.append(f"{path or 'config'}.{key}: unknown field")
         elif (fit := _check(value, schema[key], where, errors)) is not _BAD:
-            kept[key] = _build(fit, schema[key], where, errors)
-    return {key: fit for key, fit in kept.items() if fit is not _BAD}
+            kept[key] = fit
+    return kept
 
 
 def _check(value, hint, path: str, errors: list):
-    """The part of a JSON value that fits a type, a schema or a dataclass,
-    or _BAD; each part that does not is reported under its field path. A
-    section keeps its well-typed entries; a dataclass object must fit whole,
-    with every field that has no default, or it and its list are _BAD."""
+    """A JSON value as a config holds it (lists as tuples, dataclass objects
+    built) as far as it fits a type, a schema or a dataclass, or _BAD; each
+    part that does not fit and each constructor's error is reported under
+    its field path. A section keeps its well-typed entries; a dataclass
+    object must fit whole, with every field that has no default, or it and
+    its list are _BAD."""
     if isinstance(value, dict) and isinstance(hint, dict):
         return _fitting(value, hint, path, errors)
     if isinstance(value, dict) and is_dataclass(hint):
@@ -244,11 +255,17 @@ def _check(value, hint, path: str, errors: list):
         missing = [f.name for f in fields(hint) if f.name not in value
                    and f.default is MISSING and f.default_factory is MISSING]
         errors.extend(f"{path}.{name}: missing field" for name in missing)
-        return kept if len(kept) == len(value) and not missing else _BAD
+        if len(kept) < len(value) or missing:
+            return _BAD
+        try:
+            return hint(**kept)
+        except ValueError as exc:  # a DomainError
+            errors.append(f"{path}: {exc}")
+            return _BAD
     item = get_args(hint)[0] if get_origin(hint) is tuple else None
-    if is_dataclass(item) and isinstance(value, list):
+    if is_dataclass(item) and isinstance(value, (list, tuple)):
         fits = [_check(v, item, f"{path}[{i}]", errors) for i, v in enumerate(value)]
-        return _BAD if _BAD in fits else fits
+        return _BAD if _BAD in fits else tuple(fits)
     if not _fits(value, hint):
         errors.append(f"{path}: expected {_type_name(hint)}, got {_shown(value)}")
         return _BAD
@@ -256,35 +273,7 @@ def _check(value, hint, path: str, errors: list):
     if type(value) is int and _fits(0.5, hint) and abs(value) > sys.float_info.max:
         errors.append(f"{path}: integer too large for a float")
         return _BAD
-    return value
-
-
-def _build(value, hint, path: str, errors: list):
-    """A fitting JSON value as a config holds it: lists as tuples, dataclass
-    objects built, or _BAD with the constructor's error under its path."""
-    item = get_args(hint)[0] if get_origin(hint) is tuple else None
-    if is_dataclass(item):
-        built = [_build(v, item, f"{path}[{i}]", errors) for i, v in enumerate(value)]
-        return _BAD if _BAD in built else tuple(built)
-    if not is_dataclass(hint):
-        return tuple(value) if isinstance(value, list) else value
-    try:
-        return hint(**value)
-    except ValueError as exc:  # a DomainError
-        errors.append(f"{path}: {exc}")
-        return _BAD
-
-
-def _expect_finite(value, where: str, errors: list):
-    """Report every NaN or infinite number anywhere in the document."""
-    if isinstance(value, float) and not math.isfinite(value):
-        errors.append(f"{where}: must be a finite number, got {value!r}")
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            _expect_finite(item, f"{where}.{key}" if where else str(key), errors)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _expect_finite(item, f"{where}[{i}]", errors)
+    return tuple(value) if isinstance(value, (list, tuple)) else value
 
 
 def parse_config(document: dict) -> ExperimentConfig:
@@ -295,7 +284,6 @@ def parse_config(document: dict) -> ExperimentConfig:
     if not isinstance(document, dict):
         raise ConfigError("config root must be a JSON object")
     errors: list[str] = []
-    _expect_finite(document, "", errors)
     doc = _fitting(document, _DOCUMENT, "", errors)
     version, sampling = doc.pop("schema_version", SCHEMA_VERSION), doc.pop("sampling", {})
     if version != SCHEMA_VERSION:

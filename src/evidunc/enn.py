@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 LOGIT_CLAMP = 30.0
+MAX_BATCH_SIZE = int(np.iinfo(np.int64).max)  # an epoch's batch arithmetic runs in int64
 LR_SCHEDULES = ("constant", "inverse-decay")
 
 
@@ -81,6 +82,8 @@ class TrainConfig:
             raise DomainError("epochs must be nonnegative")
         if self.batch_size < 1:
             raise DomainError("batch_size must be positive")
+        if self.batch_size > MAX_BATCH_SIZE:
+            raise DomainError(f"batch_size must be at most {MAX_BATCH_SIZE}")
         if self.learning_rate <= 0:
             raise DomainError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
@@ -319,6 +322,9 @@ class Trainer:
             self.model.weights[i] -= lr * self._vel_w[i]
             self.model.biases[i] -= lr * self._vel_b[i]
 
+    # The trainer checks evidence, gradients and weights itself and raises
+    # TrainingDivergedError, so numpy's warnings of a diverging step are noise.
+    @np.errstate(over="ignore", invalid="ignore")
     def run_epoch(self):
         """One epoch of minibatch SGD; returns (supervised_losses, ug_losses),
         each a list of the epoch's batch mean for each seed."""
@@ -380,6 +386,11 @@ class Trainer:
             progress = (self.epochs_done + step / steps) / max(self.cfg.epochs, 1)
             self._apply_step(w_grads, b_grads, self.cfg.lr_at(progress))
 
+        # The next step's forward checks what a step left; after the last
+        # one, the weights themselves, before any inference sees them.
+        params = self.model.weights + self.model.biases
+        if not np.isfinite(np.concatenate(params, axis=None)).all():
+            raise self._diverged("weights", [~np.isfinite(p) for p in params])
         self.epochs_done += 1
         return sup_losses.mean(axis=-1).tolist(), ug_losses.mean(axis=-1).tolist()
 

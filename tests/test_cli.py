@@ -438,6 +438,17 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == 3
         assert "runtime failure" in capsys.readouterr().err
 
+    def test_diverging_run_exit_three_without_warnings(self, tmp_path, capsys, monkeypatch):
+        # Weight decay of 10**30 overflows the momentum update; numpy warns
+        # of nothing (a RuntimeWarning is an error in this suite) and the
+        # trainer names the seed.
+        monkeypatch.setenv("EVID_NUM_WORKERS", "1")
+        train = {"epochs": 6, "batch_size": 16, "learning_rate": 0.05, "weight_decay": 10**30}
+        config = write_config(tmp_path, train=train)
+        assert main(["run", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: seed 0: non-finite ") and "Traceback" not in err
+
     def test_failed_rerun_leaves_no_aggregate(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EVID_NUM_WORKERS", "1")
         config = write_config(tmp_path, seeds=[0])

@@ -207,6 +207,13 @@ class TestConstructorValidates:
         ("hidden_layers", (0,), "hidden_layers"),
         ("mode", "bogus", "mode"),
         ("budget_fraction", 2.0, "sampling.budget_fraction"),
+        ("train", {"epochs": "x"}, "train.epochs"),
+        ("train", {"bogus": 1}, "train.bogus"),
+        ("domain", {"num_classes": "x"}, "domain.num_classes"),
+        ("loss", {"lambda_a": "x"}, "loss.lambda_a"),
+        ("train", {"learning_rate": float("nan")}, "train.learning_rate"),
+        ("domain", {"shift_translation": (1.0, float("inf"))}, "domain.shift_translation"),
+        ("train", {"epochs": np.int64(6)}, "train.epochs"),  # no JSON type
     ])
     def test_constructor_rejects_bad_value(self, field, value, where):
         with pytest.raises(ConfigError, match=rf"\n  {where}: "):
@@ -295,6 +302,21 @@ class TestConstructorValidates:
         path.write_text(json.dumps(tiny_document(train={"epochs": 10**30})))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"\n  train.epochs: must be at most {MAX_EPOCHS}" in capsys.readouterr().err
+
+    def test_batch_size_bounded(self, tmp_path, capsys):
+        # An epoch's batch arithmetic runs in numpy's int64.
+        limit = 2**63 - 1
+        for batch_size in (limit + 1, 10**30):
+            message = rf"\n  train: batch_size must be at most {limit}$"
+            with pytest.raises(ConfigError, match=message):
+                parse_config(tiny_document(train={"batch_size": batch_size}))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(tiny_document(seeds=[0], train={"batch_size": limit})))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        path.write_text(json.dumps(tiny_document(train={"batch_size": 10**30})))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "never")]) == 2
+        assert "\n  train: batch_size must be at most" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
 
     def test_integer_of_too_many_digits_is_a_config_error(self, tmp_path):
         path = tmp_path / "config.json"

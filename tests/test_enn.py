@@ -394,6 +394,20 @@ class TestTraining:
             Trainer([model], [pool], [TrainConfig(epochs=1, batch_size=64)],
                     LossConfig()).run_epoch()
 
+    def test_weights_left_non_finite_by_the_last_step_abort(self):
+        # One step an epoch (21 rows, batches of 32): weight decay overflows
+        # seed 1's large weight in the update, while seed 0's stay finite,
+        # and no forward runs after it.
+        cfgs = [TrainConfig(epochs=1, batch_size=32, weight_decay=1e300, seed=k) for k in (0, 1)]
+        models = [EvidentialMLP.create(2, 2, hidden=(5,), seed=k) for k in (0, 1)]
+        models[1].weights[0][0, 0] = 1e10
+        trainer = Trainer(models, composition_pools([3, 4]), cfgs, LossConfig())
+        with pytest.raises(TrainingDivergedError, match=r"^non-finite weights at epoch 1$") as err:
+            trainer.run_epoch()
+        assert err.value.slot == 1
+        assert np.isfinite(models[0].weights[0]).all()
+        assert not np.isfinite(models[1].weights[0]).all()
+
     def test_lr_schedule_values(self):
         cfg = TrainConfig(learning_rate=0.2, lr_schedule="inverse-decay")
         assert cfg.lr_at(0.0) == pytest.approx(0.2)

@@ -5,9 +5,11 @@ Config documents are valid documents with random fields set to values of
 every JSON type, or deleted. Each either raises ConfigError or parses to a
 config that serializes and parses back to an equal config with the same
 hash; each ablation row of a parsed config either builds or raises
-ConfigError. Alpha files are CSV and JSON files with random tokens, rows
-and bytes changed; ``evidunc quantify`` on each exits 0 with valid JSON or
-2 with a message, never with an exception. The numpy generator is seeded,
+ConfigError. A config that parses also runs: ``evidunc run`` on each small
+one exits 0, or 3 naming a diverged seed. Alpha files are CSV and JSON
+files with random tokens, rows and bytes changed; ``evidunc quantify`` on
+each exits 0 with valid JSON or 2 with a message, never with an exception.
+The numpy generator is seeded and the fields are visited in sorted order,
 so every run sees the same inputs.
 """
 
@@ -71,7 +73,7 @@ def _paths(node, path=()):
     """Every (container, key) in a document, and each section's absent fields."""
     if isinstance(node, dict):
         section = "plan" if path and isinstance(path[-1], int) else (path[-1] if path else "")
-        for key in set(node) | set(SECTION_FIELDS.get(section, [])) | {"extra"}:
+        for key in sorted(set(node) | set(SECTION_FIELDS.get(section, [])) | {"extra"}):
             yield node, key
             if key in node:
                 yield from _paths(node[key], path + (key,))
@@ -81,10 +83,10 @@ def _paths(node, path=()):
             yield from _paths(item, path + (i,))
 
 
-def mutated_document(rng) -> dict:
+def mutated_document(rng, bases=BASE_DOCUMENTS) -> dict:
     """A base document with one to three fields set to a random value or
     deleted."""
-    document = copy.deepcopy(BASE_DOCUMENTS[rng.integers(len(BASE_DOCUMENTS))])
+    document = copy.deepcopy(bases[rng.integers(len(bases))])
     for _ in range(rng.integers(1, 4)):
         targets = list(_paths(document))
         node, key = targets[rng.integers(len(targets))]
@@ -114,6 +116,32 @@ def test_config_documents_parse_or_raise_config_error():
             except ConfigError:
                 pass
     assert 10 < parsed < 1900  # both outcomes are exercised
+
+
+def test_parsed_documents_run(tmp_path, capsys, monkeypatch):
+    # Only the cost filters what runs: samples, epochs, hidden units, seeds.
+    monkeypatch.setenv("EVID_NUM_WORKERS", "1")
+    rng = np.random.default_rng(20231122)
+    path, codes = tmp_path / "config.json", []
+    for _ in range(1200):
+        document = mutated_document(rng, [tiny_document()])
+        try:
+            config = parse_config(document)
+        except ConfigError:
+            continue
+        if (config.domain_spec(0).samples_per_domain > 200 or config.train_config(0).epochs > 20
+                or sum(config.hidden_layers) > 64 or len(config.seeds) > 2):
+            continue
+        path.write_text(json.dumps(document))
+        try:
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        except Exception as exc:  # numpy's RuntimeWarnings are errors in this suite
+            pytest.fail(f"{exc!r} running {json.dumps(document)}")
+        err = capsys.readouterr().err
+        assert code == 0 or code == 3 and "non-finite" in err, (document, err)
+        assert "Traceback" not in err
+        codes.append(code)
+    assert codes.count(0) > 50 and 3 in codes  # both outcomes are exercised
 
 
 ALPHA_TOKENS = ["", " ", "0", "-1", "1", "2.5", "1e-12", "1e200", "1e400", "1e-400", "nan",
