@@ -62,7 +62,7 @@ from .sampling import (
     run_ada,
     uncertainty_sampling,
 )
-from .special import DomainError, digamma, gamma_terms, log_gamma, trigamma
+from .special import DomainError, digamma, log_gamma, trigamma
 from .synthetic import Dataset, DomainSpec, generate_domain_pair, split_pools
 
 __version__ = "0.1.0"
@@ -109,7 +109,6 @@ __all__ = [
     "log_gamma",
     "digamma",
     "trigamma",
-    "gamma_terms",
     "parse_config",
     "predict_class_batch",
     "quantify_records",

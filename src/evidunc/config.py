@@ -1,17 +1,19 @@
 """Experiment configuration: one JSON document describing data, model,
 training, sampling, and ablation switches for a multi-seed run.
 
-The dataclasses are the schema: each section is checked against the field
-types of ``DomainSpec``, ``TrainConfig``, ``LossConfig``,
-``AblationSwitches`` or ``RoundPlan``, the top level and ``sampling``
-against ``ExperimentConfig``. An ``int`` is a JSON integer (never a bool or
-``6.0``), a ``float`` any finite number but a bool, ``X | None`` also takes
-null and ``tuple[T, ...]`` is a list of ``T``. One walk checks a value,
-turns its lists into tuples and builds its dataclass objects. The
-constructors are the validator: ``ExperimentConfig`` walks its own sections,
-so ``ExperimentConfig(...)``, ``replace`` and ``with_switches`` raise
-``ConfigError`` too, each problem under its field path, such as
+The dataclasses are the schema: each field is checked against the type of
+its ``ExperimentConfig`` field, each section against the field types of
+``DomainSpec``, ``TrainConfig``, ``LossConfig``, ``AblationSwitches`` or
+``RoundPlan``. An ``int`` is a JSON integer (never a bool or ``6.0``), a
+``float`` any finite number but a bool, ``X | None`` also takes null and
+``tuple[T, ...]`` is a list of ``T``. One walk checks a value, turns its
+lists into tuples and builds its dataclass objects. The constructor is the
+validator: ``ExperimentConfig`` walks every field, so ``parse_config``,
+``ExperimentConfig(...)``, ``replace`` and ``with_switches`` raise the same
+``ConfigError``, each problem under its field path, such as
 ``sampling.plans[0].b_u``; ``sampling.round_problems`` checks the rounds.
+``parse_config`` checks only the document's layout: its keys, its
+``schema_version`` and the ``sampling`` group of the four round settings.
 
 Values keep the form they were written in (lists become tuples), so
 parsing then serializing then parsing again yields an equal config, which
@@ -88,12 +90,16 @@ class ExperimentConfig:
     ablation: AblationSwitches = field(default_factory=AblationSwitches)
 
     def __post_init__(self):
-        """Raise ConfigError listing every value that cannot run. A section
-        keeps its well-typed entries, so its constructor still checks them."""
+        """Raise ConfigError listing every value that cannot run. An
+        ill-typed value is replaced by its field's default and a section
+        keeps its well-typed entries, so the value checks still run."""
         problems = []
-        for name, schema in _SECTIONS.items():
-            section = _check(getattr(self, name), schema, name, problems)
-            object.__setattr__(self, name, {} if section is _BAD else section)
+        for f in fields(self):
+            where = f"sampling.{f.name}" if f.name in _SAMPLING else f.name
+            value = _check(getattr(self, f.name), _FIELDS[f.name], where, problems)
+            if value is _BAD:
+                value = f.default if f.default_factory is MISSING else f.default_factory()
+            object.__setattr__(self, f.name, value)
         if self.mode not in QUANTIFICATION_MODES:
             problems.append(f"mode: must be one of {QUANTIFICATION_MODES}, got {self.mode!r}")
         if not self.seeds:
@@ -174,19 +180,21 @@ def _schema(cls, *excluded) -> dict:
     return {f.name: hints[f.name] for f in fields(cls) if f.name not in excluded}
 
 
-# The sections ExperimentConfig walks, typed by the dataclasses they build,
-# minus what the runner sets per run (seeds, the quantification mode) and
-# the class means, which configs leave at their default layout.
-_SECTIONS = {
+# ExperimentConfig's field types, each section typed by the dataclass it
+# builds, minus what the runner sets per run (seeds, the quantification mode)
+# and the class means, which configs leave at their default layout.
+_FIELDS = {
+    **_schema(ExperimentConfig),
     "domain": _schema(DomainSpec, "seed", "class_means"),
     "train": _schema(TrainConfig, "seed"),
     "loss": _schema(LossConfig, "mode"),
 }
-# ExperimentConfig with its round settings grouped under "sampling".
+# The document's layout: the version, and ExperimentConfig's fields, passed
+# to it unchecked, with the round settings grouped under "sampling".
 _DOCUMENT = {
-    **{key: hint for key, hint in _schema(ExperimentConfig).items() if key not in _SAMPLING},
+    **{key: object for key in _FIELDS if key not in _SAMPLING},
     "schema_version": int,
-    "sampling": {key: _schema(ExperimentConfig)[key] for key in _SAMPLING},
+    "sampling": dict.fromkeys(_SAMPLING, object),
 }
 _TYPE_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string", type(None): "null"}
 _BAD = object()  # what _check returns for a value that cannot be used
@@ -199,7 +207,7 @@ def _fits(value, hint) -> bool:
         return False
     if hint is float:  # NaN and the infinities do not fit
         return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
-    if hint in (int, bool, str, dict):
+    if hint in (int, bool, str):
         return isinstance(value, hint)
     if hint is type(None):
         return value is None
@@ -209,7 +217,7 @@ def _fits(value, hint) -> bool:
 
 
 def _type_name(hint) -> str:
-    if hint is dict or isinstance(hint, dict) or is_dataclass(hint):
+    if isinstance(hint, dict) or is_dataclass(hint):
         return "object"
     if get_origin(hint) is tuple:
         return f"list of {_type_name(get_args(hint)[0])}s"
@@ -247,7 +255,10 @@ def _check(value, hint, path: str, errors: list):
     part that does not fit and each constructor's error is reported under
     its field path. A section keeps its well-typed entries; a dataclass
     object must fit whole, with every field that has no default, or it and
-    its list are _BAD."""
+    its list are _BAD. A value typed ``object`` and an object the dataclass
+    already built pass through."""
+    if hint is object or type(value) is hint and is_dataclass(hint):
+        return value
     if isinstance(value, dict) and isinstance(hint, dict):
         return _fitting(value, hint, path, errors)
     if isinstance(value, dict) and is_dataclass(hint):
@@ -277,10 +288,10 @@ def _check(value, hint, path: str, errors: list):
 
 
 def parse_config(document: dict) -> ExperimentConfig:
-    """Type-check a parsed JSON document into an ExperimentConfig; raises
-    ConfigError carrying every problem found. An ill-typed entry is reported
-    and left out, so the constructors see only well-typed values and
-    defaults, and then the round layout is not reported."""
+    """A parsed JSON document's ExperimentConfig; raises ConfigError
+    carrying every problem found: first the document's unknown keys, its
+    version and its grouping, then the constructor's, in field order. After
+    a problem of the first kind the round layout is not reported."""
     if not isinstance(document, dict):
         raise ConfigError("config root must be a JSON object")
     errors: list[str] = []

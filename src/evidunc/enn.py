@@ -162,10 +162,6 @@ class EvidentialMLP:
     def input_dim(self) -> int:
         return self.weights[0].shape[-2]
 
-    @property
-    def num_classes(self) -> int:
-        return self.weights[-1].shape[-1]
-
     def _checked_input(self, x: np.ndarray, passes: bool = False) -> np.ndarray:
         """x as float64 after checking that it is ``(n, d)`` input, ``(S, n,
         d)`` for a stacked model; with ``passes`` also a stack of such inputs

@@ -167,8 +167,5 @@ class AdaRunReport:
             raise DomainError("pair correlations must lie in [-1, 1]")
 
     def to_json(self) -> str:
-        payload = dict(self.__dict__)
-        payload["correlated_pairs"] = [list(t) for t in self.correlated_pairs]
-        payload["loss_curve"] = [list(t) for t in self.loss_curve]
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(self.__dict__, indent=2, sort_keys=True)
 

@@ -3,18 +3,19 @@
 All three are evaluated by shifting the argument upward with the standard
 recurrences until the asymptotic (de Moivre / Stirling-type) series converges
 to double precision, then applying the series. A fixed shift of 16 keeps the
-evaluation branch-free and fully vectorized. ``gamma_terms`` returns all
-three from one shift pass, for callers that need them on the same argument.
-The argument is processed in cache-sized blocks, each block's 16 shifts as
-one array; the blocks give bitwise the results of shifting the whole
-argument one step at a time (see ``_series_block`` for the condition
-that keeps the summation order, and so the bits, unchanged).
+evaluation branch-free and fully vectorized. The argument is processed in
+cache-sized blocks, each block's 16 shifts as one array; the blocks give
+bitwise the results of shifting the whole argument one step at a time (see
+``_series_block`` for the condition that keeps the summation order, and so
+the bits, unchanged).
 
 Validation lives in the public functions: each checks that its argument is
 finite and positive, raising ``DomainError`` otherwise, then runs the
 unchecked ``_series``. The training losses call ``_series`` directly, on
 arguments positive and finite by construction, and so skip the checks and
 the output buffers of each call; there a NaN argument gives NaN results.
+``_series`` with the ``_ALL_THREE`` scheme gives all three functions from
+one shift pass, each bitwise equal to its single-function call.
 
 Accuracy (verified against a 50-digit reference in the test suite):
 absolute error stays below 1e-12 for ``log_gamma``/``digamma`` and below
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DomainError", "log_gamma", "digamma", "trigamma", "gamma_terms"]
+__all__ = ["DomainError", "log_gamma", "digamma", "trigamma"]
 
 _SHIFT = 16
 _STEPS = np.arange(_SHIFT - 1, -1, -1, dtype=np.float64)[:, None]  # 15, 14, ..., 0 as a column
@@ -205,9 +206,3 @@ def digamma(x):
 def trigamma(x):
     """Trigamma function, d/dx digamma(x), for x > 0."""
     return _shift_and_series(x, "trigamma", _TRIGAMMA_ONLY)[0]
-
-
-def gamma_terms(x):
-    """(log_gamma(x), digamma(x), trigamma(x)) from one validation and one
-    shift pass; each is bitwise equal to its single-function call."""
-    return tuple(_shift_and_series(x, "gamma_terms", _ALL_THREE))

@@ -33,9 +33,10 @@ def brute_force_auroc(scores, is_positive) -> float:
 def shift_and_series_per_step(x, parts=(_LOG_GAMMA, _DIGAMMA, _TRIGAMMA)):
     """lnGamma, digamma and trigamma of x by the package's shift-and-series
     scheme, one shift step and one Horner series per part at a time, on the
-    whole argument. ``special.log_gamma``, ``digamma``, ``trigamma`` and
-    ``gamma_terms`` must match it bit for bit, and in type: a ``float`` for a
-    Python or numpy scalar, a numpy scalar for a 0-d array."""
+    whole argument. ``special.log_gamma``, ``digamma`` and ``trigamma`` must
+    match it bit for bit, and in type: a ``float`` for a Python or numpy
+    scalar, a numpy scalar for a 0-d array; so must the unchecked
+    ``special._series`` the losses call, on the flattened argument."""
     arr = np.asarray(x, dtype=np.float64)
     y = arr + _SHIFT
     sums = [(np.zeros_like(y), correction) for correction, _, _ in parts]

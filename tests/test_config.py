@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import sys
 from dataclasses import replace
@@ -25,6 +26,7 @@ from evidunc.config import (
 from evidunc import experiments
 from evidunc.enn import EvidentialMLP, checkpoint_text, load_checkpoint
 from evidunc.metrics import AdaRunReport
+from evidunc.sampling import RoundPlan
 from evidunc.experiments import (
     ABLATION_ROWS,
     aggregate_reports,
@@ -214,10 +216,26 @@ class TestConstructorValidates:
         ("train", {"learning_rate": float("nan")}, "train.learning_rate"),
         ("domain", {"shift_translation": (1.0, float("inf"))}, "domain.shift_translation"),
         ("train", {"epochs": np.int64(6)}, "train.epochs"),  # no JSON type
+        ("seeds", 5, "seeds"),
+        ("seeds", ("a",), "seeds"),
+        ("hidden_layers", ("x",), "hidden_layers"),
+        ("budget_fraction", "x", "sampling.budget_fraction"),
+        ("auroc_epoch", "x", "sampling.auroc_epoch"),
+        ("plans", ({"round_index": 1},), "sampling.plans[0].b_u"),
+        ("output_dir", 3, "output_dir"),
+        ("output_dir", Path("x"), "output_dir"),  # would reach config_hash
+        ("ablation", [1], "ablation"),
     ])
     def test_constructor_rejects_bad_value(self, field, value, where):
-        with pytest.raises(ConfigError, match=rf"\n  {where}: "):
+        with pytest.raises(ConfigError, match=rf"\n  {re.escape(where)}: "):
             ExperimentConfig(**{field: value})
+
+    def test_constructor_builds_sections_from_objects(self):
+        plan = {"round_index": 1, "b_u": 2, "b_c": 3, "kappa": 2}
+        config = ExperimentConfig(ablation={"ug": False}, plans=(plan,), schedule=[3], seeds=[4])
+        assert config.ablation == AblationSwitches(ug=False)
+        assert config.plans == (RoundPlan(**plan),) and config.seeds == (4,)
+        assert replace(config) == config  # built sections pass through
 
     def test_replace_rejects_bad_value(self):
         with pytest.raises(ConfigError, match="seeds: need at least one seed"):

@@ -5,7 +5,9 @@ Config documents are valid documents with random fields set to values of
 every JSON type, or deleted. Each either raises ConfigError or parses to a
 config that serializes and parses back to an equal config with the same
 hash; each ablation row of a parsed config either builds or raises
-ConfigError. A config that parses also runs: ``evidunc run`` on each small
+ConfigError. Where a document's keys, version and grouping are sound, the
+constructor called with its fields raises the same problems or builds the
+same config. A config that parses also runs: ``evidunc run`` on each small
 one exits 0, or 3 naming a diverged seed. Alpha files are CSV and JSON
 files with random tokens, rows and bytes changed; ``evidunc quantify`` on
 each exits 0 with valid JSON or 2 with a message, never with an exception.
@@ -21,7 +23,13 @@ import numpy as np
 import pytest
 
 from evidunc.cli import main
-from evidunc.config import AblationSwitches, ConfigError, config_hash, parse_config
+from evidunc.config import (
+    AblationSwitches,
+    ConfigError,
+    ExperimentConfig,
+    config_hash,
+    parse_config,
+)
 from evidunc.enn import TrainConfig
 from evidunc.experiments import ABLATION_ROWS
 from evidunc.losses import LossConfig
@@ -116,6 +124,32 @@ def test_config_documents_parse_or_raise_config_error():
             except ConfigError:
                 pass
     assert 10 < parsed < 1900  # both outcomes are exercised
+
+
+def test_constructor_checks_what_parse_config_checks():
+    # parse_config checks the layout of a document and passes the values on
+    # as they stand, so where the layout is sound the constructor decides.
+    rng = np.random.default_rng(20231119)
+    compared = 0
+    for _ in range(2000):
+        document = mutated_document(rng)
+        version, sampling = document.get("schema_version", 1), document.get("sampling", {})
+        if (type(version) is not int or version != 1 or not isinstance(sampling, dict)
+                or not set(document) <= set(SECTION_FIELDS[""])
+                or not set(sampling) <= set(SECTION_FIELDS["sampling"])):
+            continue
+        compared += 1
+        flattened = {key: value for key, value in document.items()
+                     if key not in ("schema_version", "sampling")}
+        try:
+            config = parse_config(document)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig(**flattened, **sampling)
+            assert err.value.problems == exc.problems, document
+            continue
+        assert ExperimentConfig(**flattened, **sampling) == config, document
+    assert compared > 1000
 
 
 def test_parsed_documents_run(tmp_path, capsys, monkeypatch):
