@@ -230,6 +230,8 @@ def _shown(value) -> str:
     its repr as a string."""
     try:
         text = json.dumps(value, default=repr)
+    except RecursionError:
+        return "a value nested too deeply to show"
     except ValueError:  # an integer of more digits than Python turns into text
         holder = "an" if isinstance(value, int) else "a value holding an"
         return f"{holder} integer too long to show"
@@ -310,21 +312,28 @@ def parse_config(document: dict) -> ExperimentConfig:
 
 
 def read_text(path) -> str:
-    """A UTF-8 file's text; a missing or undecodable file is a ConfigError."""
+    """A UTF-8 file's text; a path that names no file (missing, a directory,
+    or under a file) or an undecodable file is a ConfigError."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         raise ConfigError(f"{path}: no such file") from None
+    except IsADirectoryError:
+        raise ConfigError(f"{path}: is a directory") from None
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text") from None
 
 
 def read_json(path):
-    """A UTF-8 file's JSON document; a syntax error names its line."""
+    """A UTF-8 file's JSON document; a syntax error names its line, and a
+    document nested too deeply for the decoder is a ConfigError too."""
+    text = read_text(path)
     try:
-        return json.loads(read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: nested too deeply") from None
     except ValueError as exc:  # an integer of more digits than Python converts
         raise ConfigError(f"{path}: {exc}") from None
 

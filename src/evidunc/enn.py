@@ -256,8 +256,7 @@ class Trainer:
         streams = [np.random.SeedSequence(c.seed).spawn(2) for c in cfgs]
         self._sup_rngs = [np.random.default_rng(sup) for sup, _ in streams]
         self._unsup_rngs = [np.random.default_rng(unsup) for _, unsup in streams]
-        self._vel_w = [np.zeros_like(w) for w in self.model.weights]
-        self._vel_b = [np.zeros_like(b) for b in self.model.biases]
+        self._velocity = [np.zeros_like(p) for p in self.model.weights + self.model.biases]
 
     @staticmethod
     def _shuffled(rngs, n: int):
@@ -278,10 +277,11 @@ class Trainer:
         """Forward one step's minibatches, each ``(x, what, scale, kernel,
         *args)``, check their evidence and backprop ``scale`` times the
         alpha-gradient of ``kernel(alpha, *args, loss_cfg)``; returns each
-        batch's per-row losses and the (weight_grads, bias_grads) summed
-        over every row, batch after batch. Batches of one shape run as one
-        pass along a leading axis, others each as a one-slice pass. The
-        kernel sees a batch's S seeds' rows as one ``(S*n, C)`` matrix."""
+        batch's per-row losses and one list of gradients, weights then
+        biases, summed over every row, batch after batch. Batches of one
+        shape run as one pass along a leading axis, others each as a
+        one-slice pass. The kernel sees a batch's S seeds' rows as one
+        ``(S*n, C)`` matrix."""
         stacked = len({x.shape for x, *_ in batches}) == 1
         losses, grads = [], None
         for group in [batches] if stacked else [[batch] for batch in batches]:
@@ -304,19 +304,18 @@ class Trainer:
             for k in range(len(group)):
                 part = [g[k] for g in w_grads + b_grads]
                 grads = part if grads is None else [a + b for a, b in zip(grads, part)]
-        layers = len(self.model.weights)
-        return losses, grads[:layers], grads[layers:]
+        return losses, grads
 
     def _apply_step(self, w_grads, b_grads, lr: float):
-        """Momentum SGD with weight decay, elementwise; the layers change in
-        place, which keeps their ``seed_views`` current."""
+        """Momentum SGD with weight decay, elementwise; each parameter and
+        its velocity change in place, which keeps ``seed_views`` current."""
         wd = self.cfg.weight_decay
         mom = self.cfg.momentum
-        for i, (gw, gb) in enumerate(zip(w_grads, b_grads)):
-            self._vel_w[i] = mom * self._vel_w[i] + (gw + wd * self.model.weights[i])
-            self._vel_b[i] = mom * self._vel_b[i] + (gb + wd * self.model.biases[i])
-            self.model.weights[i] -= lr * self._vel_w[i]
-            self.model.biases[i] -= lr * self._vel_b[i]
+        params = self.model.weights + self.model.biases
+        for p, g, v in zip(params, w_grads + b_grads, self._velocity):
+            v *= mom
+            v += g + wd * p
+            p -= lr * v
 
     # The trainer checks evidence, gradients and weights itself and raises
     # TrainingDivergedError, so numpy's warnings of a diverging step are noise.
@@ -339,6 +338,7 @@ class Trainer:
         features, labels, weights = (np.concatenate(parts)[order] for parts in zip(*sets))
         bs = self.cfg.batch_size
         steps = (n_sup + bs - 1) // bs
+        layers = len(self.model.weights)
 
         mean_reduction = self.loss_cfg.reduction != "sum"
         if mean_reduction:
@@ -369,18 +369,17 @@ class Trainer:
                 batches.append((unsup_batches[:, unsup_pos : unsup_pos + take], "unlabeled",
                                 u_scale, ug_batch))
                 unsup_pos += take
-            losses, w_grads, b_grads = self._minibatches(batches)
+            losses, grads = self._minibatches(batches)
             sup_losses[..., step] = (losses[0] * scale).sum(axis=-1)
             if use_ug:
                 ug_losses[..., step] = losses[1].sum(axis=-1) * u_scale
 
-            grads = w_grads + b_grads
             if not np.isfinite(np.concatenate(grads, axis=None)).all():
                 finite = [bool(np.isfinite(g).all()) for g in grads]
-                what = "bias" if all(finite[: len(w_grads)]) else "weight"
+                what = "bias" if all(finite[:layers]) else "weight"
                 raise self._diverged(f"{what} gradient", [~np.isfinite(g) for g in grads])
             progress = (self.epochs_done + step / steps) / max(self.cfg.epochs, 1)
-            self._apply_step(w_grads, b_grads, self.cfg.lr_at(progress))
+            self._apply_step(grads[:layers], grads[layers:], self.cfg.lr_at(progress))
 
         # The next step's forward checks what a step left; after the last
         # one, the weights themselves, before any inference sees them.

@@ -303,7 +303,8 @@ def start_rows(models, pools, train_cfgs, loss_cfg: LossConfig, plans, schedule,
                 raise RoundLayoutError("; ".join(f"{key}: {message}" for key, message in problems))
     run = _AdaRun(models, pools, train_cfgs, loss_cfg, plans, schedule, rows, ug_enabled,
                   auroc_epoch)
-    run.train_to(run.split_epoch)
+    # Nothing before the first round depends on the US and CS switches.
+    run.train_to(schedule[0] if schedule else train_cfgs[0].epochs)
     return run
 
 
@@ -324,8 +325,6 @@ class _AdaRun:
         self.mode = loss_cfg.mode
         self.auroc_epoch = auroc_epoch
         self.rounds_by_epoch = dict(zip(schedule, plans))
-        # Nothing before the first round depends on the US and CS switches.
-        self.split_epoch = schedule[0] if schedule else train_cfgs[0].epochs
         self.reports = [AdaRunReport(mode=self.mode, seed=cfg.seed, auroc_epoch=auroc_epoch)
                         for cfg in train_cfgs]
         self.trainer = Trainer(models, self.pools, train_cfgs, loss_cfg, ug_enabled=ug_enabled)
@@ -348,11 +347,11 @@ class _AdaRun:
                     _record_auroc(report, model, pool.target_features, labels, self.mode)
 
     def finish(self, us_enabled: bool, cs_enabled: bool, class_balanced: bool) -> list:
-        """Run the rounds from the split epoch on with the rest of training,
-        then fill in the closing fields of each seed's report; returns one
-        (report, model) pair per seed. A run finishes once, and only a row
-        ``start_rows`` checked: a second call or another row raises
-        DomainError before it trains or selects anything."""
+        """Run each round right after its scheduled epoch, then the rest of
+        training, and fill in the closing fields of each seed's report;
+        returns one (report, model) pair per seed. A run finishes once, and
+        only a row ``start_rows`` checked: a second call or another row
+        raises DomainError before it trains or selects anything."""
         if self.finished:
             raise DomainError("run already finished; finish a copy of the started run "
                               "for another row")
@@ -366,11 +365,8 @@ class _AdaRun:
         # Per seed, (pseudo-label hits, pseudo labels, model accuracy on the
         # unlabeled pool) of each round that pseudo-labeled.
         certain = [[] for _ in seeds]
-        for epoch in range(self.split_epoch, self.trainer.cfg.epochs + 1):
+        for epoch, plan in self.rounds_by_epoch.items():
             self.train_to(epoch)
-            plan = self.rounds_by_epoch.get(epoch)
-            if plan is None:
-                continue
             for (model, pool, report, labels), tally in zip(seeds, certain):
                 sorts_before = eu_sort_count()
                 rnd = _selection_round(pool, model, plan, self.mode, us_enabled, cs_enabled,
@@ -386,6 +382,7 @@ class _AdaRun:
                                   float(np.mean(rnd.predicted == labels[rnd.ids]))))
                 pool.check_invariants()
                 report.round_accuracies.append(evaluate(model, pool.target_features, labels))
+        self.train_to(self.trainer.cfg.epochs)
         return [(_close_report(*seed, tally), seed[0]) for seed, tally in zip(seeds, certain)]
 
 

@@ -123,6 +123,31 @@ class TestQuantify:
         assert main(["quantify", str(tmp_path / "nope.csv")]) == 2
         assert "no such file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, message", [
+        ("alphas.csv", "is a directory"),
+        ("alphas.json", "is a directory"),
+        ("file.csv/alphas.csv", "no such file"),
+        ("file.csv/alphas.json", "no such file"),
+    ], ids=["directory-csv", "directory-json", "through-file-csv", "through-file-json"])
+    def test_path_not_a_file(self, tmp_path, capsys, name, message):
+        (tmp_path / "alphas.csv").mkdir()
+        (tmp_path / "alphas.json").mkdir()
+        (tmp_path / "file.csv").write_text("2,3\n")
+        path = tmp_path / name
+        assert main(["quantify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: {message}\n" == err
+
+    @pytest.mark.parametrize("text", [
+        "[" * (100 * sys.getrecursionlimit()),
+        '{"a": ' * (5 * sys.getrecursionlimit()),
+    ], ids=["arrays", "objects"])
+    def test_json_nested_too_deeply(self, tmp_path, capsys, text):
+        path = tmp_path / "alphas.json"
+        path.write_text(text)
+        assert main(["quantify", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: nested too deeply\n"
+
     @pytest.mark.parametrize("name", ["alphas.csv", "alphas.json"])
     def test_non_utf8_file_rejected(self, tmp_path, capsys, name):
         path = tmp_path / name
@@ -223,11 +248,37 @@ class TestRun:
         err = capsys.readouterr().err
         assert "mode:" in err and "seeds:" in err
 
-    @pytest.mark.parametrize("command", ["run", "ablate"])
-    def test_missing_config_exit_two(self, tmp_path, capsys, command):
-        path = tmp_path / "nope.json"
+    @pytest.mark.parametrize("command, name, message", [
+        pytest.param("run", "nope.json", "no such file", id="run"),
+        pytest.param("ablate", "nope.json", "no such file", id="ablate"),
+        pytest.param("run", "conf.d", "is a directory", id="run-directory"),
+        pytest.param("ablate", "conf.d", "is a directory", id="ablate-directory"),
+        pytest.param("run", "config.json/x", "no such file", id="run-through-file"),
+        pytest.param("ablate", "config.json/x", "no such file", id="ablate-through-file"),
+    ])
+    def test_missing_config_exit_two(self, tmp_path, capsys, command, name, message):
+        write_config(tmp_path)
+        (tmp_path / "conf.d").mkdir()
+        path = tmp_path / name
         assert main([command, "--config", str(path)]) == 2
-        assert f"{path}: no such file" in capsys.readouterr().err
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, where", [
+        ("[" * (100 * sys.getrecursionlimit()), None),
+        ('{"a": ' * (5 * sys.getrecursionlimit()), None),
+        ('{"loss": {"lambda_a": %s0.5%s}}' % ("[" * sys.getrecursionlimit(),
+                                              "]" * sys.getrecursionlimit()), "loss.lambda_a"),
+    ], ids=["arrays", "objects", "float-field"])
+    def test_config_nested_too_deeply_exit_two(self, tmp_path, capsys, text, where):
+        # A value in a field either stops the decoder or, nested a little
+        # less, is reported under its field path.
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: nested too deeply\n" == err or where and f"\n  {where}: " in err
+        assert not (tmp_path / "out").exists()
 
     def test_non_utf8_config_exit_two(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -522,6 +573,14 @@ class TestAblateAndReport:
         capsys.readouterr()
         assert main(["report", "--out", str(tmp_path / "out")]) == 0
         assert "+UG+US+CS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["aggregate.json", "ablation.json"])
+    def test_report_on_directory_in_place_of_file_exit_two(self, tmp_path, capsys, name):
+        (tmp_path / name).mkdir()
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {tmp_path / name}: is a directory\n"
+        assert captured.out == ""
 
     def test_report_on_empty_directory(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 2

@@ -309,6 +309,17 @@ class TestConstructorValidates:
             parse_config(document)
         assert err.value.problems == [problem]
 
+    def test_value_nested_past_the_recursion_limit_is_a_config_error(self):
+        # Too deep for json.dumps to show in the message, on Pythons whose
+        # encoder shares the recursion limit; reported under its path anyway.
+        nested = 0.5
+        for _ in range(sys.getrecursionlimit()):
+            nested = [nested]
+        with pytest.raises(ConfigError) as err:
+            parse_config({"loss": {"lambda_a": nested}})
+        [problem] = err.value.problems
+        assert problem.startswith("loss.lambda_a: expected number, got ")
+
     def test_epochs_bounded(self, tmp_path, capsys):
         for epochs in (MAX_EPOCHS + 1, 10**30):
             message = rf"\n  train\.epochs: must be at most {MAX_EPOCHS}$"
