@@ -8,7 +8,7 @@ Subcommands:
 * ``report``    summarize a finished run directory
 
 Exit codes: 0 on success, 2 for invalid configs or unparseable input,
-3 for failures at run time.
+3 for failures at run time, 130 when interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -218,6 +218,9 @@ def main(argv=None) -> int:
     except (TrainingDivergedError, RuntimeError, OSError, MemoryError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

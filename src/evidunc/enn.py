@@ -11,7 +11,12 @@ pass along a leading pass axis, ``(2, S, n, d)``: one forward, each half's
 loss kernel, one backward, and the two halves' gradients summed. A batch
 goes alone, as a one-slice pass, when the two differ in shape (the short
 last batch of an epoch, fewer unlabeled rows than the batch size) or when
-the unlabeled term is off.
+the unlabeled term is off. A step computes the supervised gradient alone
+and keeps the batch's alpha; after the last step, one loss pass over the
+epoch's alphas gives each step's supervised loss, bitwise as the step
+would have. The parameters live in one vector, of which the layers are
+views, so the update, the momentum and the finiteness checks are each one
+call on a whole vector.
 
 The trainer runs S seeds in lockstep; one seed is S = 1. It stacks the
 seeds' 2-D models into one holding each layer as an ``(S, fan_in, fan_out)``
@@ -33,12 +38,13 @@ the unlabeled term does not perturb the supervised batch sequence.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dirichlet import predict_class_batch
-from .losses import LossConfig, edl_batch, ug_batch
+from .losses import LossConfig, edl_batch, edl_gradient, edl_loss, ug_batch
 from .special import DomainError
 
 __all__ = [
@@ -54,6 +60,9 @@ __all__ = [
 LOGIT_CLAMP = 30.0
 MAX_BATCH_SIZE = int(np.iinfo(np.int64).max)  # an epoch's batch arithmetic runs in int64
 LR_SCHEDULES = ("constant", "inverse-decay")
+
+# Not called here; kept because perfbench/tracing.py wraps this name in this module.
+_TRACED = (edl_batch,)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -125,6 +134,14 @@ class EvidentialMLP:
         for prev, nxt in zip(self.weights, self.weights[1:]):
             if prev.shape[-1] != nxt.shape[-2]:
                 raise DomainError("layer dimensions do not chain")
+        self.vector = None  # for a stacked model, the vector its layers are views of
+
+    def __reduce_ex__(self, protocol):
+        """A stacked model pickles and copies as its vector and layer
+        shapes, so the copy's layers are views of the copy's vector."""
+        if self.vector is None:
+            return super().__reduce_ex__(protocol)
+        return _on_vector, (self.vector, [p.shape for p in self.weights + self.biases])
 
     @classmethod
     def create(cls, input_dim: int, num_classes: int, hidden=(64, 64), seed: int = 0):
@@ -143,10 +160,14 @@ class EvidentialMLP:
     @classmethod
     def stack(cls, models):
         """One model holding the layers of equal-shaped 2-D ``models`` along
-        a leading seed axis. Each given model then holds the ``seed_views``
-        layers of its slice, so it follows the stacked model's training."""
-        stacked = cls([np.stack(ws) for ws in zip(*(m.weights for m in models))],
-                      [np.stack(bs)[:, None] for bs in zip(*(m.biases for m in models))])
+        a leading seed axis, all in one contiguous ``vector``, weights then
+        biases, of which its layers are views. Each given model then holds
+        the ``seed_views`` layers of its slice, so it follows the stacked
+        model's training."""
+        layers = ([np.stack(ws) for ws in zip(*(m.weights for m in models))]
+                  + [np.stack(bs)[:, None] for bs in zip(*(m.biases for m in models))])
+        stacked = _on_vector(np.concatenate([p.reshape(-1) for p in layers]),
+                             [p.shape for p in layers])
         for model, view in zip(models, stacked.seed_views()):
             model.weights, model.biases = view.weights, view.biases
         return stacked
@@ -229,6 +250,27 @@ class EvidentialMLP:
         return w_grads, b_grads
 
 
+def _layer_views(vector, shapes) -> list:
+    """Views of consecutive parts of ``vector`` in ``shapes``."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(vector, ends[:-1]), shapes)]
+
+
+def _on_vector(vector, shapes) -> EvidentialMLP:
+    """The model whose weights then biases are ``_layer_views`` of
+    ``vector``; pickling and copying rebuild a stacked model this way."""
+    layers = _layer_views(vector, shapes)
+    model = EvidentialMLP(layers[: len(layers) // 2], layers[len(layers) // 2 :])
+    model.vector = vector
+    return model
+
+
+def _edl_step(alpha, classes, config):
+    """A step's supervised kernel: no per-row losses, which ``run_epoch``
+    computes after its last step, and the alpha-gradient."""
+    return None, edl_gradient(alpha, classes, config)
+
+
 class Trainer:
     """Stateful SGD loop over S seeds' sample pools in lockstep.
 
@@ -256,7 +298,7 @@ class Trainer:
         streams = [np.random.SeedSequence(c.seed).spawn(2) for c in cfgs]
         self._sup_rngs = [np.random.default_rng(sup) for sup, _ in streams]
         self._unsup_rngs = [np.random.default_rng(unsup) for _, unsup in streams]
-        self._velocity = [np.zeros_like(p) for p in self.model.weights + self.model.biases]
+        self._velocity = np.zeros_like(self.model.vector)
 
     @staticmethod
     def _shuffled(rngs, n: int):
@@ -273,18 +315,19 @@ class Trainer:
         epoch = self.epochs_done + 1
         return TrainingDivergedError(f"non-finite {what} at epoch {epoch}{hint}", slot)
 
-    def _minibatches(self, batches):
+    def _minibatches(self, batches, grads):
         """Forward one step's minibatches, each ``(x, what, scale, kernel,
         *args)``, check their evidence and backprop ``scale`` times the
-        alpha-gradient of ``kernel(alpha, *args, loss_cfg)``; returns each
-        batch's per-row losses and one list of gradients, weights then
-        biases, summed over every row, batch after batch. Batches of one
-        shape run as one pass along a leading axis, others each as a
-        one-slice pass. The kernel sees a batch's S seeds' rows as one
-        ``(S*n, C)`` matrix."""
+        alpha-gradient that ``kernel(alpha, *args, loss_cfg)`` returns after
+        the per-row losses (or None) into ``grads``, the layer views of the
+        gradient vector, summed over every row, batch after batch; returns
+        each batch's ``(S, n, C)`` alpha and the per-row losses its kernel
+        returned. Batches of one shape run as one pass along a leading axis,
+        others each as a one-slice pass. The kernel sees a batch's S seeds'
+        rows as one ``(S*n, C)`` matrix."""
         stacked = len({x.shape for x, *_ in batches}) == 1
-        losses, grads = [], None
-        for group in [batches] if stacked else [[batch] for batch in batches]:
+        kept = []
+        for k, group in enumerate([batches] if stacked else [[batch] for batch in batches]):
             alpha, acts, active = self.model._forward_cached(np.stack([x for x, *_ in group]))
             if not np.isfinite(alpha).all():
                 for a, (_, what, *_) in zip(alpha, group):
@@ -298,24 +341,24 @@ class Trainer:
                 row_losses, da = kernel(a.reshape(-1, a.shape[-1]),
                                         *(v.reshape(-1) for v in args), self.loss_cfg)
                 np.multiply(da.reshape(a.shape), scale, out=d)
-                losses.append(row_losses.reshape(a.shape[:-1]))
+                kept.append((a, row_losses))
             w_grads, b_grads = self.model.alpha_gradient_to_param_gradients(dalpha, alpha, acts,
                                                                              active)
-            for k in range(len(group)):
-                part = [g[k] for g in w_grads + b_grads]
-                grads = part if grads is None else [a + b for a, b in zip(grads, part)]
-        return losses, grads
+            # Summing a length-2 pass axis is g[0] + g[1], element by element.
+            for out, g in zip(grads, w_grads + b_grads):
+                if k == 0:
+                    np.add.reduce(g, axis=0, out=out)
+                else:
+                    out += g[0]
+        return kept
 
-    def _apply_step(self, w_grads, b_grads, lr: float):
-        """Momentum SGD with weight decay, elementwise; each parameter and
-        its velocity change in place, which keeps ``seed_views`` current."""
-        wd = self.cfg.weight_decay
-        mom = self.cfg.momentum
-        params = self.model.weights + self.model.biases
-        for p, g, v in zip(params, w_grads + b_grads, self._velocity):
-            v *= mom
-            v += g + wd * p
-            p -= lr * v
+    def _apply_step(self, grad, lr: float):
+        """Momentum SGD with weight decay on the parameter vector, elementwise
+        for the gradient vector ``grad``; the vector and its velocity change
+        in place, which keeps the layers and ``seed_views`` current."""
+        self._velocity *= self.cfg.momentum
+        self._velocity += grad + self.cfg.weight_decay * self.model.vector
+        self.model.vector -= lr * self._velocity
 
     # The trainer checks evidence, gradients and weights itself and raises
     # TrainingDivergedError, so numpy's warnings of a diverging step are noise.
@@ -338,7 +381,11 @@ class Trainer:
         features, labels, weights = (np.concatenate(parts)[order] for parts in zip(*sets))
         bs = self.cfg.batch_size
         steps = (n_sup + bs - 1) // bs
+        seeds = len(self.pools)
         layers = len(self.model.weights)
+        params = self.model.weights + self.model.biases
+        grad = np.empty_like(self.model.vector)
+        grads = _layer_views(grad, [p.shape for p in params])
 
         mean_reduction = self.loss_cfg.reduction != "sum"
         if mean_reduction:
@@ -355,12 +402,12 @@ class Trainer:
 
         # One contiguous row of step losses per seed: its mean then sums in
         # the same order whatever the number of seeds.
-        sup_losses = np.empty((len(self.pools), steps))
-        ug_losses = np.zeros((len(self.pools), steps if use_ug else 1))
+        ug_losses = np.zeros((seeds, steps if use_ug else 1))
+        # Each step's supervised alpha, for the loss pass after the last step.
+        alphas = np.empty((seeds, n_sup, self.model.weights[-1].shape[-1]))
         for step in range(steps):
             batch = slice(step * bs, (step + 1) * bs)
-            scale = weights[:, batch]
-            batches = [(features[:, batch], "supervised", scale[..., None], edl_batch,
+            batches = [(features[:, batch], "supervised", weights[:, batch, None], _edl_step,
                         labels[:, batch])]
             if use_ug:
                 if unsup_pos + take > n_unl:
@@ -369,22 +416,33 @@ class Trainer:
                 batches.append((unsup_batches[:, unsup_pos : unsup_pos + take], "unlabeled",
                                 u_scale, ug_batch))
                 unsup_pos += take
-            losses, grads = self._minibatches(batches)
-            sup_losses[..., step] = (losses[0] * scale).sum(axis=-1)
+            kept = self._minibatches(batches, grads)
+            alphas[:, batch] = kept[0][0]
             if use_ug:
-                ug_losses[..., step] = losses[1].sum(axis=-1) * u_scale
+                ug_losses[..., step] = kept[1][1].reshape(seeds, -1).sum(axis=-1) * u_scale
 
-            if not np.isfinite(np.concatenate(grads, axis=None)).all():
+            if not np.isfinite(grad).all():
                 finite = [bool(np.isfinite(g).all()) for g in grads]
                 what = "bias" if all(finite[:layers]) else "weight"
                 raise self._diverged(f"{what} gradient", [~np.isfinite(g) for g in grads])
             progress = (self.epochs_done + step / steps) / max(self.cfg.epochs, 1)
-            self._apply_step(grads[:layers], grads[layers:], self.cfg.lr_at(progress))
+            self._apply_step(grad, self.cfg.lr_at(progress))
+
+        # Each step's weighted loss sum, from one loss pass over the epoch's
+        # alphas; each batch sums along its own contiguous row, as one
+        # (S, n) step's would, the short last batch apart.
+        rows = edl_loss(alphas.reshape(-1, alphas.shape[-1]), labels.reshape(-1), self.loss_cfg)
+        rows = rows.reshape(seeds, n_sup) * weights
+        full = n_sup // bs
+        sup_losses = np.empty((seeds, steps))
+        if full:
+            sup_losses[:, :full] = rows[:, : full * bs].reshape(seeds, full, bs).sum(axis=-1)
+        if full < steps:
+            sup_losses[:, full] = rows[:, full * bs :].sum(axis=-1)
 
         # The next step's forward checks what a step left; after the last
         # one, the weights themselves, before any inference sees them.
-        params = self.model.weights + self.model.biases
-        if not np.isfinite(np.concatenate(params, axis=None)).all():
+        if not np.isfinite(self.model.vector).all():
             raise self._diverged("weights", [~np.isfinite(p) for p in params])
         self.epochs_done += 1
         return sup_losses.mean(axis=-1).tolist(), ug_losses.mean(axis=-1).tolist()

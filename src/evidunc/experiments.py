@@ -64,6 +64,7 @@ import heapq
 import json
 import os
 import pickle
+import signal
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from itertools import accumulate
 from pathlib import Path
@@ -334,7 +335,9 @@ def _heap_setting() -> bool:
 
 def _start_worker():
     """Pool initializer: one BLAS thread and the heap setting in a worker
-    started afresh."""
+    started afresh, and SIGINT ignored, so that Ctrl-C reaches only the
+    parent, which reports it once."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _set_blas_threads(1)
     _heap_setting()
 
@@ -389,7 +392,10 @@ def run_rows(configs, out_dirs=None) -> list:
     else:
         _heap_setting()
         pool = _InProcess()
-    with _one_blas_thread(), pool:
+    # On the way out, also by an error or Ctrl-C, a task no worker has taken
+    # yet is dropped and the running ones finish, so none writes after return.
+    with _one_blas_thread(), contextlib.ExitStack() as stack:
+        stack.callback(pool.shutdown, cancel_futures=True)
         while todo or running:
             while todo and len(running) < workers:
                 _, k, i, state = heapq.heappop(todo)

@@ -12,11 +12,15 @@ Two loss families:
   entropy quantification, which drives the network to commit on samples it
   has no label for.
 
-``edl_batch`` and ``ug_batch`` are the whole loss API. Each takes an
-``(n, C)`` alpha matrix and returns per-row losses and their exact
-alpha-gradients, derived in closed form, which is the shape the trainer
-consumes; the test suite checks them against central finite differences. A
-single sample is the one-row batch ``alpha[None, :]``.
+Each kernel takes an ``(n, C)`` alpha matrix and gives per-row losses
+and their exact alpha-gradients, derived in closed form; the test suite
+checks them against central finite differences. A single sample is the
+one-row batch ``alpha[None, :]``. ``ug_batch`` returns loss and gradient
+together, as its gradient needs the uncertainty anyway. The supervised loss
+comes in two parts, ``edl_gradient``, which needs only trigamma, and
+``edl_loss``, which needs lnGamma and digamma: a training step takes the
+gradient alone, and the trainer computes the epoch's losses in one pass
+after its last step. ``edl_batch`` is the two together.
 
 Alpha must be positive and finite, and the kernels do not check it: they
 run on every SGD step, where alpha is ``exp`` of clamped logits that the
@@ -33,10 +37,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import (_ALL_THREE, _DIGAMMA_AND_TRIGAMMA, DomainError, _series, digamma,
-                      log_gamma, trigamma)
+from .special import (_DIGAMMA_AND_TRIGAMMA, _LOG_GAMMA_AND_DIGAMMA, _TRIGAMMA_ONLY,
+                      DomainError, _series, digamma, log_gamma, trigamma)
 
-__all__ = ["LossConfig", "edl_batch", "ug_batch"]
+__all__ = ["LossConfig", "edl_loss", "edl_gradient", "edl_batch", "ug_batch"]
 
 # Not called here; kept because perfbench/tracing.py wraps these names in this module.
 _TRACED = (digamma, trigamma)
@@ -77,13 +81,14 @@ class LossConfig:
         return 1.0 / num_classes if self.lambda_reg is None else self.lambda_reg
 
 
-def _nll_batch(alpha: np.ndarray, at):
-    a0 = alpha.sum(axis=1)
-    true = alpha[at]
-    loss = np.log(a0) - np.log(true)
-    grad = np.repeat((1.0 / a0)[:, None], alpha.shape[1], axis=1)
-    grad[at] -= 1.0 / true
-    return loss, grad
+def _nll_loss(alpha: np.ndarray, at):
+    return np.log(alpha.sum(axis=1)) - np.log(alpha[at])
+
+
+def _nll_gradient(alpha: np.ndarray, at):
+    grad = np.repeat((1.0 / alpha.sum(axis=1))[:, None], alpha.shape[1], axis=1)
+    grad[at] -= 1.0 / alpha[at]
+    return grad
 
 
 @lru_cache(maxsize=None)
@@ -92,37 +97,65 @@ def _log_gamma_of_count(c: int) -> float:
     return log_gamma(float(c))
 
 
-def _kl_batch(alpha: np.ndarray, at):
+def _tilde_and_sum(alpha: np.ndarray, at):
+    """``[alpha~ | s]`` as one (n, C + 1) array, the KL term's special
+    function argument: alpha with each row's true class set to 1, then each
+    row's sum s."""
     n, c = alpha.shape
-    # lnGamma, digamma and trigamma of [alpha~ | s] in one pass; column c is s.
     arg = np.empty((n, c + 1))
-    tilde = arg[:, :c]
-    tilde[...] = alpha
-    tilde[at] = 1.0
-    s = np.sum(tilde, axis=1, out=arg[:, c])
-    lg, psi, tri = (part.reshape(arg.shape) for part in _series(arg.reshape(-1), _ALL_THREE))
-    excess = tilde - 1.0
-    loss = (
+    arg[:, :c] = alpha
+    arg[:, :c][at] = 1.0
+    np.sum(arg[:, :c], axis=1, out=arg[:, c])
+    return arg
+
+
+def _kl_loss(alpha: np.ndarray, at):
+    c = alpha.shape[1]
+    arg = _tilde_and_sum(alpha, at)
+    lg, psi = (part.reshape(arg.shape)
+               for part in _series(arg.reshape(-1), _LOG_GAMMA_AND_DIGAMMA))
+    return (
         lg[:, c]
         - _log_gamma_of_count(c)
         - lg[:, :c].sum(axis=1)
-        + (excess * (psi[:, :c] - psi[:, c:])).sum(axis=1)
+        + ((arg[:, :c] - 1.0) * (psi[:, :c] - psi[:, c:])).sum(axis=1)
     )
-    grad = excess * tri[:, :c] - ((s - c) * tri[:, c])[:, None]
+
+
+def _kl_gradient(alpha: np.ndarray, at):
+    c = alpha.shape[1]
+    arg = _tilde_and_sum(alpha, at)
+    tri = _series(arg.reshape(-1), _TRIGAMMA_ONLY)[0].reshape(arg.shape)
+    grad = (arg[:, :c] - 1.0) * tri[:, :c] - ((arg[:, c] - c) * tri[:, c])[:, None]
     grad[at] = 0.0
-    return loss, grad
+    return grad
+
+
+def _edl_args(alpha, classes, config: LossConfig):
+    """Alpha as float64, the index of each row's true class and lambda_reg."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    at = (np.arange(alpha.shape[0]), np.asarray(classes) - 1)
+    return alpha, at, config.resolve_lambda_reg(alpha.shape[1])
+
+
+def edl_loss(alpha: np.ndarray, classes: np.ndarray, config: LossConfig):
+    """Per-row supervised loss of an (n, C) alpha matrix and 1-based class
+    indices. Alpha must be positive and finite; it is not checked (see the
+    module docstring)."""
+    alpha, at, lam = _edl_args(alpha, classes, config)
+    return _nll_loss(alpha, at) + lam * _kl_loss(alpha, at)
+
+
+def edl_gradient(alpha: np.ndarray, classes: np.ndarray, config: LossConfig):
+    """The alpha-gradient of ``edl_loss``, row by row; it takes only
+    trigamma, so a training step computes it without the loss."""
+    alpha, at, lam = _edl_args(alpha, classes, config)
+    return _nll_gradient(alpha, at) + lam * _kl_gradient(alpha, at)
 
 
 def edl_batch(alpha: np.ndarray, classes: np.ndarray, config: LossConfig):
-    """Per-row supervised loss and alpha-gradient for an (n, C) alpha matrix
-    and 1-based class indices. Alpha must be positive and finite; it is not
-    checked (see the module docstring)."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    at = (np.arange(alpha.shape[0]), np.asarray(classes) - 1)  # each row's true class
-    lam = config.resolve_lambda_reg(alpha.shape[1])
-    nll, nll_grad = _nll_batch(alpha, at)
-    kl, kl_grad = _kl_batch(alpha, at)
-    return nll + lam * kl, nll_grad + lam * kl_grad
+    """``(edl_loss, edl_gradient)`` of the same arguments."""
+    return edl_loss(alpha, classes, config), edl_gradient(alpha, classes, config)
 
 
 def _ug_variance_batch(alpha: np.ndarray, lambda_a: float, lambda_e: float):

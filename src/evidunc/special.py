@@ -14,8 +14,9 @@ finite and positive, raising ``DomainError`` otherwise, then runs the
 unchecked ``_series``. The training losses call ``_series`` directly, on
 arguments positive and finite by construction, and so skip the checks and
 the output buffers of each call; there a NaN argument gives NaN results.
-``_series`` with the ``_ALL_THREE`` scheme gives all three functions from
-one shift pass, each bitwise equal to its single-function call.
+``_series`` with a scheme of several parts, such as
+``_LOG_GAMMA_AND_DIGAMMA``, gives each from one shift pass, bitwise equal to
+its single-function call.
 
 Accuracy (verified against a 50-digit reference in the test suite):
 absolute error stays below 1e-12 for ``log_gamma``/``digamma`` and below
@@ -189,7 +190,7 @@ _TRIGAMMA = (_trigamma_correction, _TRIGAMMA_COEFFS, _trigamma_finish)
 _LOG_GAMMA_ONLY = _scheme(_LOG_GAMMA)
 _DIGAMMA_ONLY = _scheme(_DIGAMMA)
 _TRIGAMMA_ONLY = _scheme(_TRIGAMMA)
-_ALL_THREE = _scheme(_LOG_GAMMA, _DIGAMMA, _TRIGAMMA)
+_LOG_GAMMA_AND_DIGAMMA = _scheme(_LOG_GAMMA, _DIGAMMA)
 _DIGAMMA_AND_TRIGAMMA = _scheme(_DIGAMMA, _TRIGAMMA)
 
 

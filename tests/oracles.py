@@ -70,8 +70,8 @@ def entropy_uncertainties_two_calls(alpha):
 def kl_batch_seven_calls(alpha, classes):
     """The KL regularizer and its alpha-gradient as seven separate special
     function calls: lnGamma(s), lnGamma(C), lnGamma(alpha~), digamma(alpha~),
-    digamma(s), trigamma(alpha~), trigamma(s). ``losses._kl_batch`` must
-    match it bit for bit."""
+    digamma(s), trigamma(alpha~), trigamma(s). ``losses._kl_loss`` and
+    ``losses._kl_gradient`` must match it bit for bit."""
     n, c = alpha.shape
     rows = np.arange(n)
     tilde = alpha.copy()

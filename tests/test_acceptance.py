@@ -18,7 +18,7 @@ from evidunc.config import parse_config
 from evidunc.dirichlet import DirichletPrediction, covariance_batch, entropy_uncertainties_batch
 from evidunc.enn import EvidentialMLP, TrainConfig
 from evidunc.experiments import run_rows
-from evidunc.losses import LossConfig, _kl_batch, edl_batch, ug_batch
+from evidunc.losses import LossConfig, _kl_loss, edl_batch, ug_batch
 from evidunc.metrics import auroc, rank_class_pairs
 from evidunc.pools import SamplePool
 from evidunc.sampling import (
@@ -258,7 +258,7 @@ class TestCriterion4:
             unit = LossConfig(mode="variance", lambda_reg=1.0)
             g_kl = edl_batch(alpha[None, :], [label], unit)[1][0] - g_nll[0]
             n_kl = central_difference(
-                lambda a: _kl_batch(a[None, :], ([0], [label - 1]))[0][0], alpha
+                lambda a: _kl_loss(a[None, :], ([0], [label - 1]))[0], alpha
             )
             worst["kl"] = max(worst["kl"], worst_relative_error(g_kl, n_kl))
 

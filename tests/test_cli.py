@@ -2,13 +2,16 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import pytest
 
+from evidunc import experiments
 from evidunc.cli import main
 from evidunc.dirichlet import DirichletPrediction, predict_class_batch
 from oracles import per_prediction_record
@@ -604,6 +607,54 @@ class TestAblateAndReport:
         captured = capsys.readouterr()
         assert str(tmp_path / name) in captured.err
         assert captured.out == ""
+
+
+class TestInterrupt:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_ctrl_c_exits_130_without_traceback(self, tmp_path, workers):
+        # SIGINT goes to the process group, as Ctrl-C in a terminal sends it,
+        # of a CLI in its own session, once the first seed directory appears.
+        # 4 seeds of 3000 samples leave about a second of work after that.
+        config = write_config(tmp_path, seeds=[0, 1, 2, 3], hidden_layers=[32, 32],
+                              domain={"num_classes": 3, "feature_dim": 2,
+                                      "samples_per_domain": 3000},
+                              train={"epochs": 20}, sampling={"budget_fraction": 0.05})
+        out = tmp_path / "out"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), EVID_NUM_WORKERS=workers)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "evidunc.cli", "ablate", "--config", str(config)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not any(out.rglob("seed*")):
+                assert proc.poll() is None, proc.communicate()
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 130, err
+        assert err == "interrupted\n"
+        for marker in ("aggregate.json", "ablation.json", "*.tmp"):
+            assert list(out.rglob(marker)) == []
+
+    def test_pool_workers_ignore_sigint(self, monkeypatch):
+        # Ctrl-C reaches a worker that waits for its next task, too, which
+        # would end it in a traceback of its own; the parent alone reports it.
+        monkeypatch.setattr(experiments, "_set_blas_threads", lambda n: None)
+        monkeypatch.setattr(experiments, "_heap_setting", lambda: None)
+        before = signal.getsignal(signal.SIGINT)
+        try:
+            experiments._start_worker()
+            assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+        finally:
+            signal.signal(signal.SIGINT, before)
 
 
 class TestDeterminism:

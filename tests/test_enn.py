@@ -104,9 +104,10 @@ class TestSgdUpdate:
         pool = SamplePool(np.zeros((1, 1)), [1], np.zeros((0, 1)), np.zeros(0, dtype=int), 0)
         cfg = TrainConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.01, seed=0)
         trainer = Trainer([model], [pool], [cfg], LossConfig(), ug_enabled=False)
-        trainer._apply_step([np.array([[[2.0]]])], [np.array([[[0.0]]])], lr=0.1)
+        # The parameter vector holds the weight, then the bias.
+        trainer._apply_step(np.array([2.0, 0.0]), lr=0.1)
         assert model.weights[0][0, 0] == pytest.approx(0.799, abs=1e-12)
-        trainer._apply_step([np.array([[[-1.0]]])], [np.array([[[0.0]]])], lr=0.1)
+        trainer._apply_step(np.array([-1.0, 0.0]), lr=0.1)
         assert model.weights[0][0, 0] == pytest.approx(0.717301, abs=1e-12)
         assert model.biases[0][0] == 0.0
 
@@ -116,11 +117,7 @@ class TestSgdUpdate:
         pool = small_pool()
         cfg = TrainConfig(weight_decay=0.0, seed=0)
         trainer = Trainer([model], [pool], [cfg], LossConfig())
-        trainer._apply_step(
-            [np.zeros_like(w) for w in trainer.model.weights],
-            [np.zeros_like(b) for b in trainer.model.biases],
-            lr=0.1,
-        )
+        trainer._apply_step(np.zeros_like(trainer.model.vector), lr=0.1)
         assert all(np.array_equal(w, b) for w, b in zip(model.weights, before))
 
 
@@ -257,9 +254,9 @@ def composed_epoch(trainer, twin, refs):
             w_steps.append(w_grads)
             b_steps.append(b_grads)
         u_pos += take
-        twin._apply_step([np.stack(ws) for ws in zip(*w_steps)],
-                         [np.stack(bs)[:, None] for bs in zip(*b_steps)],
-                         cfg.lr_at((trainer.epochs_done + step / steps) / max(cfg.epochs, 1)))
+        grad = np.concatenate([np.stack(ws).reshape(-1) for ws in zip(*w_steps)]
+                              + [np.stack(bs).reshape(-1) for bs in zip(*b_steps)])
+        twin._apply_step(grad, cfg.lr_at((trainer.epochs_done + step / steps) / max(cfg.epochs, 1)))
     return ([float(np.mean(ls)) for ls in sup_losses], [float(np.mean(ls)) for ls in ug_losses])
 
 
@@ -301,7 +298,13 @@ class TestRunEpochComposition:
         # Two seeds in lockstep, every step stacked: 3 x (7 + 7) rows.
         ("variance", 7, 2, True),
         ("entropy", 4, 2, True),
-    ], ids=["short-last-batch", "unlabeled-short", "ug-off", "lockstep", "entropy"])
+        # A batch larger than the 21 supervised rows: no full batch, and the
+        # epoch's one step is the short last batch, apart from its 7
+        # unlabeled rows; alone and in lockstep.
+        ("variance", 32, 1, True),
+        ("variance", 32, 2, True),
+    ], ids=["short-last-batch", "unlabeled-short", "ug-off", "lockstep", "entropy",
+            "no-full-batch", "no-full-batch-lockstep"])
     def test_epoch_matches_the_composition(self, mode, batch_size, seeds, ug_enabled):
         self.assert_epoch_composed(mode, "mean", batch_size, seeds, ug_enabled)
 

@@ -107,6 +107,27 @@ class TestPickledState:
                 outputs.append([(r.to_json(), checkpoint_text(m)) for r, m in pairs])
             assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+    def test_copied_prefix_keeps_its_layers_in_one_vector(self, how):
+        run = pickle.loads(experiments._prefix_task(group_configs("variance", True), SEEDS))
+        copied = pickle.loads(pickle.dumps(run)) if how == "pickle" else copy.deepcopy(run)
+        model, original = copied.trainer.model, run.trainer.model
+        layers = model.weights + model.biases
+        assert all(np.shares_memory(layer, model.vector) for layer in layers)
+        assert not np.shares_memory(model.vector, original.vector)
+        assert model.vector.tobytes() == original.vector.tobytes()
+        assert [p.shape for p in layers] == [p.shape for p in original.weights + original.biases]
+        views = model.seed_views()
+        before = [[p.copy() for p in view.weights + view.biases] for view in views]
+        copied.trainer.run_epoch()
+        for slot, (view, old) in enumerate(zip(views, before)):
+            got = view.weights + view.biases
+            assert all(not np.array_equal(p, q) for p, q in zip(got, old))
+            assert all(np.array_equal(p, layer[slot].reshape(p.shape))
+                       for p, layer in zip(got, layers))
+        # The original run did not move.
+        assert original.vector.tobytes() != model.vector.tobytes()
+
 
 def small_pool(seed):
     rng = np.random.default_rng(seed)
@@ -189,6 +210,9 @@ class TestInPlaceTraining:
         pairs = run.finish(False, False, False)
         for model, (_, trained), before in zip(models, pairs, initial):
             assert [w.ndim for w in model.weights] == [2, 2]
+            # Views of slices of the stacked model's one parameter vector.
+            for layer in model.weights + model.biases:
+                assert np.shares_memory(layer, run.trainer.model.vector)
             got = [a.tobytes() for a in model.weights + model.biases]
             assert got == [a.tobytes() for a in trained.weights + trained.biases]
             assert all(g != b for g, b in zip(got, before))

@@ -13,10 +13,13 @@ import pytest
 
 from evidunc.losses import (
     LossConfig,
-    _kl_batch,
-    _nll_batch,
+    _kl_gradient,
+    _kl_loss,
+    _nll_loss,
     _ug_entropy_batch,
     edl_batch,
+    edl_gradient,
+    edl_loss,
     ug_batch,
 )
 from evidunc.special import DomainError
@@ -39,6 +42,10 @@ def central_difference(fn, alpha):
 def one_row(kernel, alpha, *args):
     loss, grad = kernel(np.asarray(alpha, dtype=np.float64)[None, :], *args)
     return loss[0], grad[0]
+
+
+def one_row_loss(kernel, alpha, *args):
+    return kernel(np.asarray(alpha, dtype=np.float64)[None, :], *args)[0]
 
 
 def true_class(classes):
@@ -65,20 +72,20 @@ def random_cases(seed, count):
 class TestSpotValues:
     def test_nll_alpha_3_1(self):
         alpha = [3.0, 1.0]
-        assert one_row(_nll_batch, alpha, true_class([1]))[0] == pytest.approx(
+        assert one_row_loss(_nll_loss, alpha, true_class([1])) == pytest.approx(
             math.log(4.0 / 3.0), abs=1e-12
         )
-        assert one_row(_nll_batch, alpha, true_class([2]))[0] == pytest.approx(
+        assert one_row_loss(_nll_loss, alpha, true_class([2])) == pytest.approx(
             math.log(4.0), abs=1e-12
         )
 
     def test_kl_alpha_3_4(self):
         expected = math.log(4.0) - 0.75
-        kl = one_row(_kl_batch, [3.0, 4.0], true_class([1]))[0]
+        kl = one_row_loss(_kl_loss, [3.0, 4.0], true_class([1]))
         assert kl == pytest.approx(expected, abs=1e-10)
 
     def test_kl_zero_when_other_classes_flat(self):
-        kl = one_row(_kl_batch, [7.0, 1.0, 1.0], true_class([1]))[0]
+        kl = one_row_loss(_kl_loss, [7.0, 1.0, 1.0], true_class([1]))
         assert kl == pytest.approx(0.0, abs=1e-12)
 
     def test_edl_alpha_3_4(self):
@@ -207,9 +214,40 @@ class TestBitPatterns:
 
     def test_kl_batch_matches_seven_calls(self):
         for alpha, classes in self.random_batches(seed=81, count=200):
-            parts = _kl_batch(alpha, true_class(classes))
+            parts = _kl_loss(alpha, true_class(classes)), _kl_gradient(alpha, true_class(classes))
             for got, want in zip(parts, kl_batch_seven_calls(alpha, classes)):
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 64, 1000], ids=["one-row", "desk", "blocked"])
+    def test_split_kernels_are_the_halves_of_edl_batch(self, n):
+        # A (64, 5) matrix is a desk step's; (1000, 5) takes 6000 special
+        # function arguments, past the 4096-element block.
+        rng = np.random.default_rng(n)
+        alpha = np.exp(rng.uniform(-8.0, 12.0, size=(n, 5)))
+        classes = rng.integers(1, 6, size=n)
+        config = LossConfig(lambda_reg=0.3)
+        rows, true = true_class(classes)
+        a0 = alpha.sum(axis=1)
+        nll_grad = np.repeat((1.0 / a0)[:, None], 5, axis=1)
+        nll_grad[rows, true] -= 1.0 / alpha[rows, true]
+        kl, kl_grad = kl_batch_seven_calls(alpha, classes)
+        loss, grad = edl_batch(alpha, classes, config)
+        want_loss = np.log(a0) - np.log(alpha[rows, true]) + 0.3 * kl
+        assert edl_loss(alpha, classes, config).tobytes() == loss.tobytes() == want_loss.tobytes()
+        want_grad = nll_grad + 0.3 * kl_grad
+        assert edl_gradient(alpha, classes, config).tobytes() == grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 2, 7, 32, 64])
+    def test_edl_loss_rows_do_not_depend_on_their_batch(self, batch):
+        # The trainer takes an epoch's supervised losses from one pass over
+        # all its steps' rows; each row must get the bits of its own step.
+        rng = np.random.default_rng(batch)
+        alpha = np.exp(rng.uniform(-8.0, 12.0, size=(900, 5)))
+        classes = rng.integers(1, 6, size=900)
+        config = LossConfig()
+        steps = [edl_loss(alpha[i : i + batch], classes[i : i + batch], config)
+                 for i in range(0, 900, batch)]
+        assert np.concatenate(steps).tobytes() == edl_loss(alpha, classes, config).tobytes()
 
     def test_ug_entropy_batch_matches_four_calls(self):
         for alpha, _ in self.random_batches(seed=82, count=200):

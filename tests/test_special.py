@@ -135,11 +135,15 @@ def test_domain_errors_on_arrays():
         log_gamma(np.array([2.0, -3.0]))
 
 
+# All three functions from one shift pass; the library runs two of them at most.
+ALL_THREE = special._scheme(special._LOG_GAMMA, special._DIGAMMA, special._TRIGAMMA)
+
+
 def _all_three(x):
     """lnGamma, digamma and trigamma of x, each in x's shape, from one
-    unchecked shift pass of ``special._series``, as the losses take them."""
+    unchecked shift pass of ``special._series``."""
     arr = np.asarray(x, dtype=np.float64)
-    parts = special._series(arr.reshape(-1), special._ALL_THREE)
+    parts = special._series(arr.reshape(-1), ALL_THREE)
     return [part[: arr.size].reshape(arr.shape) for part in parts]
 
 
@@ -212,8 +216,8 @@ def test_scalars_bitwise_equal_to_per_step_loop():
 
 # The training losses call the unchecked walker directly; it must give the
 # bits of the validated public functions and of the per-step reference, one
-# function at a time, in the merged schemes that share the shifts' reciprocal
-# as in the trigamma-only one that squares it alone.
+# function at a time, in every merged scheme, whether or not it shares the
+# shifts' reciprocal, as in the one-function schemes.
 @pytest.mark.parametrize("size", [2, 3, 192, 4095, 4096, 4097, 8193])
 def test_unchecked_series_bitwise_equal_to_public_functions(size):
     x = np.random.default_rng(size).uniform(1e-3, 40.0, size=size)
@@ -221,8 +225,11 @@ def test_unchecked_series_bitwise_equal_to_public_functions(size):
     single = {name: shift_and_series_per_step(x, [part])[0] for name, part in
               [("log_gamma", special._LOG_GAMMA), ("digamma", special._DIGAMMA),
                ("trigamma", special._TRIGAMMA)]}
-    for scheme, names in [(special._ALL_THREE, ["log_gamma", "digamma", "trigamma"]),
+    for scheme, names in [(ALL_THREE, ["log_gamma", "digamma", "trigamma"]),
+                          (special._LOG_GAMMA_AND_DIGAMMA, ["log_gamma", "digamma"]),
                           (special._DIGAMMA_AND_TRIGAMMA, ["digamma", "trigamma"]),
+                          (special._LOG_GAMMA_ONLY, ["log_gamma"]),
+                          (special._DIGAMMA_ONLY, ["digamma"]),
                           (special._TRIGAMMA_ONLY, ["trigamma"])]:
         parts = special._series(x, scheme)
         assert len(parts) == len(names)
@@ -232,7 +239,7 @@ def test_unchecked_series_bitwise_equal_to_public_functions(size):
 
 def test_unchecked_series_passes_nan_through():
     x = np.array([1.5, np.nan, 2.5])
-    lg, psi, tri = special._series(x, special._ALL_THREE)
+    lg, psi, tri = special._series(x, ALL_THREE)
     for got, fn in zip((lg, psi, tri), (log_gamma, digamma, trigamma)):
         assert np.isnan(got[1])
         assert got[[0, 2]].tobytes() == fn(x[[0, 2]]).tobytes()
