@@ -7,16 +7,17 @@ plain minibatch SGD with momentum and weight decay on the combined
 objective: the supervised loss over source plus labeled target, and, when
 enabled, the uncertainty-guided loss over the unlabeled target. Each step
 consumes one supervised and one unlabeled minibatch, and runs them as one
-pass along a leading pass axis, ``(2, S, n, d)``: one forward, each half's
-loss kernel, one backward, and the two halves' gradients summed. A batch
-goes alone, as a one-slice pass, when the two differ in shape (the short
-last batch of an epoch, fewer unlabeled rows than the batch size) or when
-the unlabeled term is off. A step computes the supervised gradient alone
-and keeps the batch's alpha; after the last step, one loss pass over the
-epoch's alphas gives each step's supervised loss, bitwise as the step
-would have. The parameters live in one vector, of which the layers are
-views, so the update, the momentum and the finiteness checks are each one
-call on a whole vector.
+pass along a leading pass axis, ``(2, S, n, d)``: one forward,
+``edl_gradient`` on the supervised half and ``ug_batch`` on the unlabeled
+half, one backward, and the two halves' gradients summed. A batch goes
+alone, as a one-slice pass, when the two differ in shape (the short last
+batch of an epoch, fewer unlabeled rows than the batch size) or when the
+unlabeled term is off. A step computes no supervised loss value and keeps
+the batch's alpha; after the last step, one loss pass over the epoch's
+alphas gives each step's supervised loss, bitwise as the step would have.
+The parameters live in one vector, of which the layers are views, so the
+update, the momentum and the finiteness checks are each one call on a
+whole vector.
 
 The trainer runs S seeds in lockstep; one seed is S = 1. It stacks the
 seeds' 2-D models into one holding each layer as an ``(S, fan_in, fan_out)``
@@ -265,12 +266,6 @@ def _on_vector(vector, shapes) -> EvidentialMLP:
     return model
 
 
-def _edl_step(alpha, classes, config):
-    """A step's supervised kernel: no per-row losses, which ``run_epoch``
-    computes after its last step, and the alpha-gradient."""
-    return None, edl_gradient(alpha, classes, config)
-
-
 class Trainer:
     """Stateful SGD loop over S seeds' sample pools in lockstep.
 
@@ -315,33 +310,37 @@ class Trainer:
         epoch = self.epochs_done + 1
         return TrainingDivergedError(f"non-finite {what} at epoch {epoch}{hint}", slot)
 
-    def _minibatches(self, batches, grads):
-        """Forward one step's minibatches, each ``(x, what, scale, kernel,
-        *args)``, check their evidence and backprop ``scale`` times the
-        alpha-gradient that ``kernel(alpha, *args, loss_cfg)`` returns after
-        the per-row losses (or None) into ``grads``, the layer views of the
-        gradient vector, summed over every row, batch after batch; returns
-        each batch's ``(S, n, C)`` alpha and the per-row losses its kernel
-        returned. Batches of one shape run as one pass along a leading axis,
-        others each as a one-slice pass. The kernel sees a batch's S seeds'
-        rows as one ``(S*n, C)`` matrix."""
-        stacked = len({x.shape for x, *_ in batches}) == 1
-        kept = []
-        for k, group in enumerate([batches] if stacked else [[batch] for batch in batches]):
-            alpha, acts, active = self.model._forward_cached(np.stack([x for x, *_ in group]))
+    def _step(self, grads, x, labels, weights, unlabeled=None, u_scale=None):
+        """Forward one step's supervised minibatch ``x`` and, with the UG term
+        on, its ``unlabeled`` one, check their evidence, and backprop the row
+        ``weights`` times the supervised ``edl_gradient`` plus ``u_scale``
+        times the ``ug_batch`` gradient into ``grads``, the gradient vector's
+        layer views, summed over every row. The two run as one pass along a
+        leading axis when their shapes agree, else each as a one-slice pass;
+        a kernel sees the S seeds' rows as one ``(S*n, C)`` matrix. Returns
+        the supervised ``(S, n, C)`` alpha and the UG per-row losses (None
+        with the term off)."""
+        inputs = [x] if unlabeled is None else [x, unlabeled]
+        groups = [inputs] if inputs[-1].shape == x.shape else [[x], [unlabeled]]
+        alphas, ug_rows = [], None  # each pass's alpha, supervised first
+        for k, group in enumerate(groups):
+            alpha, acts, active = self.model._forward_cached(np.stack(group))
             if not np.isfinite(alpha).all():
-                for a, (_, what, *_) in zip(alpha, group):
+                for a, what in zip(alpha, ("supervised", "unlabeled")[k:]):
                     bad = ~np.isfinite(a).all(axis=-1)
                     if bad.any():
                         row = int(np.argwhere(bad)[0][-1])
                         raise self._diverged(f"evidence for {what} sample {row}", [bad],
                                              "; check inputs and learning rate")
             dalpha = np.empty_like(alpha)
-            for a, d, (_, _, scale, kernel, *args) in zip(alpha, dalpha, group):
-                row_losses, da = kernel(a.reshape(-1, a.shape[-1]),
-                                        *(v.reshape(-1) for v in args), self.loss_cfg)
-                np.multiply(da.reshape(a.shape), scale, out=d)
-                kept.append((a, row_losses))
+            for a, d in zip(alpha, dalpha):
+                flat = a.reshape(-1, a.shape[-1])
+                if alphas:
+                    ug_rows, da = ug_batch(flat, self.loss_cfg)
+                else:
+                    da = edl_gradient(flat, labels.reshape(-1), self.loss_cfg)
+                np.multiply(da.reshape(a.shape), u_scale if alphas else weights, out=d)
+                alphas.append(a)
             w_grads, b_grads = self.model.alpha_gradient_to_param_gradients(dalpha, alpha, acts,
                                                                              active)
             # Summing a length-2 pass axis is g[0] + g[1], element by element.
@@ -350,7 +349,7 @@ class Trainer:
                     np.add.reduce(g, axis=0, out=out)
                 else:
                     out += g[0]
-        return kept
+        return alphas[0], ug_rows
 
     def _apply_step(self, grad, lr: float):
         """Momentum SGD with weight decay on the parameter vector, elementwise
@@ -392,6 +391,7 @@ class Trainer:
             # The mean over each row's own batch; the last batch may be short.
             weights = weights / np.minimum(bs, n_sup - np.arange(n_sup) // bs * bs)
         use_ug = self.ug_enabled and n_unl > 0
+        unlabeled = u_scale = None
         if use_ug:
             unsup_features = np.concatenate([p.unlabeled_features() for p in self.pools])
             take = min(bs, n_unl)
@@ -407,19 +407,16 @@ class Trainer:
         alphas = np.empty((seeds, n_sup, self.model.weights[-1].shape[-1]))
         for step in range(steps):
             batch = slice(step * bs, (step + 1) * bs)
-            batches = [(features[:, batch], "supervised", weights[:, batch, None], _edl_step,
-                        labels[:, batch])]
             if use_ug:
                 if unsup_pos + take > n_unl:
                     unsup_batches = unsup_features[self._shuffled(self._unsup_rngs, n_unl)]
                     unsup_pos = 0
-                batches.append((unsup_batches[:, unsup_pos : unsup_pos + take], "unlabeled",
-                                u_scale, ug_batch))
+                unlabeled = unsup_batches[:, unsup_pos : unsup_pos + take]
                 unsup_pos += take
-            kept = self._minibatches(batches, grads)
-            alphas[:, batch] = kept[0][0]
+            alphas[:, batch], ug_rows = self._step(grads, features[:, batch], labels[:, batch],
+                                                   weights[:, batch, None], unlabeled, u_scale)
             if use_ug:
-                ug_losses[..., step] = kept[1][1].reshape(seeds, -1).sum(axis=-1) * u_scale
+                ug_losses[..., step] = ug_rows.reshape(seeds, -1).sum(axis=-1) * u_scale
 
             if not np.isfinite(grad).all():
                 finite = [bool(np.isfinite(g).all()) for g in grads]

@@ -66,6 +66,7 @@ import os
 import pickle
 import signal
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from itertools import accumulate
 from pathlib import Path
 
@@ -351,6 +352,13 @@ class _InProcess(Executor):
         return future
 
 
+def _task_name(configs, rows, chunk, i) -> str:
+    """How an error names row ``i``'s task on ``chunk``, or, with ``i``
+    None, the prefix task of the configs ``rows``."""
+    names = ", ".join(configs[j].ablation.row_name() for j in (rows if i is None else [i]))
+    return f"{'prefix of rows' if i is None else 'row'} {names} seeds {list(chunk)}"
+
+
 def run_rows(configs, out_dirs=None) -> list:
     """Run every config on each of its seeds; returns each config's reports
     in the order of its seeds.
@@ -396,21 +404,35 @@ def run_rows(configs, out_dirs=None) -> list:
     # yet is dropped and the running ones finish, so none writes after return.
     with _one_blas_thread(), contextlib.ExitStack() as stack:
         stack.callback(pool.shutdown, cancel_futures=True)
-        while todo or running:
-            while todo and len(running) < workers:
-                _, k, i, state = heapq.heappop(todo)
-                rows, chunk = prefixes[k]
-                task = ((_prefix_task, [configs[j] for j in rows], chunk) if i is None else
-                        (_row_task, state, configs[i], chunk, out_dirs and out_dirs[i]))
-                running[pool.submit(*task)] = (k, i)
-            for future in wait(running, return_when=FIRST_COMPLETED).done:
-                k, i = running.pop(future)
-                rows, chunk = prefixes[k]
-                if i is None:
-                    for j in rows:
-                        heapq.heappush(todo, (0, k, j, future.result()))
-                else:
-                    reports.update(((i, seed), r) for seed, (r, _) in zip(chunk, future.result()))
+        try:
+            while todo or running:
+                while todo and len(running) < workers:
+                    _, k, i, state = heapq.heappop(todo)
+                    rows, chunk = prefixes[k]
+                    task = ((_prefix_task, [configs[j] for j in rows], chunk) if i is None else
+                            (_row_task, state, configs[i], chunk, out_dirs and out_dirs[i]))
+                    running[pool.submit(*task)] = (k, i)
+                for future in wait(running, return_when=FIRST_COMPLETED).done:
+                    result = future.result()  # a broken pool raises with the task still running
+                    k, i = running.pop(future)
+                    rows, chunk = prefixes[k]
+                    if i is None:
+                        for j in rows:
+                            heapq.heappush(todo, (0, k, j, result))
+                    else:
+                        reports.update(((i, seed), r) for seed, (r, _) in zip(chunk, result))
+        except BrokenProcessPool:
+            # A worker died (killed, or out of memory), and the pool cannot
+            # tell which task it ran: name every running one. The pool ends
+            # the other workers too, perhaps mid-write: remove their
+            # temporary files once they are gone.
+            pool.shutdown()
+            for out in out_dirs or []:
+                for tmp in Path(out).rglob("*.tmp"):
+                    tmp.unlink(missing_ok=True)
+            tasks = "; ".join(_task_name(configs, *prefixes[k], i)
+                              for k, i in running.values()) or "none"
+            raise RuntimeError(f"a pool worker ended abruptly; tasks running: {tasks}") from None
     return [[reports[i, seed] for seed in config.seeds] for i, config in enumerate(configs)]
 
 

@@ -25,7 +25,8 @@ _UNLABELED, _ORACLE, _PSEUDO = 0, 1, 2
 
 
 class PoolError(ValueError):
-    """Structural misuse of a pool: bad indices, bad shapes, bad labels."""
+    """Structural misuse of a pool: bad indices, bad shapes, bad labels,
+    non-finite features."""
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -42,6 +43,9 @@ def _check_features_labels(features, labels, what):
     labels = np.asarray(labels)
     if features.ndim != 2:
         raise PoolError(f"{what} features must be an (n, d) matrix")
+    bad = ~np.isfinite(features).all(axis=1)
+    if bad.any():
+        raise PoolError(f"{what} features must be finite; row {int(np.argmax(bad))} is not")
     if labels.shape != (features.shape[0],):
         raise PoolError(f"{what} labels must be one 1-based class per sample")
     if not np.issubdtype(labels.dtype, np.integer):

@@ -657,6 +657,35 @@ class TestInterrupt:
             signal.signal(signal.SIGINT, before)
 
 
+_ROW_TASK = experiments._row_task
+_TEST_PROCESS = os.getpid()
+
+
+def _row_task_killing_its_worker(state, config, seeds, out_dir):
+    """``experiments._row_task``, except that a pool worker given the row
+    +UG+US kills itself as it starts, as if in the middle of writing."""
+    if config.ablation.row_name() == "+UG+US" and os.getpid() != _TEST_PROCESS:
+        (Path(out_dir) / f"config.json.{os.getpid()}.tmp").write_text("{")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _ROW_TASK(state, config, seeds, out_dir)
+
+
+class TestBrokenPool:
+    def test_killed_worker_names_its_tasks(self, tmp_path, capfd, monkeypatch):
+        # Forked pool workers run the patched task; fd-level capture also
+        # takes what they write, so a traceback of theirs would show.
+        monkeypatch.setattr(experiments, "_worker_count", lambda: 2)
+        monkeypatch.setattr(experiments, "_row_task", _row_task_killing_its_worker)
+        config = write_config(tmp_path, seeds=[0, 1])
+        assert main(["ablate", "--config", str(config)]) == 3
+        err = capfd.readouterr().err
+        assert err.startswith("runtime failure: a pool worker ended abruptly; tasks running: ")
+        assert "row +UG+US seeds [0, 1]" in err
+        assert "Traceback" not in err
+        for marker in ("aggregate.json", "ablation.json", "*.tmp"):
+            assert list((tmp_path / "out").rglob(marker)) == []
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EVID_NUM_WORKERS", "1")

@@ -397,6 +397,23 @@ class TestTraining:
             Trainer([model], [pool], [TrainConfig(epochs=1, batch_size=64)],
                     LossConfig()).run_epoch()
 
+    @pytest.mark.parametrize("seeds, slot", [(1, 0), (2, 1)], ids=["one-seed", "lockstep"])
+    def test_non_finite_weight_gradient_aborts(self, seeds, slot):
+        # The diverging seed's hidden units overflow to inf on rows with a
+        # large first feature, and non-negative output weights carry that to
+        # +inf logits. The clamp turns those into finite alpha with a zero
+        # delta, so the evidence check passes, and the backward computes
+        # inf * 0 in the output layer's weight gradient.
+        models = [EvidentialMLP.create(2, 3, hidden=(5,), seed=k) for k in range(seeds)]
+        models[slot].weights[0][0] = 1e308
+        np.abs(models[slot].weights[1], out=models[slot].weights[1])
+        cfgs = [TrainConfig(epochs=1, seed=k) for k in range(seeds)]
+        trainer = Trainer(models, [small_pool() for _ in models], cfgs, LossConfig())
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^non-finite weight gradient at epoch 1$") as err:
+            trainer.run_epoch()
+        assert err.value.slot == slot
+
     def test_weights_left_non_finite_by_the_last_step_abort(self):
         # One step an epoch (21 rows, batches of 32): weight decay overflows
         # seed 1's large weight in the update, while seed 0's stay finite,

@@ -35,6 +35,17 @@ class TestConstruction:
         with pytest.raises(PoolError):
             SamplePool(np.zeros((2, 2)), [1], np.zeros((2, 2)), [1, 1], 1)
 
+    @pytest.mark.parametrize("what", ["source", "target"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, what, value):
+        # Unchecked, a NaN feature trains without a word with UG off, and
+        # with UG on fails naming a row of a shuffled batch, not the sample.
+        features = {"source": np.zeros((9, 2)), "target": np.zeros((9, 2))}
+        features[what][7, 1] = value
+        features[what][8, 0] = value
+        with pytest.raises(PoolError, match=f"^{what} features must be finite; row 7 is not$"):
+            SamplePool(features["source"], [1] * 9, features["target"], [1] * 9, 1)
+
     def test_rejects_dimension_mismatch_and_negative_budget(self):
         with pytest.raises(PoolError):
             SamplePool(np.zeros((2, 2)), [1, 1], np.zeros((2, 3)), [1, 1], 1)
