@@ -135,6 +135,10 @@ class ExperimentConfig:
         rounds = round_problems(self.resolved_plans(), self.resolved_schedule(), epochs,
                                 oracle_budget(self.budget_fraction, num_target), num_target,
                                 self.ablation.us, self.ablation.cs, self.auroc_epoch)
+        if rounds and not self.schedule:  # name the defaults the document never wrote
+            unset = "sampling.schedule" + ("" if self.plans else " and sampling.plans")
+            rounds = [(k, f"the default schedule's {m}; a run this short must set {unset}"
+                       if k == "schedule" else m) for k, m in rounds]
         if rounds:
             raise ConfigError([f"sampling.{k}: {message}" for k, message in rounds], rounds=True)
 

@@ -5,19 +5,20 @@ logits, then exponentiates clamped logits to produce a Dirichlet parameter
 vector, so every forward pass yields strictly positive evidence. Training is
 plain minibatch SGD with momentum and weight decay on the combined
 objective: the supervised loss over source plus labeled target, and, when
-enabled, the uncertainty-guided loss over the unlabeled target. Each step
-consumes one supervised and one unlabeled minibatch, and runs them as one
-pass along a leading pass axis, ``(2, S, n, d)``: one forward,
-``edl_gradient`` on the supervised half and ``ug_batch`` on the unlabeled
-half, one backward, and the two halves' gradients summed. A batch goes
-alone, as a one-slice pass, when the two differ in shape (the short last
-batch of an epoch, fewer unlabeled rows than the batch size) or when the
-unlabeled term is off. A step computes no supervised loss value and keeps
-the batch's alpha; after the last step, one loss pass over the epoch's
-alphas gives each step's supervised loss, bitwise as the step would have.
-The parameters live in one vector, of which the layers are views, so the
-update, the momentum and the finiteness checks are each one call on a
-whole vector.
+enabled, the uncertainty-guided loss over the unlabeled target. An epoch
+gathers its supervised rows and unlabeled minibatches once, and the training
+forward takes them unchecked. Each step takes one supervised and one
+unlabeled minibatch as views, and runs them as one pass along a leading pass
+axis, ``(2, S, n, d)``: one forward, ``edl_gradient`` on the supervised half
+and ``ug_batch`` on the unlabeled half, one backward, and the two halves'
+gradients summed. A batch goes alone, as a one-slice pass, when the two
+differ in shape (the short last batch of an epoch, fewer unlabeled rows than
+the batch size) or when the unlabeled term is off. A step computes no
+supervised loss value and keeps the batch's alpha; after the last step, one
+loss pass over the epoch's alphas gives each step's supervised loss, bitwise
+as the step would have. The parameters live in one vector, of which the
+layers are views, so the update, the momentum and the finiteness checks are
+each one call on a whole vector.
 
 The trainer runs S seeds in lockstep; one seed is S = 1. It stacks the
 seeds' 2-D models into one holding each layer as an ``(S, fan_in, fan_out)``
@@ -184,25 +185,12 @@ class EvidentialMLP:
     def input_dim(self) -> int:
         return self.weights[0].shape[-2]
 
-    def _checked_input(self, x: np.ndarray, passes: bool = False) -> np.ndarray:
-        """x as float64 after checking that it is ``(n, d)`` input, ``(S, n,
-        d)`` for a stacked model; with ``passes`` also a stack of such inputs
-        along one more leading axis."""
-        x = np.asarray(x, dtype=np.float64)
-        w = self.weights[0]
-        shape = x.shape[1:] if passes and x.ndim == w.ndim + 1 else x.shape
-        if len(shape) != w.ndim or shape[-1] != w.shape[-2] or shape[:-2] != w.shape[:-2]:
-            want = ", ".join([*map(str, w.shape[:-2]), "n", str(self.input_dim)])
-            raise DomainError(f"expected ({want}) inputs, got shape {x.shape}")
-        return x
-
     def _forward_cached(self, x: np.ndarray):
         """The training forward: alpha plus what backprop needs, every
-        layer's input activations and the mask of unclamped logits. ``x``
-        may stack several passes' inputs along a leading axis; each
-        ``(pass, seed)`` slice then goes to the same BLAS call as it would
-        alone."""
-        x = self._checked_input(x, passes=True)
+        layer's input activations and the mask of unclamped logits. ``x``, a
+        float64 array the trainer gathered, is not checked; it may stack
+        several passes' inputs along a leading axis, and each ``(pass,
+        seed)`` slice then goes to the same BLAS call as it would alone."""
         activations = [x]
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
@@ -220,8 +208,13 @@ class EvidentialMLP:
         activations or clamp mask and works in place on each layer's
         product, so scoring a large pool allocates one array per layer.
         The batch is not split into row blocks: BLAS may pick other kernels
-        for a partial block, which changes the bits."""
-        h = self._checked_input(x)
+        for a partial block, which changes the bits. ``x`` must be ``(n,
+        d)``, or ``(S, n, d)`` for a stacked model."""
+        h = np.asarray(x, dtype=np.float64)
+        w = self.weights[0]
+        if h.ndim != w.ndim or h.shape[-1] != w.shape[-2] or h.shape[:-2] != w.shape[:-2]:
+            want = ", ".join([*map(str, w.shape[:-2]), "n", str(self.input_dim)])
+            raise DomainError(f"expected ({want}) inputs, got shape {h.shape}")
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             h = h @ w
             h += b
@@ -275,7 +268,9 @@ class Trainer:
     one; the models are 2-D and of equal shapes, the configs equal but for
     their seeds. ``model`` stacks the given models (``EvidentialMLP.stack``),
     so they train in place. Each seed keeps its own pair of shuffle streams,
-    and an epoch gathers each seed's rows from its own sets.
+    and an epoch gathers each seed's rows and unlabeled batches from its own
+    sets, which the training forward takes unchecked: the constructor checks
+    the pools' feature dimension.
     """
 
     def __init__(self, models, pools, cfgs, loss_cfg: LossConfig, ug_enabled: bool = True):
@@ -285,6 +280,9 @@ class Trainer:
             raise DomainError("need one pool and one train config per model")
         if any(replace(c, seed=0) != replace(cfgs[0], seed=0) for c in cfgs):
             raise DomainError("lockstep seeds must share every train setting but the seed")
+        dims, want = [pool.source_features.shape[1] for pool in self.pools], models[0].input_dim
+        if any(d != want for d in dims):
+            raise DomainError(f"the models take {want} features, the pools hold {dims}")
         self.model = EvidentialMLP.stack(models)
         self.cfg = cfgs[0]
         self.loss_cfg = loss_cfg
@@ -391,14 +389,18 @@ class Trainer:
             # The mean over each row's own batch; the last batch may be short.
             weights = weights / np.minimum(bs, n_sup - np.arange(n_sup) // bs * bs)
         use_ug = self.ug_enabled and n_unl > 0
-        unlabeled = u_scale = None
+        u_scale = None
         if use_ug:
-            unsup_features = np.concatenate([p.unlabeled_features() for p in self.pools])
             take = min(bs, n_unl)
             u_scale = 1.0 / take if mean_reduction else 1.0
-            # Shuffled and gathered at the first step and whenever a batch
-            # would run past the end.
-            unsup_pos = n_unl
+            # The epoch's unlabeled batches gathered once, an (S, steps*take,
+            # d) array: each shuffle serves its whole batches in turn, its last
+            # n_unl % take rows unused, and step k takes the k-th batch.
+            whole = n_unl // take * take
+            ids = np.concatenate([self._shuffled(self._unsup_rngs, n_unl)[:, :whole]
+                                  for _ in range(-(-steps * take // whole))], axis=1)
+            unsup = np.concatenate([p.unlabeled_features() for p in self.pools])
+            unsup = unsup[ids[:, : steps * take]]
 
         # One contiguous row of step losses per seed: its mean then sums in
         # the same order whatever the number of seeds.
@@ -407,12 +409,7 @@ class Trainer:
         alphas = np.empty((seeds, n_sup, self.model.weights[-1].shape[-1]))
         for step in range(steps):
             batch = slice(step * bs, (step + 1) * bs)
-            if use_ug:
-                if unsup_pos + take > n_unl:
-                    unsup_batches = unsup_features[self._shuffled(self._unsup_rngs, n_unl)]
-                    unsup_pos = 0
-                unlabeled = unsup_batches[:, unsup_pos : unsup_pos + take]
-                unsup_pos += take
+            unlabeled = unsup[:, step * take : (step + 1) * take] if use_ug else None
             alphas[:, batch], ug_rows = self._step(grads, features[:, batch], labels[:, batch],
                                                    weights[:, batch, None], unlabeled, u_scale)
             if use_ug:

@@ -186,6 +186,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"round 2 .* only {left} are left"):
             parse_config(document)
 
+    @pytest.mark.parametrize("sampling, epochs, unset", [
+        ({}, 15, "sampling.schedule and sampling.plans"),
+        ({}, 0, "sampling.schedule and sampling.plans"),
+        ({"plans": [{"round_index": 1, "b_u": 2, "b_c": 0, "kappa": 2}]}, 5, "sampling.schedule"),
+    ], ids=["short", "zero-epochs", "plans-set"])
+    def test_short_run_names_the_default_schedule(self, sampling, epochs, unset):
+        # The epochs come from the default schedule, which the document
+        # never wrote, so the message says so and names what to set.
+        with pytest.raises(ConfigError) as info:
+            parse_config({"train": {"epochs": epochs}, "sampling": sampling})
+        want = "[10]" if sampling else "[10, 12, 14, 16, 18]"
+        assert str(info.value).splitlines()[1:] == [
+            f"  sampling.schedule: the default schedule's epochs {want} must fall within the "
+            f"training run, 1..{epochs}; a run this short must set {unset}"
+        ]
+
     def test_load_reports_json_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "mode": variance\n}\n')

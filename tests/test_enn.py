@@ -303,8 +303,14 @@ class TestRunEpochComposition:
         # unlabeled rows; alone and in lockstep.
         ("variance", 32, 1, True),
         ("variance", 32, 2, True),
+        # Each shuffle of the 7 unlabeled rows serves two stacked steps of
+        # 3 + 3 rows and leaves its 7th row unused; the 7 steps draw 4
+        # shuffles. Alone and in lockstep.
+        ("variance", 3, 1, True),
+        ("entropy", 3, 2, True),
     ], ids=["short-last-batch", "unlabeled-short", "ug-off", "lockstep", "entropy",
-            "no-full-batch", "no-full-batch-lockstep"])
+            "no-full-batch", "no-full-batch-lockstep", "shuffle-serves-two-steps",
+            "shuffle-serves-two-steps-lockstep"])
     def test_epoch_matches_the_composition(self, mode, batch_size, seeds, ug_enabled):
         self.assert_epoch_composed(mode, "mean", batch_size, seeds, ug_enabled)
 
@@ -380,6 +386,13 @@ class TestTraining:
         for w1, w2 in zip(with_ug.weights, without_ug.weights):
             np.testing.assert_array_equal(w1, w2)
         assert [c[0] for c in curve_a] == [c[0] for c in curve_b]
+
+    def test_pool_of_other_feature_dimension_rejected_at_construction(self):
+        # The pool holds 2 features a row and the model takes 3: the trainer
+        # says so when built, not at its first step's forward.
+        model = EvidentialMLP.create(3, 2, hidden=(4,), seed=0)
+        with pytest.raises(DomainError, match=r"^the models take 3 features, the pools hold \[2\]$"):
+            Trainer([model], [small_pool()], [TrainConfig(epochs=1)], LossConfig())
 
     def test_empty_supervised_set_rejected(self):
         pool = SamplePool(
