@@ -352,9 +352,12 @@ def config_hash(config: ExperimentConfig) -> str:
     """Short content hash naming the run directory for this config.
 
     The output directory is excluded so the same experiment keeps its hash
-    wherever the results land.
+    wherever the results land. The rounds are hashed as they run, so a
+    document that leaves them to the defaults hashes as if it wrote them out.
     """
     document = config.to_document()
     del document["output_dir"]
+    document["sampling"].update(plans=[asdict(p) for p in config.resolved_plans()],
+                                schedule=config.resolved_schedule())
     canonical = json.dumps(document, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]

@@ -74,7 +74,7 @@ import numpy as np
 
 from .config import AblationSwitches, ConfigError, ExperimentConfig, config_hash
 from .enn import EvidentialMLP, TrainingDivergedError, checkpoint_text
-from .metrics import export_uncertainty_histograms
+from .metrics import SELECTION_LOG_FIELDS, export_uncertainty_histograms
 from .sampling import start_rows
 from .synthetic import generate_domain_pair, split_pools
 
@@ -188,15 +188,11 @@ def _csv_text(header, rows) -> str:
     )
 
 
-_SELECTION_LOG_COLUMNS = ("round", "sample_id", "selection_type", "epistemic", "aleatoric",
-                          "predicted_class", "true_class")
-
-
 def _write_seed_outputs(run_dir: Path, report, model, pool):
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(run_dir / "report.json", report.to_json() + "\n")
-    log = ([row[k] for k in _SELECTION_LOG_COLUMNS] for row in report.selection_log)
-    _write_atomic(run_dir / "selection_log.csv", _csv_text(_SELECTION_LOG_COLUMNS, log))
+    log = ([row[k] for k in SELECTION_LOG_FIELDS] for row in report.selection_log)
+    _write_atomic(run_dir / "selection_log.csv", _csv_text(SELECTION_LOG_FIELDS, log))
     curve = _csv_text(("epoch", "supervised_loss", "ug_loss"), report.loss_curve)
     _write_atomic(run_dir / "loss_curve.csv", curve)
     rows = export_uncertainty_histograms(model.forward_batch(pool.source_features),

@@ -35,6 +35,7 @@ __all__ = [
     "class_level_uncertainty_summary",
     "batch_uncertainties",
     "AdaRunReport",
+    "SELECTION_LOG_FIELDS",
 ]
 
 
@@ -129,6 +130,11 @@ def class_level_uncertainty_summary(alpha):
         "aleatoric": alea.mean(axis=0).tolist(),
         "epistemic": epis.mean(axis=0).tolist(),
     }
+
+
+# The fields of an ``AdaRunReport.selection_log`` row, in selection_log.csv's column order.
+SELECTION_LOG_FIELDS = ("round", "sample_id", "selection_type", "epistemic", "aleatoric",
+                        "predicted_class", "true_class")
 
 
 @dataclass

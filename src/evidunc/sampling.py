@@ -40,7 +40,8 @@ import numpy as np
 
 from .enn import Trainer, evaluate
 from .losses import LossConfig
-from .metrics import AdaRunReport, auroc, batch_uncertainties, class_level_uncertainty_summary, rank_class_pairs
+from .metrics import (SELECTION_LOG_FIELDS, AdaRunReport, auroc, batch_uncertainties,
+                      class_level_uncertainty_summary, rank_class_pairs)
 from .dirichlet import predict_class_batch
 from .pools import PoolError, SamplePool, oracle_budget
 from .special import DomainError
@@ -231,19 +232,14 @@ def certainty_sampling(pool: SamplePool, model, plan: RoundPlan,
     return rnd.certain, rnd.pseudo
 
 
-def _log_rows(round_index, selection_type, sample_ids, rnd: _Round, true_labels):
-    return [
-        {
-            "round": round_index,
-            "sample_id": int(sid),
-            "selection_type": selection_type,
-            "epistemic": float(rnd.eu[r]),
-            "aleatoric": float(rnd.au[r]),
-            "predicted_class": int(rnd.predicted[r]),
-            "true_class": int(true_labels[sid]),
-        }
-        for sid, r in zip(sample_ids, np.searchsorted(rnd.ids, sample_ids))
-    ]
+def _log_rows(round_index, rnd: _Round, true_labels):
+    """A round's selection-log rows: its uncertain picks, then its certain ones."""
+    chosen = np.concatenate([rnd.uncertain, rnd.certain])
+    r = np.searchsorted(rnd.ids, chosen)
+    kinds = ["uncertain"] * rnd.uncertain.size + ["certain"] * rnd.certain.size
+    columns = (chosen.tolist(), kinds, rnd.eu[r].tolist(), rnd.au[r].tolist(),
+               rnd.predicted[r].tolist(), true_labels[chosen].tolist())
+    return [dict(zip(SELECTION_LOG_FIELDS, (round_index, *row))) for row in zip(*columns)]
 
 
 def run_ada(
@@ -372,10 +368,7 @@ class _AdaRun:
                 rnd = _selection_round(pool, model, plan, self.mode, us_enabled, cs_enabled,
                                        class_balanced)
                 report.eu_sorts_per_round.append(eu_sort_count() - sorts_before)
-                for kind, chosen in (("uncertain", rnd.uncertain), ("certain", rnd.certain)):
-                    report.selection_log.extend(
-                        _log_rows(plan.round_index, kind, chosen, rnd, labels)
-                    )
+                report.selection_log.extend(_log_rows(plan.round_index, rnd, labels))
                 if rnd.certain.size:
                     tally.append((int((rnd.pseudo == labels[rnd.certain]).sum()),
                                   int(rnd.pseudo.size),

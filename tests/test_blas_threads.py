@@ -3,8 +3,8 @@ the call, in the caller's process and in their pool workers, and give the
 caller's own count back when they return or raise. The results do not
 depend on the count.
 
-Each test runs in a fresh interpreter, because the count applies to the
-whole process and the pytest process must keep its own.
+Each test that sets the count runs in a fresh interpreter, because the
+count applies to the whole process and the pytest process must keep its own.
 """
 
 import json
@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from blas_probe import LIBRARIES
+from blas_probe import LIBRARIES, threads
+from evidunc import experiments
 from test_cli import write_config
 
 TESTS = Path(__file__).resolve().parent
@@ -229,3 +230,12 @@ def test_helper_is_a_no_op_without_library_or_symbol(tmp_path):
         tmp_path,
     )
     assert got == [[None, 2], [None, 2], [None, 2], 1, 2]
+
+
+def test_helper_without_its_setter_changes_nothing_in_process(monkeypatch):
+    # The library is loaded but lacks the setter: the loop passes over it.
+    pattern, _, getter = experiments._OPENBLAS
+    before = threads()
+    monkeypatch.setattr(experiments, "_OPENBLAS", (pattern, "no_such_symbol", getter))
+    assert experiments._set_blas_threads(before + 1) is None
+    assert threads() == before

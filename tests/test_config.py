@@ -5,7 +5,7 @@ import os
 import re
 import stat
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,7 +26,7 @@ from evidunc.config import (
 from evidunc import experiments
 from evidunc.enn import EvidentialMLP, checkpoint_text, load_checkpoint
 from evidunc.metrics import AdaRunReport
-from evidunc.sampling import RoundPlan
+from evidunc.sampling import RoundPlan, default_round_plans
 from evidunc.experiments import (
     ABLATION_ROWS,
     aggregate_reports,
@@ -373,7 +373,22 @@ class TestConstructorValidates:
 class TestHashing:
     def test_hashes_pinned(self):
         assert config_hash(parse_config(tiny_document())) == "1b9765f728b5"
-        assert config_hash(parse_config({})) == "d199f9b56a67"
+        assert config_hash(parse_config({})) == "320aa7d77ee1"
+
+    def test_default_rounds_hash_as_written_out(self, monkeypatch):
+        # The hash covers the rounds that run, not only those a document writes.
+        config = parse_config({})
+        written = {"sampling": {"plans": [asdict(p) for p in config.resolved_plans()],
+                                "schedule": config.resolved_schedule()}}
+        before = config_hash(config)
+        assert config_hash(parse_config(written)) == before
+
+        def changed(*args, **kwargs):
+            first, *rest = default_round_plans(*args, **kwargs)
+            return [replace(first, b_c=first.b_c + 1), *rest]
+
+        monkeypatch.setattr("evidunc.config.default_round_plans", changed)
+        assert config_hash(parse_config({})) != before
 
     def test_output_dir_does_not_move_hash(self):
         a = parse_config(tiny_document(output_dir="here"))

@@ -93,6 +93,8 @@ class TestGeneration:
     def test_dataset_validation(self):
         with pytest.raises(DomainError):
             Dataset(np.zeros((2, 2)), np.array([0, 1]), "source")
+        with pytest.raises(DomainError, match=r"^features must be \(n, d\) with one label per row$"):
+            Dataset(np.zeros((3, 2)), np.array([1, 2]), "source")
 
 
 class TestSplitPools:

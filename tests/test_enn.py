@@ -4,6 +4,7 @@ weight gradients against finite differences, and the determinism contract."""
 import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -94,6 +95,17 @@ class TestForward:
         assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
         assert any(not np.array_equal(x, y) for x, y in zip(a.weights, c.weights))
         assert all(np.all(b_ == 0.0) for b_ in a.biases)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: EvidentialMLP([np.zeros((2, 3))], [np.zeros(2)]), "inconsistent layer shapes"),
+        (lambda: EvidentialMLP([np.zeros((2, 3)), np.zeros((4, 2))], [np.zeros(3), np.zeros(2)]),
+         "layer dimensions do not chain"),
+        (lambda: EvidentialMLP.create(0, 2), "need input_dim >= 1 and num_classes >= 2"),
+        (lambda: EvidentialMLP.create(2, 1), "need input_dim >= 1 and num_classes >= 2"),
+    ], ids=["bias-shape", "unchained", "no-inputs", "one-class"])
+    def test_layers_that_do_not_fit_rejected(self, build, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            build()
 
 
 class TestSgdUpdate:
@@ -394,6 +406,17 @@ class TestTraining:
         with pytest.raises(DomainError, match=r"^the models take 3 features, the pools hold \[2\]$"):
             Trainer([model], [small_pool()], [TrainConfig(epochs=1)], LossConfig())
 
+    def test_lockstep_inputs_that_do_not_pair_rejected(self):
+        models = [EvidentialMLP.create(2, 2, hidden=(4,), seed=s) for s in (0, 1)]
+        pools = [small_pool(seed=s) for s in (0, 1)]
+        cfgs = [TrainConfig(epochs=1, seed=s) for s in (0, 1)]
+        with pytest.raises(DomainError, match="^need one pool and one train config per model$"):
+            Trainer(models, pools[:1], cfgs, LossConfig())
+        cfgs[1] = TrainConfig(epochs=1, seed=1, batch_size=8)
+        with pytest.raises(DomainError,
+                           match="^lockstep seeds must share every train setting but the seed$"):
+            Trainer(models, pools, cfgs, LossConfig())
+
     def test_empty_supervised_set_rejected(self):
         pool = SamplePool(
             np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros((4, 2)), [1, 1, 2, 2], 2
@@ -459,6 +482,8 @@ class TestTraining:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(DomainError):
             TrainConfig(lr_schedule="cosine")
+        with pytest.raises(DomainError, match="^weight_decay must be nonnegative$"):
+            TrainConfig(weight_decay=-1.0)
 
 
 class TestEvaluationAndSerialization:
@@ -482,6 +507,14 @@ class TestEvaluationAndSerialization:
             np.testing.assert_array_equal(w1, w2)
         for b1, b2 in zip(model.biases, loaded.biases):
             np.testing.assert_array_equal(b1, b2)
+
+    def test_two_dimensional_model_pickles_as_its_layers(self):
+        # A stacked model pickles as its vector; a 2-D one has none.
+        model = EvidentialMLP.create(3, 4, hidden=(5,), seed=21)
+        copied = pickle.loads(pickle.dumps(model))
+        assert copied.vector is None
+        for a, b in zip(model.weights + model.biases, copied.weights + copied.biases):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_checkpoint_of_stacked_layers_rejected(self, tmp_path):
         # The constructor takes stacked layers; a checkpoint file may not.

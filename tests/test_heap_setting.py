@@ -14,6 +14,7 @@ import multiprocessing
 import pytest
 
 from blas_probe import HEAP_PROBE
+from evidunc import experiments
 from test_blas_threads import run_script
 
 pytestmark = pytest.mark.skipif(not HEAP_PROBE, reason="libc without mallinfo2")
@@ -72,3 +73,13 @@ print(json.dumps([experiments._heap_setting(), probes, report.final_accuracy > 0
         tmp_path,
     )
     assert got == [False, [False], True]
+
+
+def test_no_mallopt_returns_false_in_process(monkeypatch):
+    # The setting is cached per process; clear it around the patched call.
+    monkeypatch.setattr(experiments, "_MALLOPT", ("no_such_symbol", experiments._MALLOPT[1]))
+    experiments._heap_setting.cache_clear()
+    try:
+        assert experiments._heap_setting() is False
+    finally:
+        experiments._heap_setting.cache_clear()

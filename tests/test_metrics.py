@@ -11,6 +11,7 @@ from evidunc.dirichlet import class_variances_batch
 from evidunc.metrics import (
     AdaRunReport,
     auroc,
+    batch_uncertainties,
     class_level_uncertainty_summary,
     export_uncertainty_histograms,
     rank_class_pairs,
@@ -139,6 +140,17 @@ class TestRankClassPairs:
         pairs = rank_class_pairs(alpha, labels=np.array([1]))
         assert len(pairs) == 1
         assert pairs[0][:2] == (1, 2)
+
+    def test_one_class_or_misshapen_labels_rejected(self):
+        with pytest.raises(DomainError, match="^need at least two classes$"):
+            rank_class_pairs(np.ones((3, 1)))
+        with pytest.raises(DomainError, match="^labels must provide one class per prediction$"):
+            rank_class_pairs(np.ones((3, 2)), labels=np.array([1, 2]))
+
+
+def test_unknown_quantification_mode_rejected():
+    with pytest.raises(DomainError, match="^unknown quantification mode 'bogus'$"):
+        batch_uncertainties(np.ones((2, 3)), "bogus")
 
 
 class TestHistogramExport:

@@ -51,6 +51,8 @@ class TestConstruction:
             SamplePool(np.zeros((2, 2)), [1, 1], np.zeros((2, 3)), [1, 1], 1)
         with pytest.raises(PoolError):
             SamplePool(np.zeros((2, 2)), [1, 1], np.zeros((2, 2)), [1, 1], -1)
+        with pytest.raises(PoolError, match=r"^source features must be an \(n, d\) matrix$"):
+            SamplePool(np.zeros(2), [1, 1], np.zeros((2, 2)), [1, 1], 1)
 
 
 class TestOracleAcquisition:
@@ -97,6 +99,27 @@ class TestOracleAcquisition:
             assert (pool.num_unlabeled, pool.oracle_count) == (5, 1)
             assert pool.budget_spent == 1
             np.testing.assert_array_equal(pool.unlabeled_ids(), [0, 1, 3, 4, 5])
+            pool.check_invariants()
+
+
+class TestInvariants:
+    # Each corruption breaks one invariant of a pool that took one oracle
+    # and one pseudo label.
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda pool: pool._order.append(pool._order[0]),
+         "acquisition order disagrees with the per-id states"),
+        (lambda pool: pool._order.pop(), "target samples lost or duplicated"),
+        (lambda pool: setattr(pool, "budget_spent", pool.budget_total + 1), "budget overspent"),
+        (lambda pool: setattr(pool, "budget_spent", 0),
+         "budget spent does not match oracle-labeled count"),
+    ], ids=["repeated-id", "lost-id", "overspent", "miscounted"])
+    def test_corruption_detected(self, corrupt, message):
+        pool = make_pool()
+        pool.acquire_with_oracle([0])
+        pool.acquire_with_pseudo_labels([1], [2])
+        pool.check_invariants()
+        corrupt(pool)
+        with pytest.raises(PoolError, match=f"^{message}$"):
             pool.check_invariants()
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from evidunc.enn import EvidentialMLP, TrainConfig, Trainer
 from evidunc.losses import LossConfig
-from evidunc.metrics import batch_uncertainties
+from evidunc import experiments
+from evidunc.metrics import SELECTION_LOG_FIELDS, batch_uncertainties
 from evidunc.pools import BudgetExhaustedError, PoolError, SamplePool
 from evidunc.sampling import (
     RoundPlan,
@@ -199,6 +200,21 @@ class TestRunAda:
             assert not (uncertain & certain)
         assert report.pseudo_label_accuracy is not None
         report.validate()
+
+    def test_selection_log_rows_follow_the_field_tuple(self, tmp_path):
+        # One tuple names a row's fields: the keys of every report row and
+        # the columns of selection_log.csv, in the same order.
+        assert SELECTION_LOG_FIELDS == ("round", "sample_id", "selection_type", "epistemic",
+                                        "aleatoric", "predicted_class", "true_class")
+        pool, model, cfg = ada_setup(seed=3, epochs=3)
+        report = run_ada(model, pool, cfg, LossConfig(), [RoundPlan(1, b_u=3, b_c=2, kappa=2)],
+                         [2], cs_enabled=True)
+        kinds = [row["selection_type"] for row in report.selection_log]
+        assert kinds == ["uncertain"] * 3 + ["certain"] * 2
+        assert all(tuple(row) == SELECTION_LOG_FIELDS for row in report.selection_log)
+        experiments._write_seed_outputs(tmp_path, report, model, pool)
+        header = (tmp_path / "selection_log.csv").read_text().splitlines()[0]
+        assert header == ",".join(SELECTION_LOG_FIELDS)
 
     @pytest.mark.parametrize("mode", ["variance", "entropy"])
     def test_mode_comes_from_loss_config(self, mode):
