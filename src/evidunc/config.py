@@ -15,9 +15,10 @@ validator: ``ExperimentConfig`` walks every field, so ``parse_config``,
 ``parse_config`` checks only the document's layout: its keys, its
 ``schema_version`` and the ``sampling`` group of the four round settings.
 
-Values keep the form they were written in (lists become tuples), so
-parsing then serializing then parsing again yields an equal config, which
-keeps run directories content-addressable.
+Values keep the form they were written in (lists become tuples), except
+that rounds left out are filled in with the defaults, so parsing then
+serializing then parsing again yields an equal config, which keeps run
+directories content-addressable.
 
 Per-run randomness never enters the config sections; the ``seeds`` list is
 the only entropy source. Each seed expands into independent component seeds
@@ -76,6 +77,11 @@ class AblationSwitches:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One checked experiment. Empty ``plans`` and ``schedule`` are filled in
+    with the default rounds at construction, sized to the domain and
+    ``budget_fraction``. ``dataclasses.replace`` keeps those rounds, so to
+    change ``domain`` or ``budget_fraction``, build the config from a document."""
+
     mode: str = "variance"
     seeds: tuple[int, ...] = (0, 1, 2)
     output_dir: str = "out"
@@ -129,16 +135,22 @@ class ExperimentConfig:
         if too_big:
             raise ConfigError([f"hidden_layers: {' and '.join(too_big)} weights would take more "
                                f"than numpy's limit of {MAX_SIZE} bytes"])
-        # Once all else passes, the rounds are checked against the oracle
-        # budget split_pools grants.
+        # Once all else passes, the rounds left out are filled in with the
+        # defaults and checked against the oracle budget split_pools grants.
         num_target, epochs = spec.samples_per_domain, self.train_config(0).epochs
-        rounds = round_problems(self.resolved_plans(), self.resolved_schedule(), epochs,
+        unset_plans, unset_schedule = not self.plans, not self.schedule
+        plans = self.plans or default_round_plans(num_target, budget_fraction=self.budget_fraction)
+        object.__setattr__(self, "plans", tuple(plans))
+        object.__setattr__(self, "schedule", self.schedule or tuple(default_schedule(len(plans))))
+        rounds = round_problems(list(self.plans), list(self.schedule), epochs,
                                 oracle_budget(self.budget_fraction, num_target), num_target,
                                 self.ablation.us, self.ablation.cs, self.auroc_epoch)
-        if rounds and not self.schedule:  # name the defaults the document never wrote
-            unset = "sampling.schedule" + ("" if self.plans else " and sampling.plans")
-            rounds = [(k, f"the default schedule's {m}; a run this short must set {unset}"
-                       if k == "schedule" else m) for k, m in rounds]
+        unset = "sampling.schedule" + (" and sampling.plans" if unset_plans else "")
+        for i, (k, m) in enumerate(rounds):  # name the defaults the document never wrote
+            if k == "schedule" and unset_schedule:
+                rounds[i] = k, f"the default schedule's {m}; a run this short must set {unset}"
+            elif unset_plans and (k == "plans" or m.startswith("one round plan")):
+                rounds[i] = k, f"{m}; the {len(plans)} plans are the defaults, so set sampling.plans"
         if rounds:
             raise ConfigError([f"sampling.{k}: {message}" for k, message in rounds], rounds=True)
 
@@ -150,18 +162,6 @@ class ExperimentConfig:
 
     def loss_config(self) -> LossConfig:
         return LossConfig(mode=self.mode, **self.loss)
-
-    def resolved_plans(self):
-        """Configured round plans, or desk-scale defaults sized to |T|."""
-        if self.plans:
-            return list(self.plans)
-        num_target = self.domain_spec(0).samples_per_domain
-        return default_round_plans(num_target, budget_fraction=self.budget_fraction)
-
-    def resolved_schedule(self):
-        if self.schedule:
-            return list(self.schedule)
-        return default_schedule(num_rounds=len(self.resolved_plans()))
 
     def to_document(self) -> dict:
         """This config as a JSON document (tuples become lists), which parses
@@ -352,12 +352,9 @@ def config_hash(config: ExperimentConfig) -> str:
     """Short content hash naming the run directory for this config.
 
     The output directory is excluded so the same experiment keeps its hash
-    wherever the results land. The rounds are hashed as they run, so a
-    document that leaves them to the defaults hashes as if it wrote them out.
+    wherever the results land.
     """
     document = config.to_document()
     del document["output_dir"]
-    document["sampling"].update(plans=[asdict(p) for p in config.resolved_plans()],
-                                schedule=config.resolved_schedule())
     canonical = json.dumps(document, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]

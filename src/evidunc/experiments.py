@@ -146,7 +146,7 @@ def _prefix_task(configs, seeds) -> bytes:
         train_cfgs.append(config.train_config(train_seed))
     rows = [(c.ablation.us, c.ablation.cs, c.ablation.class_balanced) for c in configs]
     run = _seed_named(seeds, start_rows, models, pools, train_cfgs, config.loss_config(),
-                      config.resolved_plans(), config.resolved_schedule(), rows,
+                      config.plans, config.schedule, rows,
                       ug_enabled=config.ablation.ug, auroc_epoch=config.auroc_epoch)
     return pickle.dumps(run)
 

@@ -430,7 +430,7 @@ class TestCriterion6:
                     ]
                 }
             }
-        ).resolved_plans()
+        ).plans
         report_obj = run_ada(
             model,
             pool,

@@ -81,16 +81,31 @@ class TestParsing:
 
     def test_desk_scale_plan_defaults(self):
         config = parse_config({"domain": {"samples_per_domain": 2000}})
-        plans = config.resolved_plans()
+        plans = config.plans
         assert len(plans) == 5
         assert all(p.b_u == 20 and p.kappa == 10 for p in plans)
-        assert [p.b_c for p in plans] == [20, 40, 60, 80, 100]
-        assert config.resolved_schedule() == [10, 12, 14, 16, 18]
+        assert tuple(p.b_c for p in plans) == (20, 40, 60, 80, 100)
+        assert config.schedule == (10, 12, 14, 16, 18)
 
     def test_explicit_plans_win(self):
         config = parse_config(tiny_document())
-        assert [p.b_u for p in config.resolved_plans()] == [4, 4]
-        assert config.resolved_schedule() == [3, 5]
+        assert tuple(p.b_u for p in config.plans) == (4, 4)
+        assert config.schedule == (3, 5)
+
+    def test_default_rounds_are_held_as_written_out(self):
+        # A config holds the rounds it runs: the defaults are filled in when
+        # it is built, so it prints and compares as the written-out form.
+        written = {"sampling": {
+            "plans": [{"round_index": k, "b_u": 20, "b_c": 20 * k, "kappa": 10}
+                      for k in range(1, 6)],
+            "schedule": [10, 12, 14, 16, 18],
+        }}
+        assert parse_config({}) == parse_config(written)
+        assert parse_config({}).to_json() == parse_config(written).to_json()
+
+    @pytest.mark.parametrize("name, flags", ABLATION_ROWS, ids=[n for n, _ in ABLATION_ROWS])
+    def test_switched_defaults_equal_the_document_that_sets_them(self, name, flags):
+        assert parse_config({}).with_switches(**flags) == parse_config({"ablation": flags})
 
     def test_errors_name_every_bad_field(self):
         document = tiny_document(mode="bogus", seeds=[1, 1])
@@ -201,6 +216,21 @@ class TestParsing:
             f"  sampling.schedule: the default schedule's epochs {want} must fall within the "
             f"training run, 1..{epochs}; a run this short must set {unset}"
         ]
+
+    @pytest.mark.parametrize("sampling, problems", [
+        ({"schedule": [3, 5]},
+         ["sampling.schedule: one round plan per scheduled epoch is required, got 5 for [3, 5]"]),
+        ({"budget_fraction": 1.0},
+         [f"sampling.plans: round {k} selects from 4000 unlabeled samples (kappa*b_u), but only "
+          f"{2400 - 400 * k} are left" for k in range(1, 6)]),
+    ], ids=["schedule-set", "whole-budget"])
+    def test_round_errors_name_the_default_plans(self, sampling, problems):
+        # The plans come from the defaults, which the document never wrote,
+        # so each message from the plans says so and names what to set.
+        with pytest.raises(ConfigError) as info:
+            parse_config({"sampling": sampling})
+        note = "; the 5 plans are the defaults, so set sampling.plans"
+        assert str(info.value).splitlines()[1:] == [f"  {p}{note}" for p in problems]
 
     def test_load_reports_json_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -378,8 +408,8 @@ class TestHashing:
     def test_default_rounds_hash_as_written_out(self, monkeypatch):
         # The hash covers the rounds that run, not only those a document writes.
         config = parse_config({})
-        written = {"sampling": {"plans": [asdict(p) for p in config.resolved_plans()],
-                                "schedule": config.resolved_schedule()}}
+        written = {"sampling": {"plans": [asdict(p) for p in config.plans],
+                                "schedule": list(config.schedule)}}
         before = config_hash(config)
         assert config_hash(parse_config(written)) == before
 
@@ -484,6 +514,19 @@ class TestRunExperiment:
         run_experiment(config)
         after = {rel: (base / rel).read_bytes() for rel in expected}
         assert before == after
+
+    def test_config_file_lists_the_default_rounds(self, tmp_path, monkeypatch):
+        # config.json records the rounds that ran, and names its directory.
+        monkeypatch.setenv("EVID_NUM_WORKERS", "1")
+        document = tiny_document(seeds=[0], train={"epochs": 18, "batch_size": 16})
+        document["domain"]["samples_per_domain"] = 300
+        del document["sampling"]
+        run_experiment(parse_config(document), out_dir=tmp_path)
+        [path] = tmp_path.glob("*/config.json")
+        written = json.loads(path.read_text())["sampling"]
+        assert [plan["b_c"] for plan in written["plans"]] == [3, 6, 9, 12, 15]
+        assert written["schedule"] == [10, 12, 14, 16, 18]
+        assert config_hash(load_config(path)) == path.parent.name
 
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         config = parse_config(tiny_document(output_dir=str(tmp_path / "a")))
