@@ -20,12 +20,12 @@ form a group, whose seeds are cut into contiguous chunks of at most
 worker one where the seeds allow. A prefix task trains a chunk's seeds in
 lockstep along a leading seed axis up to the first scheduled round and
 returns that state pickled; a row task per row then finishes and writes
-every seed of the chunk from its own copy. Each seed still gets its own 2-D
-model and writes the same bytes as a one-seed chunk would. The workers are
-the CPUs this process may use, capped by the EVID_NUM_WORKERS environment
-variable; one runs the tasks in this process, more share one process pool.
-``run_seed`` is a one-seed chunk run the same way in this process: its
-prefix task, then its row task, writing nothing.
+every seed of the chunk from its own copy, returning only their reports.
+Each seed still gets its own 2-D model and writes the same bytes as a
+one-seed chunk would. The workers are the CPUs this process may use, capped
+by EVID_NUM_WORKERS; one runs the tasks in this process, more share one
+process pool. ``run_seed`` runs a one-seed chunk's prefix task in this
+process and finishes its row from that state, writing nothing.
 
 ``run_seed`` and ``run_rows`` run the OpenBLAS of numpy's 2.x wheels on one
 thread for the call and give the caller's count back, also when they raise:
@@ -76,7 +76,8 @@ from .config import AblationSwitches, ConfigError, ExperimentConfig, config_hash
 from .enn import EvidentialMLP, TrainingDivergedError, checkpoint_text
 from .metrics import SELECTION_LOG_FIELDS, export_uncertainty_histograms
 from .sampling import start_rows
-from .synthetic import generate_domain_pair, split_pools
+from .special import DomainError
+from .synthetic import Dataset, generate_domain_pair, split_pools
 
 __all__ = [
     "run_seed",
@@ -120,20 +121,22 @@ def _seed_named(seeds, fn, *args, **kwargs):
 
 
 def run_seed(config: ExperimentConfig, seed: int):
-    """Run one seed end to end as a one-seed chunk in this process: its
-    prefix task, then its row task; returns (report, model, source, target)."""
+    """Run one seed end to end as a one-seed chunk in this process; returns
+    (report, model, source, target), each taken from the finished run."""
     _heap_setting()
     with _one_blas_thread():
-        [(report, model)] = _row_task(_prefix_task([config], [seed]), config, [seed], None)
-    source, target = generate_domain_pair(config.domain_spec(_component_seeds(seed)[0]))
-    return report, model, source, target
+        run = pickle.loads(_prefix_task([config], [seed]))
+        [report] = _seed_named([seed], run.finish, *_row(config))
+    [model], [pool] = run.trainer.model.seed_views(), run.pools
+    return (report, model, Dataset(pool.source_features, pool.source_labels, "source"),
+            Dataset(pool.target_features, pool.true_target_labels(), "target"))
 
 
 def _prefix_task(configs, seeds) -> bytes:
     """A prefix task: build the data and models of the seed chunk ``seeds``
     and train them in lockstep up to the first round of ``configs``, which
     differ only in their US, CS and class-balance switches; returns that
-    state pickled."""
+    state pickled, its reports numbered by ``seeds``."""
     config = configs[0]
     models, pools, train_cfgs = [], [], []
     for seed in seeds:
@@ -144,25 +147,31 @@ def _prefix_task(configs, seeds) -> bytes:
         models.append(EvidentialMLP.create(spec.feature_dim, spec.num_classes,
                                            hidden=config.hidden_layers, seed=init_seed))
         train_cfgs.append(config.train_config(train_seed))
-    rows = [(c.ablation.us, c.ablation.cs, c.ablation.class_balanced) for c in configs]
+    rows = [_row(c) for c in configs]
     run = _seed_named(seeds, start_rows, models, pools, train_cfgs, config.loss_config(),
                       config.plans, config.schedule, rows,
                       ug_enabled=config.ablation.ug, auroc_epoch=config.auroc_epoch)
+    for report, seed in zip(run.reports, seeds):
+        report.seed = seed
     return pickle.dumps(run)
+
+
+def _row(config) -> tuple:
+    """``config``'s (us, cs, class_balanced) switches: its row of a prefix task."""
+    return config.ablation.us, config.ablation.cs, config.ablation.class_balanced
 
 
 def _row_task(state: bytes, config, seeds, out_dir) -> list:
     """A row task: ``config``'s row finished from its own copy of a prefix
     task's ``state``, each seed written to ``out_dir/seed<N>`` unless
-    ``out_dir`` is None; returns one (report, model) pair per seed."""
+    ``out_dir`` is None; returns the reports, in the order of ``seeds``."""
     run = pickle.loads(state)
-    switches = config.ablation
-    pairs = _seed_named(seeds, run.finish, switches.us, switches.cs, switches.class_balanced)
-    for seed, (report, model), pool in zip(seeds, pairs, run.pools):
-        report.seed = seed
-        if out_dir is not None:
+    reports = _seed_named(seeds, run.finish, *_row(config))
+    if out_dir is not None:
+        for seed, report, model, pool in zip(seeds, reports, run.trainer.model.seed_views(),
+                                             run.pools):
             _write_seed_outputs(Path(out_dir) / f"seed{seed}", report, model, pool)
-    return pairs
+    return reports
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -201,11 +210,6 @@ def _write_seed_outputs(run_dir: Path, report, model, pool):
     _write_atomic(run_dir / "checkpoint.json", checkpoint_text(model))
 
 
-def _mean_std(values):
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
-
-
 def _mean_of_present(values):
     present = [v for v in values if v is not None]
     return float(np.mean(present)) if present else None
@@ -213,24 +217,20 @@ def _mean_of_present(values):
 
 def aggregate_reports(reports) -> dict:
     """Cross-seed summary of AdaRunReports."""
+    if not reports:
+        raise DomainError("need at least one report")
     finals = [r.final_accuracy for r in reports]
-    mean, std = _mean_std(finals)
     rounds = np.asarray([r.round_accuracies for r in reports], dtype=np.float64)
     return {
         "num_seeds": len(reports),
         "seeds": [r.seed for r in reports],
         "final_accuracy_per_seed": finals,
-        "final_accuracy_mean": mean,
-        "final_accuracy_std": std,
+        "final_accuracy_mean": float(np.mean(finals)),
+        "final_accuracy_std": float(np.std(finals)),
         "round_accuracy_mean": [float(v) for v in rounds.mean(axis=0)],
-        "auroc_epistemic_mean": _mean_of_present([r.auroc_epistemic for r in reports]),
-        "auroc_aleatoric_mean": _mean_of_present([r.auroc_aleatoric for r in reports]),
-        "pseudo_label_accuracy_mean": _mean_of_present(
-            [r.pseudo_label_accuracy for r in reports]
-        ),
-        "model_accuracy_on_unlabeled_mean": _mean_of_present(
-            [r.model_accuracy_on_unlabeled for r in reports]
-        ),
+        **{f"{name}_mean": _mean_of_present([getattr(r, name) for r in reports]) for name in (
+            "auroc_epistemic", "auroc_aleatoric", "pseudo_label_accuracy",
+            "model_accuracy_on_unlabeled")},
         "budget_spent": [r.budget_spent for r in reports],
     }
 
@@ -416,7 +416,7 @@ def run_rows(configs, out_dirs=None) -> list:
                         for j in rows:
                             heapq.heappush(todo, (0, k, j, result))
                     else:
-                        reports.update(((i, seed), r) for seed, (r, _) in zip(chunk, result))
+                        reports.update(((i, seed), r) for seed, r in zip(chunk, result))
         except BrokenProcessPool:
             # A worker died (killed, or out of memory), and the pool cannot
             # tell which task it ran: name every running one. The pool ends

@@ -268,7 +268,7 @@ def run_ada(
     switches = (us_enabled, cs_enabled, class_balanced)
     run = start_rows([model], [pool], [train_cfg], loss_cfg, plans, schedule, [switches],
                      ug_enabled=ug_enabled, auroc_epoch=auroc_epoch)
-    [(report, _)] = run.finish(*switches)
+    [report] = run.finish(*switches)
     return report
 
 
@@ -283,11 +283,11 @@ def start_rows(models, pools, train_cfgs, loss_cfg: LossConfig, plans, schedule,
 
     The S seeds train in lockstep: their 2-D models are stacked along a
     leading seed axis (see ``enn.Trainer``), so their pools must have equal
-    sizes, and each model ``finish`` returns is a 2-D view of its seed's
-    slice. Selection rounds, evaluation and the AUROC snapshot run seed by
-    seed on those 2-D views. Stacking makes the given models views of their
-    slices, so a run finished without copying leaves its trained weights in
-    them, and its selections in the given pools.
+    sizes. Selection rounds, evaluation and the AUROC snapshot run seed by
+    seed on 2-D views of the seeds' slices, ``run.trainer.model.seed_views()``,
+    where a finished run's trained models are found. Stacking makes the given
+    models views of their slices, so a run finished without copying leaves
+    its trained weights in them, and its selections in the given pools.
     """
     plans, schedule = list(plans), list(schedule)
     for pool in pools:
@@ -324,7 +324,6 @@ class _AdaRun:
         self.reports = [AdaRunReport(mode=self.mode, seed=cfg.seed, auroc_epoch=auroc_epoch)
                         for cfg in train_cfgs]
         self.trainer = Trainer(models, self.pools, train_cfgs, loss_cfg, ug_enabled=ug_enabled)
-        self.target_labels = [pool.true_target_labels() for pool in self.pools]
         self.rows = {tuple(row) for row in rows}  # the rows whose layout was checked
         self.finished = False
 
@@ -337,17 +336,16 @@ class _AdaRun:
             for report, s, u in zip(self.reports, sup, ug):
                 report.loss_curve.append((done, s, u))
             if done == self.auroc_epoch:
-                seeds = zip(self.reports, self.trainer.model.seed_views(), self.pools,
-                            self.target_labels)
-                for report, model, pool, labels in seeds:
-                    _record_auroc(report, model, pool.target_features, labels, self.mode)
+                for report, model, pool in zip(self.reports, self.trainer.model.seed_views(),
+                                               self.pools):
+                    _record_auroc(report, model, pool, self.mode)
 
     def finish(self, us_enabled: bool, cs_enabled: bool, class_balanced: bool) -> list:
         """Run each round right after its scheduled epoch, then the rest of
         training, and fill in the closing fields of each seed's report;
-        returns one (report, model) pair per seed. A run finishes once, and
-        only a row ``start_rows`` checked: a second call or another row
-        raises DomainError before it trains or selects anything."""
+        returns the reports, the models staying in ``trainer``. A run finishes
+        once, and only a row ``start_rows`` checked: a second call or another
+        row raises DomainError before it trains or selects anything."""
         if self.finished:
             raise DomainError("run already finished; finish a copy of the started run "
                               "for another row")
@@ -356,8 +354,8 @@ class _AdaRun:
             raise DomainError(f"row (us, cs, class_balanced) = {row} was not among the rows "
                               f"start_rows checked, {sorted(self.rows)}")
         self.finished = True
-        models = self.trainer.model.seed_views()
-        seeds = list(zip(models, self.pools, self.reports, self.target_labels))
+        seeds = [(model, pool, report, pool.true_target_labels()) for model, pool, report
+                 in zip(self.trainer.model.seed_views(), self.pools, self.reports)]
         # Per seed, (pseudo-label hits, pseudo labels, model accuracy on the
         # unlabeled pool) of each round that pseudo-labeled.
         certain = [[] for _ in seeds]
@@ -376,7 +374,7 @@ class _AdaRun:
                 pool.check_invariants()
                 report.round_accuracies.append(evaluate(model, pool.target_features, labels))
         self.train_to(self.trainer.cfg.epochs)
-        return [(_close_report(*seed, tally), seed[0]) for seed, tally in zip(seeds, certain)]
+        return [_close_report(*seed, tally) for seed, tally in zip(seeds, certain)]
 
 
 def _close_report(model, pool: SamplePool, report: AdaRunReport, labels, certain) -> AdaRunReport:
@@ -398,10 +396,10 @@ def _close_report(model, pool: SamplePool, report: AdaRunReport, labels, certain
     return report
 
 
-def _record_auroc(report, model, features, labels, mode):
-    alpha = model.forward_batch(features)
+def _record_auroc(report, model, pool: SamplePool, mode):
+    alpha = model.forward_batch(pool.target_features)
     _, au, eu = batch_uncertainties(alpha, mode)
-    wrong = predict_class_batch(alpha) != labels
+    wrong = predict_class_batch(alpha) != pool.true_target_labels()
     if wrong.any() and not wrong.all():
         report.auroc_epistemic = auroc(eu, wrong)
         report.auroc_aleatoric = auroc(au, wrong)

@@ -54,13 +54,15 @@ class Dataset:
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if features.ndim != 2 or labels.shape != (features.shape[0],):
             raise DomainError("features must be (n, d) with one label per row")
+        if labels.size and not np.issubdtype(labels.dtype, np.integer):
+            raise DomainError(f"labels must be integers, got {labels.dtype}")
         if labels.size and labels.min() < 1:
             raise DomainError("labels are 1-based")
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
 
     @property
     def size(self) -> int:

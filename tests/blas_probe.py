@@ -55,8 +55,8 @@ def prefix_heap(configs, seeds):
 
 def row_heap(state, config, seeds, out_dir):
     """Stands in for ``experiments._row_task``: each seed's report is the
-    probe of its prefix task's process, paired with no model."""
-    return [(pickle.loads(state), None)] * len(seeds)
+    probe of its prefix task's process."""
+    return [pickle.loads(state)] * len(seeds)
 
 
 def threads() -> int:
@@ -76,5 +76,5 @@ def prefix_threads(configs, seeds):
 def row_threads(state, config, seeds, out_dir):
     """Stands in for ``experiments._row_task``: each seed's report is the
     larger BLAS thread count of the processes that ran the prefix and the
-    row, paired with no model."""
-    return [(max(pickle.loads(state), threads()), None)] * len(seeds)
+    row."""
+    return [max(pickle.loads(state), threads())] * len(seeds)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import re
 import stat
 import sys
@@ -27,6 +28,8 @@ from evidunc import experiments
 from evidunc.enn import EvidentialMLP, checkpoint_text, load_checkpoint
 from evidunc.metrics import AdaRunReport
 from evidunc.sampling import RoundPlan, default_round_plans
+from evidunc.special import DomainError
+from evidunc.synthetic import generate_domain_pair
 from evidunc.experiments import (
     ABLATION_ROWS,
     aggregate_reports,
@@ -448,6 +451,16 @@ class TestRunSeed:
         _, _, source_b, _ = run_seed(config, 1)
         assert not np.array_equal(source_a.features, source_b.features)
 
+    def test_datasets_are_the_generated_pair(self):
+        config = parse_config(tiny_document())
+        for seed in (0, 1):
+            _, _, source, target = run_seed(config, seed)
+            spec = config.domain_spec(experiments._component_seeds(seed)[0])
+            for got, want in zip((source, target), generate_domain_pair(spec)):
+                assert got.domain == want.domain
+                for a, b in ((got.features, want.features), (got.labels, want.labels)):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
     def test_report_carries_config_seed(self):
         config = parse_config(tiny_document())
         report, *_ = run_seed(config, 1)
@@ -478,6 +491,10 @@ class TestAggregation:
         assert summary["final_accuracy_std"] == pytest.approx(np.std(finals))
         assert summary["num_seeds"] == 2
         assert len(summary["round_accuracy_mean"]) == 2
+
+    def test_no_reports_rejected(self):
+        with pytest.raises(DomainError, match="^need at least one report$"):
+            aggregate_reports([])
 
     def test_missing_auroc_averaged_over_present(self):
         summary = aggregate_reports(
@@ -711,6 +728,14 @@ class TestAblation:
         assert np.array_equal(source_plain.features, source_full.features)
 
 
+def finished_row(state, config):
+    """A copy of the prefix task's ``state`` with ``config``'s row finished,
+    as a row task finishes it; returns the run and the reports."""
+    run = pickle.loads(state)
+    switches = config.ablation
+    return run, run.finish(switches.us, switches.cs, switches.class_balanced)
+
+
 def tree_bytes(base):
     """Relative path -> bytes of every file under base."""
     return {str(p.relative_to(base)): p.read_bytes() for p in sorted(base.rglob("*")) if p.is_file()}
@@ -746,9 +771,13 @@ class TestSharedPrefix:
 
         def outputs(configs):
             state = experiments._prefix_task(configs, [1])
-            rows = [experiments._row_task(state, c, [1], None) for c in configs]
-            return [(report.to_json(), b"".join(w.tobytes() for w in model.weights + model.biases))
-                    for [(report, model)] in rows]
+            rows = []
+            for c in configs:
+                run, reports = finished_row(state, c)
+                [report], [model] = reports, run.trainer.model.seed_views()
+                rows.append((report.to_json(),
+                             b"".join(w.tobytes() for w in model.weights + model.biases)))
+            return rows
 
         forward = outputs(group)
         assert outputs(group[::-1]) == forward[::-1]

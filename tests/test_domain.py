@@ -95,6 +95,12 @@ class TestGeneration:
             Dataset(np.zeros((2, 2)), np.array([0, 1]), "source")
         with pytest.raises(DomainError, match=r"^features must be \(n, d\) with one label per row$"):
             Dataset(np.zeros((3, 2)), np.array([1, 2]), "source")
+        # Labels are not truncated or cast from bools.
+        with pytest.raises(DomainError, match="^labels must be integers, got float64$"):
+            Dataset(np.zeros((3, 2)), [1.7, 2.2, 3.9], "x")
+        with pytest.raises(DomainError, match="^labels must be integers, got bool$"):
+            Dataset(np.zeros((2, 2)), np.array([True, True]), "x")
+        assert Dataset(np.zeros((2, 2)), np.array([1, 2], dtype=np.int32), "x").labels.dtype == np.int64
 
 
 class TestSplitPools:

@@ -19,10 +19,11 @@ from evidunc.config import parse_config
 from evidunc.enn import EvidentialMLP, TrainConfig, Trainer, TrainingDivergedError, checkpoint_text
 from evidunc.experiments import MAX_LOCKSTEP_SEEDS, _seed_chunks, run_ablation, run_rows
 from evidunc.losses import LossConfig
+from evidunc.metrics import AdaRunReport
 from evidunc.pools import SamplePool
 from evidunc.sampling import start_rows
 from evidunc.special import DomainError
-from test_config import tiny_document, tree_bytes
+from test_config import finished_row, tiny_document, tree_bytes
 
 SEEDS = [3, 7, 11]
 # Batch 12 on 80 source rows leaves a last minibatch of 8, and 7 steps of
@@ -56,8 +57,7 @@ def run_chunk(configs, seeds, out_dirs):
     """One seed chunk as run_rows runs it: its prefix task, then a row task
     per config; returns, per seed, the reports of the rows."""
     state = experiments._prefix_task(configs, seeds)
-    rows = [[report for report, _ in experiments._row_task(state, c, seeds, out)]
-            for c, out in zip(configs, out_dirs)]
+    rows = [experiments._row_task(state, c, seeds, out) for c, out in zip(configs, out_dirs)]
     return [list(reports) for reports in zip(*rows)]
 
 
@@ -83,12 +83,24 @@ class TestLockstepBytes:
         # The rows differ, so the copies each row finishes from are independent.
         assert len({got[f"{i}/seed7/checkpoint.json"] for i in range(len(configs))}) == 3
 
+    def test_row_task_returns_only_reports_in_seed_order(self):
+        configs = group_configs("variance", True)
+        state = experiments._prefix_task(configs, SEEDS)
+        for config in configs:
+            reports = experiments._row_task(state, config, SEEDS, None)
+            assert [type(r) for r in reports] == [AdaRunReport] * len(SEEDS)
+            assert [r.seed for r in reports] == SEEDS
+            # What a pool worker would send back holds no model.
+            assert b"EvidentialMLP" not in pickle.dumps(reports)
+            _, finished = finished_row(state, config)
+            assert [r.to_json() for r in reports] == [r.to_json() for r in finished]
+
     def test_returned_models_are_two_dimensional(self):
         configs = group_configs("variance", True)
         state = experiments._prefix_task(configs, SEEDS)
-        pools = pickle.loads(state).pools
         for config in configs:
-            for (_, model), pool in zip(experiments._row_task(state, config, SEEDS, None), pools):
+            run, _ = finished_row(state, config)
+            for model, pool in zip(run.trainer.model.seed_views(), run.pools):
                 assert [w.ndim for w in model.weights] == [2, 2]
                 assert [b.ndim for b in model.biases] == [1, 1]
                 assert model.forward_batch(pool.source_features).shape == (SAMPLES, 2)
@@ -103,8 +115,9 @@ class TestPickledState:
             switches = config.ablation
             outputs = []
             for copied in (pickle.loads(pickle.dumps(run)), copy.deepcopy(run)):
-                pairs = copied.finish(switches.us, switches.cs, switches.class_balanced)
-                outputs.append([(r.to_json(), checkpoint_text(m)) for r, m in pairs])
+                reports = copied.finish(switches.us, switches.cs, switches.class_balanced)
+                models = copied.trainer.model.seed_views()
+                outputs.append([(r.to_json(), checkpoint_text(m)) for r, m in zip(reports, models)])
             assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
@@ -207,8 +220,9 @@ class TestInPlaceTraining:
         pools = [small_pool(seed) for seed in seeds]
         cfgs = [TrainConfig(epochs=2, batch_size=8, seed=seed) for seed in seeds]
         run = start_rows(models, pools, cfgs, LossConfig(), [], [], [(False, False, False)])
-        pairs = run.finish(False, False, False)
-        for model, (_, trained), before in zip(models, pairs, initial):
+        reports = run.finish(False, False, False)
+        assert len(reports) == len(seeds)
+        for model, trained, before in zip(models, run.trainer.model.seed_views(), initial):
             assert [w.ndim for w in model.weights] == [2, 2]
             # Views of slices of the stacked model's one parameter vector.
             for layer in model.weights + model.biases:
@@ -288,7 +302,7 @@ class TestJobLayout:
 
         monkeypatch.setattr(experiments, "_prefix_task", recording)
         monkeypatch.setattr(experiments, "_row_task",
-                            lambda state, c, chunk, out: [(None, None)] * len(chunk))
+                            lambda state, c, chunk, out: [None] * len(chunk))
         # Two features a sample, source and target: 32 bytes a sample per seed.
         for samples, limit in ((80, MAX_LOCKSTEP_SEEDS), (300_000, 3), (2_000_000, 1)):
             document = tiny_document(seeds=list(range(8)))

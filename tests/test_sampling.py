@@ -301,7 +301,7 @@ class TestRunAda:
             start_rows([model], [pool], [cfg], LossConfig(), plans, [3, 5], rows)
         assert pool.budget_spent == 0
         run = start_rows([model], [pool], [cfg], LossConfig(), plans, [3, 5], rows[:1])
-        [(report, _)] = run.finish(*rows[0])
+        [report] = run.finish(*rows[0])
         assert report.budget_spent == 8
 
     def test_second_finish_rejected(self):
@@ -310,7 +310,7 @@ class TestRunAda:
         pool, model, cfg = ada_setup(n=300)
         plans = [RoundPlan(1, b_u=5, b_c=3, kappa=2), RoundPlan(2, b_u=5, b_c=3, kappa=2)]
         run = start_rows([model], [pool], [cfg], LossConfig(), plans, [3, 5], [(True, True, False)])
-        [(report, _)] = run.finish(True, True, False)
+        [report] = run.finish(True, True, False)
         assert pool.budget_spent == report.budget_spent == 10
         before = (pool.unlabeled_ids(), pool.supervised_set(), [w.copy() for w in model.weights])
         with pytest.raises(DomainError, match="finished"):
@@ -336,7 +336,7 @@ class TestRunAda:
         assert pool.budget_spent == 0 and run.trainer.epochs_done == 3
         for got, want in zip(model.weights, weights):
             np.testing.assert_array_equal(got, want)
-        [(report, _)] = run.finish(False, False, False)
+        [report] = run.finish(False, False, False)
         assert report.budget_spent == 0 and len(report.round_accuracies) == 2
 
     def test_partly_spent_budget_rejected_before_training(self):
