@@ -22,7 +22,6 @@ from .config import ConfigError, load_config, read_json, read_text
 from .dirichlet import AlphaError, checked_alpha, predict_class_batch
 # Bound under the name the benchmark's tracer wraps as the record builder.
 from .dirichlet import quantify_records as quantify_record
-from .enn import TrainingDivergedError
 from .experiments import _write_atomic, run_ablation, run_experiment
 from .losses import QUANTIFICATION_MODES
 from .pools import PoolError
@@ -215,7 +214,7 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, PoolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingDivergedError, RuntimeError, OSError, MemoryError) as exc:
+    except (RuntimeError, OSError, MemoryError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:

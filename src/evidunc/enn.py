@@ -47,7 +47,7 @@ import numpy as np
 
 from .dirichlet import predict_class_batch
 from .losses import LossConfig, edl_batch, edl_gradient, edl_loss, ug_batch
-from .special import DomainError
+from .special import DomainError, _check_finite
 
 __all__ = [
     "TrainConfig",
@@ -89,6 +89,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_finite(self, "learning_rate", "momentum", "weight_decay", "lr_gamma", "lr_beta")
         if self.epochs < 0:
             raise DomainError("epochs must be nonnegative")
         if self.batch_size < 1:
@@ -185,28 +186,36 @@ class EvidentialMLP:
     def input_dim(self) -> int:
         return self.weights[0].shape[-2]
 
+    def _alpha(self, h: np.ndarray, activations: list | None = None):
+        """Both forwards' layer loop: alpha of ``h``, each layer's product
+        worked in place; given a list ``activations``, also the mask of
+        unclamped logits, each hidden layer's output appended to the list."""
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
+            if activations is not None:
+                activations.append(h)
+        logits = h @ self.weights[-1]
+        logits += self.biases[-1]
+        active = None if activations is None else np.abs(logits) < LOGIT_CLAMP
+        np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP, out=logits)
+        return np.exp(logits, out=logits), active
+
     def _forward_cached(self, x: np.ndarray):
         """The training forward: alpha plus what backprop needs, every
-        layer's input activations and the mask of unclamped logits. ``x``, a
-        float64 array the trainer gathered, is not checked; it may stack
-        several passes' inputs along a leading axis, and each ``(pass,
-        seed)`` slice then goes to the same BLAS call as it would alone."""
+        layer's input activations (``x`` itself first) and the mask of
+        unclamped logits. ``x``, a float64 array the trainer gathered, is not
+        checked; it may stack several passes' inputs along a leading axis, and
+        each ``(pass, seed)`` slice then gets the BLAS call it would alone."""
         activations = [x]
-        h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
-            activations.append(h)
-        logits = h @ self.weights[-1] + self.biases[-1]
-        active = np.abs(logits) < LOGIT_CLAMP
-        alpha = np.exp(np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP))
+        alpha, active = self._alpha(x, activations)
         return alpha, activations, active
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """Alpha matrix (n, C) for an (n, d) input batch, for inference.
 
-        Bitwise equal to the alpha of ``_forward_cached``, but keeps no
-        activations or clamp mask and works in place on each layer's
-        product, so scoring a large pool allocates one array per layer.
+        Bitwise the alpha of ``_forward_cached``, whose layer loop it runs.
         The batch is not split into row blocks: BLAS may pick other kernels
         for a partial block, which changes the bits. ``x`` must be ``(n,
         d)``, or ``(S, n, d)`` for a stacked model."""
@@ -215,14 +224,7 @@ class EvidentialMLP:
         if h.ndim != w.ndim or h.shape[-1] != w.shape[-2] or h.shape[:-2] != w.shape[:-2]:
             want = ", ".join([*map(str, w.shape[:-2]), "n", str(self.input_dim)])
             raise DomainError(f"expected ({want}) inputs, got shape {h.shape}")
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = h @ w
-            h += b
-            np.maximum(h, 0.0, out=h)
-        logits = h @ self.weights[-1]
-        logits += self.biases[-1]
-        np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP, out=logits)
-        return np.exp(logits, out=logits)
+        return self._alpha(h)[0]
 
     def alpha_gradient_to_param_gradients(self, dalpha, alpha, activations, active):
         """Backprop an (n, C) alpha-gradient, or an (S, n, C) one through a

@@ -127,7 +127,7 @@ def run_seed(config: ExperimentConfig, seed: int):
     with _one_blas_thread():
         run = pickle.loads(_prefix_task([config], [seed]))
         [report] = _seed_named([seed], run.finish, *_row(config))
-    [model], [pool] = run.trainer.model.seed_views(), run.pools
+    [model], [pool] = run.trainer.model.seed_views(), run.trainer.pools
     return (report, model, Dataset(pool.source_features, pool.source_labels, "source"),
             Dataset(pool.target_features, pool.true_target_labels(), "target"))
 
@@ -169,7 +169,7 @@ def _row_task(state: bytes, config, seeds, out_dir) -> list:
     reports = _seed_named(seeds, run.finish, *_row(config))
     if out_dir is not None:
         for seed, report, model, pool in zip(seeds, reports, run.trainer.model.seed_views(),
-                                             run.pools):
+                                             run.trainer.pools):
             _write_seed_outputs(Path(out_dir) / f"seed{seed}", report, model, pool)
     return reports
 

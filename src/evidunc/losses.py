@@ -22,12 +22,12 @@ comes in two parts, ``edl_gradient``, which needs only trigamma, and
 gradient alone, and the trainer computes the epoch's losses in one pass
 after its last step. ``edl_batch`` is the two together.
 
-Alpha must be positive and finite, and the kernels do not check it: they
-run on every SGD step, where alpha is ``exp`` of clamped logits that the
-trainer has already checked for finiteness, so they call the unchecked
-``special._series`` in place of the validating special functions. A row
-with a NaN gives a NaN loss and gradient in that row and raises nothing;
-the other rows are unaffected.
+Alpha must be positive and finite, and the kernels do not check it: they run
+on every SGD step, where alpha is ``exp`` of clamped logits that the trainer
+has already checked for finiteness, so they call the unchecked
+``special._series``, whose results keep their argument's shape, in place of
+the validating special functions. A row with a NaN gives a NaN loss and
+gradient in that row and raises nothing; the other rows are unaffected.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .special import (_DIGAMMA_AND_TRIGAMMA, _LOG_GAMMA_AND_DIGAMMA, _TRIGAMMA_ONLY,
-                      DomainError, _series, digamma, log_gamma, trigamma)
+                      DomainError, _check_finite, _series, digamma, log_gamma, trigamma)
 
 __all__ = ["LossConfig", "edl_loss", "edl_gradient", "edl_batch", "ug_batch"]
 
@@ -66,6 +66,7 @@ class LossConfig:
     pseudo_label_weight: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, "lambda_reg", "lambda_a", "lambda_e", "pseudo_label_weight")
         if self.mode not in QUANTIFICATION_MODES:
             raise DomainError(f"mode must be one of {QUANTIFICATION_MODES}, got {self.mode!r}")
         if self.reduction not in REDUCTIONS:
@@ -112,8 +113,7 @@ def _tilde_and_sum(alpha: np.ndarray, at):
 def _kl_loss(alpha: np.ndarray, at):
     c = alpha.shape[1]
     arg = _tilde_and_sum(alpha, at)
-    lg, psi = (part.reshape(arg.shape)
-               for part in _series(arg.reshape(-1), _LOG_GAMMA_AND_DIGAMMA))
+    lg, psi = _series(arg, _LOG_GAMMA_AND_DIGAMMA)
     return (
         lg[:, c]
         - _log_gamma_of_count(c)
@@ -125,7 +125,7 @@ def _kl_loss(alpha: np.ndarray, at):
 def _kl_gradient(alpha: np.ndarray, at):
     c = alpha.shape[1]
     arg = _tilde_and_sum(alpha, at)
-    tri = _series(arg.reshape(-1), _TRIGAMMA_ONLY)[0].reshape(arg.shape)
+    [tri] = _series(arg, _TRIGAMMA_ONLY)
     grad = (arg[:, :c] - 1.0) * tri[:, :c] - ((arg[:, c] - c) * tri[:, c])[:, None]
     grad[at] = 0.0
     return grad
@@ -175,8 +175,7 @@ def _ug_entropy_batch(alpha: np.ndarray, lambda_a: float, lambda_e: float):
     u = -(mu * log_mu).sum(axis=1)
     # digamma and trigamma of [alpha + 1 | alpha0 + 1]; the last column is alpha0 + 1.
     shifted = np.column_stack((alpha, a0)) + 1.0
-    psi, tri = (part.reshape(shifted.shape)
-                for part in _series(shifted.reshape(-1), _DIGAMMA_AND_TRIGAMMA))
+    psi, tri = _series(shifted, _DIGAMMA_AND_TRIGAMMA)
     gap = psi[:, -1:] - psi[:, :-1]
     u_alea = (mu * gap).sum(axis=1)
     du = -(log_mu + u[:, None]) / a0[:, None]

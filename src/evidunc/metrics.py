@@ -54,6 +54,9 @@ def _validate_binary(scores, positives):
     positives = np.asarray(positives, dtype=bool)
     if scores.shape != positives.shape or scores.ndim != 1:
         raise DomainError("scores and labels must be matching 1-D sequences")
+    bad = ~np.isfinite(scores)
+    if bad.any():
+        raise DomainError(f"scores must be finite; index {int(np.argmax(bad))} is not")
     n_pos = int(positives.sum())
     if n_pos == 0 or n_pos == positives.size:
         raise DomainError("AUROC needs at least one positive and one negative")

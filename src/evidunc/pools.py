@@ -116,8 +116,7 @@ class SamplePool:
     # --- label acquisition (the only training-time label paths) ---
 
     def _unlabeled(self, ids) -> np.ndarray:
-        """ids as an int64 array, checked to be distinct unlabeled ids."""
-        ids = np.atleast_1d(np.asarray(ids))
+        """The 1-D ``ids`` as int64, checked to be distinct unlabeled ids."""
         if ids.size and not np.issubdtype(ids.dtype, np.integer):
             raise PoolError(f"sample ids must be integers, got {ids.tolist()}")
         ids = ids.astype(np.int64)

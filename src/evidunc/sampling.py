@@ -171,7 +171,7 @@ def _pick_certain_balanced_tail(order, ids, predicted, b_c, num_classes, exclude
     for c in range(1, num_classes + 1):
         in_quota[np.flatnonzero(tail_classes == c)[: b_c // num_classes]] = True
     # Each class's quota first, then the most certain of the rest.
-    return ids[np.concatenate([tail[in_quota], tail[~in_quota]])[: min(b_c, tail.size)]]
+    return ids[np.concatenate([tail[in_quota], tail[~in_quota]])[:b_c]]
 
 
 @dataclass(frozen=True)
@@ -305,25 +305,24 @@ def start_rows(models, pools, train_cfgs, loss_cfg: LossConfig, plans, schedule,
 
 
 class _AdaRun:
-    """The state a run carries from epoch to epoch: its seeds' pools, the
-    trainer with their stacked model, momentum buffers and shuffle streams,
-    and each seed's report so far. A pickled copy, which the experiment
-    driver finishes each row from, is an independent run that continues from
-    the same point; a deep copy finishes equal to it, as the tests check. It
-    holds no per-seed views of the stacked model, which a copy would turn
-    into arrays of their own; ``seed_views`` makes them when needed."""
+    """The state a run carries from epoch to epoch: the trainer, holding the
+    seeds' pools, their stacked model, the loss config, momentum buffers and
+    shuffle streams; and each seed's report so far. A pickled copy, which the
+    experiment driver finishes each row from, is an independent run that
+    continues from the same point; a deep copy finishes equal to it, as the
+    tests check. It holds no per-seed views of the stacked model, which a copy
+    would turn into arrays of their own; ``seed_views`` makes them when
+    needed."""
 
     def __init__(self, models, pools, train_cfgs, loss_cfg: LossConfig, plans,
                  schedule, rows, ug_enabled: bool, auroc_epoch: int | None):
         if auroc_epoch is None:
             auroc_epoch = schedule[0] if schedule else None
-        self.pools = list(pools)
-        self.mode = loss_cfg.mode
         self.auroc_epoch = auroc_epoch
         self.rounds_by_epoch = dict(zip(schedule, plans))
-        self.reports = [AdaRunReport(mode=self.mode, seed=cfg.seed, auroc_epoch=auroc_epoch)
+        self.reports = [AdaRunReport(mode=loss_cfg.mode, seed=cfg.seed, auroc_epoch=auroc_epoch)
                         for cfg in train_cfgs]
-        self.trainer = Trainer(models, self.pools, train_cfgs, loss_cfg, ug_enabled=ug_enabled)
+        self.trainer = Trainer(models, pools, train_cfgs, loss_cfg, ug_enabled=ug_enabled)
         self.rows = {tuple(row) for row in rows}  # the rows whose layout was checked
         self.finished = False
 
@@ -337,8 +336,8 @@ class _AdaRun:
                 report.loss_curve.append((done, s, u))
             if done == self.auroc_epoch:
                 for report, model, pool in zip(self.reports, self.trainer.model.seed_views(),
-                                               self.pools):
-                    _record_auroc(report, model, pool, self.mode)
+                                               self.trainer.pools):
+                    _record_auroc(report, model, pool, self.trainer.loss_cfg.mode)
 
     def finish(self, us_enabled: bool, cs_enabled: bool, class_balanced: bool) -> list:
         """Run each round right after its scheduled epoch, then the rest of
@@ -355,7 +354,7 @@ class _AdaRun:
                               f"start_rows checked, {sorted(self.rows)}")
         self.finished = True
         seeds = [(model, pool, report, pool.true_target_labels()) for model, pool, report
-                 in zip(self.trainer.model.seed_views(), self.pools, self.reports)]
+                 in zip(self.trainer.model.seed_views(), self.trainer.pools, self.reports)]
         # Per seed, (pseudo-label hits, pseudo labels, model accuracy on the
         # unlabeled pool) of each round that pseudo-labeled.
         certain = [[] for _ in seeds]
@@ -363,8 +362,8 @@ class _AdaRun:
             self.train_to(epoch)
             for (model, pool, report, labels), tally in zip(seeds, certain):
                 sorts_before = eu_sort_count()
-                rnd = _selection_round(pool, model, plan, self.mode, us_enabled, cs_enabled,
-                                       class_balanced)
+                rnd = _selection_round(pool, model, plan, self.trainer.loss_cfg.mode, us_enabled,
+                                       cs_enabled, class_balanced)
                 report.eu_sorts_per_round.append(eu_sort_count() - sorts_before)
                 report.selection_log.extend(_log_rows(plan.round_index, rnd, labels))
                 if rnd.certain.size:

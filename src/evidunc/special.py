@@ -11,12 +11,12 @@ the bits, unchanged).
 
 Validation lives in the public functions: each checks that its argument is
 finite and positive, raising ``DomainError`` otherwise, then runs the
-unchecked ``_series``. The training losses call ``_series`` directly, on
-arguments positive and finite by construction, and so skip the checks and
-the output buffers of each call; there a NaN argument gives NaN results.
-``_series`` with a scheme of several parts, such as
-``_LOG_GAMMA_AND_DIGAMMA``, gives each from one shift pass, bitwise equal to
-its single-function call.
+unchecked ``_series``, whose results keep the argument's shape. The training
+losses call ``_series`` directly, on arguments positive and finite by
+construction, and so skip the checks and the output buffers of each call;
+there a NaN argument gives NaN results. ``_series`` with a scheme of several
+parts, such as ``_LOG_GAMMA_AND_DIGAMMA``, gives each from one shift pass,
+bitwise equal to its single-function call.
 
 Accuracy (verified against a 50-digit reference in the test suite):
 absolute error stays below 1e-12 for ``log_gamma``/``digamma`` and below
@@ -83,6 +83,14 @@ class DomainError(ValueError):
     """Argument outside the (0, inf) domain, or not finite."""
 
 
+def _check_finite(owner, *names) -> None:
+    """Raise DomainError naming each attribute ``names`` of ``owner`` that holds NaN or Inf."""
+    bad = [name for name in names if getattr(owner, name) is not None
+           and not np.isfinite(np.asarray(getattr(owner, name), dtype=np.float64)).all()]
+    if bad:
+        raise DomainError(f"{' and '.join(bad)} must be finite")
+
+
 def _series_block(flat, scheme):
     """The scheme all three share, on one flat block of 2 to ``_BLOCK``
     positive finite elements, unchecked: shift it to ``y = x + 16`` and, for
@@ -114,24 +122,24 @@ def _series_block(flat, scheme):
     return [finish(y, z, s, corr) for finish, s, corr in zip(finishes, series, corrs)]
 
 
-def _series(flat, scheme):
-    """``_series_block`` on a flat array of any size, unchecked; returns one
-    flat array per part, of at least the input's size (a lone element comes
-    back twice). Up to ``_BLOCK`` elements are one block, returned as
-    computed. A larger array is walked in blocks of ``_BLOCK`` into one
-    buffer per part, its last block starting early enough to hold two
-    elements; no element's result depends on the block it falls in."""
-    if flat.size == 1:
-        flat = np.repeat(flat, 2)
+def _series(x, scheme):
+    """``_series_block`` on an array of any shape, unchecked; returns one
+    array per part, each in x's shape. Up to ``_BLOCK`` elements are one
+    block; a lone element goes as two, its copy dropped from the results. A
+    larger array is walked in blocks of ``_BLOCK`` into one buffer per part,
+    its last block starting early enough to hold two elements; no element's
+    result depends on the block it falls in."""
+    flat = np.resize(x, 2) if x.size == 1 else x.reshape(-1)
     n = flat.size
     if n <= _BLOCK:
-        return _series_block(flat, scheme)
-    outs = [np.empty(n) for _ in scheme[2]]
-    for start in range(0, n, _BLOCK):
-        lo, hi = min(start, n - 2), min(start + _BLOCK, n)
-        for out, part in zip(outs, _series_block(flat[lo:hi], scheme)):
-            out[lo:hi] = part
-    return outs
+        outs = _series_block(flat, scheme)
+    else:
+        outs = [np.empty(n) for _ in scheme[2]]
+        for start in range(0, n, _BLOCK):
+            lo, hi = min(start, n - 2), min(start + _BLOCK, n)
+            for out, part in zip(outs, _series_block(flat[lo:hi], scheme)):
+                out[lo:hi] = part
+    return [out[: x.size].reshape(x.shape) for out in outs]
 
 
 def _shift_and_series(x, name: str, scheme):
@@ -143,7 +151,7 @@ def _shift_and_series(x, name: str, scheme):
         raise DomainError(f"{name}: argument must be finite, got {x!r}")
     if np.any(arr <= 0.0):
         raise DomainError(f"{name}: argument must be > 0, got {x!r}")
-    outs = [out[: arr.size].reshape(arr.shape) for out in _series(arr.reshape(-1), scheme)]
+    outs = _series(arr, scheme)
     if np.isscalar(x):
         return [float(out) for out in outs]
     return [out[()] for out in outs]

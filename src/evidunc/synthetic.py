@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pools import SamplePool, oracle_budget
-from .special import DomainError
+from .special import DomainError, _check_finite
 
 __all__ = [
     "MAX_SIZE",
@@ -57,6 +57,9 @@ class Dataset:
         labels = np.asarray(self.labels)
         if features.ndim != 2 or labels.shape != (features.shape[0],):
             raise DomainError("features must be (n, d) with one label per row")
+        bad = ~np.isfinite(features).all(axis=1)
+        if bad.any():
+            raise DomainError(f"features must be finite; row {int(np.argmax(bad))} is not")
         if labels.size and not np.issubdtype(labels.dtype, np.integer):
             raise DomainError(f"labels must be integers, got {labels.dtype}")
         if labels.size and labels.min() < 1:
@@ -107,6 +110,8 @@ class DomainSpec:
         if not float64_array_fits(self.samples_per_domain, self.feature_dim):
             raise DomainError(f"samples_per_domain x feature_dim features would take more "
                               f"than numpy's limit of {MAX_SIZE} bytes")
+        _check_finite(self, "class_means", "class_scale", "shift_rotation_degrees",
+                      "shift_translation", "shift_noise_multiplier")
         if self.class_scale <= 0 or self.shift_noise_multiplier <= 0:
             raise DomainError("scales must be positive")
         means = (

@@ -36,7 +36,7 @@ def shift_and_series_per_step(x, parts=(_LOG_GAMMA, _DIGAMMA, _TRIGAMMA)):
     whole argument. ``special.log_gamma``, ``digamma`` and ``trigamma`` must
     match it bit for bit, and in type: a ``float`` for a Python or numpy
     scalar, a numpy scalar for a 0-d array; so must the unchecked
-    ``special._series`` the losses call, on the flattened argument."""
+    ``special._series`` the losses call, on an array argument of any shape."""
     arr = np.asarray(x, dtype=np.float64)
     y = arr + _SHIFT
     sums = [(np.zeros_like(y), correction) for correction, _, _ in parts]

@@ -101,6 +101,31 @@ class TestGeneration:
         with pytest.raises(DomainError, match="^labels must be integers, got bool$"):
             Dataset(np.zeros((2, 2)), np.array([True, True]), "x")
         assert Dataset(np.zeros((2, 2)), np.array([1, 2], dtype=np.int32), "x").labels.dtype == np.int64
+        # Non-finite features are named by their first row.
+        for bad in (np.nan, np.inf, -np.inf):
+            features = np.zeros((4, 2))
+            features[[2, 3], 1] = bad
+            with pytest.raises(DomainError, match="^features must be finite; row 2 is not$"):
+                Dataset(features, [1, 2, 1, 2], "x")
+
+
+# Each non-finite setting is named, ahead of the range checks that NaN
+# would slip past and that would report an infinite value as out of range.
+@pytest.mark.parametrize("cls, settings", [
+    (TrainConfig, {"learning_rate": np.nan}),
+    (TrainConfig, {"weight_decay": np.inf}),
+    (TrainConfig, {"momentum": np.nan, "lr_beta": -np.inf}),
+    (LossConfig, {"lambda_a": np.nan}),
+    (LossConfig, {"lambda_reg": np.inf, "pseudo_label_weight": np.nan}),
+    (DomainSpec, {"class_scale": np.nan}),
+    (DomainSpec, {"shift_translation": (np.nan, 0.0)}),
+    (DomainSpec, {"shift_rotation_degrees": np.inf}),
+    (DomainSpec, {"class_means": np.full((5, 2), -np.inf)}),
+    (DomainSpec, {"shift_noise_multiplier": np.inf}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else "-".join(v))
+def test_non_finite_settings_rejected(cls, settings):
+    with pytest.raises(DomainError, match=f"^{' and '.join(settings)} must be finite$"):
+        cls(**settings)
 
 
 class TestSplitPools:

@@ -77,6 +77,15 @@ class TestForward:
         assert np.all(active) == (scale == 1.0)
         if scale != 1.0:
             assert alpha.max() == math.exp(LOGIT_CLAMP) and alpha.min() == math.exp(-LOGIT_CLAMP)
+        # A stacked model's (S, n, d) inputs, up to 4096 rows a seed.
+        stacked = EvidentialMLP.stack([EvidentialMLP.create(8, 10, hidden=(64, 64), seed=s)
+                                       for s in (5, 6, 7)])
+        xs = np.stack([x[:4096], -x[:4096], 2.0 * x[:4096]])
+        alpha = stacked.forward_batch(xs)
+        want, _, active = stacked._forward_cached(xs)
+        assert alpha.shape == want.shape == (3, min(n, 4096), 10)
+        assert alpha.tobytes() == want.tobytes()
+        assert np.all(active) == (scale == 1.0)
 
     def test_inference_forward_leaves_its_input_alone(self):
         x = np.random.default_rng(0).normal(size=(5, 3))
@@ -84,6 +93,18 @@ class TestForward:
         linear_model([0.5, -0.5], input_dim=3).forward_batch(x)
         EvidentialMLP.create(3, 2, hidden=(4,), seed=1).forward_batch(x)
         assert x.tobytes() == before.tobytes()
+
+    def test_training_forward_leaves_its_input_alone(self):
+        # The layer loop works each product in place, never its input,
+        # which backprop takes back as the first layer's activations.
+        x = np.random.default_rng(1).normal(size=(2, 5, 3))
+        before = x.copy()
+        for model in (linear_model([0.5, -0.5], input_dim=3),
+                      EvidentialMLP.create(3, 2, hidden=(4, 4), seed=1)):
+            alpha, activations, active = model._forward_cached(x)
+            assert activations[0] is x and x.tobytes() == before.tobytes()
+            assert len(activations) == len(model.weights)
+            assert alpha.shape == active.shape == (2, 5, 2)
 
     def test_init_is_scaled_and_seeded(self):
         a = EvidentialMLP.create(5, 3, hidden=(7,), seed=11)

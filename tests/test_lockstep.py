@@ -100,7 +100,7 @@ class TestLockstepBytes:
         state = experiments._prefix_task(configs, SEEDS)
         for config in configs:
             run, _ = finished_row(state, config)
-            for model, pool in zip(run.trainer.model.seed_views(), run.pools):
+            for model, pool in zip(run.trainer.model.seed_views(), run.trainer.pools):
                 assert [w.ndim for w in model.weights] == [2, 2]
                 assert [b.ndim for b in model.biases] == [1, 1]
                 assert model.forward_batch(pool.source_features).shape == (SAMPLES, 2)

@@ -65,6 +65,16 @@ class TestAuroc:
         with pytest.raises(DomainError):
             auroc([0.1, 0.2], [False, False])
 
+    def test_non_finite_scores_rejected(self):
+        # A NaN used to give an AUROC that depended on where it sat.
+        for bad in (np.nan, np.inf, -np.inf):
+            for at in (0, 1):
+                scores = [0.1, 0.2, 0.3, 0.4]
+                scores[at] = bad
+                message = f"^scores must be finite; index {at} is not$"
+                with pytest.raises(DomainError, match=message):
+                    auroc(scores, [True, False, True, False])
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DomainError):
             auroc([0.1, 0.2, 0.3], [True, False])

@@ -237,6 +237,18 @@ def test_unchecked_series_bitwise_equal_to_public_functions(size):
             assert got.tobytes() == public[name].tobytes() == single[name].tobytes()
 
 
+# _series owns the flattening: each part comes back in the argument's shape,
+# a lone element included, with the bits of the flat call.
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1), (683, 6), (4097,), (3, 1500)])
+def test_unchecked_series_keeps_the_argument_shape(shape):
+    x = np.random.default_rng(13).uniform(1e-3, 40.0, size=shape)
+    want = shift_and_series_per_step(x)
+    flat = special._series(x.reshape(-1), ALL_THREE)
+    for got, f, w in zip(special._series(x, ALL_THREE), flat, want):
+        assert got.shape == x.shape and f.shape == (x.size,)
+        assert got.tobytes() == f.tobytes() == np.asarray(w).tobytes()
+
+
 def test_unchecked_series_passes_nan_through():
     x = np.array([1.5, np.nan, 2.5])
     lg, psi, tri = special._series(x, ALL_THREE)
