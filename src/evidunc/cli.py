@@ -15,19 +15,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from bisect import bisect_left
 from pathlib import Path
 
 from .config import ConfigError, load_config, read_json, read_text
 from .dirichlet import AlphaError, checked_alpha, predict_class_batch
 # Bound under the name the benchmark's tracer wraps as the record builder.
 from .dirichlet import quantify_records as quantify_record
-from .experiments import _write_atomic, run_ablation, run_experiment
+from .experiments import _open_atomic, run_ablation, run_experiment
 from .losses import QUANTIFICATION_MODES
 from .pools import PoolError
 from .special import DomainError
 
 __all__ = ["main"]
+
+# About how many covariance entries the records of one quantify chunk hold:
+# 2**13 // C**2 rows, at least one, about 1 MB of output text.
+CHUNK_ENTRIES = 2**13
 
 
 def _parse_alpha_csv(path: Path):
@@ -58,12 +64,11 @@ def _parse_alpha_json(path: Path):
     return vectors
 
 
-def cmd_quantify(args) -> int:
-    path = Path(args.alphas)
-    parse = _parse_alpha_json if path.suffix.lower() == ".json" else _parse_alpha_csv
-    vectors = parse(path)
-
-    # CSV rows may differ in length: one batch per class count, input order kept.
+def _alpha_batches(vectors):
+    """(rows, alpha) per class count: the input indices of the rows of that
+    length, in input order, and their ``checked_alpha`` matrix. CSV rows may
+    differ in length. A bad row raises a ConfigError naming the earliest bad
+    row of the input, whichever batch holds it."""
     groups = {}
     for i, (values, _) in enumerate(vectors):
         groups.setdefault(len(values), []).append(i)
@@ -73,26 +78,57 @@ def cmd_quantify(args) -> int:
             batches.append((rows, checked_alpha([vectors[i][0] for i in rows])))
         except AlphaError as exc:
             bad.append((rows[exc.row], str(exc)))
-    if bad:  # the earliest bad row of the input, whichever batch holds it
+    if bad:
         i, message = min(bad)
         raise ConfigError(f"{vectors[i][1]}: {message}")
-    records = [None] * len(vectors)
-    for rows, alpha in batches:
-        built = zip(quantify_record(alpha), predict_class_batch(alpha).tolist())
-        for i, (record, label) in zip(rows, built):
-            record["predicted_class"] = label
-            records[i] = record
+    return batches
 
-    # One compact record per line: the C encoder, and a readable diff.
-    lines = ",\n".join(json.dumps(r, sort_keys=True) for r in records)
-    text = f"[\n{lines}\n]\n" if records else "[]\n"
+
+def cmd_quantify(args) -> int:
+    path = Path(args.alphas)
+    parse = _parse_alpha_json if path.suffix.lower() == ".json" else _parse_alpha_csv
+    # The parsed rows are dropped once they are checked; the matrices remain.
+    batches = _alpha_batches(parse(path))
+
+    # Nothing is written before every row passed. Then the records are built
+    # and written in input order, one chunk of rows at a time, so only one
+    # chunk's records and text are alive at once.
+    n = sum(len(rows) for rows, _ in batches)
+    size = max(1, CHUNK_ENTRIES // max((a.shape[1] for _, a in batches), default=1) ** 2)
+
+    def chunks():
+        for start in range(0, n, size):
+            stop = min(start + size, n)
+            records = [None] * (stop - start)
+            for rows, alpha in batches:  # each class count's rows of the chunk
+                lo, hi = bisect_left(rows, start), bisect_left(rows, stop)
+                if lo == hi:
+                    continue
+                built = zip(quantify_record(alpha[lo:hi]),
+                            predict_class_batch(alpha[lo:hi]).tolist())
+                for i, (record, label) in zip(rows[lo:hi], built):
+                    record["predicted_class"] = label
+                    records[i - start] = record
+            # One compact record per line: the C encoder, and a readable diff.
+            yield ("[\n" if start == 0 else ",\n") + ",\n".join(
+                json.dumps(r, sort_keys=True) for r in records)
+        yield "\n]\n" if n else "[]\n"
+
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(out, text)
-        print(f"wrote {len(records)} records to {out}")
+        with _open_atomic(out) as fh:
+            fh.writelines(chunks())
+        print(f"wrote {n} records to {out}")
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(chunks())
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader left early (``quantify ... | head``), which is no
+            # failure. The unwritten rest goes to devnull, so that the flush
+            # at exit does not fail again (see the signal module's docs).
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -198,7 +198,9 @@ def covariance_batch(alpha: np.ndarray):
 def quantify_records(alpha: np.ndarray) -> list:
     """JSON-ready records for the rows of an (n, C) alpha matrix: alpha,
     uncertainties in both quantification modes, covariance matrices and the
-    correlation matrix. Each batch kernel runs once on the whole matrix."""
+    correlation matrix. Each batch kernel runs once on the whole matrix;
+    ``evidunc quantify`` calls this once per class count in each chunk of
+    rows, so that only one chunk's records are alive at a time."""
     alpha = np.asarray(alpha, dtype=np.float64)
     parts = ("total", "aleatoric", "epistemic")
     var = zip(*(v.tolist() for v in variance_uncertainties_batch(alpha)))

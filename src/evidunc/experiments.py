@@ -49,7 +49,7 @@ before its first task and writes them again only when every task succeeded,
 so a failed rerun never leaves a directory that looks complete.
 
 This module owns the format of every run-directory file, and one writer,
-``_write_atomic``, writes each of them whole: a temporary file in the same
+``_open_atomic``, writes each of them whole: a temporary file in the same
 directory, then ``os.replace``. A process that crashes mid-write leaves the
 old file or none, never a truncated one. Nothing is fsynced, so a power
 loss is not covered.
@@ -174,17 +174,25 @@ def _row_task(state: bytes, config, seeds, out_dir) -> list:
     return reports
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` whole: into a temporary file beside it,
-    named with this process's id, then renamed over ``path``."""
+@contextlib.contextmanager
+def _open_atomic(path: Path):
+    """A text file to write ``path`` whole through: a temporary file beside
+    it, named with this process's id, renamed over ``path`` when the block
+    ends and deleted if the block raises."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole, through ``_open_atomic``."""
+    with _open_atomic(path) as fh:
+        fh.write(text)
 
 
 def _csv_text(header, rows) -> str:

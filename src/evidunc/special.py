@@ -84,9 +84,18 @@ class DomainError(ValueError):
 
 
 def _check_finite(owner, *names) -> None:
-    """Raise DomainError naming each attribute ``names`` of ``owner`` that holds NaN or Inf."""
-    bad = [name for name in names if getattr(owner, name) is not None
-           and not np.isfinite(np.asarray(getattr(owner, name), dtype=np.float64)).all()]
+    """Raise DomainError naming each attribute ``names`` of ``owner`` that
+    holds an integer too large for a float, or else NaN or Inf."""
+    huge, bad = [], []
+    for name in names:
+        value = getattr(owner, name)
+        try:
+            if value is not None and not np.isfinite(np.asarray(value, dtype=np.float64)).all():
+                bad.append(name)
+        except OverflowError:
+            huge.append(name)
+    if huge:  # worded as Python's own OverflowError
+        raise DomainError(f"int too large to convert to float: {' and '.join(huge)}")
     if bad:
         raise DomainError(f"{' and '.join(bad)} must be finite")
 

@@ -6,15 +6,22 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from evidunc import experiments
+from evidunc import cli, experiments
 from evidunc.cli import main
-from evidunc.dirichlet import DirichletPrediction, predict_class_batch
+from evidunc.dirichlet import (DirichletPrediction, checked_alpha, predict_class_batch,
+                               quantify_records)
 from oracles import per_prediction_record
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Rows in one quantify chunk of 10-class records.
+CHUNK_10 = max(1, cli.CHUNK_ENTRIES // 10**2)
 
 
 def write_config(tmp_path, **overrides):
@@ -45,6 +52,35 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(document))
     return path
+
+
+def write_alpha_csv(path, rows):
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    return path
+
+
+def alpha_rows(n, classes, seed=0):
+    """n alpha rows of random positive entries; ``classes`` is a class count
+    or a sequence of them to draw each row's count from."""
+    rng = np.random.default_rng(seed)
+    counts = rng.choice(np.atleast_1d(classes), size=n)
+    return [np.exp(rng.uniform(-3.0, 3.0, size=c)).tolist() for c in counts]
+
+
+def whole_batch_text(rows):
+    """quantify's output built whole: the records of every row, one
+    ``quantify_records`` call per class count, then one framed text."""
+    groups = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(len(row), []).append(i)
+    records = [None] * len(rows)
+    for indices in groups.values():
+        alpha = checked_alpha([rows[i] for i in indices])
+        labels = predict_class_batch(alpha).tolist()
+        for i, record, label in zip(indices, quantify_records(alpha), labels):
+            records[i] = {**record, "predicted_class": label}
+    lines = ",\n".join(json.dumps(r, sort_keys=True) for r in records)
+    return f"[\n{lines}\n]\n" if records else "[]\n"
 
 
 class TestQuantify:
@@ -200,8 +236,7 @@ class TestQuantify:
 
     def test_one_record_per_line_in_input_order(self, tmp_path, capsys):
         rows = [[2.0, 3.0, 5.0], [1.0, 1.0], [1e-12, 4.0, 7.0, 1.0], [1e200, 1e200]]
-        path = tmp_path / "alphas.csv"
-        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        path = write_alpha_csv(tmp_path / "alphas.csv", rows)
         assert main(["quantify", str(path)]) == 0
         out = capsys.readouterr().out
         lines = out.splitlines()
@@ -217,6 +252,75 @@ class TestQuantify:
         path.write_text("")
         assert main(["quantify", str(path)]) == 0
         assert capsys.readouterr().out == "[]\n"
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        alpha_rows(1, 10),
+        alpha_rows(CHUNK_10 - 1, 10),
+        alpha_rows(CHUNK_10, 10),
+        alpha_rows(CHUNK_10 + 1, 10),
+        alpha_rows(3 * CHUNK_10 + 5, 10),
+        # 2-, 3- and 4-class rows interleaved across the boundaries of chunks
+        # sized for the 4-class records.
+        alpha_rows(3 * (cli.CHUNK_ENTRIES // 4**2) + 7, (2, 3, 4)),
+    ], ids=["empty", "one", "chunk-1", "chunk", "chunk+1", "chunks", "mixed"])
+    def test_chunked_output_equals_whole_batch_output(self, tmp_path, capsys, rows):
+        path = write_alpha_csv(tmp_path / "alphas.csv", rows)
+        expected = whole_batch_text(rows).encode()
+        assert main(["quantify", str(path)]) == 0
+        assert capsys.readouterr().out.encode() == expected
+        out = tmp_path / "records.json"
+        assert main(["quantify", str(path), "--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_bad_row_in_last_chunk_writes_nothing(self, tmp_path, capsys, to_file):
+        rows = alpha_rows(3 * CHUNK_10 + 2, 10)
+        rows[-1][4] = 0.0
+        path = write_alpha_csv(tmp_path / "alphas.csv", rows)
+        out = tmp_path / "records.json"
+        assert main(["quantify", str(path), *(["--out", str(out)] if to_file else [])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:{len(rows)}: alpha entries must be strictly positive" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["alphas.csv"]
+
+    def test_peak_memory_flat_in_the_row_count(self, tmp_path):
+        # The records and text of one chunk are alive at a time, not those of
+        # the whole file: 4x the rows may not raise the traced peak by more
+        # than a quarter.
+        def traced_peak(n):
+            path = tmp_path / f"alphas{n}.json"
+            path.write_text(json.dumps(alpha_rows(n, 10)))
+            tracemalloc.start()
+            try:
+                assert main(["quantify", str(path), "--out", str(tmp_path / "out.json")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = traced_peak(250), traced_peak(1000)
+        assert large <= 1.25 * small, (small, large)
+
+    def test_reader_closing_early_is_no_failure(self, tmp_path):
+        # ``quantify ... | head -n 1``: the output is far larger than a pipe
+        # holds, so the CLI writes on after its reader has gone.
+        path = write_alpha_csv(tmp_path / "alphas.csv", alpha_rows(500, 10))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "evidunc.cli", "quantify", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline() == b"[\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.wait(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert (proc.returncode, err) == (0, b"")
 
 
 class TestRun:
@@ -620,8 +724,7 @@ class TestInterrupt:
                                       "samples_per_domain": 3000},
                               train={"epochs": 20}, sampling={"budget_fraction": 0.05})
         out = tmp_path / "out"
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src), EVID_NUM_WORKERS=workers)
+        env = dict(os.environ, PYTHONPATH=str(SRC), EVID_NUM_WORKERS=workers)
         proc = subprocess.Popen(
             [sys.executable, "-m", "evidunc.cli", "ablate", "--config", str(config)],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,

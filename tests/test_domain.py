@@ -128,6 +128,23 @@ def test_non_finite_settings_rejected(cls, settings):
         cls(**settings)
 
 
+# An integer past float range is named too, in the words of Python's
+# OverflowError, and ahead of NaN or Inf in another setting.
+@pytest.mark.parametrize("cls, settings, named", [
+    (TrainConfig, {"learning_rate": 10**400}, "learning_rate"),
+    (TrainConfig, {"weight_decay": -(10**400), "momentum": np.nan}, "weight_decay"),
+    (LossConfig, {"lambda_a": 10**400}, "lambda_a"),
+    (LossConfig, {"lambda_e": 10**400, "pseudo_label_weight": 10**400},
+     "lambda_e and pseudo_label_weight"),
+    (DomainSpec, {"class_scale": 10**400}, "class_scale"),
+    (DomainSpec, {"shift_translation": (10**400, 1)}, "shift_translation"),
+    (DomainSpec, {"num_classes": 2, "class_means": ((10**400, 0), (0, 1))}, "class_means"),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_integer_beyond_a_float_rejected(cls, settings, named):
+    with pytest.raises(DomainError, match=f"^int too large to convert to float: {named}$"):
+        cls(**settings)
+
+
 class TestSplitPools:
     def test_initial_split_and_budget(self):
         spec = DomainSpec(num_classes=2, samples_per_domain=200, seed=0)
