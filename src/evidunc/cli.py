@@ -7,8 +7,9 @@ Subcommands:
 * ``ablate``    run the five-row ablation grid for a config
 * ``report``    summarize a finished run directory
 
-Exit codes: 0 on success, 2 for invalid configs or unparseable input,
-3 for failures at run time, 130 when interrupted (Ctrl-C).
+Exit codes: 0 on success, also when stdout's reader leaves early, 2 for
+invalid configs or unparseable input, 3 for failures at run time, 130 when
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -84,8 +85,28 @@ def _alpha_batches(vectors):
     return batches
 
 
+class _ReaderGone(Exception):
+    """stdout's reader left before the command finished its output."""
+
+
+def _write_stdout(texts) -> None:
+    """Write each of ``texts`` to stdout, then flush it: the one way the
+    commands print. A reader that leaves early (``evidunc ... | head``) is
+    no failure: the unwritten rest goes to devnull, so that the flush at exit
+    does not fail again (see the signal module's docs), and ``main`` ends the
+    command with exit 0."""
+    try:
+        sys.stdout.writelines(texts)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _ReaderGone from None
+
+
 def cmd_quantify(args) -> int:
     path = Path(args.alphas)
+    if args.out and Path(args.out).is_dir():
+        raise ConfigError(f"{args.out}: is a directory")
     parse = _parse_alpha_json if path.suffix.lower() == ".json" else _parse_alpha_csv
     # The parsed rows are dropped once they are checked; the matrices remain.
     batches = _alpha_batches(parse(path))
@@ -119,16 +140,9 @@ def cmd_quantify(args) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         with _open_atomic(out) as fh:
             fh.writelines(chunks())
-        print(f"wrote {n} records to {out}")
+        _write_stdout([f"wrote {n} records to {out}\n"])
     else:
-        try:
-            sys.stdout.writelines(chunks())
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader left early (``quantify ... | head``), which is no
-            # failure. The unwritten rest goes to devnull, so that the flush
-            # at exit does not fail again (see the signal module's docs).
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _write_stdout(chunks())
     return 0
 
 
@@ -151,20 +165,20 @@ def cmd_run(args) -> int:
     config = _load_with_overrides(args)
     summary = run_experiment(config)
     base = Path(config.output_dir) / summary["config_hash"]
-    print(f"run directory: {base}")
-    print(
+    _write_stdout([
+        f"run directory: {base}\n",
         "final target accuracy: "
         f"{summary['final_accuracy_mean']:.4f} +/- {summary['final_accuracy_std']:.4f} "
-        f"({summary['num_seeds']} seeds)"
-    )
+        f"({summary['num_seeds']} seeds)\n",
+    ])
     return 0
 
 
 def cmd_ablate(args) -> int:
     config = _load_with_overrides(args)
-    table = run_ablation(config)
-    print("\n".join(_ablation_lines(table)))
-    print(f"table written to {Path(config.output_dir) / 'ablation.json'}")
+    lines = _ablation_lines(run_ablation(config))
+    lines.append(f"table written to {Path(config.output_dir) / 'ablation.json'}")
+    _write_stdout(f"{line}\n" for line in lines)
     return 0
 
 
@@ -209,7 +223,7 @@ def cmd_report(args) -> int:
         lines = lines_of(document)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"{path}: incomplete or malformed ({exc!r})") from None
-    print("\n".join(lines))
+    _write_stdout(f"{line}\n" for line in lines)
     return 0
 
 
@@ -247,6 +261,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _ReaderGone:
+        return 0
     except (ConfigError, DomainError, PoolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,9 +2,10 @@
 
 Each seed gets its own run directory under ``<output_dir>/<config hash>/``
 holding the run report, selection log, uncertainty histograms, loss curve,
-and final model checkpoint. An ``aggregate.json`` next to the seed
-directories carries mean and standard deviation of the final target
-accuracy plus averaged diagnostics.
+and final model checkpoint. The histograms come from the closing alphas the
+report was made from (see ``sampling``); this module runs no model. An
+``aggregate.json`` next to the seed directories carries mean and standard
+deviation of the final target accuracy plus averaged diagnostics.
 
 Every output is a pure function of the config, so rerunning a config
 rewrites byte-identical files. Nothing here reads the clock.
@@ -168,9 +169,9 @@ def _row_task(state: bytes, config, seeds, out_dir) -> list:
     run = pickle.loads(state)
     reports = _seed_named(seeds, run.finish, *_row(config))
     if out_dir is not None:
-        for seed, report, model, pool in zip(seeds, reports, run.trainer.model.seed_views(),
-                                             run.trainer.pools):
-            _write_seed_outputs(Path(out_dir) / f"seed{seed}", report, model, pool)
+        for seed, report, model, alphas in zip(seeds, reports, run.trainer.model.seed_views(),
+                                               run.closing):
+            _write_seed_outputs(Path(out_dir) / f"seed{seed}", report, model, alphas)
     return reports
 
 
@@ -205,15 +206,17 @@ def _csv_text(header, rows) -> str:
     )
 
 
-def _write_seed_outputs(run_dir: Path, report, model, pool):
+def _write_seed_outputs(run_dir: Path, report, model, alphas):
+    """Write one finished seed's files to ``run_dir``: its report, selection
+    log, loss curve, checkpoint, and the histograms of its closing ``(source,
+    target)`` alphas, the ones its report was made from."""
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(run_dir / "report.json", report.to_json() + "\n")
     log = ([row[k] for k in SELECTION_LOG_FIELDS] for row in report.selection_log)
     _write_atomic(run_dir / "selection_log.csv", _csv_text(SELECTION_LOG_FIELDS, log))
     curve = _csv_text(("epoch", "supervised_loss", "ug_loss"), report.loss_curve)
     _write_atomic(run_dir / "loss_curve.csv", curve)
-    rows = export_uncertainty_histograms(model.forward_batch(pool.source_features),
-                                         model.forward_batch(pool.target_features), report.mode)
+    rows = export_uncertainty_histograms(*alphas, report.mode)
     _write_atomic(run_dir / "histograms.csv", _csv_text(("domain", "aleatoric", "epistemic"), rows))
     _write_atomic(run_dir / "checkpoint.json", checkpoint_text(model))
 

@@ -307,12 +307,13 @@ def start_rows(models, pools, train_cfgs, loss_cfg: LossConfig, plans, schedule,
 class _AdaRun:
     """The state a run carries from epoch to epoch: the trainer, holding the
     seeds' pools, their stacked model, the loss config, momentum buffers and
-    shuffle streams; and each seed's report so far. A pickled copy, which the
-    experiment driver finishes each row from, is an independent run that
-    continues from the same point; a deep copy finishes equal to it, as the
-    tests check. It holds no per-seed views of the stacked model, which a copy
-    would turn into arrays of their own; ``seed_views`` makes them when
-    needed."""
+    shuffle streams; and each seed's report so far. A finished run also holds
+    ``closing``, each seed's ``(source, target)`` alphas from its trained
+    model, in seed order. A pickled copy, which the experiment driver finishes
+    each row from, is an independent run that continues from the same point;
+    a deep copy finishes equal to it, as the tests check. It holds no per-seed
+    views of the stacked model, which a copy would turn into arrays of their
+    own; ``seed_views`` makes them when needed."""
 
     def __init__(self, models, pools, train_cfgs, loss_cfg: LossConfig, plans,
                  schedule, rows, ug_enabled: bool, auroc_epoch: int | None):
@@ -324,7 +325,7 @@ class _AdaRun:
                         for cfg in train_cfgs]
         self.trainer = Trainer(models, pools, train_cfgs, loss_cfg, ug_enabled=ug_enabled)
         self.rows = {tuple(row) for row in rows}  # the rows whose layout was checked
-        self.finished = False
+        self.finished, self.closing = False, []
 
     def train_to(self, epoch: int) -> None:
         """Train through ``epoch``, taking the AUROC snapshot on the way; the
@@ -341,10 +342,12 @@ class _AdaRun:
 
     def finish(self, us_enabled: bool, cs_enabled: bool, class_balanced: bool) -> list:
         """Run each round right after its scheduled epoch, then the rest of
-        training, and fill in the closing fields of each seed's report;
-        returns the reports, the models staying in ``trainer``. A run finishes
-        once, and only a row ``start_rows`` checked: a second call or another
-        row raises DomainError before it trains or selects anything."""
+        training; forward each seed's trained model once over each domain,
+        keeping the alphas in ``closing``, and fill in the closing fields of
+        each seed's report from them. Returns the reports, the models staying
+        in ``trainer``. A run finishes once, and only a row ``start_rows``
+        checked: a second call or another row raises DomainError before it
+        trains or selects anything."""
         if self.finished:
             raise DomainError("run already finished; finish a copy of the started run "
                               "for another row")
@@ -373,14 +376,17 @@ class _AdaRun:
                 pool.check_invariants()
                 report.round_accuracies.append(evaluate(model, pool.target_features, labels))
         self.train_to(self.trainer.cfg.epochs)
-        return [_close_report(*seed, tally) for seed, tally in zip(seeds, certain)]
+        self.closing = [(model.forward_batch(pool.source_features),
+                         model.forward_batch(pool.target_features)) for model, pool, *_ in seeds]
+        return [_close_report(pool, report, labels, tally, alphas)
+                for (_, pool, report, labels), tally, alphas in zip(seeds, certain, self.closing)]
 
 
-def _close_report(model, pool: SamplePool, report: AdaRunReport, labels, certain) -> AdaRunReport:
+def _close_report(pool: SamplePool, report: AdaRunReport, labels, certain, alphas) -> AdaRunReport:
     """Fill in the fields a finished run reports: final accuracy, budget,
-    pseudo-label tallies and the class-level summaries, from one forward
-    pass over each domain."""
-    target = model.forward_batch(pool.target_features)
+    pseudo-label tallies and the class-level summaries, from the closing
+    ``(source, target)`` alphas of the trained model."""
+    source, target = alphas
     report.class_uncertainty_target = class_level_uncertainty_summary(target)
     report.final_accuracy = float(np.mean(predict_class_batch(target) == labels))
     report.budget_spent = pool.budget_spent
@@ -388,8 +394,7 @@ def _close_report(model, pool: SamplePool, report: AdaRunReport, labels, certain
         hits, totals, accuracies = zip(*certain)
         report.pseudo_label_accuracy = sum(hits) / sum(totals)
         report.model_accuracy_on_unlabeled = float(np.mean(accuracies))
-    report.class_uncertainty_source = class_level_uncertainty_summary(
-        model.forward_batch(pool.source_features))
+    report.class_uncertainty_source = class_level_uncertainty_summary(source)
     report.correlated_pairs = rank_class_pairs(target, labels=labels)
     report.validate()
     return report

@@ -302,6 +302,22 @@ class TestQuantify:
         small, large = traced_peak(250), traced_peak(1000)
         assert large <= 1.25 * small, (small, large)
 
+    def test_out_naming_a_directory_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        # Found before the alphas are read, so no record is built and no
+        # temporary file is written beside the directory.
+        path = write_alpha_csv(tmp_path / "alphas.csv", alpha_rows(3, 3))
+        out = tmp_path / "outdir"
+        out.mkdir()
+
+        def unread(path):
+            raise AssertionError("the alphas were read")
+
+        monkeypatch.setattr(cli, "_parse_alpha_csv", unread)
+        assert main(["quantify", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {out}: is a directory\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["alphas.csv", "outdir"]
+
     def test_reader_closing_early_is_no_failure(self, tmp_path):
         # ``quantify ... | head -n 1``: the output is far larger than a pipe
         # holds, so the CLI writes on after its reader has gone.
@@ -711,6 +727,55 @@ class TestAblateAndReport:
         captured = capsys.readouterr()
         assert str(tmp_path / name) in captured.err
         assert captured.out == ""
+
+
+def run_with_stdout_closed(*args):
+    """(exit code, stderr) of ``evidunc <args>`` through the real entry
+    point, its stdout's reader closed before the command writes to it."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "evidunc.cli", *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC), EVID_NUM_WORKERS="1"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        proc.wait(timeout=300)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    return proc.returncode, err
+
+
+class TestClosedStdout:
+    # ``evidunc ... | (exec 0<&-)``: a reader that leaves before the command
+    # prints fails no command, whose files are whole. It exits 0 and says
+    # nothing on stderr.
+    def test_run_and_report(self, tmp_path):
+        config = write_config(tmp_path, seeds=[0])
+        assert run_with_stdout_closed("run", "--config", str(config)) == (0, b"")
+        [run_dir] = (tmp_path / "out").iterdir()
+        assert (run_dir / "aggregate.json").is_file()
+        assert run_with_stdout_closed("report", "--out", str(run_dir)) == (0, b"")
+
+    def test_quantify_out(self, tmp_path):
+        path = write_alpha_csv(tmp_path / "alphas.csv", alpha_rows(5, [2, 3]))
+        out = tmp_path / "records.json"
+        assert run_with_stdout_closed("quantify", str(path), "--out", str(out)) == (0, b"")
+        assert len(out.read_text().splitlines()) == 5 + 2
+        json.loads(out.read_text())
+
+    def test_broken_pipe_of_the_work_exits_three(self, tmp_path, capsys, monkeypatch):
+        # Only stdout's reader leaving is no failure; a pipe the work writes to is.
+        def broken(*args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "runtime failure: [Errno 32] Broken pipe\n")
 
 
 class TestInterrupt:

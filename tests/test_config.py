@@ -8,7 +8,6 @@ import stat
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -589,10 +588,10 @@ def seed_dir(tmp_path):
         ],
     )
     rng = np.random.default_rng(41)
-    pool = SimpleNamespace(source_features=rng.normal(size=(30, 2)),
-                           target_features=rng.normal(size=(20, 2)))
+    source, target = rng.normal(size=(30, 2)), rng.normal(size=(20, 2))
     model = EvidentialMLP([np.eye(2)], [np.zeros(2)])
-    experiments._write_seed_outputs(tmp_path / "seed0", report, model, pool)
+    alphas = (model.forward_batch(source), model.forward_batch(target))
+    experiments._write_seed_outputs(tmp_path / "seed0", report, model, alphas)
     return tmp_path / "seed0"
 
 

@@ -86,3 +86,10 @@ def test_layering_checker_finds_a_model_in_the_core():
 def test_core_imports_only_the_core_and_runs_no_model(name):
     path = SOURCES[0].parent / f"{name}.py"
     assert core_violations(path.read_text()) == ([], 0)
+
+
+def test_experiment_driver_runs_no_model():
+    # A finished run's closing alphas make both its report and its
+    # histograms, so the run-directory writer never forwards the model.
+    path = SOURCES[0].parent / "experiments.py"
+    assert core_violations(path.read_text())[1] == 0

@@ -106,6 +106,27 @@ class TestLockstepBytes:
                 assert model.forward_batch(pool.source_features).shape == (SAMPLES, 2)
 
 
+class TestClosingForward:
+    def test_row_task_forwards_the_source_once(self, tmp_path, monkeypatch):
+        # Training and the rounds run the source through the training forward
+        # only; the closing forward of the finished run makes both the report
+        # and the histograms from one inference pass over each domain.
+        config = parse_config(tiny_document(seeds=[0]))
+        state = experiments._prefix_task([config], [0])
+        source = pickle.loads(state).trainer.pools[0].source_features
+        inputs = []
+        forward = EvidentialMLP.forward_batch
+
+        def recorded(model, x):
+            inputs.append(np.array(x))
+            return forward(model, x)
+
+        monkeypatch.setattr(EvidentialMLP, "forward_batch", recorded)
+        experiments._row_task(state, config, [0], tmp_path)
+        assert (tmp_path / "seed0" / "histograms.csv").is_file()
+        assert sum(x.shape == source.shape and np.array_equal(x, source) for x in inputs) == 1
+
+
 class TestPickledState:
     @pytest.mark.parametrize("ug", [True, False], ids=["ug", "no-ug"])
     def test_pickled_prefix_finishes_like_its_deep_copy(self, ug):

@@ -212,7 +212,9 @@ class TestRunAda:
         kinds = [row["selection_type"] for row in report.selection_log]
         assert kinds == ["uncertain"] * 3 + ["certain"] * 2
         assert all(tuple(row) == SELECTION_LOG_FIELDS for row in report.selection_log)
-        experiments._write_seed_outputs(tmp_path, report, model, pool)
+        alphas = (model.forward_batch(pool.source_features),
+                  model.forward_batch(pool.target_features))
+        experiments._write_seed_outputs(tmp_path, report, model, alphas)
         header = (tmp_path / "selection_log.csv").read_text().splitlines()[0]
         assert header == ",".join(SELECTION_LOG_FIELDS)
 
