@@ -103,10 +103,22 @@ def _write_stdout(texts) -> None:
         raise _ReaderGone from None
 
 
+def _check_directory(path: Path, name: str) -> None:
+    """Raise a ConfigError naming ``name`` when the nearest of ``path`` and
+    its parents that exists is no directory, so nothing can be made there."""
+    for part in (path, *path.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ConfigError(f"{name}: {part} is not a directory")
+            return
+
+
 def cmd_quantify(args) -> int:
     path = Path(args.alphas)
-    if args.out and Path(args.out).is_dir():
-        raise ConfigError(f"{args.out}: is a directory")
+    if args.out:
+        if Path(args.out).is_dir():
+            raise ConfigError(f"{args.out}: is a directory")
+        _check_directory(Path(args.out).parent, args.out)
     parse = _parse_alpha_json if path.suffix.lower() == ".json" else _parse_alpha_csv
     # The parsed rows are dropped once they are checked; the matrices remain.
     batches = _alpha_batches(parse(path))
@@ -155,10 +167,13 @@ def _parse_seeds(text: str):
 
 def _load_with_overrides(args):
     """The config file with the command line overrides merged into its
-    document, which is then validated once."""
+    document, which is then validated once; its output directory must be
+    one that can be made."""
     overrides = {"seeds": None if args.seeds is None else _parse_seeds(args.seeds),
                  "mode": args.mode, "output_dir": args.out}
-    return load_config(args.config, **{key: v for key, v in overrides.items() if v is not None})
+    config = load_config(args.config, **{key: v for key, v in overrides.items() if v is not None})
+    _check_directory(Path(config.output_dir), args.out or "output_dir")
+    return config
 
 
 def cmd_run(args) -> int:

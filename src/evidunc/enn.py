@@ -35,13 +35,35 @@ alpha-gradients; the chain rule through the exponential is
 randomness flows from explicit seeds through separate generator streams for
 initialization, supervised shuffling, and unlabeled shuffling, so disabling
 the unlabeled term does not perturb the supervised batch sequence.
+
+The model's matrix products run in one scope, around the body of
+``Trainer.run_epoch`` and the layer loop of ``EvidentialMLP.forward_batch``,
+so every library call that trains or scores a model has it. It runs the
+OpenBLAS of numpy's 2.x wheels on one thread and gives the caller's count
+back, also by a raise: the products are at most 64 columns wide, so a
+second thread saves little wall time but spins after each larger forward,
+through the rest of a selection round, and P workers with two each would
+oversubscribe the CPUs. The count is process-wide, so concurrent calls from
+several Python threads are not covered; other BLAS builds keep their count.
+The scope also sets glibc's heap thresholds with ``mallopt``, once per
+process: freed memory is kept up to 64 MiB (``M_TRIM_THRESHOLD``) and
+blocks under 32 MiB come from the heap (``M_MMAP_THRESHOLD``), so the
+arrays a step or a pool forward frees are not handed back to the kernel
+and faulted in again. Unlike the count, the setting is process-wide and
+stays after the call, as glibc cannot report the thresholds to restore;
+without ``mallopt`` (another libc) nothing changes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import math
+import os
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -65,6 +87,84 @@ LR_SCHEDULES = ("constant", "inverse-decay")
 
 # Not called here; kept because perfbench/tracing.py wraps this name in this module.
 _TRACED = (edl_batch,)
+
+
+# The OpenBLAS that numpy's wheel bundles (relative to numpy's site
+# directory) and its thread-count setter and getter.
+_OPENBLAS = ("numpy.libs/libscipy_openblas64_-*.so", "scipy_openblas_set_num_threads64_",
+             "scipy_openblas_get_num_threads64_")
+
+
+@functools.cache
+def _blas_functions(openblas: tuple):
+    """The (setter, getter) of the library that ``openblas``, an
+    ``_OPENBLAS`` tuple, names, looked up once per process; None when numpy
+    has not loaded that library or it lacks the setter or the getter."""
+    pattern, set_name, get_name = openblas
+    for path in sorted(Path(np.__file__).parent.parent.glob(pattern)):
+        try:  # RTLD_NOLOAD: only a library this process already has
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        return setter, getter
+    return None
+
+
+def _set_blas_threads(n: int):
+    """Run the bundled OpenBLAS on ``n`` threads in this process; returns the
+    previous count, or None, changing nothing, without that library or its
+    setter and getter."""
+    functions = _blas_functions(_OPENBLAS)
+    if functions is None:
+        return None
+    setter, getter = functions
+    previous = getter()
+    setter(n)
+    return previous
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """One BLAS thread for the body, then the previous count again."""
+    previous = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            _set_blas_threads(previous)
+
+
+# glibc's mallopt and the (parameter, value) pairs the model's products set
+# with it: M_TRIM_THRESHOLD 64 MiB and M_MMAP_THRESHOLD 32 MiB.
+_MALLOPT = ("mallopt", ((-1, 64 * 2**20), (-3, 32 * 2**20)))
+
+
+@functools.cache
+def _heap_setting() -> bool:
+    """Keep freed memory in this process's heap (see the module docstring),
+    once per process; returns whether libc has ``mallopt``, without which
+    it changes nothing."""
+    name, settings = _MALLOPT
+    try:
+        mallopt = getattr(ctypes.CDLL(None), name)
+    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    for param, value in settings:
+        mallopt(param, value)
+    return True
+
+
+@contextlib.contextmanager
+def _model_products():
+    """The scope of the model's matrix products: the heap setting, then one
+    BLAS thread for the body and the caller's count again after it."""
+    _heap_setting()
+    with _one_blas_thread():
+        yield
 
 
 class TrainingDivergedError(RuntimeError):
@@ -224,7 +324,8 @@ class EvidentialMLP:
         if h.ndim != w.ndim or h.shape[-1] != w.shape[-2] or h.shape[:-2] != w.shape[:-2]:
             want = ", ".join([*map(str, w.shape[:-2]), "n", str(self.input_dim)])
             raise DomainError(f"expected ({want}) inputs, got shape {h.shape}")
-        return self._alpha(h)[0]
+        with _model_products():
+            return self._alpha(h)[0]
 
     def alpha_gradient_to_param_gradients(self, dalpha, alpha, activations, active):
         """Backprop an (n, C) alpha-gradient, or an (S, n, C) one through a
@@ -362,6 +463,7 @@ class Trainer:
     # The trainer checks evidence, gradients and weights itself and raises
     # TrainingDivergedError, so numpy's warnings of a diverging step are noise.
     @np.errstate(over="ignore", invalid="ignore")
+    @_model_products()
     def run_epoch(self):
         """One epoch of minibatch SGD; returns (supervised_losses, ug_losses),
         each a list of the epoch's batch mean for each seed."""

@@ -28,22 +28,12 @@ by EVID_NUM_WORKERS; one runs the tasks in this process, more share one
 process pool. ``run_seed`` runs a one-seed chunk's prefix task in this
 process and finishes its row from that state, writing nothing.
 
-``run_seed`` and ``run_rows`` run the OpenBLAS of numpy's 2.x wheels on one
-thread for the call and give the caller's count back, also when they raise:
-the training GEMMs are at most 64 columns wide, so a second thread saves no
-wall time but spins after each larger forward, and P workers with two each
-would oversubscribe the CPUs. The count is process-wide, so concurrent calls
-from several Python threads are not covered. Other BLAS builds keep their count.
-
-The same calls, in the process that trains (the pool workers as they
-start), also set glibc's heap thresholds once per process with
-``mallopt``: freed memory is kept up to 64 MiB (``M_TRIM_THRESHOLD``) and
-blocks under 32 MiB come from the heap (``M_MMAP_THRESHOLD``). A training
-step frees arrays of a few hundred KiB that glibc's default 128 KiB
-thresholds would hand back to the kernel and fault in again on the next
-step. The setting stays for the life of the process, as glibc cannot
-report the thresholds to restore; without ``mallopt`` (another libc)
-nothing changes.
+The model's products run on one BLAS thread with glibc's heap setting (see
+``enn``). ``run_rows`` also holds one BLAS thread around its worker pool,
+so that workers forked from it start at one thread (forked at two, they
+spent ~5% more CPU time), and a worker started afresh sets both as it
+starts; a process that only waits for its workers runs no product and
+keeps its own heap.
 
 A run deletes its completion markers (``aggregate.json``, ``ablation.json``)
 before its first task and writes them again only when every task succeeded,
@@ -59,8 +49,6 @@ loss is not covered.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
 import heapq
 import json
 import os
@@ -74,7 +62,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import AblationSwitches, ConfigError, ExperimentConfig, config_hash
-from .enn import EvidentialMLP, TrainingDivergedError, checkpoint_text
+from .enn import (EvidentialMLP, TrainingDivergedError, _heap_setting, _one_blas_thread,
+                  _set_blas_threads, checkpoint_text)
 from .metrics import SELECTION_LOG_FIELDS, export_uncertainty_histograms
 from .sampling import start_rows
 from .special import DomainError
@@ -124,10 +113,8 @@ def _seed_named(seeds, fn, *args, **kwargs):
 def run_seed(config: ExperimentConfig, seed: int):
     """Run one seed end to end as a one-seed chunk in this process; returns
     (report, model, source, target), each taken from the finished run."""
-    _heap_setting()
-    with _one_blas_thread():
-        run = pickle.loads(_prefix_task([config], [seed]))
-        [report] = _seed_named([seed], run.finish, *_row(config))
+    run = pickle.loads(_prefix_task([config], [seed]))
+    [report] = _seed_named([seed], run.finish, *_row(config))
     [model], [pool] = run.trainer.model.seed_views(), run.trainer.pools
     return (report, model, Dataset(pool.source_features, pool.source_labels, "source"),
             Dataset(pool.target_features, pool.true_target_labels(), "target"))
@@ -284,63 +271,6 @@ def _seed_chunks(seeds, groups: int, workers: int, limit: int) -> list:
     return [tuple(seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
-# The OpenBLAS that numpy's wheel bundles (relative to numpy's site
-# directory) and its thread-count setter and getter.
-_OPENBLAS = ("numpy.libs/libscipy_openblas64_-*.so", "scipy_openblas_set_num_threads64_",
-             "scipy_openblas_get_num_threads64_")
-
-
-def _set_blas_threads(n: int):
-    """Run the bundled OpenBLAS on ``n`` threads in this process; returns the
-    previous count, or None, changing nothing, when numpy has not loaded that
-    library or it lacks the setter or the getter."""
-    pattern, set_name, get_name = _OPENBLAS
-    for path in sorted(Path(np.__file__).parent.parent.glob(pattern)):
-        try:  # RTLD_NOLOAD: only a library this process already has
-            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-            setter, getter = getattr(lib, set_name), getattr(lib, get_name)
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        getter.argtypes, getter.restype = [], ctypes.c_int
-        previous = getter()
-        setter(n)
-        return previous
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """One BLAS thread for the body, then the previous count again."""
-    previous = _set_blas_threads(1)
-    try:
-        yield
-    finally:
-        if previous is not None:
-            _set_blas_threads(previous)
-
-
-# glibc's mallopt and the (parameter, value) pairs training sets with it:
-# M_TRIM_THRESHOLD 64 MiB and M_MMAP_THRESHOLD 32 MiB.
-_MALLOPT = ("mallopt", ((-1, 64 * 2**20), (-3, 32 * 2**20)))
-
-
-@functools.cache
-def _heap_setting() -> bool:
-    """Keep freed memory in this process's heap (see the module docstring),
-    once per process; returns whether libc has ``mallopt``, without which
-    it changes nothing."""
-    name, settings = _MALLOPT
-    try:
-        mallopt = getattr(ctypes.CDLL(None), name)
-    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None) on Windows
-        return False
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    for param, value in settings:
-        mallopt(param, value)
-    return True
-
-
 def _start_worker():
     """Pool initializer: one BLAS thread and the heap setting in a worker
     started afresh, and SIGINT ignored, so that Ctrl-C reaches only the
@@ -399,14 +329,10 @@ def run_rows(configs, out_dirs=None) -> list:
     # task returned state; (1, k, None, None) is prefix task k.
     todo = [(1, k, None, None) for k in range(len(prefixes))]
     # Workers fork inside the scope (forked at two threads, they spent ~5% more
-    # CPU time); spawned ones start afresh, so the initializer sets theirs. The
-    # heap setting goes where the training runs, not into a process that only
-    # waits for its workers (it kept ~0.3 MB more there).
-    if workers > 1:
-        pool = ProcessPoolExecutor(workers, initializer=_start_worker)
-    else:
-        _heap_setting()
-        pool = _InProcess()
+    # CPU time); spawned ones start afresh, so the initializer sets theirs, and
+    # the heap setting with it. A process that only waits for its workers runs
+    # no product and keeps its own heap (the setting kept ~0.3 MB more there).
+    pool = ProcessPoolExecutor(workers, initializer=_start_worker) if workers > 1 else _InProcess()
     # On the way out, also by an error or Ctrl-C, a task no worker has taken
     # yet is dropped and the running ones finish, so none writes after return.
     with _one_blas_thread(), contextlib.ExitStack() as stack:

@@ -13,7 +13,8 @@ epistemic uncertainty adopt their own predictions as free pseudo labels.
 
 Every round, whether run by ``run_ada`` or by the standalone
 ``uncertainty_sampling`` and ``certainty_sampling``, goes through one
-function. It scores the unlabeled pool once and sorts it by EU once;
+function. A round that takes anything scores the unlabeled pool once and
+sorts it by EU once, and one that takes nothing scores nothing;
 uncertain picks come from the head of that ordering and certain picks from
 the tail, skipping ids already taken as uncertain. Within tied EU values
 the ordering breaks ties by ascending sample id, which means the tail is
@@ -192,16 +193,18 @@ def _selection_round(pool: SamplePool, model, plan: RoundPlan, mode: str,
     """Score the unlabeled pool once, sort it by EU once, take the uncertain
     picks from the head of that order and the certain picks from its tail,
     then acquire both: oracle labels for the uncertain, predictions as
-    pseudo labels for the certain."""
+    pseudo labels for the certain. A round that takes nothing scores
+    nothing: its scored pool is empty."""
+    want_us = us and plan.b_u > 0
+    want_cs = cs and plan.b_c > 0
+    uncertain = certain = pseudo = empty = np.empty(0, dtype=np.int64)
+    if not (want_us or want_cs):
+        return _Round(empty, np.empty(0), np.empty(0), empty, uncertain, certain, pseudo)
     ids = pool.unlabeled_ids()
     alpha = model.forward_batch(pool.unlabeled_features())
     _, au, eu = batch_uncertainties(alpha, mode)
     predicted = predict_class_batch(alpha)
-    want_us = us and plan.b_u > 0
-    want_cs = cs and plan.b_c > 0
-    uncertain = certain = pseudo = np.empty(0, dtype=np.int64)
-    if want_us or want_cs:
-        order = _eu_order(ids, eu)
+    order = _eu_order(ids, eu)
     if want_us:
         uncertain = _pick_uncertain(order, ids, au, plan.b_u, plan.kappa)
         pool.acquire_with_oracle(uncertain)

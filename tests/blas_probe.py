@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from evidunc.experiments import _OPENBLAS
+from evidunc.enn import _OPENBLAS
 
 LIBRARIES = sorted(Path(np.__file__).parent.parent.glob(_OPENBLAS[0]))
 

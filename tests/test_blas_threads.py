@@ -1,7 +1,8 @@
-"""BLAS thread count: ``run_seed`` and ``run_rows`` train on one thread for
-the call, in the caller's process and in their pool workers, and give the
-caller's own count back when they return or raise. The results do not
-depend on the count.
+"""BLAS thread count: every library call that runs the model (``run_seed``,
+``run_rows``, ``run_ada``, the sampling rounds, ``evaluate``, an epoch)
+runs its matrix products on one thread, in the caller's process and in the
+pool workers, and gives the caller's own count back when it returns or
+raises. The results do not depend on the count.
 
 Each test that sets the count runs in a fresh interpreter, because the
 count applies to the whole process and the pytest process must keep its own.
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from blas_probe import LIBRARIES, threads
-from evidunc import experiments
+from evidunc import enn
 from test_cli import write_config
 
 TESTS = Path(__file__).resolve().parent
@@ -39,17 +40,25 @@ CONFIG = load_config("config.json")
 
 def record_epochs(diverge_at=None):
     \"\"\"Wrap Trainer.run_epoch to record this process's BLAS thread count
-    at each epoch into the list returned; with ``diverge_at``, the first
+    at each epoch, read at its first training forward, inside the scope
+    run_epoch holds, into the list returned; with ``diverge_at``, the first
     seed's weights turn NaN before that epoch.\"\"\"
     counts, run_epoch = [], enn.Trainer.run_epoch
+    forward = enn.EvidentialMLP._forward_cached
 
     def recorded(self):
-        counts.append(threads())
+        counts.append(None)
         if self.epochs_done + 1 == diverge_at:
             self.model.weights[0][0, 0, 0] = float("nan")
         return run_epoch(self)
 
+    def forwarded(self, x):
+        if counts[-1] is None:
+            counts[-1] = threads()
+        return forward(self, x)
+
     enn.Trainer.run_epoch = recorded
+    enn.EvidentialMLP._forward_cached = forwarded
     return counts
 """
 
@@ -175,11 +184,11 @@ def test_results_do_not_depend_on_the_thread_count(tmp_path):
 
         set_threads(2)
         epochs = record_epochs()
-        real = experiments._OPENBLAS
+        real = enn._OPENBLAS
         runs = []
         for name, blas in (("inert", ("numpy.libs/no-such-library-*.so", *real[1:])),
                            ("active", real)):
-            experiments._OPENBLAS = blas
+            enn._OPENBLAS = blas
             epochs.clear()
             report, model, _, _ = experiments.run_seed(CONFIG, 0)
             experiments.run_rows([CONFIG], [name])
@@ -211,18 +220,118 @@ def test_cli_process_runs_one_thread(tmp_path, command):
     assert got == [0, [1], 2]
 
 
+def test_library_entry_points_run_their_products_on_one_thread(tmp_path):
+    got = run_script(
+        """
+        import copy, ctypes, hashlib
+        from evidunc import sampling
+        from evidunc.losses import LossConfig
+        from evidunc.pools import PoolError
+        from evidunc.synthetic import DomainSpec, generate_domain_pair, split_pools
+
+        products, alpha = [], enn.EvidentialMLP._alpha
+
+        def observed(self, h, activations=None):
+            products.append(threads())
+            return alpha(self, h, activations)
+
+        enn.EvidentialMLP._alpha = observed
+        # 1200 unlabeled rows: with two threads, OpenBLAS splits the
+        # 1200 x 64 x 64 products of a pool forward between them.
+        source, target = generate_domain_pair(DomainSpec(num_classes=3, samples_per_domain=1200))
+        model = enn.EvidentialMLP.create(2, 3, hidden=(64, 64), seed=0)
+        diverging = copy.deepcopy(model)
+        diverging.weights[0][0, 0] = float("nan")
+        plan = sampling.RoundPlan(round_index=1, b_u=10, b_c=20)
+        too_wide = sampling.RoundPlan(round_index=1, b_u=200, b_c=0)  # 10 * 200 > 1200 rows
+        train = enn.TrainConfig(epochs=3, batch_size=64)
+
+        def pool():
+            return split_pools(source, target, budget_fraction=0.5)
+
+        def ada(m):
+            return sampling.run_ada(copy.deepcopy(m), pool(), train, LossConfig(), [plan], [2],
+                                    cs_enabled=True)
+
+        def epoch(m):
+            return enn.Trainer([copy.deepcopy(m)], [pool()], [train], LossConfig()).run_epoch()
+
+        calls = {
+            "uncertainty_sampling": lambda: sampling.uncertainty_sampling(pool(), model, plan),
+            "uncertainty_sampling raises": lambda: sampling.uncertainty_sampling(pool(), model,
+                                                                                 too_wide),
+            "certainty_sampling": lambda: sampling.certainty_sampling(pool(), model, plan),
+            "evaluate": lambda: enn.evaluate(model, target.features, target.labels),
+            "run_ada": lambda: ada(model),
+            "run_ada raises": lambda: ada(diverging),
+            "run_epoch": lambda: epoch(model),
+            "run_epoch raises": lambda: epoch(diverging),
+        }
+        set_threads(2)
+        got = {}
+        for name, call in calls.items():
+            products.clear()
+            try:
+                call()
+                raised = None
+            except (PoolError, enn.TrainingDivergedError) as exc:
+                raised = type(exc).__name__
+            got[name] = [sorted(set(products)), threads(), raised]
+
+        def selected():
+            return [sampling.uncertainty_sampling(pool(), model, plan).tolist(),
+                    sampling.certainty_sampling(pool(), model, plan, class_balanced=True)[0].tolist(),
+                    hashlib.sha256(model.forward_batch(target.features).tobytes()).hexdigest()]
+
+        real = enn._OPENBLAS
+        counts = []
+        for blas in (real, ("numpy.libs/no-such-library-*.so", *real[1:])):
+            enn._OPENBLAS = blas
+            products.clear()
+            picks = selected()
+            counts.append(sorted(set(products)))
+        enn._OPENBLAS = real
+        got["one and two threads"] = [counts, picks == selected()]
+
+        # Both scopes' libraries were looked up above; a scope now opens none.
+        opened, cdll = [], ctypes.CDLL
+        ctypes.CDLL = lambda *args, **kwargs: opened.append(args) or cdll(*args, **kwargs)
+        products.clear()
+        with enn._model_products():
+            inside = threads()
+        sampling.uncertainty_sampling(pool(), model, plan)
+        ctypes.CDLL = cdll
+        got["later scopes"] = [inside, sorted(set(products)), threads(), len(opened)]
+        print(json.dumps(got))
+        """,
+        tmp_path,
+    )
+    assert got == {
+        "uncertainty_sampling": [[1], 2, None],
+        "uncertainty_sampling raises": [[1], 2, "PoolError"],
+        "certainty_sampling": [[1], 2, None],
+        "evaluate": [[1], 2, None],
+        "run_ada": [[1], 2, None],
+        "run_ada raises": [[1], 2, "TrainingDivergedError"],
+        "run_epoch": [[1], 2, None],
+        "run_epoch raises": [[1], 2, "TrainingDivergedError"],
+        "one and two threads": [[[1], [2]], True],
+        "later scopes": [1, [1], 2, 0],
+    }
+
+
 def test_helper_is_a_no_op_without_library_or_symbol(tmp_path):
     got = run_script(
         """
-        pattern, setter, getter = experiments._OPENBLAS
+        pattern, setter, getter = enn._OPENBLAS
         set_threads(2)
         counts = []
         for patched in (("numpy.libs/no-such-library-*.so", setter, getter),
                         (pattern, "no_such_symbol", getter), (pattern, setter, "no_such_symbol")):
-            experiments._OPENBLAS = patched
-            counts.append([experiments._set_blas_threads(1), threads()])
-        experiments._OPENBLAS = (pattern, setter, getter)
-        with experiments._one_blas_thread():
+            enn._OPENBLAS = patched
+            counts.append([enn._set_blas_threads(1), threads()])
+        enn._OPENBLAS = (pattern, setter, getter)
+        with enn._one_blas_thread():
             counts.append(threads())
         counts.append(threads())
         print(json.dumps(counts))
@@ -234,8 +343,8 @@ def test_helper_is_a_no_op_without_library_or_symbol(tmp_path):
 
 def test_helper_without_its_setter_changes_nothing_in_process(monkeypatch):
     # The library is loaded but lacks the setter: the loop passes over it.
-    pattern, _, getter = experiments._OPENBLAS
+    pattern, _, getter = enn._OPENBLAS
     before = threads()
-    monkeypatch.setattr(experiments, "_OPENBLAS", (pattern, "no_such_symbol", getter))
-    assert experiments._set_blas_threads(before + 1) is None
+    monkeypatch.setattr(enn, "_OPENBLAS", (pattern, "no_such_symbol", getter))
+    assert enn._set_blas_threads(before + 1) is None
     assert threads() == before

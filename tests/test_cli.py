@@ -15,6 +15,7 @@ import pytest
 
 from evidunc import cli, experiments
 from evidunc.cli import main
+from evidunc.config import config_hash, load_config
 from evidunc.dirichlet import (DirichletPrediction, checked_alpha, predict_class_batch,
                                quantify_records)
 from oracles import per_prediction_record
@@ -387,6 +388,30 @@ class TestRun:
         assert f"{path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("args, name", [
+        pytest.param(["quantify", "{a}", "--out", "{a}/x.json"], "{a}/x.json", id="quantify"),
+        pytest.param(["quantify", "{a}", "--out", "{a}/p/x.json"], "{a}/p/x.json",
+                     id="quantify-deeper"),
+        pytest.param(["run", "--config", "{c}"], "output_dir", id="run-config"),
+        pytest.param(["run", "--config", "{c}", "--out", "{a}"], "{a}", id="run-file"),
+        pytest.param(["ablate", "--config", "{c}", "--out", "{a}/y"], "{a}/y", id="ablate"),
+    ])
+    def test_out_under_a_file_exit_two(self, tmp_path, capsys, monkeypatch, args, name):
+        # Found before any alpha is read or any task starts: nothing is written.
+        alphas = write_alpha_csv(tmp_path / "a.csv", alpha_rows(3, 3))
+        config = write_config(tmp_path, output_dir=f"{alphas}/x")
+
+        def unreached(*args):
+            raise AssertionError("the command went past its output check")
+
+        for fn in ("_parse_alpha_csv", "run_experiment", "run_ablation"):
+            monkeypatch.setattr(cli, fn, unreached)
+        paths = {"a": alphas, "c": config}
+        assert main([arg.format(**paths) for arg in args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {name.format(**paths)}: {alphas} is not a directory\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.csv", "config.json"]
+
     @pytest.mark.parametrize("text, where", [
         ("[" * (100 * sys.getrecursionlimit()), None),
         ('{"a": ' * (5 * sys.getrecursionlimit()), None),
@@ -605,10 +630,14 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_exit_three(self, tmp_path, capsys, monkeypatch):
+        # The output directory can be made, so the command starts; the run
+        # directory inside it cannot. (An output directory under a file is
+        # an input error, found before the run starts.)
         monkeypatch.setenv("EVID_NUM_WORKERS", "1")
-        blocker = tmp_path / "blocked"
+        config = write_config(tmp_path)
+        blocker = tmp_path / "out" / config_hash(load_config(config))
+        blocker.parent.mkdir()
         blocker.write_text("a file where the run directory should go")
-        config = write_config(tmp_path, output_dir=str(blocker))
         assert main(["run", "--config", str(config)]) == 3
         assert "runtime failure" in capsys.readouterr().err
 

@@ -1,8 +1,8 @@
-"""The heap setting: ``run_seed``, ``run_rows`` where it trains in the
-calling process, and their pool workers set glibc's trim and mmap
-thresholds with ``mallopt`` for the rest of the process; a caller that only
-waits for pool workers keeps its own, and nothing changes where libc has no
-``mallopt``.
+"""The heap setting: the model's products, so ``run_seed`` and ``run_rows``
+where it trains in the calling process, and the pool workers set glibc's
+trim and mmap thresholds with ``mallopt`` for the rest of the process; a
+caller that only waits for pool workers keeps its own, and nothing changes
+where libc has no ``mallopt``.
 
 glibc cannot report its thresholds, so each test probes the effect of the
 mmap threshold (``blas_probe.heap_serves_large_blocks``) once, in a fresh
@@ -14,25 +14,26 @@ import multiprocessing
 import pytest
 
 from blas_probe import HEAP_PROBE
-from evidunc import experiments
+from evidunc import enn
 from test_blas_threads import run_script
 
 pytestmark = pytest.mark.skipif(not HEAP_PROBE, reason="libc without mallinfo2")
 
-# Records the probe at the first epoch this process trains.
+# Records the probe at the first training forward this process runs, inside
+# the scope of its first epoch.
 PROBE_AT_FIRST_EPOCH = """
 from blas_probe import heap_serves_large_blocks
 
-probes, run_epoch = [], enn.Trainer.run_epoch
+probes, forward = [], enn.EvidentialMLP._forward_cached
 
 
-def probed(self):
+def probed(self, x):
     if not probes:
         probes.append(heap_serves_large_blocks())
-    return run_epoch(self)
+    return forward(self, x)
 
 
-enn.Trainer.run_epoch = probed
+enn.EvidentialMLP._forward_cached = probed
 """
 
 
@@ -66,9 +67,9 @@ def test_no_op_without_mallopt(tmp_path):
     got = run_script(
         PROBE_AT_FIRST_EPOCH
         + """
-experiments._MALLOPT = ("no_such_symbol", experiments._MALLOPT[1])
+enn._MALLOPT = ("no_such_symbol", enn._MALLOPT[1])
 report, _, _, _ = experiments.run_seed(CONFIG, 0)
-print(json.dumps([experiments._heap_setting(), probes, report.final_accuracy > 0]))
+print(json.dumps([enn._heap_setting(), probes, report.final_accuracy > 0]))
 """,
         tmp_path,
     )
@@ -77,9 +78,9 @@ print(json.dumps([experiments._heap_setting(), probes, report.final_accuracy > 0
 
 def test_no_mallopt_returns_false_in_process(monkeypatch):
     # The setting is cached per process; clear it around the patched call.
-    monkeypatch.setattr(experiments, "_MALLOPT", ("no_such_symbol", experiments._MALLOPT[1]))
-    experiments._heap_setting.cache_clear()
+    monkeypatch.setattr(enn, "_MALLOPT", ("no_such_symbol", enn._MALLOPT[1]))
+    enn._heap_setting.cache_clear()
     try:
-        assert experiments._heap_setting() is False
+        assert enn._heap_setting() is False
     finally:
-        experiments._heap_setting.cache_clear()
+        enn._heap_setting.cache_clear()

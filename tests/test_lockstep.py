@@ -126,6 +126,30 @@ class TestClosingForward:
         assert (tmp_path / "seed0" / "histograms.csv").is_file()
         assert sum(x.shape == source.shape and np.array_equal(x, source) for x in inputs) == 1
 
+    def test_rounds_that_take_nothing_score_nothing(self, monkeypatch):
+        # Per seed, each round of a row that takes picks scores the pool, and
+        # every round evaluates the target; then the closing forward runs
+        # over both domains. The source-only and +UG rows take nothing.
+        base = parse_config(tiny_document(seeds=[0, 1]))
+        rounds = len(base.plans)
+        calls = []
+        forward = EvidentialMLP.forward_batch
+
+        def counted(model, x):
+            calls.append(len(x))
+            return forward(model, x)
+
+        monkeypatch.setattr(EvidentialMLP, "forward_batch", counted)
+        for name, flags in experiments.ABLATION_ROWS:
+            config = base.with_switches(**flags)
+            state = experiments._prefix_task([config], config.seeds)
+            calls.clear()
+            reports = experiments._row_task(state, config, config.seeds, None)
+            takes = flags["us"] or flags["cs"]
+            assert len(calls) == len(config.seeds) * (rounds * (1 + takes) + 2), name
+            assert [r.eu_sorts_per_round for r in reports] == [[int(takes)] * rounds] * 2
+            assert all(bool(r.selection_log) == takes for r in reports)
+
 
 class TestPickledState:
     @pytest.mark.parametrize("ug", [True, False], ids=["ug", "no-ug"])
