@@ -6,19 +6,24 @@ vector, so every forward pass yields strictly positive evidence. Training is
 plain minibatch SGD with momentum and weight decay on the combined
 objective: the supervised loss over source plus labeled target, and, when
 enabled, the uncertainty-guided loss over the unlabeled target. An epoch
-gathers its supervised rows and unlabeled minibatches once, and the training
-forward takes them unchecked. Each step takes one supervised and one
-unlabeled minibatch as views, and runs them as one pass along a leading pass
-axis, ``(2, S, n, d)``: one forward, ``edl_gradient`` on the supervised half
-and ``ug_batch`` on the unlabeled half, one backward, and the two halves'
-gradients summed. A batch goes alone, as a one-slice pass, when the two
-differ in shape (the short last batch of an epoch, fewer unlabeled rows than
-the batch size) or when the unlabeled term is off. A step computes no
-supervised loss value and keeps the batch's alpha; after the last step, one
-loss pass over the epoch's alphas gives each step's supervised loss, bitwise
-as the step would have. The parameters live in one vector, of which the
-layers are views, so the update, the momentum and the finiteness checks are
-each one call on a whole vector.
+gathers its supervised rows and unlabeled minibatches once, straight into
+one ``(passes, S, rows, d)`` array along a leading pass axis, supervised
+first, and the training forward takes them unchecked. Each step takes one
+supervised and one unlabeled minibatch as a view of that array, ``(2, S, n,
+d)``, and runs them as one pass: one forward, ``edl_gradient`` on the
+supervised half and ``ug_batch`` on the unlabeled half, one backward, and
+the two halves' gradients summed. A batch goes alone, as a one-slice view,
+when the two do not sit at the same rows (the short last batch of an epoch,
+fewer unlabeled rows than the batch size) or when the unlabeled term is off.
+The backward writes each pass's gradients in place into that pass's row of
+one ``(passes, P)`` buffer the epoch allocates, P being the parameter
+count, and the step adds the rows into the gradient vector. A step computes
+no supervised loss value and keeps the batch's alpha; after the last step,
+one loss pass over the epoch's alphas gives each step's supervised loss,
+bitwise as the step would have, and the epoch's UG row losses are summed
+per step at the end. The parameters live in one vector, of which the layers
+are views, so the update, the momentum and the finiteness checks are each
+one call on a whole vector.
 
 The trainer runs S seeds in lockstep; one seed is S = 1. It stacks the
 seeds' 2-D models into one holding each layer as an ``(S, fan_in, fan_out)``
@@ -26,8 +31,9 @@ array, and every array of a step carries that leading seed axis, so each
 numpy call serves all S seeds. The seeds' sets must have equal sizes. Each
 seed's slice of a step, in either pass, computes the same bits as the same
 minibatch on its 2-D layers alone: each slice goes to the same BLAS kernel,
-the sums run along axis -2 or -1 in the same order, and a step's gradients
-add the supervised half's and the unlabeled half's, in that order.
+the sums run along axis -2 or -1 in the same order, also into the strided
+views of the gradient buffer, and a step's gradients add the supervised
+half's and the unlabeled half's, in that order.
 
 Backpropagation is written out by hand (the loss module supplies exact
 alpha-gradients; the chain rule through the exponential is
@@ -43,8 +49,10 @@ OpenBLAS of numpy's 2.x wheels on one thread and gives the caller's count
 back, also by a raise: the products are at most 64 columns wide, so a
 second thread saves little wall time but spins after each larger forward,
 through the rest of a selection round, and P workers with two each would
-oversubscribe the CPUs. The count is process-wide, so concurrent calls from
-several Python threads are not covered; other BLAS builds keep their count.
+oversubscribe the CPUs. The count is process-wide, so the scopes nest under
+one lock and a depth count, also across Python threads: the first to open
+saves the count and sets 1, and the last to close gives it back. Other BLAS
+builds keep their count.
 The scope also sets glibc's heap thresholds with ``mallopt``, once per
 process: freed memory is kept up to 64 MiB (``M_TRIM_THRESHOLD``) and
 blocks under 32 MiB come from the heap (``M_MMAP_THRESHOLD``), so the
@@ -62,6 +70,7 @@ import functools
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -126,15 +135,27 @@ def _set_blas_threads(n: int):
     return previous
 
 
+# The scopes open in this process and the count the first of them found.
+_SCOPE_LOCK = threading.Lock()
+_scope = {"depth": 0, "previous": None}
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
-    """One BLAS thread for the body, then the previous count again."""
-    previous = _set_blas_threads(1)
+    """One BLAS thread for the body, then the previous count again. Scopes
+    nest, also across threads: the first to open saves the count and sets
+    1, and the last to close gives the saved count back."""
+    with _SCOPE_LOCK:
+        if not _scope["depth"]:
+            _scope["previous"] = _set_blas_threads(1)
+        _scope["depth"] += 1
     try:
         yield
     finally:
-        if previous is not None:
-            _set_blas_threads(previous)
+        with _SCOPE_LOCK:
+            _scope["depth"] -= 1
+            if not _scope["depth"] and _scope["previous"] is not None:
+                _set_blas_threads(_scope["previous"])
 
 
 # glibc's mallopt and the (parameter, value) pairs the model's products set
@@ -327,30 +348,35 @@ class EvidentialMLP:
         with _model_products():
             return self._alpha(h)[0]
 
-    def alpha_gradient_to_param_gradients(self, dalpha, alpha, activations, active):
+    def alpha_gradient_to_param_gradients(self, dalpha, alpha, activations, active, out=None):
         """Backprop an (n, C) alpha-gradient, or an (S, n, C) one through a
         stacked model, to per-parameter gradients; a leading pass axis, as
         ``_forward_cached`` takes, carries through to them.
 
         Returns (weight_grads, bias_grads) summed over each seed's batch;
-        the caller owns any 1/n scaling.
+        the caller owns any 1/n scaling. Given ``out``, arrays of those
+        shapes, weights then biases, each product and bias sum is written
+        into them in place; without, they are allocated.
         """
+        layers = len(self.weights)
+        grads = [None] * (2 * layers) if out is None else out
         delta = dalpha * alpha * active
         stacked = self.weights[0].ndim > 2
-        w_grads = [None] * len(self.weights)
-        b_grads = [None] * len(self.biases)
-        for layer in range(len(self.weights) - 1, -1, -1):
-            w_grads[layer] = activations[layer].swapaxes(-1, -2) @ delta
-            b_grads[layer] = delta.sum(axis=-2, keepdims=stacked)
+        for layer in range(layers - 1, -1, -1):
+            grads[layer] = np.matmul(activations[layer].swapaxes(-1, -2), delta, out=grads[layer])
+            grads[layers + layer] = np.add.reduce(delta, axis=-2, keepdims=stacked,
+                                                  out=grads[layers + layer])
             if layer > 0:
                 delta = (delta @ self.weights[layer].swapaxes(-1, -2)) * (activations[layer] > 0.0)
-        return w_grads, b_grads
+        return grads[:layers], grads[layers:]
 
 
 def _layer_views(vector, shapes) -> list:
-    """Views of consecutive parts of ``vector`` in ``shapes``."""
+    """Views of consecutive parts of ``vector``'s last axis in ``shapes``,
+    each behind ``vector``'s leading axes."""
     ends = np.cumsum([math.prod(shape) for shape in shapes])
-    return [part.reshape(shape) for part, shape in zip(np.split(vector, ends[:-1]), shapes)]
+    return [part.reshape(*vector.shape[:-1], *shape)
+            for part, shape in zip(np.split(vector, ends[:-1], axis=-1), shapes)]
 
 
 def _on_vector(vector, shapes) -> EvidentialMLP:
@@ -396,12 +422,6 @@ class Trainer:
         self._unsup_rngs = [np.random.default_rng(unsup) for _, unsup in streams]
         self._velocity = np.zeros_like(self.model.vector)
 
-    @staticmethod
-    def _shuffled(rngs, n: int):
-        """A permutation of range(n) from each seed's stream, as one row of
-        ``(S, n)`` indices into the seeds' sets joined along their rows."""
-        return np.stack([rng.permutation(n) for rng in rngs]) + (np.arange(len(rngs)) * n)[:, None]
-
     def _diverged(self, what: str, bad, hint: str = "") -> TrainingDivergedError:
         """The error for a step whose ``bad`` masks, each with the step's
         leading seed axis, mark what turned non-finite; it carries the slot
@@ -411,46 +431,40 @@ class Trainer:
         epoch = self.epochs_done + 1
         return TrainingDivergedError(f"non-finite {what} at epoch {epoch}{hint}", slot)
 
-    def _step(self, grads, x, labels, weights, unlabeled=None, u_scale=None):
-        """Forward one step's supervised minibatch ``x`` and, with the UG term
-        on, its ``unlabeled`` one, check their evidence, and backprop the row
-        ``weights`` times the supervised ``edl_gradient`` plus ``u_scale``
-        times the ``ug_batch`` gradient into ``grads``, the gradient vector's
-        layer views, summed over every row. The two run as one pass along a
-        leading axis when their shapes agree, else each as a one-slice pass;
-        a kernel sees the S seeds' rows as one ``(S*n, C)`` matrix. Returns
-        the supervised ``(S, n, C)`` alpha and the UG per-row losses (None
-        with the term off)."""
-        inputs = [x] if unlabeled is None else [x, unlabeled]
-        groups = [inputs] if inputs[-1].shape == x.shape else [[x], [unlabeled]]
-        alphas, ug_rows = [], None  # each pass's alpha, supervised first
-        for k, group in enumerate(groups):
-            alpha, acts, active = self.model._forward_cached(np.stack(group))
+    def _step(self, grad, buf, views, groups, labels, weights, u_scale):
+        """Run one step's ``groups``, each a view of the epoch's gathered
+        inputs and the index of its first pass: forward it, check its
+        evidence, and backprop the row ``weights`` times the supervised
+        ``edl_gradient`` (pass 0) or ``u_scale`` times the ``ug_batch``
+        gradient (pass 1), summed over every row, into the pass's row of
+        ``buf`` through its layer ``views``. Then sum the passes into the
+        gradient vector ``grad``, supervised first. A kernel sees the S
+        seeds' rows as one ``(S*n, C)`` matrix. Returns the supervised
+        ``(S, n, C)`` alpha and the UG per-row losses (None with the term
+        off)."""
+        ug_rows = None
+        for x, first in groups:
+            alpha, acts, active = self.model._forward_cached(x)
             if not np.isfinite(alpha).all():
-                for a, what in zip(alpha, ("supervised", "unlabeled")[k:]):
+                for a, what in zip(alpha, ("supervised", "unlabeled")[first:]):
                     bad = ~np.isfinite(a).all(axis=-1)
                     if bad.any():
                         row = int(np.argwhere(bad)[0][-1])
                         raise self._diverged(f"evidence for {what} sample {row}", [bad],
                                              "; check inputs and learning rate")
             dalpha = np.empty_like(alpha)
-            for a, d in zip(alpha, dalpha):
+            for unlabeled, a, d in zip((False, True)[first:], alpha, dalpha):
                 flat = a.reshape(-1, a.shape[-1])
-                if alphas:
+                if unlabeled:
                     ug_rows, da = ug_batch(flat, self.loss_cfg)
                 else:
-                    da = edl_gradient(flat, labels.reshape(-1), self.loss_cfg)
-                np.multiply(da.reshape(a.shape), u_scale if alphas else weights, out=d)
-                alphas.append(a)
-            w_grads, b_grads = self.model.alpha_gradient_to_param_gradients(dalpha, alpha, acts,
-                                                                             active)
-            # Summing a length-2 pass axis is g[0] + g[1], element by element.
-            for out, g in zip(grads, w_grads + b_grads):
-                if k == 0:
-                    np.add.reduce(g, axis=0, out=out)
-                else:
-                    out += g[0]
-        return alphas[0], ug_rows
+                    sup_alpha, da = a, edl_gradient(flat, labels.reshape(-1), self.loss_cfg)
+                np.multiply(da.reshape(a.shape), u_scale if unlabeled else weights, out=d)
+            out = views if len(x) == len(buf) else [v[first : first + 1] for v in views]
+            self.model.alpha_gradient_to_param_gradients(dalpha, alpha, acts, active, out)
+        # Summing a length-2 pass axis is buf[0] + buf[1], element by element.
+        np.add.reduce(buf, axis=0, out=grad)
+        return sup_alpha, ug_rows
 
     def _apply_step(self, grad, lr: float):
         """Momentum SGD with weight decay on the parameter vector, elementwise
@@ -466,7 +480,11 @@ class Trainer:
     @_model_products()
     def run_epoch(self):
         """One epoch of minibatch SGD; returns (supervised_losses, ug_losses),
-        each a list of the epoch's batch mean for each seed."""
+        each a list of the epoch's batch mean for each seed.
+
+        The epoch gathers its inputs into one array and allocates one
+        gradient buffer, a row per pass, of which each step takes views (see
+        the module docstring)."""
         sets = [pool.supervised_set(self.loss_cfg.pseudo_label_weight) for pool in self.pools]
         sizes = [(f.shape[0], p.num_unlabeled) for (f, _, _), p in zip(sets, self.pools)]
         if len(set(sizes)) > 1:
@@ -476,48 +494,63 @@ class Trainer:
         n_sup, n_unl = sizes[0]
         if n_sup == 0:
             raise DomainError("supervised set is empty; nothing to train on")
-        # The epoch's rows gathered once in batch order, each an (S, n_sup, ...)
-        # array of which a step takes views.
-        order = self._shuffled(self._sup_rngs, n_sup)
-        features, labels, weights = (np.concatenate(parts)[order] for parts in zip(*sets))
         bs = self.cfg.batch_size
         steps = (n_sup + bs - 1) // bs
         seeds = len(self.pools)
         layers = len(self.model.weights)
         params = self.model.weights + self.model.biases
-        grad = np.empty_like(self.model.vector)
-        grads = _layer_views(grad, [p.shape for p in params])
-
         mean_reduction = self.loss_cfg.reduction != "sum"
+        # The unlabeled rows of a step; none with the UG term off.
+        take = min(bs, n_unl) if self.ug_enabled else 0
+        u_scale = 1.0 / take if take and mean_reduction else 1.0
+
+        # The epoch's inputs, gathered once in batch order straight into one
+        # (passes, S, rows, d) array of which each step takes views: pass 0
+        # holds each seed's supervised rows, and pass 1, with the UG term on,
+        # its unlabeled batches, step k's from row k*take.
+        inputs = np.empty((1 + bool(take), seeds, max(n_sup, steps * take), self.model.input_dim))
+        orders = [rng.permutation(n_sup) for rng in self._sup_rngs]
+        for (features, _, _), order, out in zip(sets, orders, inputs[0]):
+            np.take(features, order, axis=0, out=out[:n_sup], mode="clip")
+        labels, weights = (np.stack([part[order] for part, order in zip(parts, orders)])
+                           for parts in list(zip(*sets))[1:])
+        if take:
+            # Each shuffle serves its whole batches in turn, its last
+            # n_unl % take rows unused, and step k takes the k-th batch.
+            whole = n_unl // take * take
+            shuffles = -(-steps * take // whole)
+            for rng, pool, out in zip(self._unsup_rngs, self.pools, inputs[1]):
+                ids = np.concatenate([rng.permutation(n_unl)[:whole] for _ in range(shuffles)])
+                np.take(pool.target_features, pool.unlabeled_ids()[ids[: steps * take]], axis=0,
+                        out=out[: steps * take], mode="clip")
         if mean_reduction:
             # The mean over each row's own batch; the last batch may be short.
             weights = weights / np.minimum(bs, n_sup - np.arange(n_sup) // bs * bs)
-        use_ug = self.ug_enabled and n_unl > 0
-        u_scale = None
-        if use_ug:
-            take = min(bs, n_unl)
-            u_scale = 1.0 / take if mean_reduction else 1.0
-            # The epoch's unlabeled batches gathered once, an (S, steps*take,
-            # d) array: each shuffle serves its whole batches in turn, its last
-            # n_unl % take rows unused, and step k takes the k-th batch.
-            whole = n_unl // take * take
-            ids = np.concatenate([self._shuffled(self._unsup_rngs, n_unl)[:, :whole]
-                                  for _ in range(-(-steps * take // whole))], axis=1)
-            unsup = np.concatenate([p.unlabeled_features() for p in self.pools])
-            unsup = unsup[ids[:, : steps * take]]
 
-        # One contiguous row of step losses per seed: its mean then sums in
-        # the same order whatever the number of seeds.
-        ug_losses = np.zeros((seeds, steps if use_ug else 1))
+        # One gradient buffer for the epoch, a row per pass, which each step's
+        # backward writes into through the per-pass layer views.
+        shapes = [p.shape for p in params]
+        grad = np.empty_like(self.model.vector)
+        grads = _layer_views(grad, shapes)
+        buf = np.empty((len(inputs), grad.size))
+        views = _layer_views(buf, shapes)
+        # Each step's UG per-row losses, one contiguous row of steps per seed:
+        # its mean then sums in the same order whatever the number of seeds.
+        ug_rows = np.zeros((seeds, steps, take))
         # Each step's supervised alpha, for the loss pass after the last step.
         alphas = np.empty((seeds, n_sup, self.model.weights[-1].shape[-1]))
         for step in range(steps):
-            batch = slice(step * bs, (step + 1) * bs)
-            unlabeled = unsup[:, step * take : (step + 1) * take] if use_ug else None
-            alphas[:, batch], ug_rows = self._step(grads, features[:, batch], labels[:, batch],
-                                                   weights[:, batch, None], unlabeled, u_scale)
-            if use_ug:
-                ug_losses[..., step] = ug_rows.reshape(seeds, -1).sum(axis=-1) * u_scale
+            rows = slice(step * bs, min((step + 1) * bs, n_sup))
+            u_rows = slice(step * take, (step + 1) * take)
+            # One stacked pass when both batches sit at the same rows, else
+            # each pass alone.
+            groups = ([(inputs[:, :, rows], 0)] if rows == u_rows else
+                      [(inputs[k : k + 1, :, r], k)
+                       for k, r in enumerate((rows, u_rows)[: len(inputs)])])
+            alphas[:, rows], step_ug = self._step(grad, buf, views, groups, labels[:, rows],
+                                                  weights[:, rows, None], u_scale)
+            if take:
+                ug_rows[:, step] = step_ug.reshape(seeds, take)
 
             if not np.isfinite(grad).all():
                 finite = [bool(np.isfinite(g).all()) for g in grads]
@@ -537,6 +570,7 @@ class Trainer:
             sup_losses[:, :full] = rows[:, : full * bs].reshape(seeds, full, bs).sum(axis=-1)
         if full < steps:
             sup_losses[:, full] = rows[:, full * bs :].sum(axis=-1)
+        ug_losses = np.add.reduce(ug_rows, axis=-1) * u_scale
 
         # The next step's forward checks what a step left; after the last
         # one, the weights themselves, before any inference sees them.

@@ -86,12 +86,6 @@ def _nll_loss(alpha: np.ndarray, at):
     return np.log(alpha.sum(axis=1)) - np.log(alpha[at])
 
 
-def _nll_gradient(alpha: np.ndarray, at):
-    grad = np.repeat((1.0 / alpha.sum(axis=1))[:, None], alpha.shape[1], axis=1)
-    grad[at] -= 1.0 / alpha[at]
-    return grad
-
-
 @lru_cache(maxsize=None)
 def _log_gamma_of_count(c: int) -> float:
     """lnGamma(C), the normalizer of the flat Dirichlet over C classes."""
@@ -106,7 +100,7 @@ def _tilde_and_sum(alpha: np.ndarray, at):
     arg = np.empty((n, c + 1))
     arg[:, :c] = alpha
     arg[:, :c][at] = 1.0
-    np.sum(arg[:, :c], axis=1, out=arg[:, c])
+    np.add.reduce(arg[:, :c], axis=1, out=arg[:, c])
     return arg
 
 
@@ -120,15 +114,6 @@ def _kl_loss(alpha: np.ndarray, at):
         - lg[:, :c].sum(axis=1)
         + ((arg[:, :c] - 1.0) * (psi[:, :c] - psi[:, c:])).sum(axis=1)
     )
-
-
-def _kl_gradient(alpha: np.ndarray, at):
-    c = alpha.shape[1]
-    arg = _tilde_and_sum(alpha, at)
-    [tri] = _series(arg, _TRIGAMMA_ONLY)
-    grad = (arg[:, :c] - 1.0) * tri[:, :c] - ((arg[:, c] - c) * tri[:, c])[:, None]
-    grad[at] = 0.0
-    return grad
 
 
 def _edl_args(alpha, classes, config: LossConfig):
@@ -148,9 +133,20 @@ def edl_loss(alpha: np.ndarray, classes: np.ndarray, config: LossConfig):
 
 def edl_gradient(alpha: np.ndarray, classes: np.ndarray, config: LossConfig):
     """The alpha-gradient of ``edl_loss``, row by row; it takes only
-    trigamma, so a training step computes it without the loss."""
+    trigamma, so a training step computes it without the loss. It is
+    ``lambda_reg`` times the KL term's gradient, which is 0 at the true
+    class, plus the NLL term's, ``1/alpha0`` less ``1/alpha`` at the true
+    class."""
     alpha, at, lam = _edl_args(alpha, classes, config)
-    return _nll_gradient(alpha, at) + lam * _kl_gradient(alpha, at)
+    c = alpha.shape[1]
+    arg = _tilde_and_sum(alpha, at)
+    [tri] = _series(arg, _TRIGAMMA_ONLY)
+    grad = (arg[:, :c] - 1.0) * tri[:, :c] - ((arg[:, c] - c) * tri[:, c])[:, None]
+    grad[at] = 0.0
+    grad *= lam
+    grad += (1.0 / np.add.reduce(alpha, axis=1))[:, None]
+    grad[at] -= 1.0 / alpha[at]
+    return grad
 
 
 def edl_batch(alpha: np.ndarray, classes: np.ndarray, config: LossConfig):
@@ -159,8 +155,8 @@ def edl_batch(alpha: np.ndarray, classes: np.ndarray, config: LossConfig):
 
 
 def _ug_variance_batch(alpha: np.ndarray, lambda_a: float, lambda_e: float):
-    a0 = alpha.sum(axis=1)
-    t = (alpha * alpha).sum(axis=1)
+    a0 = np.add.reduce(alpha, axis=1)
+    t = np.add.reduce(alpha * alpha, axis=1)
     u = 1.0 - t / (a0 * a0)
     g = (lambda_a * a0 + lambda_e) / (a0 + 1.0)
     g_prime = (lambda_a - lambda_e) / ((a0 + 1.0) ** 2)
@@ -169,15 +165,15 @@ def _ug_variance_batch(alpha: np.ndarray, lambda_a: float, lambda_e: float):
 
 
 def _ug_entropy_batch(alpha: np.ndarray, lambda_a: float, lambda_e: float):
-    a0 = alpha.sum(axis=1)
+    a0 = np.add.reduce(alpha, axis=1)
     mu = alpha / a0[:, None]
     log_mu = np.log(mu)
-    u = -(mu * log_mu).sum(axis=1)
+    u = -np.add.reduce(mu * log_mu, axis=1)
     # digamma and trigamma of [alpha + 1 | alpha0 + 1]; the last column is alpha0 + 1.
     shifted = np.column_stack((alpha, a0)) + 1.0
     psi, tri = _series(shifted, _DIGAMMA_AND_TRIGAMMA)
     gap = psi[:, -1:] - psi[:, :-1]
-    u_alea = (mu * gap).sum(axis=1)
+    u_alea = np.add.reduce(mu * gap, axis=1)
     du = -(log_mu + u[:, None]) / a0[:, None]
     du_alea = (gap - u_alea[:, None]) / a0[:, None] + tri[:, -1:] - mu * tri[:, :-1]
     diff = lambda_a - lambda_e

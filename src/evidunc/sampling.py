@@ -60,8 +60,9 @@ __all__ = [
     "eu_sort_count",
 ]
 
-# Counts every epistemic-uncertainty sort performed; the single-sort-per-
-# round property is asserted against deltas of this counter.
+# Counts every epistemic-uncertainty sort this process performed. A report's
+# sorts per round come from the round itself (``_Round.eu_sorts``), as
+# concurrent runs share this total.
 _EU_SORTS = 0
 
 
@@ -177,7 +178,8 @@ def _pick_certain_balanced_tail(order, ids, predicted, b_c, num_classes, exclude
 
 @dataclass(frozen=True)
 class _Round:
-    """The scored unlabeled pool a round chose from, and what it took."""
+    """The scored unlabeled pool a round chose from, what it took, and the
+    EU sorts it ran."""
 
     ids: np.ndarray
     au: np.ndarray
@@ -186,6 +188,7 @@ class _Round:
     uncertain: np.ndarray
     certain: np.ndarray
     pseudo: np.ndarray
+    eu_sorts: int
 
 
 def _selection_round(pool: SamplePool, model, plan: RoundPlan, mode: str,
@@ -199,7 +202,7 @@ def _selection_round(pool: SamplePool, model, plan: RoundPlan, mode: str,
     want_cs = cs and plan.b_c > 0
     uncertain = certain = pseudo = empty = np.empty(0, dtype=np.int64)
     if not (want_us or want_cs):
-        return _Round(empty, np.empty(0), np.empty(0), empty, uncertain, certain, pseudo)
+        return _Round(empty, np.empty(0), np.empty(0), empty, uncertain, certain, pseudo, 0)
     ids = pool.unlabeled_ids()
     alpha = model.forward_batch(pool.unlabeled_features())
     _, au, eu = batch_uncertainties(alpha, mode)
@@ -218,7 +221,7 @@ def _selection_round(pool: SamplePool, model, plan: RoundPlan, mode: str,
             certain = _pick_certain_tail(order, ids, b_c, exclude=uncertain)
         pseudo = predicted[np.searchsorted(ids, certain)]
         pool.acquire_with_pseudo_labels(certain, pseudo)
-    return _Round(ids, au, eu, predicted, uncertain, certain, pseudo)
+    return _Round(ids, au, eu, predicted, uncertain, certain, pseudo, 1)
 
 
 def uncertainty_sampling(pool: SamplePool, model, plan: RoundPlan, mode: str = "variance") -> np.ndarray:
@@ -367,10 +370,9 @@ class _AdaRun:
         for epoch, plan in self.rounds_by_epoch.items():
             self.train_to(epoch)
             for (model, pool, report, labels), tally in zip(seeds, certain):
-                sorts_before = eu_sort_count()
                 rnd = _selection_round(pool, model, plan, self.trainer.loss_cfg.mode, us_enabled,
                                        cs_enabled, class_balanced)
-                report.eu_sorts_per_round.append(eu_sort_count() - sorts_before)
+                report.eu_sorts_per_round.append(rnd.eu_sorts)
                 report.selection_log.extend(_log_rows(plan.round_index, rnd, labels))
                 if rnd.certain.size:
                     tally.append((int((rnd.pseudo == labels[rnd.certain]).sum()),

@@ -34,6 +34,7 @@ from evidunc.sampling import (
 )
 from evidunc.synthetic import DomainSpec, default_class_means, generate_domain_pair, split_pools
 from oracles import brute_force_auroc, one_row
+from test_sampling import counted_eu_sorts
 
 
 def report(num, ok, detail):
@@ -409,7 +410,8 @@ class TestCriterion6:
         report(6, ok, detail)
         assert ok, detail
 
-    def test_one_epistemic_sort_per_round(self):
+    def test_one_epistemic_sort_per_round(self, monkeypatch):
+        sorts = counted_eu_sorts(monkeypatch)
         spec = DomainSpec(
             num_classes=2,
             feature_dim=2,
@@ -441,10 +443,10 @@ class TestCriterion6:
             us_enabled=True,
             cs_enabled=True,
         )
-        ok = report_obj.eu_sorts_per_round == [1, 1]
+        ok = report_obj.eu_sorts_per_round == [1, 1] and len(sorts) == 2
         detail = (
-            f"epistemic sorts per combined round: {report_obj.eu_sorts_per_round} "
-            "(exactly one shared sort each)"
+            f"epistemic sorts per combined round: {report_obj.eu_sorts_per_round}, "
+            f"{len(sorts)} sorts run (exactly one shared sort each)"
         )
         report(6, ok, detail)
         assert ok, detail

@@ -320,6 +320,53 @@ def test_library_entry_points_run_their_products_on_one_thread(tmp_path):
     }
 
 
+def test_overlapping_forwards_give_the_callers_count_back(tmp_path):
+    # Thread "a" holds its forward inside the scope until "b" has entered
+    # its own, and "b" leaves only after "a" has left. A scope that saved and
+    # restored the count on its own would then leave the process at 1.
+    got = run_script(
+        """
+        import threading
+        import numpy as np
+
+        entered = {name: threading.Event() for name in "ab"}
+        a_left = threading.Event()
+        inside, alpha = [], enn.EvidentialMLP._alpha
+
+        def held(self, h, activations=None):
+            name = threading.current_thread().name
+            entered[name].set()
+            if not (entered["b"] if name == "a" else a_left).wait(timeout=60):
+                raise TimeoutError(f"thread {name} was left waiting")
+            inside.append(threads())
+            return alpha(self, h, activations)
+
+        def run(name):
+            if name == "b" and not entered["a"].wait(timeout=60):
+                raise TimeoutError("thread a never entered")
+            results[name] = model.forward_batch(x)
+            if name == "a":
+                a_left.set()
+
+        model = enn.EvidentialMLP.create(8, 3, hidden=(16,), seed=0)
+        x = np.random.default_rng(0).normal(size=(500, 8))
+        set_threads(2)
+        lone = model.forward_batch(x)
+        enn.EvidentialMLP._alpha = held
+        results = {}
+        pair = [threading.Thread(target=run, args=(name,), name=name) for name in "ab"]
+        for thread in pair:
+            thread.start()
+        for thread in pair:
+            thread.join()
+        print(json.dumps({"count": threads(), "inside": inside,
+                          "equal": [results[n].tobytes() == lone.tobytes() for n in "ab"]}))
+        """,
+        tmp_path,
+    )
+    assert got == {"count": 2, "inside": [1, 1], "equal": [True, True]}
+
+
 def test_helper_is_a_no_op_without_library_or_symbol(tmp_path):
     got = run_script(
         """

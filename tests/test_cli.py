@@ -679,6 +679,23 @@ class TestAblateAndReport:
         table = json.loads((tmp_path / "out" / "ablation.json").read_text())
         assert len(table) == 5
 
+    def test_ablate_json_files_keep_their_writers_layout(self, tmp_path, monkeypatch):
+        # Each JSON file equals its own content dumped again as its writer
+        # dumps it.
+        monkeypatch.setenv("EVID_NUM_WORKERS", "1")
+        config = write_config(tmp_path, seeds=[0])
+        assert main(["ablate", "--config", str(config)]) == 0
+        settings = {"ablation.json": {}, "aggregate.json": {"sort_keys": True},
+                    "report.json": {"sort_keys": True}}
+        found = {}
+        for name, kwargs in settings.items():
+            paths = list((tmp_path / "out").rglob(name))
+            found[name] = len(paths)
+            for path in paths:
+                text = path.read_text()
+                assert text == json.dumps(json.loads(text), indent=2, **kwargs) + "\n", path
+        assert found == {"ablation.json": 1, "aggregate.json": 5, "report.json": 5}
+
     def test_ablate_names_the_failing_row(self, tmp_path, capsys):
         # The config's own switches (CS off) fit; the +UG+US+CS row's round 2
         # window of 10*4 + 30 = 70 exceeds the 46 samples round 1 leaves.

@@ -332,6 +332,11 @@ class TestConstructorValidates:
             parse_config(tiny_document(seeds=[0, seed]))
         assert parse_config(tiny_document(seeds=[MAX_SEED])).seeds == (MAX_SEED,)
 
+    def test_largest_64_bit_seed_accepted(self):
+        # By its value, so that a narrower bound fails here too.
+        largest = 18446744073709551615
+        assert parse_config(tiny_document(seeds=[largest])).seeds == (largest,)
+
     @pytest.mark.parametrize("override, where", [({"train": {"learning_rate": 10**400}},
                                                    "train.learning_rate"),
                                                   ({"seeds": [10**400]}, "seeds")])

@@ -221,14 +221,15 @@ def composition_pools(seeds):
     return pools
 
 
-def composition_trainer(mode, reduction, batch_size, seeds, ug_enabled):
-    """A fresh trainer on ``composition_pools`` with one 2-5-2 model per
-    seed, a twin trainer on copies of the models, and those copies, which
-    the twin's stacking turns into views of its layers."""
+def composition_trainer(mode, reduction, batch_size, seeds, ug_enabled, hidden=(5,)):
+    """A fresh trainer on ``composition_pools`` with one model per seed, 2
+    inputs through the ``hidden`` layers to 2 classes, a twin trainer on
+    copies of the models, and those copies, which the twin's stacking turns
+    into views of its layers."""
     loss_cfg = LossConfig(mode=mode, reduction=reduction, pseudo_label_weight=0.5)
     cfgs = [TrainConfig(epochs=3, batch_size=batch_size, learning_rate=0.05, seed=4 + k)
             for k in range(seeds)]
-    models = [EvidentialMLP.create(2, 2, hidden=(5,), seed=k) for k in range(seeds)]
+    models = [EvidentialMLP.create(2, 2, hidden=hidden, seed=k) for k in range(seeds)]
     refs = [EvidentialMLP([w.copy() for w in m.weights], [b.copy() for b in m.biases])
             for m in models]
     pools = composition_pools(range(3, 3 + seeds))
@@ -300,8 +301,9 @@ class TestRunEpochComposition:
     per-minibatch composition of ``composed_epoch`` moves it."""
 
     @staticmethod
-    def assert_epoch_composed(mode, reduction, batch_size, seeds, ug_enabled):
-        trainer, twin, refs = composition_trainer(mode, reduction, batch_size, seeds, ug_enabled)
+    def assert_epoch_composed(mode, reduction, batch_size, seeds, ug_enabled, hidden=(5,)):
+        trainer, twin, refs = composition_trainer(mode, reduction, batch_size, seeds, ug_enabled,
+                                                  hidden)
         assert len(np.unique(trainer.pools[0].supervised_set(0.5)[2])) == 2
         want = composed_epoch(trainer, twin, refs)
         assert trainer.run_epoch() == want
@@ -346,6 +348,16 @@ class TestRunEpochComposition:
             "shuffle-serves-two-steps-lockstep"])
     def test_epoch_matches_the_composition(self, mode, batch_size, seeds, ug_enabled):
         self.assert_epoch_composed(mode, "mean", batch_size, seeds, ug_enabled)
+
+    @pytest.mark.parametrize("hidden, batch_size, seeds", [
+        # One layer: two seeds in lockstep, every step stacked, 3 x (7 + 7) rows.
+        ((), 7, 2),
+        # Four layers: 5 stacked steps of 4 + 4 rows, then the short last
+        # batch of 1 row apart from its 4 unlabeled rows.
+        ((6, 5, 3), 4, 2),
+    ], ids=["no-hidden-layer", "three-hidden-layers"])
+    def test_epoch_matches_the_composition_at_other_depths(self, hidden, batch_size, seeds):
+        self.assert_epoch_composed("variance", "mean", batch_size, seeds, True, hidden)
 
     @staticmethod
     def stacked_trainer():

@@ -24,6 +24,7 @@ from evidunc.pools import SamplePool
 from evidunc.sampling import start_rows
 from evidunc.special import DomainError
 from test_config import finished_row, tiny_document, tree_bytes
+from test_sampling import counted_eu_sorts
 
 SEEDS = [3, 7, 11]
 # Batch 12 on 80 source rows leaves a last minibatch of 8, and 7 steps of
@@ -132,6 +133,7 @@ class TestClosingForward:
         # over both domains. The source-only and +UG rows take nothing.
         base = parse_config(tiny_document(seeds=[0, 1]))
         rounds = len(base.plans)
+        sorts = counted_eu_sorts(monkeypatch)
         calls = []
         forward = EvidentialMLP.forward_batch
 
@@ -144,10 +146,12 @@ class TestClosingForward:
             config = base.with_switches(**flags)
             state = experiments._prefix_task([config], config.seeds)
             calls.clear()
+            sorts.clear()
             reports = experiments._row_task(state, config, config.seeds, None)
             takes = flags["us"] or flags["cs"]
             assert len(calls) == len(config.seeds) * (rounds * (1 + takes) + 2), name
             assert [r.eu_sorts_per_round for r in reports] == [[int(takes)] * rounds] * 2
+            assert len(sorts) == len(config.seeds) * rounds * takes
             assert all(bool(r.selection_log) == takes for r in reports)
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from evidunc.losses import (
     LossConfig,
-    _kl_gradient,
     _kl_loss,
     _nll_loss,
     _ug_entropy_batch,
@@ -52,6 +51,14 @@ def true_class(classes):
     """The index of each row's true class that the NLL and KL kernels take,
     for 1-based class labels."""
     return np.arange(len(classes)), np.asarray(classes) - 1
+
+
+def nll_gradient(alpha, classes):
+    """The NLL term's alpha-gradient: 1/alpha0, less 1/alpha at the true class."""
+    rows, true = true_class(classes)
+    grad = np.repeat((1.0 / alpha.sum(axis=1))[:, None], alpha.shape[1], axis=1)
+    grad[rows, true] -= 1.0 / alpha[rows, true]
+    return grad
 
 
 def assert_gradient_matches(analytic, numeric, rtol=1e-5, atol=1e-8):
@@ -213,10 +220,14 @@ class TestBitPatterns:
         yield alpha, rng.integers(1, 7, size=700)
 
     def test_kl_batch_matches_seven_calls(self):
+        # The KL gradient is checked through edl_gradient, which adds
+        # lambda_reg times it to the NLL gradient.
+        config = LossConfig(lambda_reg=1.0)
         for alpha, classes in self.random_batches(seed=81, count=200):
-            parts = _kl_loss(alpha, true_class(classes)), _kl_gradient(alpha, true_class(classes))
-            for got, want in zip(parts, kl_batch_seven_calls(alpha, classes)):
-                assert got.tobytes() == want.tobytes()
+            kl, kl_grad = kl_batch_seven_calls(alpha, classes)
+            assert _kl_loss(alpha, true_class(classes)).tobytes() == kl.tobytes()
+            want_grad = nll_gradient(alpha, classes) + kl_grad
+            assert edl_gradient(alpha, classes, config).tobytes() == want_grad.tobytes()
 
     @pytest.mark.parametrize("n", [1, 64, 1000], ids=["one-row", "desk", "blocked"])
     def test_split_kernels_are_the_halves_of_edl_batch(self, n):
@@ -228,13 +239,11 @@ class TestBitPatterns:
         config = LossConfig(lambda_reg=0.3)
         rows, true = true_class(classes)
         a0 = alpha.sum(axis=1)
-        nll_grad = np.repeat((1.0 / a0)[:, None], 5, axis=1)
-        nll_grad[rows, true] -= 1.0 / alpha[rows, true]
         kl, kl_grad = kl_batch_seven_calls(alpha, classes)
         loss, grad = edl_batch(alpha, classes, config)
         want_loss = np.log(a0) - np.log(alpha[rows, true]) + 0.3 * kl
         assert edl_loss(alpha, classes, config).tobytes() == loss.tobytes() == want_loss.tobytes()
-        want_grad = nll_grad + 0.3 * kl_grad
+        want_grad = nll_gradient(alpha, classes) + 0.3 * kl_grad
         assert edl_gradient(alpha, classes, config).tobytes() == grad.tobytes() == want_grad.tobytes()
 
     @pytest.mark.parametrize("batch", [1, 2, 7, 32, 64])

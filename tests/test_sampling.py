@@ -1,12 +1,15 @@
 """Sampler tests: hand-traced selection rules, pool mechanics, and the
 round-loop invariants (budget, conservation, single shared EU sort)."""
 
+import json
+import threading
+
 import numpy as np
 import pytest
 
 from evidunc.enn import EvidentialMLP, TrainConfig, Trainer
 from evidunc.losses import LossConfig
-from evidunc import experiments
+from evidunc import experiments, sampling
 from evidunc.metrics import SELECTION_LOG_FIELDS, batch_uncertainties
 from evidunc.pools import BudgetExhaustedError, PoolError, SamplePool
 from evidunc.sampling import (
@@ -154,6 +157,19 @@ class TestPoolLevelOps:
         pool.check_invariants()
 
 
+def counted_eu_sorts(monkeypatch) -> list:
+    """Wrap ``sampling._eu_order`` so that each real sort appends its pool
+    size to the list returned."""
+    sorts, order = [], sampling._eu_order
+
+    def counted(ids, eu):
+        sorts.append(len(ids))
+        return order(ids, eu)
+
+    monkeypatch.setattr(sampling, "_eu_order", counted)
+    return sorts
+
+
 def ada_setup(seed=0, n=80, epochs=6):
     spec = DomainSpec(
         num_classes=2,
@@ -172,7 +188,8 @@ def ada_setup(seed=0, n=80, epochs=6):
 
 
 class TestRunAda:
-    def test_round_loop_invariants(self):
+    def test_round_loop_invariants(self, monkeypatch):
+        sorts = counted_eu_sorts(monkeypatch)
         pool, model, cfg = ada_setup()
         plans = [RoundPlan(1, b_u=3, b_c=2, kappa=2), RoundPlan(2, b_u=3, b_c=2, kappa=2)]
         report = run_ada(
@@ -188,6 +205,7 @@ class TestRunAda:
         assert features.shape[0] == pool.num_source + 10
         assert sorted(weights[pool.num_source:]) == [0.5] * 4 + [1.0] * 6
         assert report.eu_sorts_per_round == [1, 1]
+        assert len(sorts) == 2
         assert len(report.round_accuracies) == 2
         assert len(report.loss_curve) == 6
         # Within each round the uncertain and certain picks are disjoint.
@@ -240,6 +258,60 @@ class TestRunAda:
             [RoundPlan(1, b_u=2, b_c=2, kappa=2)], [3], cs_enabled=True,
         )
         assert eu_sort_count() - before == 1
+
+    def test_cs_round_that_takes_nothing_scores_nothing(self, monkeypatch):
+        # Certainty sampling alone, with b_c 0: no forward and no sort, both
+        # standalone and as a run's round.
+        sorts = counted_eu_sorts(monkeypatch)
+        pool, model, cfg = ada_setup(seed=2)
+        plan = RoundPlan(1, b_u=3, b_c=0, kappa=2)
+        forwards, forward = [], EvidentialMLP.forward_batch
+        monkeypatch.setattr(EvidentialMLP, "forward_batch",
+                            lambda m, x: forwards.append(len(x)) or forward(m, x))
+        certain, pseudo = certainty_sampling(pool, model, plan)
+        assert (certain.size, pseudo.size, forwards, sorts) == (0, 0, [], [])
+        report = run_ada(model, pool, cfg, LossConfig(), [plan], [3], us_enabled=False,
+                         cs_enabled=True)
+        assert report.eu_sorts_per_round == [0]
+        assert (report.selection_log, sorts) == ([], [])
+
+    def test_concurrent_runs_count_their_own_sorts(self, monkeypatch):
+        # Thread "b" sorts only after thread "a" has, and "a" holds its first
+        # round until "b" has sorted, so counts taken from the process-wide
+        # total would give a's first round both sorts. Each thread must
+        # report what its lone run does.
+        plans = [RoundPlan(k, b_u=2, b_c=2, kappa=2) for k in (1, 2, 3)]
+
+        def run():
+            pool, model, cfg = ada_setup(seed=1)
+            return run_ada(model, pool, cfg, LossConfig(), plans, [2, 4, 6],
+                           cs_enabled=True).to_json()
+
+        lone = run()
+        sorted_by = {name: threading.Event() for name in "ab"}
+        order = sampling._eu_order
+
+        def held(ids, eu):
+            name = threading.current_thread().name
+            other = sorted_by["a" if name == "b" else "b"]
+            if name == "b" and not other.wait(timeout=60):
+                raise TimeoutError("thread a never sorted")
+            result = order(ids, eu)
+            sorted_by[name].set()
+            if name == "a" and not other.wait(timeout=60):
+                raise TimeoutError("thread b never sorted")
+            return result
+
+        monkeypatch.setattr(sampling, "_eu_order", held)
+        reports = {}
+        threads = [threading.Thread(target=lambda n=n: reports.update({n: run()}), name=n)
+                   for n in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert json.loads(lone)["eu_sorts_per_round"] == [1, 1, 1]
+        assert reports == {"a": lone, "b": lone}
 
     def test_deterministic_given_seed(self):
         logs, weights = [], []
