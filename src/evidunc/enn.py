@@ -42,8 +42,18 @@ randomness flows from explicit seeds through separate generator streams for
 initialization, supervised shuffling, and unlabeled shuffling, so disabling
 the unlabeled term does not perturb the supervised batch sequence.
 
+The inference forward, ``EvidentialMLP.forward_batch``, runs the layer
+loop of the training forward on a batch of up to one block of rows, and a
+longer one block by block along the rows into one output, so a block's layer
+products stay in cache and a pool's peak is its output and a block. A block
+has at least 1024 rows, and enough that each layer's product has
+``BLOCK_PRODUCT`` (2^20) multiply-adds: OpenBLAS 0.3.31, as numpy's wheels
+bundle it, rounds products of at most 10^6 differently, in its small-matrix
+kernel, so past that bound every block gives each row the bits of the whole
+batch, and the alpha stays the training forward's bit for bit.
+
 The model's matrix products run in one scope, around the body of
-``Trainer.run_epoch`` and the layer loop of ``EvidentialMLP.forward_batch``,
+``Trainer.run_epoch`` and the blocks of ``EvidentialMLP.forward_batch``,
 so every library call that trains or scores a model has it. It runs the
 OpenBLAS of numpy's 2.x wheels on one thread and gives the caller's count
 back, also by a raise: the products are at most 64 columns wide, so a
@@ -91,6 +101,15 @@ __all__ = [
 ]
 
 LOGIT_CLAMP = 30.0
+# The multiply-adds (M*N*K) every layer product of a row block of
+# ``forward_batch`` reaches. OpenBLAS 0.3.31 (DYNAMIC_ARCH, on an AVX-512
+# Xeon) runs a product of at most 10^6 through its small-matrix kernel,
+# which rounds differently from the large one. Row blocks of a 64->10 product
+# differed from the whole at 1,500 rows (0.96 M) and matched at 1,600
+# (1.02 M); 64->3 differed at 4,096 rows and matched at 8,192; 16->2 differed
+# at 16,384 and matched at 32,768; 64->5, 8->64, 2->64 and 64->64 matched at
+# every size.
+BLOCK_PRODUCT = 2**20
 MAX_BATCH_SIZE = int(np.iinfo(np.int64).max)  # an epoch's batch arithmetic runs in int64
 LR_SCHEDULES = ("constant", "inverse-decay")
 
@@ -333,20 +352,36 @@ class EvidentialMLP:
         alpha, active = self._alpha(x, activations)
         return alpha, activations, active
 
+    def _block_rows(self) -> int:
+        """The rows of one ``forward_batch`` block: at least 1024, and
+        enough that each layer's product has ``BLOCK_PRODUCT`` multiply-adds."""
+        smallest = min(w.shape[-2] * w.shape[-1] for w in self.weights)
+        return max(1024, -(-BLOCK_PRODUCT // smallest))
+
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """Alpha matrix (n, C) for an (n, d) input batch, for inference.
 
         Bitwise the alpha of ``_forward_cached``, whose layer loop it runs.
-        The batch is not split into row blocks: BLAS may pick other kernels
-        for a partial block, which changes the bits. ``x`` must be ``(n,
-        d)``, or ``(S, n, d)`` for a stacked model."""
+        A batch longer than ``_block_rows`` rows runs as blocks of that many
+        along axis -2, the last one starting at ``n - _block_rows``, each
+        written into the output, so its layer products stay in cache. Every
+        block, like the whole batch, is then past BLAS's small-matrix kernel
+        (see ``BLOCK_PRODUCT``), and no row's bits depend on its block.
+        ``x`` must be ``(n, d)``, or ``(S, n, d)`` for a stacked model."""
         h = np.asarray(x, dtype=np.float64)
         w = self.weights[0]
         if h.ndim != w.ndim or h.shape[-1] != w.shape[-2] or h.shape[:-2] != w.shape[:-2]:
             want = ", ".join([*map(str, w.shape[:-2]), "n", str(self.input_dim)])
             raise DomainError(f"expected ({want}) inputs, got shape {h.shape}")
+        n, rows = h.shape[-2], self._block_rows()
         with _model_products():
-            return self._alpha(h)[0]
+            if n <= rows:
+                return self._alpha(h)[0]
+            alpha = np.empty((*h.shape[:-2], n, self.weights[-1].shape[-1]))
+            for start in range(0, n, rows):
+                lo = min(start, n - rows)
+                alpha[..., lo:lo + rows, :] = self._alpha(h[..., lo:lo + rows, :])[0]
+            return alpha
 
     def alpha_gradient_to_param_gradients(self, dalpha, alpha, activations, active, out=None):
         """Backprop an (n, C) alpha-gradient, or an (S, n, C) one through a

@@ -113,11 +113,14 @@ def round_problems(plans: list, schedule: list, epochs: int, budget: int, num_ta
                    auroc_epoch: int | None = None) -> list:
     """Every reason a round layout cannot run, as (sampling key, message)
     pairs: one plan per scheduled epoch, strictly increasing epochs within
-    the training run, uncertain picks within the oracle budget when
-    uncertainty sampling is on, an AUROC epoch within the run, and each
-    round's EU candidate window within the unlabeled target samples left of
-    ``num_target`` by the earlier rounds (or the round fails mid-run)."""
+    the training run, ``round_index`` values 1, 2, ..., k in the plans'
+    order (the selection log labels each round with its own), uncertain
+    picks within the oracle budget when uncertainty sampling is on, an AUROC
+    epoch within the run, and each round's EU candidate window within the
+    unlabeled target samples left of ``num_target`` by the earlier rounds
+    (or the round fails mid-run)."""
     wanted = sum(p.b_u for p in plans)
+    indexes = [p.round_index for p in plans]
     checks = [
         ("schedule", len(plans) != len(schedule),
          f"one round plan per scheduled epoch is required, got {len(plans)} for {schedule}"),
@@ -125,6 +128,8 @@ def round_problems(plans: list, schedule: list, epochs: int, budget: int, num_ta
          f"epochs {schedule} must be strictly increasing"),
         ("schedule", any(not 1 <= e <= epochs for e in schedule),
          f"epochs {schedule} must fall within the training run, 1..{epochs}"),
+        ("plans", indexes != list(range(1, len(plans) + 1)),
+         f"round_index values {indexes} must number the plans 1..{len(plans)} in order"),
         ("plans", us_enabled and wanted > budget,
          f"uncertainty sampling takes {wanted} oracle labels, more than the budget of {budget}"),
         ("auroc_epoch", auroc_epoch is not None and not 1 <= auroc_epoch <= epochs,

@@ -219,6 +219,25 @@ class TestParsing:
             f"training run, 1..{epochs}; a run this short must set {unset}"
         ]
 
+    @pytest.mark.parametrize("indexes", [(1, 1), (2, 1), (2, 3)], ids=["repeated", "swapped",
+                                                                       "shifted"])
+    def test_round_indexes_out_of_place_exit_two(self, tmp_path, capsys, indexes):
+        # The selection log labels each round by its round_index, so two
+        # rounds that both say 1 could not be told apart.
+        document = tiny_document()
+        for plan, k in zip(document["sampling"]["plans"], indexes):
+            plan["round_index"] = k
+        problem = (f"sampling.plans: round_index values {list(indexes)} must number the "
+                   f"plans 1..2 in order")
+        with pytest.raises(ConfigError) as info:
+            parse_config(document)
+        assert info.value.problems == [problem]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"\n  {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("sampling, problems", [
         ({"schedule": [3, 5]},
          ["sampling.schedule: one round plan per scheduled epoch is required, got 5 for [3, 5]"]),

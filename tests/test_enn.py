@@ -5,6 +5,7 @@ import copy
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,44 @@ class TestForward:
         assert alpha.shape == want.shape == (3, min(n, 4096), 10)
         assert alpha.tobytes() == want.tobytes()
         assert np.all(active) == (scale == 1.0)
+
+    @pytest.mark.parametrize("hidden", [(64, 64), (16,)], ids=["h64x2", "h16"])
+    @pytest.mark.parametrize("input_dim", [2, 8])
+    @pytest.mark.parametrize("num_classes", [2, 3, 5, 10])
+    def test_blocked_inference_forward_bitwise_equal_to_training_forward(
+            self, num_classes, input_dim, hidden):
+        # Past _block_rows rows forward_batch runs row blocks, the last one
+        # overlapping the one before; each block stays past the BLAS
+        # small-matrix kernel, which rounds differently from the large one.
+        models = [EvidentialMLP.create(input_dim, num_classes, hidden=hidden, seed=s)
+                  for s in (5, 6, 7)]
+        rows = models[0]._block_rows()
+        smallest = min(m * n for m, n in zip((input_dim, *hidden), (*hidden, num_classes)))
+        assert rows == max(1024, math.ceil(2**20 / smallest))
+        stacked = EvidentialMLP.stack(models)
+        for n in (0, rows, rows + 1, 3 * rows + 17):
+            x = np.random.default_rng(n).normal(size=(n, input_dim)) * 3.0
+            for model, xs in ((models[0], x), (stacked, np.stack([x, -x, 2.0 * x]))):
+                alpha = model.forward_batch(xs)
+                want = model._forward_cached(xs)[0]
+                assert alpha.shape == want.shape == (*xs.shape[:-1], num_classes)
+                assert alpha.tobytes() == want.tobytes(), (n, xs.ndim)
+
+    def test_pool_forward_peak_memory_is_the_output_and_a_few_blocks(self):
+        # 200,000 rows through 8 -> 64 -> 64 -> 10: one forward of the whole
+        # batch holds 200,000 x 64 intermediates (98 MiB each); the blocked
+        # forward holds its output and one block's products.
+        model = EvidentialMLP.create(8, 10, hidden=(64, 64), seed=0)
+        x = np.random.default_rng(0).normal(size=(200_000, 8))
+        tracemalloc.start()
+        try:
+            alpha = model.forward_batch(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 2048 * 64 * 8  # one 64-wide product of a 2048-row block
+        assert alpha.shape == (200_000, 10)
+        assert peak <= alpha.nbytes + 4 * block, (peak, alpha.nbytes, block)
 
     def test_inference_forward_leaves_its_input_alone(self):
         x = np.random.default_rng(0).normal(size=(5, 3))

@@ -13,6 +13,7 @@ from evidunc import experiments, sampling
 from evidunc.metrics import SELECTION_LOG_FIELDS, batch_uncertainties
 from evidunc.pools import BudgetExhaustedError, PoolError, SamplePool
 from evidunc.sampling import (
+    RoundLayoutError,
     RoundPlan,
     _eu_order,
     _pick_certain_balanced_tail,
@@ -344,6 +345,17 @@ class TestRunAda:
             run_ada(model, pool, cfg, LossConfig(), [RoundPlan(1, 1, 0)], [2, 4])
         with pytest.raises(DomainError):
             run_ada(model, pool, cfg, LossConfig(), [RoundPlan(1, 1, 0)], [99])
+
+    def test_round_indexes_out_of_place_rejected_upfront(self):
+        pool, model, cfg = ada_setup()
+        before = [w.copy() for w in model.weights]
+        plans = [RoundPlan(1, b_u=1, b_c=0), RoundPlan(1, b_u=1, b_c=0)]
+        with pytest.raises(RoundLayoutError, match=r"^plans: round_index values \[1, 1\] must "
+                                                   r"number the plans 1\.\.2 in order$"):
+            run_ada(model, pool, cfg, LossConfig(), plans, [2, 4])
+        # Found before any training.
+        assert all(np.array_equal(w, b) for w, b in zip(model.weights, before))
+        assert pool.budget_spent == 0
 
     def test_budget_overcommit_rejected_upfront(self):
         pool, model, cfg = ada_setup()
